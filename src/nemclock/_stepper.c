@@ -1,0 +1,97 @@
+/* Kick-then-drift Langevin steps for one block of trajectories.
+
+   This is the compiled form of the NumPy step loop in langevin.py and must
+   agree with it bit for bit, so every floating-point operation below is the
+   one NumPy and scipy perform, in the same order:
+
+   - the coefficients come from scipy's PPoly evaluation: the interval rule
+     of find_interval (g[i] <= x < g[i+1], the last interval at x == g[nx-1],
+     NaN for NaN) and the power sum of evaluate_poly1;
+   - the velocity update groups its terms as the NumPy expression does;
+   - it is compiled with -O2 -ffp-contract=off and without -ffast-math, so
+     no product is fused into an add and no sum is reassociated.
+
+   The Philox noise is drawn by the caller; one call advances every row of
+   the block over one noise chunk. */
+#include <math.h>
+
+/* The polynomial interval of x, which is clipped to [g[0], g[nx-1]] and not
+   NaN.  The guess from the mean node spacing is exact on a uniform grid up
+   to rounding; the two walks make the result exact on any increasing grid. */
+static long find_interval(const double *g, long nx, double x, double scale)
+{
+    long i = (long)((x - g[0]) * scale);
+    if (i > nx - 2)
+        i = nx - 2;
+    while (i > 0 && x < g[i])
+        i--;
+    while (i < nx - 2 && x >= g[i + 1])
+        i++;
+    return i;
+}
+
+/* Advance rows 0..block-1 over n steps.  Steps run in the outer loop so
+   the rows are independent chains the CPU can overlap; each row's
+   arithmetic is the same in either order.
+
+   x, v     state per row, updated in place
+   noise    block x n standard normals, row-major
+   buf_x/v  block x (n - keep_from): the state before each step k >= keep_from
+   grid     the nx spline breakpoints
+   c        spline coefficients, shape (4, nx-1, 3), columns friction,
+            diffusion, excess occupation
+   w0sq     w0**2; fm = force / m
+
+   Returns -1, or the lowest row that left the grid at the earliest failing
+   step; that step goes to *fail_step and the row's x holds the position
+   after it. */
+long nemclock_steps(long block, long n, long keep_from,
+                    double *x, double *v, const double *noise,
+                    double *buf_x, double *buf_v,
+                    const double *grid, long nx, const double *c,
+                    double dt, double w0sq, double fm, double m,
+                    long *fail_step)
+{
+    const double lo = grid[0], hi = grid[nx - 1];
+    const double scale = (double)(nx - 1) / (hi - lo);
+    const long power_stride = (nx - 1) * 3;
+    const long kept = n - keep_from;
+    long bad = -1;
+
+    for (long k = 0; k < n; k++) {
+        for (long r = 0; r < block; r++) {
+            double xr = x[r], vr = v[r];
+            if (k >= keep_from) {
+                buf_x[r * kept + k - keep_from] = xr;
+                buf_v[r * kept + k - keep_from] = vr;
+            }
+            const double xe = xr < lo ? lo : (xr > hi ? hi : xr);
+            double coeff[3] = {NAN, NAN, NAN};
+            if (xe == xe) {
+                const long i = find_interval(grid, nx, xe, scale);
+                const double s = xe - grid[i];
+                for (int j = 0; j < 3; j++) {
+                    double res = 0.0, z = 1.0;
+                    for (int kp = 0; kp < 4; kp++) {
+                        res = res + c[(3 - kp) * power_stride + i * 3 + j] * z;
+                        if (kp < 3)
+                            z *= s;
+                    }
+                    coeff[j] = res;
+                }
+            }
+            vr = vr + ((-coeff[0]) * vr - w0sq * xr + fm * coeff[2]) * dt
+                 + sqrt(coeff[1] * dt) * noise[r * n + k] / m;
+            xr = xr + vr * dt;
+            x[r] = xr;
+            v[r] = vr;
+            if (bad < 0 && !(xr >= lo && xr <= hi)) {
+                *fail_step = k;
+                bad = r;
+            }
+        }
+        if (bad >= 0)
+            break;
+    }
+    return bad;
+}

@@ -17,12 +17,30 @@ Randomness comes from one counter-based stream per trajectory, keyed by
 (seed, trajectory index), so ensembles are bit-identical under any worker
 layout.  Each stream is consumed in a fixed pattern: two draws for the
 initial condition, then one standard-normal block per integration chunk.
+
+The per-step loop runs in a small C kernel, ``_stepper.c``, compiled on
+first use with ``/usr/bin/cc -O2 -ffp-contract=off`` and loaded through
+ctypes, which releases the GIL, so threads advance blocks in parallel.  The
+kernel reproduces the NumPy loop (:func:`_steps_numpy`) bit for bit: same
+interval rule and power sum as scipy's PPoly evaluation, same operation
+order, no fused multiply-adds.  The NumPy loop is the test oracle and the
+fallback, taken after one RuntimeWarning when the kernel cannot be built or
+loaded.  Noise draws, chunking, recording and consumers stay in Python, so
+the stream layout and the consumer contract are the same on both paths.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
+import hashlib
 import math
+import os
+import subprocess
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -37,14 +55,22 @@ __all__ = [
     "interpolate",
     "column_interpolant",
     "integrate_trajectory",
+    "run_ensemble",
     "sample_stationary_ensemble",
 ]
 
 CHUNK_STEPS = 4096   # integration steps per noise block
-BLOCK_SIZE = 16      # trajectories advanced together in one vectorised block
+BLOCK_SIZE = 16      # trajectories per block, the unit of work of one thread
 
 DEFAULT_TIME_STEP = math.pi / 100.0          # 200 steps per period
 DEFAULT_BURN_IN = 200.0 * 2.0 * math.pi      # 200 periods
+
+# the compiled step loop; the shared object is cached next to the package's
+# bytecode under a name keyed by the source and the flags
+_CC = "/usr/bin/cc"
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_KERNEL_SOURCE = Path(__file__).with_name("_stepper.c")
+_KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 
 
 @dataclass(frozen=True)
@@ -177,6 +203,112 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _load_kernel():
+    """Compile ``_stepper.c`` on first use, cache it, and load it."""
+    source = _KERNEL_SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    lib = _KERNEL_CACHE / f"_stepper-{key}.so"
+    if not lib.exists():
+        _KERNEL_CACHE.mkdir(exist_ok=True)
+        tmp = lib.with_name(f".{lib.name}.{os.getpid()}.tmp")
+        try:
+            proc = subprocess.run(
+                [_CC, *_CFLAGS, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"],
+                capture_output=True, text=True,
+            )
+            if proc.returncode != 0:
+                raise OSError(f"{_CC} exited {proc.returncode}: {proc.stderr.strip()}")
+            os.replace(tmp, lib)
+        finally:
+            tmp.unlink(missing_ok=True)
+    fn = ctypes.CDLL(str(lib)).nemclock_steps
+    long, ptr, double = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
+    fn.argtypes = [long, long, long, ptr, ptr, ptr, ptr, ptr, ptr, long, ptr,
+                   double, double, double, double, ptr]
+    fn.restype = long
+    return fn
+
+
+_kernel_lock = threading.Lock()
+_kernel_cache: list = []
+
+
+def _kernel():
+    """The compiled step loop, or None when it cannot be built or loaded.
+
+    A failure is reported once per process by a RuntimeWarning; every block
+    then runs the NumPy loop, with the same results at about 20x the cost.
+    """
+    with _kernel_lock:
+        if not _kernel_cache:
+            try:
+                _kernel_cache.append(_load_kernel())
+            except (OSError, AttributeError) as exc:
+                warnings.warn(
+                    f"compiled Langevin stepper unavailable ({exc}); "
+                    "falling back to the NumPy step loop, about 20x slower",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                _kernel_cache.append(None)
+        return _kernel_cache[0]
+
+
+def _steps_numpy(drive, x, v, noise, keep_from, buf_x, buf_v, dt, w0, force, m):
+    """Reference step loop: advance ``x``, ``v`` over ``noise.shape[1]``
+    steps, recording the state before each step k >= keep_from.
+
+    Returns (x, v, failure) where failure is None or (k, row) for the first
+    step k at which a member left the grid and the lowest such row.
+    """
+    lo, hi = drive.x[0], drive.x[-1]
+    for k in range(noise.shape[1]):
+        if k >= keep_from:
+            buf_x[:, k - keep_from] = x
+            buf_v[:, k - keep_from] = v
+        xe = np.clip(x, lo, hi)
+        coeff = drive(xe)
+        gam, dif, exc = coeff[:, 0], coeff[:, 1], coeff[:, 2]
+        v = v + (-gam * v - w0**2 * x + (force / m) * exc) * dt \
+            + np.sqrt(dif * dt) * noise[:, k] / m
+        x = x + v * dt
+        inside = (x >= lo) & (x <= hi)
+        if not inside.all():
+            return x, v, (k, int(np.argmin(inside)))
+    return x, v, None
+
+
+def _steps_compiled(
+    kernel, drive, x, v, noise, keep_from, buf_x, buf_v, dt, w0, force, m
+):
+    """:func:`_steps_numpy` in C, bit for bit; ``x`` and ``v`` are updated
+    in place."""
+    noise = np.ascontiguousarray(noise, dtype=np.float64)
+    grid = np.ascontiguousarray(drive.x, dtype=np.float64)
+    coeffs = np.ascontiguousarray(drive.c, dtype=np.float64)
+    fail_step = ctypes.c_long()
+    bad = kernel(
+        x.shape[0], noise.shape[1], keep_from,
+        x.ctypes.data, v.ctypes.data, noise.ctypes.data,
+        None if buf_x is None else buf_x.ctypes.data,
+        None if buf_v is None else buf_v.ctypes.data,
+        grid.ctypes.data, grid.shape[0], coeffs.ctypes.data,
+        dt, w0**2, force / m, m, ctypes.byref(fail_step),
+    )
+    return x, v, (None if bad < 0 else (fail_step.value, bad))
+
+
+def _sourced(noise_source, indices, start, n):
+    """``noise_source`` output, shape-checked before it reaches the kernel."""
+    noise = np.asarray(noise_source(indices, start, n))
+    if noise.shape != (len(indices), n):
+        raise ValueError(
+            f"noise_source returned shape {noise.shape}, "
+            f"expected {(len(indices), n)}"
+        )
+    return noise
+
+
 def _integrate_block(
     table: CoefficientTable,
     params: SystemParams,
@@ -199,18 +331,19 @@ def _integrate_block(
     w0 = params.oscillator_frequency
     force = params.force
     drive = _drive_spline(table)
-    lo, hi = table.grid[0], table.grid[-1]
+    kernel = _kernel()
+    steps = _steps_numpy if kernel is None else functools.partial(_steps_compiled, kernel)
 
     gens = None
     if noise_source is None:
         gens = [_stream(sim.seed, i) for i in indices]
         init = np.array([[g.standard_normal(), g.standard_normal()] for g in gens])
     else:
-        init = np.asarray(noise_source(indices, -1, 2))
+        init = _sourced(noise_source, indices, -1, 2)
     sx = math.sqrt(1.0 / (params.inverse_temperature * m * w0**2))
     sv = math.sqrt(1.0 / (params.inverse_temperature * m))
-    x = init[:, 0] * sx
-    v = init[:, 1] * sv
+    x = np.ascontiguousarray(init[:, 0] * sx, dtype=np.float64)
+    v = np.ascontiguousarray(init[:, 1] * sv, dtype=np.float64)
 
     total = sim.total_steps
     burn = sim.burn_steps
@@ -224,28 +357,19 @@ def _integrate_block(
         if noise_source is None:
             noise = np.stack([g.standard_normal(n) for g in gens])
         else:
-            noise = np.asarray(noise_source(indices, start, n))
+            noise = _sourced(noise_source, indices, start, n)
         keep_from = max(burn - start, 0)
         buf_x = np.empty((block, n - keep_from)) if n > keep_from else None
         buf_v = np.empty_like(buf_x) if buf_x is not None else None
-        for k in range(n):
-            step = start + k
-            if step >= burn:
-                buf_x[:, k - keep_from] = x
-                buf_v[:, k - keep_from] = v
-            xe = np.clip(x, lo, hi)
-            coeff = drive(xe)
-            gam, dif, exc = coeff[:, 0], coeff[:, 1], coeff[:, 2]
-            v = v + (-gam * v - w0**2 * x + (force / m) * exc) * dt \
-                + np.sqrt(dif * dt) * noise[:, k] / m
-            x = x + v * dt
-            inside = (x >= lo) & (x <= hi)
-            if not inside.all():
-                bad = int(np.argmin(inside))
-                raise ExcursionError(
-                    time=(step + 1) * dt, position=float(x[bad]),
-                    index=indices[bad],
-                )
+        x, v, failure = steps(
+            drive, x, v, noise, keep_from, buf_x, buf_v, dt, w0, force, m
+        )
+        if failure is not None:
+            k, bad = failure
+            raise ExcursionError(
+                time=(start + k + 1) * dt, position=float(x[bad]),
+                index=indices[bad],
+            )
         if buf_x is not None:
             # states at steps [start+keep_from, start+n), i.e. times
             # (step - burn)*dt past the burn-in
@@ -287,6 +411,60 @@ def integrate_trajectory(
     )
 
 
+def run_ensemble(
+    table: CoefficientTable,
+    params: SystemParams,
+    sim: SimConfig,
+    *,
+    consumer_factories=(),
+    threads: int = 1,
+    keep_trajectories: bool = True,
+):
+    """Integrate an ensemble while consumers stream the full-rate states.
+
+    Returns (trajectories, consumers) where ``consumers`` is one tuple of
+    instances per fixed block of member indices, in block order.  The block
+    partition does not depend on ``threads``, so merged consumer output is
+    identical for any worker count.
+    """
+    slots = [
+        range(start, min(start + BLOCK_SIZE, sim.ensemble_size))
+        for start in range(0, sim.ensemble_size, BLOCK_SIZE)
+    ]
+    consumers_by_block = [tuple(f() for f in consumer_factories) for _ in slots]
+    results: list = [None] * len(slots)
+
+    def work(slot: int):
+        indices = list(slots[slot])
+        times, xs, vs = _integrate_block(
+            table, params, sim, indices, consumers=consumers_by_block[slot]
+        )
+        if keep_trajectories:
+            results[slot] = [
+                Trajectory(
+                    times=times,
+                    positions=xs[row],
+                    velocities=vs[row],
+                    seed=sim.seed,
+                    params_hash=table.params_hash,
+                    index=idx,
+                )
+                for row, idx in enumerate(indices)
+            ]
+
+    if threads > 1 and len(slots) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, range(len(slots))))
+    else:
+        for slot in range(len(slots)):
+            work(slot)
+
+    trajectories = None
+    if keep_trajectories:
+        trajectories = [traj for block in results for traj in block]
+    return trajectories, consumers_by_block
+
+
 def sample_stationary_ensemble(
     table: CoefficientTable,
     params: SystemParams,
@@ -299,36 +477,4 @@ def sample_stationary_ensemble(
     The i-th element is the same for every ``threads`` value and equals the
     single-path integration with trajectory index i.
     """
-    indices = list(range(sim.ensemble_size))
-    blocks = [
-        indices[i : i + BLOCK_SIZE] for i in range(0, len(indices), BLOCK_SIZE)
-    ]
-    results = [None] * len(blocks)
-
-    def work(slot):
-        results[slot] = _integrate_block(table, params, sim, blocks[slot])
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(blocks))))
-    else:
-        for slot in range(len(blocks)):
-            work(slot)
-
-    out = []
-    for slot, block in enumerate(blocks):
-        times, xs, vs = results[slot]
-        for row, idx in enumerate(block):
-            out.append(
-                Trajectory(
-                    times=times,
-                    positions=xs[row],
-                    velocities=vs[row],
-                    seed=sim.seed,
-                    params_hash=table.params_hash,
-                    index=idx,
-                )
-            )
-    return out
+    return run_ensemble(table, params, sim, threads=threads)[0]

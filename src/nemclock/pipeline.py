@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import langevin
-from .langevin import SimConfig, Trajectory, column_interpolant
+from .langevin import SimConfig, column_interpolant, run_ensemble
 from .params import SystemParams
 from .readout import DetectionPolicy, TickAccumulator, TickSeries, current_level_maximum
 from .transport import (
@@ -172,67 +172,6 @@ def default_grid(
     spread = math.sqrt(cycle.amplitude_variance)
     x_max = max(1.5 * amplitude, amplitude + SIGMA_MARGIN * spread)
     return GridSpec(x_max=x_max, nodes=nodes)
-
-
-def _block_slots(ensemble_size: int):
-    block = langevin.BLOCK_SIZE
-    return [
-        range(start, min(start + block, ensemble_size))
-        for start in range(0, ensemble_size, block)
-    ]
-
-
-def run_ensemble(
-    table: CoefficientTable,
-    params: SystemParams,
-    sim: SimConfig,
-    *,
-    consumer_factories=(),
-    threads: int = 1,
-    keep_trajectories: bool = True,
-):
-    """Integrate an ensemble while consumers stream the full-rate states.
-
-    Returns (trajectories, consumers) where ``consumers`` is one tuple of
-    instances per fixed block of member indices, in block order.  The block
-    partition does not depend on ``threads``, so merged consumer output is
-    identical for any worker count.
-    """
-    slots = _block_slots(sim.ensemble_size)
-    consumers_by_block = [tuple(f() for f in consumer_factories) for _ in slots]
-    results: list = [None] * len(slots)
-
-    def work(slot: int):
-        indices = list(slots[slot])
-        times, xs, vs = langevin._integrate_block(
-            table, params, sim, indices, consumers=consumers_by_block[slot]
-        )
-        if keep_trajectories:
-            results[slot] = [
-                Trajectory(
-                    times=times,
-                    positions=xs[row],
-                    velocities=vs[row],
-                    seed=sim.seed,
-                    params_hash=table.params_hash,
-                    index=idx,
-                )
-                for row, idx in enumerate(indices)
-            ]
-
-    if threads > 1 and len(slots) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(slots))))
-    else:
-        for slot in range(len(slots)):
-            work(slot)
-
-    trajectories = None
-    if keep_trajectories:
-        trajectories = [traj for block in results for traj in block]
-    return trajectories, consumers_by_block
 
 
 def _grid_bin_edges(grid: np.ndarray) -> np.ndarray:

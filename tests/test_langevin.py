@@ -1,17 +1,23 @@
 """Stochastic integrator: determinism, physics checks against closed forms
-on synthetic coefficient tables, step-size consistency, interpolation."""
+on synthetic coefficient tables, step-size consistency, interpolation, and
+the compiled step loop against the NumPy reference loop."""
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import THREADS, make_synthetic_table
+from nemclock import langevin
 from nemclock.langevin import (
+    CHUNK_STEPS,
     ExcursionError,
     SimConfig,
     column_interpolant,
     integrate_trajectory,
     interpolate,
+    run_ensemble,
     sample_stationary_ensemble,
     _integrate_block,
 )
@@ -227,3 +233,193 @@ def test_column_interpolant_matches_pointwise(ou_table):
     spline = column_interpolant(ou_table, "diffusion")
     for x in (-3.3, 0.1, 7.7):
         assert spline(x) == pytest.approx(interpolate(ou_table, x).diffusion)
+
+
+# ------------------------------------------------- compiled kernel oracle --
+
+
+class _Recorder:
+    """Consumer that keeps a copy of every feed call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def feed(self, indices, t0, dt, xs, vs):
+        self.calls.append((list(indices), t0, dt, np.array(xs), np.array(vs)))
+
+
+def _block(table, params, sim, indices, noise_source=None):
+    rec = _Recorder()
+    out = _integrate_block(
+        table, params, sim, indices, consumers=(rec,), noise_source=noise_source
+    )
+    return (*out, rec.calls)
+
+
+def _ensemble(table, params, sim):
+    trajectories, consumers = run_ensemble(
+        table, params, sim, consumer_factories=[_Recorder]
+    )
+    paths = [(t.index, t.times, t.positions, t.velocities) for t in trajectories]
+    return paths, [rec.calls for (rec,) in consumers]
+
+
+def _both_ways(monkeypatch, run):
+    """``run()`` on the compiled kernel, then on the NumPy reference loop."""
+    if langevin._kernel() is None:
+        pytest.skip("compiled stepper unavailable")
+    fast = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(langevin, "_kernel", lambda: None)
+        reference = run()
+    return fast, reference
+
+
+def _assert_identical(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        assert np.array_equal(a, b)
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for one, two in zip(a, b):
+            _assert_identical(one, two)
+    else:
+        assert a == b
+
+
+def _initial_state(x0, v0):
+    """A noise source that starts each row at exactly (x0, v0) under the
+    default_params(100) thermal scales and then draws Philox noise."""
+    scale = math.sqrt(10.0)  # 1/sqrt(beta m w0^2) = 1/sqrt(beta m)
+    init = np.column_stack([np.asarray(x0) / scale, np.asarray(v0) / scale])
+    assert np.array_equal(init[:, 0] * scale, x0)
+    rng = np.random.Generator(np.random.Philox(99))
+    noise = rng.standard_normal((init.shape[0], 100_000))
+
+    def source(indices, start, n):
+        return init if start == -1 else noise[:, start : start + n]
+
+    return source
+
+
+@pytest.fixture(scope="module")
+def rough_table():
+    """Position-dependent columns on a strongly non-uniform grid."""
+    grid = 12.0 * np.sinh(np.linspace(-3.0, 3.0, 41)) / math.sinh(3.0)
+    return make_synthetic_table(
+        grid,
+        friction=lambda x: 0.3 + 0.1 * math.cos(x),
+        diffusion=lambda x: 1.0 + 0.5 * math.sin(x) ** 2,
+        excess=lambda x: math.tanh(x),
+        tag="rough",
+    )
+
+
+def test_kernel_matches_reference_across_chunks(monkeypatch, rough_table, params100):
+    # 9000 steps over three chunks; the burn-in ends 904 steps into the second
+    sim = _sim(20, burn=25, seed=31, members=3, stride=7)
+    assert sim.total_steps > 2 * CHUNK_STEPS
+    assert sim.burn_steps % CHUNK_STEPS not in (0, sim.burn_steps)
+    fast, ref = _both_ways(
+        monkeypatch, lambda: _block(rough_table, params100, sim, [4, 0, 9])
+    )
+    _assert_identical(fast, ref)
+    assert len(fast[3]) == 3  # two chunk feeds and the final state
+
+
+@pytest.mark.parametrize("members", [1, 17])
+def test_kernel_matches_reference_on_real_table(
+    monkeypatch, table100, params100, members
+):
+    sim = _sim(3, burn=21, seed=5, members=members, stride=3)
+    fast, ref = _both_ways(monkeypatch, lambda: _ensemble(table100, params100, sim))
+    _assert_identical(fast, ref)
+    assert len(fast[1]) == (members + 15) // 16
+
+
+def test_kernel_matches_reference_with_noise_source(
+    monkeypatch, rough_table, params100
+):
+    source = _initial_state([0.5, -2.0], [1.0, 0.0])
+    sim = _sim(25, seed=0, members=2)
+    fast, ref = _both_ways(
+        monkeypatch,
+        lambda: _block(rough_table, params100, sim, [0, 1], noise_source=source),
+    )
+    _assert_identical(fast, ref)
+
+
+def test_kernel_matches_reference_at_grid_edges(monkeypatch, rough_table, params100):
+    # rows start outside the grid (clipped lookup), exactly on an interior
+    # node, exactly at the upper end, and exactly at the lower end
+    grid = rough_table.grid
+    source = _initial_state(
+        [grid[-1] + 0.01, grid[25], grid[-1], grid[0]], [-1.0, 0.0, -1.0, 1.0]
+    )
+    sim = _sim(2, seed=0, members=4)
+    fast, ref = _both_ways(
+        monkeypatch,
+        lambda: _block(rough_table, params100, sim, [0, 1, 2, 3], noise_source=source),
+    )
+    _assert_identical(fast, ref)
+    assert fast[1][0, 0] > grid[-1] >= fast[1][0, 1]
+
+
+def test_excursion_error_matches_reference(monkeypatch, params100):
+    # rows 1 and 2 are identical and leave the grid first, at the same step;
+    # row 0 is lower but leaves later, row 3 leaves later still
+    table = make_synthetic_table(
+        np.linspace(-3.0, 3.0, 13), friction=-0.2, diffusion=0.0, tag="growth"
+    )
+    source = _initial_state([0.2, 1.5, 1.5, 0.7], [0.0, 0.0, 0.0, 0.0])
+    sim = _sim(60, seed=0, members=4)
+
+    def run():
+        with pytest.raises(ExcursionError) as info:
+            _integrate_block(table, params100, sim, [8, 5, 6, 7], noise_source=source)
+        return info.value.time, info.value.position, info.value.index
+
+    fast, ref = _both_ways(monkeypatch, run)
+    assert fast == ref
+    assert abs(fast[1]) > 3.0
+    assert fast[2] == 5
+
+
+def test_kernel_load_failure_warns_once_and_falls_back(
+    monkeypatch, ou_table, params100
+):
+    sim = _sim(3, burn=1, seed=5, members=3)
+    expected = _block(ou_table, params100, sim, [0, 1, 2])
+
+    def broken():
+        raise OSError("simulated load failure")
+
+    monkeypatch.setattr(langevin, "_load_kernel", broken)
+    monkeypatch.setattr(langevin, "_kernel_cache", [])
+    with pytest.warns(RuntimeWarning, match="simulated load failure"):
+        fallback = _block(ou_table, params100, sim, [0, 1, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = _block(ou_table, params100, sim, [0, 1, 2])
+    _assert_identical(fallback, expected)
+    _assert_identical(again, expected)
+
+
+def test_noise_source_shape_is_checked(ou_table, params100):
+    def short(indices, start, n):
+        return np.zeros((len(indices), 2 if start == -1 else n - 1))
+
+    with pytest.raises(ValueError, match="noise_source returned shape"):
+        _integrate_block(ou_table, params100, _sim(1, members=2), [0, 1],
+                         noise_source=short)
+
+
+@pytest.mark.skipif(not os.path.exists(langevin._CC), reason="no C compiler")
+def test_compiled_kernel_is_in_use(monkeypatch, ou_table, params100):
+    # a broken build would otherwise pass every test at twenty times the cost
+    assert langevin._kernel() is not None
+
+    def forbidden(*args):
+        raise AssertionError("the NumPy step loop ran")
+
+    monkeypatch.setattr(langevin, "_steps_numpy", forbidden)
+    sample_stationary_ensemble(ou_table, params100, _sim(1, members=18), threads=2)
