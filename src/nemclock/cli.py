@@ -31,12 +31,16 @@ import numpy as np
 from . import clockstats, tickinfo, toymodels
 from .langevin import SimConfig, Trajectory
 from .params import LeadSpec, SystemParams, fingerprint
-from .pipeline import default_grid, ensemble_allan, pooled_waiting_times
+from .pipeline import (
+    _grid_bin_edges,
+    default_grid,
+    ensemble_allan,
+    pooled_waiting_times,
+)
 from .readout import DetectionPolicy, current_level_maximum, detect_ticks, transduce
 from .svgplot import line_plot
 from .transport import (
     RTOL,
-    STENCIL_STEP,
     CoefficientTable,
     GridSpec,
     build_coefficient_table,
@@ -292,9 +296,7 @@ def stage_coeffs(cfg, params, out: Path, threads: int):
         grid_spec = default_grid(params, nodes=int(g["nodes"]), threads=threads)
     else:
         grid_spec = GridSpec(x_max=float(g["x_max"]), nodes=int(g["nodes"]))
-    expected = table_fingerprint(
-        params, grid_spec.positions(), RTOL, STENCIL_STEP
-    )
+    expected = table_fingerprint(params, grid_spec.positions(), RTOL)
     cache = out / "coeffs.npz"
     if cache.exists():
         try:
@@ -419,10 +421,8 @@ def stage_analyze(cfg, params, table, trajectories, tick_series, out: Path):
 
     grid = table.grid
     width = grid[1] - grid[0]
-    edges = np.concatenate([grid - width / 2.0, [grid[-1] + width / 2.0]])
-    counts, _ = np.histogram(
-        np.concatenate([t.positions for t in trajectories]), bins=edges
-    )
+    positions = np.concatenate([t.positions for t in trajectories])
+    counts, _ = np.histogram(positions, bins=_grid_bin_edges(grid))
     density = counts / (counts.sum() * width)
     floor = float(np.trapezoid(density * table.column("shot_noise"), grid))
     spectrum = clockstats.power_spectrum(curve, floor)

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .params import SystemParams
-from .transport import CoefficientTable, TransportPoint
+from .transport import COLUMNS, CoefficientTable, TransportPoint
 
 __all__ = [
     "SimConfig",
@@ -147,16 +147,7 @@ class ExcursionError(RuntimeError):
 
 @functools.lru_cache(maxsize=8)
 def _splines(table: CoefficientTable):
-    return {
-        name: CubicSpline(table.grid, table.column(name))
-        for name in (
-            "excess_occupation",
-            "current",
-            "shot_noise",
-            "friction",
-            "diffusion",
-        )
-    }
+    return {name: CubicSpline(table.grid, table.column(name)) for name in COLUMNS}
 
 
 def column_interpolant(table: CoefficientTable, name: str):
@@ -189,12 +180,7 @@ def interpolate(table: CoefficientTable, x: float) -> TransportPoint:
         raise ExcursionError(time=float("nan"), position=float(x), index=-1)
     sp = _splines(table)
     return TransportPoint(
-        position=float(x),
-        excess_occupation=float(sp["excess_occupation"](x)),
-        current=float(sp["current"](x)),
-        shot_noise=float(sp["shot_noise"](x)),
-        friction=float(sp["friction"](x)),
-        diffusion=float(sp["diffusion"](x)),
+        position=float(x), **{name: float(sp[name](x)) for name in COLUMNS}
     )
 
 

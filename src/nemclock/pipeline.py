@@ -125,7 +125,6 @@ def default_grid(
     params: SystemParams,
     *,
     nodes: int = 801,
-    probe_nodes: int = PROBE_NODES,
     threads: int = 1,
 ) -> GridSpec:
     """Position grid sized to hold the stationary dynamics.
@@ -163,7 +162,7 @@ def default_grid(
         + abs(params.dot_energy)
     ) / abs(params.force)
     probe = build_coefficient_table(
-        params, GridSpec(x_max=probe_span, nodes=probe_nodes), threads=threads
+        params, GridSpec(x_max=probe_span, nodes=PROBE_NODES), threads=threads
     )
     amplitude = limit_cycle_amplitude(probe, params)
     if amplitude is None:

@@ -9,6 +9,17 @@ integrator through :class:`CoefficientTable`.
 Sign conventions: the charge-noise spectrum S_x(omega) obeys detailed balance
 S_x(-w) = exp(-betaw) S_x(w) at zero bias, which makes the zero-frequency
 slope (the friction) positive in equilibrium.
+
+The friction needs only that slope.  With S_x(w) = F^2/2pi int sigma<(E)
+g2(E+w) w_more(E+w) dE, where g2 = 1/|D|^2 is the resonant factor and
+w_more the lead emptiness weight, it is exact under the integral:
+
+    dS_x/dw (0) = F^2/2pi int sigma<(E) d/dE[g2(E) w_more(E)] dE,
+
+and every factor has a closed-form derivative (Lorentzian rates, Fermi
+functions, the Lorentzian self-energies inside D), so the slope is one more
+row of the same quadrature pass that yields occupation, current, shot noise
+and S_x(0).
 """
 from __future__ import annotations
 
@@ -25,6 +36,7 @@ from .params import AdiabaticityWarning, LeadSpec, SystemParams, fingerprint
 from .quadrature import QuadratureError, integrate
 
 __all__ = [
+    "COLUMNS",
     "GridSpec",
     "TransportPoint",
     "CoefficientTable",
@@ -42,10 +54,7 @@ __all__ = [
 
 RTOL = 1e-8          # default relative quadrature tolerance
 ATOL = 1e-14         # absolute floor so identically-zero integrands converge
-STENCIL_STEP = 0.05  # initial frequency step for the spectrum derivative
-STENCIL_RTOL = 1e-3  # successive stencil estimates must agree this well
-STENCIL_ATOL = 1e-10 # rates below this are dynamically irrelevant
-MAX_HALVINGS = 6
+CHUNK = 64           # grid positions per quadrature pass of a table build
 
 
 def fermi_dirac(energy, chemical_potential, inverse_temperature):
@@ -63,6 +72,13 @@ def spectral_density(energy, lead: LeadSpec):
     return lead.peak_rate * bw2 / (detune**2 + bw2)
 
 
+def _spectral_density_slope(energy, lead: LeadSpec):
+    """dk/dE = -2 (E - c) k / ((E - c)^2 + W^2) of a Lorentzian rate."""
+    detune = np.asarray(energy) - lead.band_center
+    rate = spectral_density(energy, lead)
+    return -2.0 * detune * rate / (detune**2 + lead.bandwidth**2)
+
+
 def lead_self_energy(energy, lead: LeadSpec):
     """Retarded self-energy of a Lorentzian band, in closed form.
 
@@ -71,6 +87,13 @@ def lead_self_energy(energy, lead: LeadSpec):
     """
     detune = np.asarray(energy) - lead.band_center
     return (0.5 * lead.peak_rate * lead.bandwidth) / (detune + 1j * lead.bandwidth)
+
+
+def _self_energy_slope(energy, lead: LeadSpec):
+    """dchi/dE = -(Gamma W / 2) / (E - c + iW)^2 of a Lorentzian band."""
+    detune = np.asarray(energy) - lead.band_center
+    half_width_rate = 0.5 * lead.peak_rate * lead.bandwidth
+    return -half_width_rate / (detune + 1j * lead.bandwidth) ** 2
 
 
 def _resonance_denominator(energy, params: SystemParams):
@@ -127,9 +150,10 @@ def _window(params: SystemParams, pad: float = 0.0):
 def _family_batch(positions, omegas, params: SystemParams, rtol: float):
     """All transport integrals for a batch of positions in one adaptive pass.
 
-    Returns (occupation, current, shot_thermal, shot_partition, spectrum)
-    where spectrum has shape (len(omegas), len(positions)).  Components share
-    one panel subdivision, so the integrator refines for the worst of them.
+    Returns (occupation, current, shot_thermal, shot_partition, slope,
+    spectrum): ``slope`` is dS_x/domega at omega = 0 and spectrum has shape
+    (len(omegas), len(positions)).  Components share one panel subdivision,
+    so the integrator refines for the worst of them.
     """
     xs = np.asarray(positions, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
@@ -144,19 +168,33 @@ def _family_batch(positions, omegas, params: SystemParams, rtol: float):
         kr = spectral_density(energy, params.right)
         fl = fermi_dirac(energy, mu_l, beta)
         fr = fermi_dirac(energy, mu_r, beta)
-        base = _resonance_denominator(energy, params)
-        g2 = 1.0 / np.abs(base[None, :] + force * xs[:, None]) ** 2
+        den = _resonance_denominator(energy, params)[None, :] + force * xs[:, None]
+        g2 = 1.0 / np.abs(den) ** 2
         w_less = kl * fl + kr * fr
         w_more = kl * (1.0 - fl) + kr * (1.0 - fr)
         tau = (kl * kr) * g2
         fwin = fl - fr
+        sigma_less = g2 * w_less
+        # d/dE of g2 * w_more: df/dE = -beta f (1 - f), d|D|^-2/dE =
+        # -2 Re(conj(D) D') |D|^-4 with D' = 1 - chi_L' - chi_R'
+        dw_more = (
+            _spectral_density_slope(energy, params.left) * (1.0 - fl)
+            + _spectral_density_slope(energy, params.right) * (1.0 - fr)
+            + beta * (kl * fl * (1.0 - fl) + kr * fr * (1.0 - fr))
+        )
+        dden = (
+            1.0
+            - _self_energy_slope(energy, params.left)
+            - _self_energy_slope(energy, params.right)
+        )
+        dg2 = -2.0 * (den.real * dden.real + den.imag * dden.imag) * g2**2
         rows = [
             g2 * (w_less / (2.0 * np.pi)),
             tau * (fwin / np.pi),
             tau * ((fl * (1.0 - fl) + fr * (1.0 - fr)) * (2.0 / np.pi)),
             tau * (1.0 - tau) * (fwin**2 * (2.0 / np.pi)),
+            sigma_less * (dg2 * w_more + g2 * dw_more) * (force**2 / (2.0 * np.pi)),
         ]
-        sigma_less = g2 * w_less
         for w in omegas:
             shifted = energy + w
             ks = spectral_density(shifted, params.left)
@@ -184,15 +222,15 @@ def _family_batch(positions, omegas, params: SystemParams, rtol: float):
             achieved=exc.achieved,
             requested=exc.requested,
         ) from None
-    vals = result.value.reshape(4 + n_w, n_x)
-    return vals[0], vals[1], vals[2], vals[3], vals[4:]
+    vals = result.value.reshape(5 + n_w, n_x)
+    return vals[0], vals[1], vals[2], vals[3], vals[4], vals[5:]
 
 
 @functools.lru_cache(maxsize=128)
 def _baseline_occupation(params: SystemParams, rtol: float) -> float:
     """Dot occupation with the electromechanical force removed."""
     decoupled = replace(params, coupling=0.0)
-    occ, _, _, _, _ = _family_batch([0.0], [], decoupled, rtol)
+    occ, *_ = _family_batch([0.0], [], decoupled, rtol)
     return float(occ[0])
 
 
@@ -202,14 +240,14 @@ def conditional_occupation(position, params: SystemParams, *, rtol: float = RTOL
     ``excess`` subtracts the zero-coupling baseline, so it vanishes
     identically when the force is switched off.
     """
-    occ, _, _, _, _ = _family_batch([position], [], params, rtol)
+    occ, *_ = _family_batch([position], [], params, rtol)
     total = float(occ[0])
     return total, total - _baseline_occupation(params, rtol)
 
 
 def conditional_current(position, params: SystemParams, *, rtol: float = RTOL):
     """Mean charge current through the dot at frozen position."""
-    _, cur, _, _, _ = _family_batch([position], [], params, rtol)
+    _, cur, *_ = _family_batch([position], [], params, rtol)
     return float(cur[0])
 
 
@@ -222,7 +260,7 @@ def conditional_shot_noise(
     the partition piece carries the factor tau(1-tau) and vanishes on a
     perfectly transmitting bias window.
     """
-    _, _, th, pa, _ = _family_batch([position], [], params, rtol)
+    _, _, th, pa, *_ = _family_batch([position], [], params, rtol)
     if split:
         return float(th[0]), float(pa[0])
     return float(th[0] + pa[0])
@@ -245,70 +283,23 @@ def charge_noise_spectrum(
             AdiabaticityWarning,
             stacklevel=2,
         )
-    _, _, _, _, spec = _family_batch([position], [omega], params, rtol)
+    *_, spec = _family_batch([position], [omega], params, rtol)
     return float(spec[0, 0])
 
 
-def _spectrum_derivative(spectra: dict[float, np.ndarray], step: float):
-    """Five-point first derivative at omega=0 from tabulated spectra."""
-    return (
-        spectra[-2 * step]
-        - 8.0 * spectra[-step]
-        + 8.0 * spectra[step]
-        - spectra[2 * step]
-    ) / (12.0 * step)
-
-
-def _friction_diffusion_batch(
-    positions, params: SystemParams, rtol: float, step: float
-):
-    """Vectorised (gamma, D) over positions with stencil-halving control."""
-    xs = np.asarray(positions, dtype=float)
-    omegas = [0.0, -2 * step, -step, step, 2 * step, -step / 2, step / 2]
-    _, _, _, _, spec = _family_batch(xs, omegas, params, rtol)
-    table = {w: spec[i] for i, w in enumerate(omegas)}
-    h = step
-    deriv = _spectrum_derivative(table, h)
-    for _ in range(MAX_HALVINGS):
-        finer = _spectrum_derivative(table, h / 2)
-        gap = np.abs(finer - deriv)
-        if np.all(gap <= np.maximum(STENCIL_ATOL, STENCIL_RTOL * np.abs(finer))):
-            deriv = finer
-            break
-        deriv, h = finer, h / 2
-        extra = [-h / 2, h / 2]
-        _, _, _, _, spec = _family_batch(xs, extra, params, rtol)
-        table.update({w: spec[i] for i, w in enumerate(extra)})
-    else:
-        worst = int(np.argmax(gap))
-        raise RuntimeError(
-            "frequency-derivative stencil did not settle at "
-            f"x={xs[worst]:.6g}: residual gap {gap[worst]:.3e} on estimate "
-            f"{finer[worst]:.6e} after {MAX_HALVINGS} halvings"
-        )
-    if not np.all(np.isfinite(deriv)):
-        bad = xs[~np.isfinite(deriv)]
-        raise RuntimeError(f"non-finite friction estimate at x={bad!r}")
-    gamma = deriv / params.oscillator_mass
-    diffusion = np.maximum(table[0.0], 0.0)
-    return gamma, diffusion
-
-
-def friction_and_diffusion(
-    position,
-    params: SystemParams,
-    *,
-    rtol: float = RTOL,
-    step: float = STENCIL_STEP,
-):
+def friction_and_diffusion(position, params: SystemParams, *, rtol: float = RTOL):
     """(gamma_x, D_x): zero-frequency slope and value of S_x.
 
-    The friction is m^-1 dS_x/domega at omega=0 from a five-point stencil,
-    halved until two successive estimates agree to 0.1%; the diffusion is
-    S_x(0), floored at zero against quadrature round-off.
+    The friction is gamma_x = m^-1 dS_x/domega at omega = 0, integrated
+    exactly as F^2/2pi int sigma<(E) d/dE[g2(E) w_more(E)] dE in the same
+    quadrature pass as S_x(0); the diffusion is S_x(0), floored at zero
+    against quadrature round-off.
     """
-    gamma, diffusion = _friction_diffusion_batch([position], params, rtol, step)
-    return float(gamma[0]), float(diffusion[0])
+    _, _, _, _, slope, spec = _family_batch([position], [0.0], params, rtol)
+    gamma = slope[0] / params.oscillator_mass
+    if not np.isfinite(gamma):
+        raise RuntimeError(f"non-finite friction estimate at x={position!r}")
+    return float(gamma), float(np.maximum(spec[0, 0], 0.0))
 
 
 @dataclass(frozen=True)
@@ -328,9 +319,13 @@ class GridSpec:
         return np.linspace(-self.x_max, self.x_max, self.nodes)
 
 
+# the tabulated coefficients, in archive order
+COLUMNS = ("excess_occupation", "current", "shot_noise", "friction", "diffusion")
+
+
 @dataclass(frozen=True)
 class TransportPoint:
-    """All position-conditioned transport coefficients at one grid node."""
+    """All position-conditioned transport coefficients at one position."""
 
     position: float
     excess_occupation: float
@@ -342,56 +337,40 @@ class TransportPoint:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """Transport coefficients tabulated on a strictly increasing grid."""
+    """Transport coefficients tabulated on a strictly increasing grid.
+
+    ``columns`` maps every name in :data:`COLUMNS` to one array of values at
+    the grid nodes.
+    """
 
     grid: np.ndarray
-    points: tuple[TransportPoint, ...]
+    columns: dict
     params_hash: str
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size != len(self.points):
-            raise ValueError("grid and points must have matching length")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
+        if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
+            raise ValueError("grid must be a strictly increasing 1-D array")
+        if sorted(self.columns) != sorted(COLUMNS):
+            raise ValueError(f"columns must be exactly {COLUMNS}")
+        cols = {name: np.asarray(self.columns[name], dtype=float) for name in COLUMNS}
+        if any(col.shape != grid.shape for col in cols.values()):
+            raise ValueError("every column must match the grid length")
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "columns", cols)
 
     def column(self, name: str) -> np.ndarray:
         """One coefficient across the grid, as an array."""
-        try:
-            return self._columns[name]
-        except AttributeError:
-            cols = {
-                field: np.array([getattr(p, field) for p in self.points])
-                for field in (
-                    "excess_occupation",
-                    "current",
-                    "shot_noise",
-                    "friction",
-                    "diffusion",
-                )
-            }
-            object.__setattr__(self, "_columns", cols)
-            return cols[name]
+        return self.columns[name]
 
     def save(self, path) -> None:
-        cols = {
-            name: self.column(name)
-            for name in (
-                "excess_occupation",
-                "current",
-                "shot_noise",
-                "friction",
-                "diffusion",
-            )
-        }
-        checksum = _table_checksum(self.grid, cols)
+        checksum = _table_checksum(self.grid, self.columns)
         header = json.dumps(
             {"params_hash": self.params_hash, "checksum": checksum}
         )
         with open(path, "wb") as fh:
             np.savez(fh, header=np.frombuffer(header.encode(), dtype=np.uint8),
-                     grid=self.grid, **cols)
+                     grid=self.grid, **self.columns)
 
     @classmethod
     def load(cls, path, *, expected_hash: str | None = None) -> "CoefficientTable":
@@ -399,16 +378,7 @@ class CoefficientTable:
             with np.load(path) as data:
                 header = json.loads(bytes(data["header"]).decode())
                 grid = data["grid"]
-                cols = {
-                    name: data[name]
-                    for name in (
-                        "excess_occupation",
-                        "current",
-                        "shot_noise",
-                        "friction",
-                        "diffusion",
-                    )
-                }
+                cols = {name: data[name] for name in COLUMNS}
         except FileNotFoundError:
             raise
         except Exception as exc:
@@ -423,18 +393,7 @@ class CoefficientTable:
             raise ValueError(
                 f"coefficient cache {path} was built for different parameters"
             )
-        points = tuple(
-            TransportPoint(
-                position=float(grid[i]),
-                excess_occupation=float(cols["excess_occupation"][i]),
-                current=float(cols["current"][i]),
-                shot_noise=float(cols["shot_noise"][i]),
-                friction=float(cols["friction"][i]),
-                diffusion=float(cols["diffusion"][i]),
-            )
-            for i in range(grid.size)
-        )
-        return cls(grid=grid, points=points, params_hash=header["params_hash"])
+        return cls(grid=grid, columns=cols, params_hash=header["params_hash"])
 
 
 def _table_checksum(grid, cols: dict) -> str:
@@ -446,17 +405,11 @@ def _table_checksum(grid, cols: dict) -> str:
     return digest.hexdigest()
 
 
-def table_fingerprint(
-    params: SystemParams, grid: np.ndarray, rtol: float, step: float
-) -> str:
+def table_fingerprint(params: SystemParams, grid: np.ndarray, rtol: float) -> str:
     grid = np.ascontiguousarray(grid, dtype=float)
     return fingerprint(
         params,
-        extra={
-            "rtol": rtol,
-            "stencil_step": step,
-            "grid_sha": hashlib.sha256(grid.tobytes()).hexdigest(),
-        },
+        extra={"rtol": rtol, "grid_sha": hashlib.sha256(grid.tobytes()).hexdigest()},
     )
 
 
@@ -465,9 +418,7 @@ def build_coefficient_table(
     grid_spec,
     *,
     rtol: float = RTOL,
-    step: float = STENCIL_STEP,
     threads: int = 1,
-    chunk: int = 64,
 ) -> CoefficientTable:
     """Tabulate every transport coefficient over a position grid.
 
@@ -483,25 +434,20 @@ def build_coefficient_table(
     if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be a strictly increasing 1-D array")
 
-    occ = np.empty_like(grid)
-    cur = np.empty_like(grid)
-    shot = np.empty_like(grid)
-    gam = np.empty_like(grid)
-    dif = np.empty_like(grid)
+    cols = {name: np.empty_like(grid) for name in COLUMNS}
     baseline = _baseline_occupation(params, rtol)
 
     def work(span):
         lo, hi = span
         xs = grid[lo:hi]
-        o, c, th, pa, _ = _family_batch(xs, [], params, rtol)
-        g, d = _friction_diffusion_batch(xs, params, rtol, step)
-        occ[lo:hi] = o - baseline
-        cur[lo:hi] = c
-        shot[lo:hi] = th + pa
-        gam[lo:hi] = g
-        dif[lo:hi] = d
+        o, c, th, pa, slope, spec = _family_batch(xs, [0.0], params, rtol)
+        cols["excess_occupation"][lo:hi] = o - baseline
+        cols["current"][lo:hi] = c
+        cols["shot_noise"][lo:hi] = th + pa
+        cols["friction"][lo:hi] = slope / params.oscillator_mass
+        cols["diffusion"][lo:hi] = np.maximum(spec[0], 0.0)
 
-    spans = [(i, min(i + chunk, grid.size)) for i in range(0, grid.size, chunk)]
+    spans = [(i, min(i + CHUNK, grid.size)) for i in range(0, grid.size, CHUNK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, spans))
@@ -509,24 +455,10 @@ def build_coefficient_table(
         for span in spans:
             work(span)
 
-    stacked = np.stack([occ, cur, shot, gam, dif])
+    stacked = np.stack([cols[name] for name in COLUMNS])
     if not np.all(np.isfinite(stacked)):
         bad = grid[~np.all(np.isfinite(stacked), axis=0)]
         raise RuntimeError(f"non-finite table column at x={bad!r}")
-
-    points = tuple(
-        TransportPoint(
-            position=float(grid[i]),
-            excess_occupation=float(occ[i]),
-            current=float(cur[i]),
-            shot_noise=float(shot[i]),
-            friction=float(gam[i]),
-            diffusion=float(dif[i]),
-        )
-        for i in range(grid.size)
-    )
     return CoefficientTable(
-        grid=grid,
-        points=points,
-        params_hash=table_fingerprint(params, grid, rtol, step),
+        grid=grid, columns=cols, params_hash=table_fingerprint(params, grid, rtol)
     )

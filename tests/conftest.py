@@ -15,7 +15,7 @@ import pytest
 from nemclock.langevin import SimConfig
 from nemclock.params import AdiabaticityWarning, default_params
 from nemclock.pipeline import build_corpus, default_grid
-from nemclock.transport import CoefficientTable, TransportPoint, build_coefficient_table
+from nemclock.transport import CoefficientTable, build_coefficient_table
 
 THREADS = 4
 TWO_PI = 2.0 * math.pi
@@ -104,20 +104,14 @@ def make_synthetic_table(
             return np.array([float(spec(x)) for x in grid])
         return np.full(grid.size, float(spec))
 
-    points = tuple(
-        TransportPoint(
-            position=float(x),
-            excess_occupation=float(e),
-            current=float(c),
-            shot_noise=float(s),
-            friction=float(g),
-            diffusion=float(d),
-        )
-        for x, e, c, s, g, d in zip(
-            grid, col(excess), col(current), col(shot), col(friction), col(diffusion)
-        )
-    )
-    return CoefficientTable(grid=grid, points=points, params_hash=tag)
+    columns = {
+        "excess_occupation": col(excess),
+        "current": col(current),
+        "shot_noise": col(shot),
+        "friction": col(friction),
+        "diffusion": col(diffusion),
+    }
+    return CoefficientTable(grid=grid, columns=columns, params_hash=tag)
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nemclock import transport
 from nemclock.params import AdiabaticityWarning, default_params
 from nemclock.quadrature import integrate
 from nemclock.transport import (
+    CHUNK,
+    RTOL,
     CoefficientTable,
     GridSpec,
     build_coefficient_table,
@@ -257,10 +260,54 @@ def test_friction_sign_pattern_across_bias():
     assert signs[43.0] < 0.0
 
 
-def test_friction_stencil_step_insensitive(p100):
-    g1, _ = friction_and_diffusion(0.0, p100, step=0.05)
-    g2, _ = friction_and_diffusion(0.0, p100, step=0.025)
-    assert g2 == pytest.approx(g1, rel=1e-3)
+# x = 0 and a position near the limit cycle: its radius is 11.1 at V = 50
+# and 21.8 at V = 100; V = 5 has none and reuses the V = 50 radius
+@pytest.mark.parametrize(
+    "voltage,x",
+    [(5.0, 0.0), (5.0, 11.0), (50.0, 0.0), (50.0, 11.0), (100.0, 0.0), (100.0, 22.0)],
+)
+def test_friction_matches_spectrum_slope(voltage, x):
+    params = default_params(voltage)
+    h = 0.01
+
+    def central(k):
+        upper = charge_noise_spectrum(x, k, params)
+        lower = charge_noise_spectrum(x, -k, params)
+        return (upper - lower) / (2.0 * k), max(upper, lower)
+
+    coarse, s_coarse = central(h)
+    fine, s_fine = central(h / 2)
+    richardson = (4.0 * fine - coarse) / 3.0
+    slope = friction_and_diffusion(x, params)[0] * params.oscillator_mass
+    # Each S value carries a quadrature error of at most RTOL * S, so a
+    # central difference at step k is off by at most RTOL * S_max / k and the
+    # Richardson combination by (4/3) RTOL S_max / (h/2) + (1/3) RTOL S_max / h
+    # = 3 RTOL S_max / h; the slope itself is good to RTOL * |slope|.  The
+    # O(h^4) truncation left after Richardson is below 1e-11 at h = 0.01.
+    s_max = max(s_coarse, s_fine)
+    bound = 3.0 * RTOL * s_max / h + RTOL * abs(slope)
+    assert abs(slope - richardson) <= bound
+
+
+def test_one_quadrature_pass(monkeypatch, p100):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "integrate", counting)
+    transport._baseline_occupation.cache_clear()
+    spec = GridSpec(x_max=5.0, nodes=21)
+    build_coefficient_table(p100, spec)
+    # one pass per chunk, plus the zero-coupling baseline on a cold cache
+    assert len(calls) == math.ceil(spec.nodes / CHUNK) + 1
+    calls.clear()
+    build_coefficient_table(p100, spec)
+    assert len(calls) == math.ceil(spec.nodes / CHUNK)
+    calls.clear()
+    friction_and_diffusion(0.0, p100)
+    assert len(calls) == 1
 
 
 def test_diffusion_positive_on_coarse_scan(p100):
@@ -287,6 +334,16 @@ def test_table_grid_and_columns(small_table):
         assert np.all(np.isfinite(col))
     with pytest.raises(KeyError):
         small_table.column("no_such_column")
+
+
+def test_table_rejects_bad_columns(small_table):
+    grid = small_table.grid
+    columns = dict(small_table.columns)
+    with pytest.raises(ValueError, match="grid length"):
+        CoefficientTable(grid=grid[:-1], columns=columns, params_hash="x")
+    del columns["current"]
+    with pytest.raises(ValueError, match="columns must be exactly"):
+        CoefficientTable(grid=grid, columns=columns, params_hash="x")
 
 
 def test_table_matches_pointwise_evaluation(small_table, p100):
@@ -345,9 +402,8 @@ def test_table_load_rejects_corruption(tmp_path, small_table):
 
 def test_fingerprint_tracks_inputs(p100, p50):
     grid = np.linspace(-5, 5, 21)
-    base = table_fingerprint(p100, grid, 1e-8, 0.05)
-    assert base == table_fingerprint(p100, grid, 1e-8, 0.05)
-    assert base != table_fingerprint(p50, grid, 1e-8, 0.05)
-    assert base != table_fingerprint(p100, grid * 1.001, 1e-8, 0.05)
-    assert base != table_fingerprint(p100, grid, 1e-6, 0.05)
-    assert base != table_fingerprint(p100, grid, 1e-8, 0.025)
+    base = table_fingerprint(p100, grid, 1e-8)
+    assert base == table_fingerprint(p100, grid, 1e-8)
+    assert base != table_fingerprint(p50, grid, 1e-8)
+    assert base != table_fingerprint(p100, grid * 1.001, 1e-8)
+    assert base != table_fingerprint(p100, grid, 1e-6)
