@@ -3,14 +3,17 @@
 Subcommands
 -----------
 coeffs      build (or reuse) the coefficient table for a config
-simulate    integrate the trajectory ensemble and store it
-ticks       extract tick series from a stored ensemble
+simulate    integrate the ensemble and store it with its ticks and position
+            density, both taken from every full-rate state
+ticks       write the tick series stored by ``simulate``
 analyze     estimate clock statistics from stored artifacts
 run         all of the above, plus a manifest of every artifact
 sweep       repeat ``run`` across a list of voltages
 toymodel    sample one of the reduced toy processes
 
 Configs are strict, versioned JSON: unknown keys are errors at every level.
+``record_stride`` only thins the stored record; a changed ``detection``
+section needs a fresh ``simulate``.
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no
 timestamps; a rerun with the same config and seed is bit-identical no matter
@@ -32,12 +35,13 @@ from . import clockstats, tickinfo, toymodels
 from .langevin import SimConfig, Trajectory
 from .params import LeadSpec, SystemParams, fingerprint
 from .pipeline import (
-    _grid_bin_edges,
+    Corpus,
+    build_corpus,
     default_grid,
     ensemble_allan,
     pooled_waiting_times,
 )
-from .readout import DetectionPolicy, current_level_maximum, detect_ticks, transduce
+from .readout import DetectionPolicy, TickSeries, transduce
 from .svgplot import line_plot
 from .transport import (
     RTOL,
@@ -317,14 +321,23 @@ def stage_coeffs(cfg, params, out: Path, threads: int):
     return table, note
 
 
-def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
-    """Integrate the ensemble; stores ensemble.npz and trajectory.csv."""
-    from .pipeline import run_ensemble
+def _policy(cfg) -> DetectionPolicy:
+    d = cfg["detection"]
+    return DetectionPolicy(
+        level=None if d["level"] is None else float(d["level"]),
+        refractory=float(d["refractory"]),
+    )
 
-    trajectories, _ = run_ensemble(table, params, sim, threads=threads)
-    times = trajectories[0].times
-    xs = np.stack([t.positions for t in trajectories])
-    vs = np.stack([t.velocities for t in trajectories])
+
+def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
+    """Integrate the ensemble, detecting ticks and histogramming positions on
+    every full-rate state; stores ensemble.npz and trajectory.csv."""
+    corpus = build_corpus(
+        table, params, sim, policy=_policy(cfg), keep_trajectories=True, threads=threads
+    )
+    times = corpus.trajectories[0].times
+    xs = np.stack([t.positions for t in corpus.trajectories])
+    vs = np.stack([t.velocities for t in corpus.trajectories])
     with open(out / "ensemble.npz", "wb") as fh:
         np.savez(
             fh,
@@ -333,62 +346,76 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
             velocities=vs,
             seed=np.array([sim.seed], dtype=np.int64),
             record_stride=np.array([sim.record_stride], dtype=np.int64),
+            tick_times=np.concatenate([ts.tick_times for ts in corpus.ticks]),
+            tick_counts=np.array([len(ts) for ts in corpus.ticks], dtype=np.int64),
+            position_density=corpus.position_density,
+            position_count=np.array([corpus.position_count], dtype=np.int64),
+            level=np.array([corpus.policy.level]),
+            refractory=np.array([corpus.policy.refractory]),
         )
     _write_csv(
         out / "trajectory.csv",
         ["time", "position", "velocity"],
         zip(times, xs[0], vs[0]),
     )
-    return trajectories
+    return corpus
 
 
-def _load_trajectories(out: Path, table, sim: SimConfig):
+def _load_corpus(cfg, params, table, sim: SimConfig, out: Path) -> Corpus:
+    """The corpus ``simulate`` stored in ensemble.npz."""
     with np.load(out / "ensemble.npz") as data:
-        times = data["times"]
-        xs = data["positions"]
-        vs = data["velocities"]
-        seed = int(data["seed"][0])
-    return [
-        Trajectory(
-            times=times,
-            positions=xs[i],
-            velocities=vs[i],
-            seed=seed,
-            params_hash=table.params_hash,
-            index=i,
+        d = dict(data)
+    if "tick_counts" not in d:
+        raise ValueError(
+            "ensemble.npz holds no ticks or position density (an older "
+            "nemclock wrote it); re-run simulate"
         )
-        for i in range(xs.shape[0])
-    ]
-
-
-def stage_ticks(cfg, table, trajectories, out: Path):
-    """Detect ticks per member; stores ticks.csv and ticks.json."""
-    d = cfg["detection"]
     policy = DetectionPolicy(
-        level=None if d["level"] is None else float(d["level"]),
-        refractory=float(d["refractory"]),
+        level=float(d["level"][0]), refractory=float(d["refractory"][0])
     )
-    level = (
-        policy.level if policy.level is not None else current_level_maximum(table)
+    if _policy(cfg).resolve(table) != policy:
+        raise ConfigError(
+            f"ensemble.npz was simulated with detection level {policy.level!r}, "
+            f"refractory {policy.refractory!r}, not as configured; re-run simulate"
+        )
+    seed = int(d["seed"][0])
+    trajectories = tuple(
+        Trajectory(times=d["times"], positions=x, velocities=v, seed=seed,
+                   params_hash=table.params_hash, index=i)
+        for i, (x, v) in enumerate(zip(d["positions"], d["velocities"]))
     )
-    series = [detect_ticks(t, table, policy) for t in trajectories]
-    rows = []
-    for i, ts in enumerate(series):
-        rows.extend((i, t) for t in ts.tick_times)
+    members = np.split(d["tick_times"], np.cumsum(d["tick_counts"])[:-1])
+    ticks = tuple(
+        TickSeries(tick_times=t, detection_policy=policy, source=traj.fingerprint())
+        for t, traj in zip(members, trajectories)
+    )
+    return Corpus(
+        params=params, table=table, sim=sim, policy=policy, ticks=ticks,
+        position_density=d["position_density"],
+        position_count=int(d["position_count"][0]),
+        trajectories=trajectories,
+    )
+
+
+def stage_ticks(corpus: Corpus, out: Path):
+    """Stores the ticks detected while simulating as ticks.csv and ticks.json."""
+    rows = [(i, t) for i, ts in enumerate(corpus.ticks) for t in ts.tick_times]
     _write_csv(out / "ticks.csv", ["member", "tick_time"], rows)
     _write_json(
         out / "ticks.json",
         {
-            "level": level,
-            "refractory": policy.refractory,
-            "counts": [len(ts) for ts in series],
+            "level": corpus.policy.level,
+            "refractory": corpus.policy.refractory,
+            "counts": [len(ts) for ts in corpus.ticks],
         },
     )
-    return series
+    return corpus.ticks
 
 
-def stage_analyze(cfg, params, table, trajectories, tick_series, out: Path):
+def stage_analyze(cfg, corpus: Corpus, out: Path):
     """Clock statistics from the stored ensemble; writes the report set."""
+    params, table = corpus.params, corpus.table
+    trajectories, tick_series = corpus.trajectories, corpus.ticks
     a = cfg["analysis"]
     dt_rec = trajectories[0].sample_spacing
     w0 = params.oscillator_frequency
@@ -419,12 +446,8 @@ def stage_analyze(cfg, params, table, trajectories, tick_series, out: Path):
         out / "autocorrelation.csv", ["lag", "value"], zip(curve.lags, curve.values)
     )
 
-    grid = table.grid
-    width = grid[1] - grid[0]
-    positions = np.concatenate([t.positions for t in trajectories])
-    counts, _ = np.histogram(positions, bins=_grid_bin_edges(grid))
-    density = counts / (counts.sum() * width)
-    floor = float(np.trapezoid(density * table.column("shot_noise"), grid))
+    density = corpus.position_density
+    floor = float(np.trapezoid(density * table.column("shot_noise"), table.grid))
     spectrum = clockstats.power_spectrum(curve, floor)
     _write_csv(
         out / "spectrum.csv",
@@ -601,12 +624,31 @@ def _write_manifest(out: Path, cfg, sim: SimConfig, params, cache_note, extra=No
 # ------------------------------------------------------------ subcommands --
 
 
+def _check_record_resolves_spectrum(cfg, params, sim: SimConfig) -> None:
+    """The stored record's Nyquist frequency must exceed the spectrum window."""
+    try:
+        top = float(cfg["analysis"]["spectrum_window"][1]) * params.oscillator_frequency
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"analysis.spectrum_window needs two numbers: {exc}") from exc
+    if math.pi / (sim.time_step * sim.record_stride) > top:
+        return
+    largest = math.ceil(math.pi / (sim.time_step * top)) - 1
+    raise ConfigError(
+        f"simulation.record_stride {sim.record_stride} puts the recorded Nyquist "
+        f"frequency pi/(time_step*record_stride) at or below the spectrum window "
+        f"top {top:g}; "
+        + (f"record_stride may be at most {largest}" if largest >= 1
+           else "no record_stride can: reduce simulation.time_step")
+    )
+
+
 def _prepare(args):
     cfg = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     params = build_params(cfg)
     sim = build_sim(cfg, args.seed)
+    _check_record_resolves_spectrum(cfg, params, sim)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     return cfg, out, params, sim
 
 
@@ -623,8 +665,8 @@ def cmd_simulate(args) -> int:
     with _stage("coeffs"):
         table, _ = stage_coeffs(cfg, params, out, args.threads)
     with _stage("simulate"):
-        trajectories = stage_simulate(cfg, params, table, sim, out, args.threads)
-    print(f"simulated {len(trajectories)} members, {trajectories[0].times.size} samples each")
+        corpus = stage_simulate(cfg, params, table, sim, out, args.threads)
+    print(f"simulated {len(corpus.trajectories)} members, {corpus.trajectories[0].times.size} samples each")
     return 0
 
 
@@ -633,8 +675,7 @@ def cmd_ticks(args) -> int:
     with _stage("coeffs"):
         table, _ = stage_coeffs(cfg, params, out, args.threads)
     with _stage("ticks"):
-        trajectories = _load_trajectories(out, table, sim)
-        series = stage_ticks(cfg, table, trajectories, out)
+        series = stage_ticks(_load_corpus(cfg, params, table, sim, out), out)
     print(f"detected {sum(len(s) for s in series)} ticks")
     return 0
 
@@ -644,9 +685,9 @@ def cmd_analyze(args) -> int:
     with _stage("coeffs"):
         table, _ = stage_coeffs(cfg, params, out, args.threads)
     with _stage("analyze"):
-        trajectories = _load_trajectories(out, table, sim)
-        series = stage_ticks(cfg, table, trajectories, out)
-        report = stage_analyze(cfg, params, table, trajectories, series, out)
+        corpus = _load_corpus(cfg, params, table, sim, out)
+        stage_ticks(corpus, out)
+        report = stage_analyze(cfg, corpus, out)
     print(
         f"accuracy {report.accuracy:.4g}, resolution {report.resolution:.4g}, "
         f"entropy/tick {report.entropy_per_tick:.4g}"
@@ -658,11 +699,11 @@ def _run_pipeline(cfg, out: Path, params, sim, threads: int):
     with _stage("coeffs"):
         table, note = stage_coeffs(cfg, params, out, threads)
     with _stage("simulate"):
-        trajectories = stage_simulate(cfg, params, table, sim, out, threads)
+        corpus = stage_simulate(cfg, params, table, sim, out, threads)
     with _stage("ticks"):
-        series = stage_ticks(cfg, table, trajectories, out)
+        stage_ticks(corpus, out)
     with _stage("analyze"):
-        report = stage_analyze(cfg, params, table, trajectories, series, out)
+        report = stage_analyze(cfg, corpus, out)
     _write_manifest(out, cfg, sim, params, note)
     return report
 

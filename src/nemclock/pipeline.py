@@ -8,14 +8,14 @@ the results for the analysis stages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import langevin
 from .langevin import SimConfig, column_interpolant, run_ensemble
 from .params import SystemParams
-from .readout import DetectionPolicy, TickAccumulator, TickSeries, current_level_maximum
+from .readout import DetectionPolicy, TickAccumulator, TickSeries
 from .transport import (
     CoefficientTable,
     GridSpec,
@@ -173,11 +173,6 @@ def default_grid(
     return GridSpec(x_max=x_max, nodes=nodes)
 
 
-def _grid_bin_edges(grid: np.ndarray) -> np.ndarray:
-    width = grid[1] - grid[0]
-    return np.concatenate([grid - width / 2.0, [grid[-1] + width / 2.0]])
-
-
 def build_corpus(
     table: CoefficientTable,
     params: SystemParams,
@@ -190,16 +185,13 @@ def build_corpus(
 ) -> Corpus:
     """Run one operating point and collect ticks, the stationary position
     density on the table grid, and optionally strided current series."""
-    if policy is None:
-        policy = DetectionPolicy()
-    level = policy.level
-    if level is None:
-        level = current_level_maximum(table)
-    resolved = replace(policy, level=level)
+    resolved = (policy or DetectionPolicy()).resolve(table)
+    half = (table.grid[1] - table.grid[0]) / 2.0
+    edges = np.append(table.grid - half, table.grid[-1] + half)
 
     factories = [
         lambda: TickAccumulator(level=resolved.level, refractory=resolved.refractory),
-        lambda: HistogramAccumulator(_grid_bin_edges(table.grid)),
+        lambda: HistogramAccumulator(edges),
     ]
     if current_stride is not None:
         current = column_interpolant(table, "current")

@@ -43,6 +43,12 @@ class DetectionPolicy:
         if self.refractory < 0:
             raise ValueError("refractory must be >= 0")
 
+    def resolve(self, table: CoefficientTable) -> "DetectionPolicy":
+        """This policy with ``level=None`` replaced by the current maximum."""
+        if self.level is not None:
+            return self
+        return replace(self, level=current_level_maximum(table))
+
 
 @dataclass(frozen=True, eq=False)
 class TickSeries:
@@ -85,51 +91,39 @@ class TickAccumulator:
     """Streaming crossing detector usable chunk-by-chunk.
 
     Feed contiguous full-resolution position blocks (shape (block, n)); the
-    accumulator carries the last sample and last tick time per trajectory, so
-    chunk boundaries are seamless.  Crossing times are linearly interpolated
-    and filtered greedily by the refractory window.
+    accumulator carries the last sample and kept ticks per trajectory, so
+    chunk boundaries are seamless.  A crossing between a member's samples k
+    and k + 1, counted from its first feed at ``origin``, is timed as
+    ``origin + dt*(k + fraction)`` with integer k, so chunking cannot move it.
+    Crossings are filtered greedily by the refractory window.
     """
 
     def __init__(self, level: float, refractory: float):
         self.level = float(level)
         self.refractory = float(refractory)
-        self._prev = {}       # index -> (time, position)
-        self._last_tick = {}  # index -> time of last kept tick
-        self._ticks = {}      # index -> list of arrays
+        self._prev = {}   # index -> (origin, samples fed, last position)
+        self._ticks = {}  # index -> list of kept tick times
 
     def feed(self, indices, t0, dt, xs, vs=None):
         xs = np.asarray(xs)
         for row, idx in enumerate(indices):
-            series = xs[row]
-            times0 = t0
-            if idx in self._prev:
-                pt, px = self._prev[idx]
-                series = np.concatenate([[px], series])
-                times0 = pt
-            lead = self.level
-            above = series >= lead
+            origin, seen, px = self._prev.get(idx, (t0, 0, None))
+            series = xs[row] if px is None else np.concatenate([[px], xs[row]])
+            above = series >= self.level
             flips = np.nonzero(above[1:] != above[:-1])[0]
             if flips.size:
                 x0 = series[flips]
                 x1 = series[flips + 1]
-                cross = times0 + dt * (flips + (lead - x0) / (x1 - x0))
+                k = max(seen - 1, 0) + flips
+                cross = origin + dt * (k + (self.level - x0) / (x1 - x0))
                 kept = self._ticks.setdefault(idx, [])
-                last = self._last_tick.get(idx, -math.inf)
-                out = []
                 for t in cross:
-                    if t - last >= self.refractory:
-                        out.append(t)
-                        last = t
-                self._last_tick[idx] = last
-                if out:
-                    kept.append(np.asarray(out))
-            self._prev[idx] = (t0 + (xs.shape[1] - 1) * dt, xs[row, -1])
+                    if not kept or t - kept[-1] >= self.refractory:
+                        kept.append(t)
+            self._prev[idx] = (origin, seen + xs.shape[1], xs[row, -1])
 
     def tick_times(self, index) -> np.ndarray:
-        parts = self._ticks.get(index, [])
-        if not parts:
-            return np.empty(0)
-        return np.concatenate(parts)
+        return np.array(self._ticks.get(index, []), dtype=float)
 
 
 def detect_ticks(
@@ -142,26 +136,15 @@ def detect_ticks(
     The crossing level defaults to the current-column argmax; ticks are
     crossings in both directions, trimmed by the refractory window.
     """
-    policy = policy or DetectionPolicy()
-    level = (
-        policy.level
-        if policy.level is not None
-        else current_level_maximum(table)
-    )
-    resolved = replace(policy, level=level)
-    if traj.positions.size == 0:
-        return TickSeries(
-            tick_times=np.empty(0),
-            detection_policy=resolved,
-            source=traj.fingerprint(),
+    resolved = (policy or DetectionPolicy()).resolve(table)
+    acc = TickAccumulator(level=resolved.level, refractory=resolved.refractory)
+    if traj.positions.size:
+        acc.feed(
+            [traj.index],
+            float(traj.times[0]),
+            traj.sample_spacing,
+            traj.positions[None, :],
         )
-    acc = TickAccumulator(level=level, refractory=policy.refractory)
-    acc.feed(
-        [traj.index],
-        float(traj.times[0]),
-        traj.sample_spacing,
-        traj.positions[None, :],
-    )
     return TickSeries(
         tick_times=acc.tick_times(traj.index),
         detection_policy=resolved,

@@ -277,6 +277,76 @@ def test_staged_commands_match_run(tmp_path, pipeline_config, capsys):
         assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
 
 
+def test_results_do_not_depend_on_record_stride(tmp_path, pipeline_config):
+    # ticks and the statistics built on them come from every full-rate state
+    outs = []
+    for stride in (1, 5):
+        payload = json.loads(json.dumps(pipeline_config))
+        payload["simulation"]["record_stride"] = stride
+        outs.append(tmp_path / f"stride{stride}")
+        assert _run(_write(tmp_path / f"cfg{stride}.json", payload), outs[-1]) == 0
+    for name in (
+        "ticks.csv",
+        "ticks.json",
+        "wtd.csv",
+        "wtd_fit.json",
+        "allan.csv",
+        "info.json",
+    ):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    # the spectrum comes from the strided current record; the rest does not
+    reports = [json.loads((out / "report.json").read_text()) for out in outs]
+    for key in ("mean_wait", "accuracy", "resolution", "entropy_per_tick", "tick_count"):
+        assert reports[0][key] == reports[1][key], key
+
+
+def test_stride_that_cannot_resolve_spectrum_fails_before_coeffs(tmp_path, capsys):
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "run-v100.json"
+    payload = json.loads(bench.read_text())
+    payload["simulation"]["record_stride"] = 100
+    out = tmp_path / "out"
+    assert _run(_write(tmp_path / "cfg.json", payload), out) == 2
+    err = capsys.readouterr().err
+    # pi/(dt*41) = 2.44 > 2.4*w0 >= pi/(dt*42) at dt = pi/100
+    assert "record_stride" in err and "at most 41" in err
+    assert not (out / "coeffs.npz").exists()
+
+
+def test_ticks_after_detection_edit_needs_fresh_simulate(
+    tmp_path, pipeline_config, capsys
+):
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    out = tmp_path / "out"
+    assert _run(cfg_path, out) == 0
+    for key, value in (("refractory", 0.3 * math.pi), ("level", 0.5)):
+        edited = json.loads(json.dumps(pipeline_config))
+        edited["detection"] = {key: value}
+        base = ["--config", str(_write(tmp_path / f"{key}.json", edited))]
+        for command in ("ticks", "analyze"):
+            capsys.readouterr()
+            assert cli.main([command, *base, "--out", str(out)]) == 2
+            assert "re-run simulate" in capsys.readouterr().err
+
+
+def test_ensemble_without_streamed_evidence_is_stage_failure(
+    tmp_path, pipeline_config, capsys
+):
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    out = tmp_path / "out"
+    assert _run(cfg_path, out) == 0
+    # the five arrays an ensemble.npz held before ticks were stored with it
+    old = ("times", "positions", "velocities", "seed", "record_stride")
+    with np.load(out / "ensemble.npz") as data:
+        arrays = {name: data[name] for name in old}
+    np.savez(out / "ensemble.npz", **arrays)
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    for command in ("ticks", "analyze"):
+        capsys.readouterr()
+        assert cli.main([command, *base]) == 3
+        err = capsys.readouterr().err
+        assert f"[{command}]" in err and "re-run simulate" in err
+
+
 def test_seed_override_changes_artifacts(tmp_path, pipeline_config):
     cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
     out = tmp_path / "out"

@@ -17,7 +17,12 @@ from nemclock.pipeline import (
     pooled_waiting_times,
     run_ensemble,
 )
-from nemclock.readout import DetectionPolicy, TickSeries, current_level_maximum
+from nemclock.readout import (
+    DetectionPolicy,
+    TickSeries,
+    current_level_maximum,
+    detect_ticks,
+)
 from nemclock.transport import friction_and_diffusion
 
 from conftest import THREADS, make_synthetic_table
@@ -232,6 +237,17 @@ def test_build_corpus_explicit_policy_and_trajectories(tick_table, params100):
     assert len(corpus.trajectories) == 3
     assert [t.index for t in corpus.trajectories] == [0, 1, 2]
     assert corpus.currents is None and corpus.current_time_step is None
+
+
+def test_build_corpus_ticks_equal_batch_detection(tick_table, params100):
+    # several 4096-step chunks, so chunk offsets would show in the tick times
+    sim = _short_sim(seed=11, ensemble=3, duration=1000.0, record_stride=1)
+    corpus = build_corpus(tick_table, params100, sim, keep_trajectories=True)
+    assert sim.total_steps > 4 * 4096
+    for ticks, traj in zip(corpus.ticks, corpus.trajectories):
+        batch = detect_ticks(traj, tick_table, corpus.policy)
+        assert len(ticks) > 100
+        np.testing.assert_array_equal(ticks.tick_times, batch.tick_times)
 
 
 # ------------------------------------------------------------- aggregation --
