@@ -12,8 +12,10 @@ sweep       repeat ``run`` across a list of voltages
 toymodel    sample one of the reduced toy processes
 
 Configs are strict, versioned JSON: unknown keys are errors at every level.
-``record_stride`` only thins the stored record; a changed ``detection``
-section needs a fresh ``simulate``.
+``record_stride`` only thins the stored record.  ``ticks`` and ``analyze``
+read what ``simulate`` stored and refuse it (exit 2, "re-run simulate") when
+the config has since changed the coefficient table, the seed, the stride,
+the member or sample count, the sample spacing or the detection section.
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no
 timestamps; a rerun with the same config and seed is bit-identical no matter
@@ -332,9 +334,7 @@ def _policy(cfg) -> DetectionPolicy:
 def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     """Integrate the ensemble, detecting ticks and histogramming positions on
     every full-rate state; stores ensemble.npz and trajectory.csv."""
-    corpus = build_corpus(
-        table, params, sim, policy=_policy(cfg), keep_trajectories=True, threads=threads
-    )
+    corpus = build_corpus(table, params, sim, policy=_policy(cfg), threads=threads)
     times = corpus.trajectories[0].times
     xs = np.stack([t.positions for t in corpus.trajectories])
     vs = np.stack([t.velocities for t in corpus.trajectories])
@@ -361,8 +361,12 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     return corpus
 
 
-def _load_corpus(cfg, params, table, sim: SimConfig, out: Path) -> Corpus:
-    """The corpus ``simulate`` stored in ensemble.npz."""
+def _load_corpus(cfg, params, table, cache_note, sim: SimConfig, out: Path) -> Corpus:
+    """The corpus ``simulate`` stored in ensemble.npz, checked against the
+    config: a reused coefficient table (``cache_note`` "hit"), the seed, the
+    stride, the member and sample counts, the sample spacing and the
+    detection policy.  A ``burn_in`` and a ``duration`` moved by the same
+    amount leave all of these alike and go unnoticed."""
     with np.load(out / "ensemble.npz") as data:
         d = dict(data)
     if "tick_counts" not in d:
@@ -370,6 +374,26 @@ def _load_corpus(cfg, params, table, sim: SimConfig, out: Path) -> Corpus:
             "ensemble.npz holds no ticks or position density (an older "
             "nemclock wrote it); re-run simulate"
         )
+    if cache_note != "hit":
+        raise ConfigError(
+            f"coeffs.npz did not hold this config's coefficient table (cache "
+            f"{cache_note}), so ensemble.npz may come from another operating "
+            "point or grid; re-run simulate"
+        )
+    times = d["times"]
+    spacing = sim.time_step * sim.record_stride
+    for name, found, wanted in (
+        ("seed", int(d["seed"][0]), sim.seed),
+        ("record_stride", int(d["record_stride"][0]), sim.record_stride),
+        ("members", d["positions"].shape[0], sim.ensemble_size),
+        ("samples per member", times.size, sim.recorded_samples),
+        ("sample spacing", float(times[1]) if times.size > 1 else spacing, spacing),
+    ):
+        if found != wanted:
+            raise ConfigError(
+                f"ensemble.npz holds {name} {found!r}, the config asks for "
+                f"{wanted!r}; re-run simulate"
+            )
     policy = DetectionPolicy(
         level=float(d["level"][0]), refractory=float(d["refractory"][0])
     )
@@ -378,9 +402,8 @@ def _load_corpus(cfg, params, table, sim: SimConfig, out: Path) -> Corpus:
             f"ensemble.npz was simulated with detection level {policy.level!r}, "
             f"refractory {policy.refractory!r}, not as configured; re-run simulate"
         )
-    seed = int(d["seed"][0])
     trajectories = tuple(
-        Trajectory(times=d["times"], positions=x, velocities=v, seed=seed,
+        Trajectory(times=times, positions=x, velocities=v, seed=sim.seed,
                    params_hash=table.params_hash, index=i)
         for i, (x, v) in enumerate(zip(d["positions"], d["velocities"]))
     )
@@ -481,13 +504,13 @@ def stage_analyze(cfg, corpus: Corpus, out: Path):
         allan = ensemble_allan(usable, mean_wait, T_grid)
     except ValueError:
         allan = []
+    renewal = [
+        clockstats.renewal_allan_asymptote(mean_wait, accuracy, T) for T, _ in allan
+    ]
     _write_csv(
         out / "allan.csv",
         ["window", "allan_variance", "renewal"],
-        (
-            (T, val, clockstats.renewal_allan_asymptote(mean_wait, accuracy, T))
-            for T, val in allan
-        ),
+        ((T, val, r) for (T, val), r in zip(allan, renewal)),
     )
 
     info = _information_block(a, tick_series)
@@ -534,18 +557,12 @@ def stage_analyze(cfg, corpus: Corpus, out: Path):
         if allan:
             T = np.array([row[0] for row in allan])
             val = np.array([row[1] for row in allan])
-            renewal = np.array(
-                [
-                    clockstats.renewal_allan_asymptote(mean_wait, accuracy, t)
-                    for t in T
-                ]
-            )
             keep = val > 0
             line_plot(
                 out / "allan.svg",
                 [
                     ("measured", T[keep], val[keep]),
-                    ("renewal", T, renewal),
+                    ("renewal", T, np.array(renewal)),
                 ],
                 title="Allan variance",
                 x_label="window",
@@ -673,9 +690,9 @@ def cmd_simulate(args) -> int:
 def cmd_ticks(args) -> int:
     cfg, out, params, sim = _prepare(args)
     with _stage("coeffs"):
-        table, _ = stage_coeffs(cfg, params, out, args.threads)
+        table, note = stage_coeffs(cfg, params, out, args.threads)
     with _stage("ticks"):
-        series = stage_ticks(_load_corpus(cfg, params, table, sim, out), out)
+        series = stage_ticks(_load_corpus(cfg, params, table, note, sim, out), out)
     print(f"detected {sum(len(s) for s in series)} ticks")
     return 0
 
@@ -683,9 +700,9 @@ def cmd_ticks(args) -> int:
 def cmd_analyze(args) -> int:
     cfg, out, params, sim = _prepare(args)
     with _stage("coeffs"):
-        table, _ = stage_coeffs(cfg, params, out, args.threads)
+        table, note = stage_coeffs(cfg, params, out, args.threads)
     with _stage("analyze"):
-        corpus = _load_corpus(cfg, params, table, sim, out)
+        corpus = _load_corpus(cfg, params, table, note, sim, out)
         stage_ticks(corpus, out)
         report = stage_analyze(cfg, corpus, out)
     print(

@@ -39,11 +39,11 @@ import subprocess
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .params import SystemParams
 from .transport import COLUMNS, CoefficientTable, TransportPoint
@@ -56,7 +56,6 @@ __all__ = [
     "column_interpolant",
     "integrate_trajectory",
     "run_ensemble",
-    "sample_stationary_ensemble",
 ]
 
 CHUNK_STEPS = 4096   # integration steps per noise block
@@ -147,26 +146,17 @@ class ExcursionError(RuntimeError):
 
 @functools.lru_cache(maxsize=8)
 def _splines(table: CoefficientTable):
-    return {name: CubicSpline(table.grid, table.column(name)) for name in COLUMNS}
+    """Per-column cubic interpolants, and the drive: one vector-valued cubic
+    over the three columns the stepper needs, so the hot loop pays a single
+    interpolation per step."""
+    columns = {name: CubicSpline(table.grid, table.column(name)) for name in COLUMNS}
+    drive = [columns[name].c for name in ("friction", "diffusion", "excess_occupation")]
+    return columns, PPoly(np.stack(drive, axis=-1), table.grid)
 
 
 def column_interpolant(table: CoefficientTable, name: str):
     """Cubic interpolant of one table column (exact at the nodes)."""
-    return _splines(table)[name]
-
-
-@functools.lru_cache(maxsize=8)
-def _drive_spline(table: CoefficientTable):
-    """One vector-valued cubic over the three columns the stepper needs,
-    so the hot loop pays a single interpolation per step."""
-    stacked = np.column_stack(
-        [
-            table.column("friction"),
-            table.column("diffusion"),
-            table.column("excess_occupation"),
-        ]
-    )
-    return CubicSpline(table.grid, stacked)
+    return _splines(table)[0][name]
 
 
 def interpolate(table: CoefficientTable, x: float) -> TransportPoint:
@@ -178,7 +168,7 @@ def interpolate(table: CoefficientTable, x: float) -> TransportPoint:
     lo, hi = table.grid[0], table.grid[-1]
     if not (lo <= x <= hi):
         raise ExcursionError(time=float("nan"), position=float(x), index=-1)
-    sp = _splines(table)
+    sp = _splines(table)[0]
     return TransportPoint(
         position=float(x), **{name: float(sp[name](x)) for name in COLUMNS}
     )
@@ -316,7 +306,7 @@ def _integrate_block(
     m = params.oscillator_mass
     w0 = params.oscillator_frequency
     force = params.force
-    drive = _drive_spline(table)
+    drive = _splines(table)[1]
     kernel = _kernel()
     steps = _steps_numpy if kernel is None else functools.partial(_steps_compiled, kernel)
 
@@ -386,15 +376,7 @@ def integrate_trajectory(
     table: CoefficientTable, params: SystemParams, sim: SimConfig
 ) -> Trajectory:
     """Integrate a single path (the stream at trajectory index 0)."""
-    times, xs, vs = _integrate_block(table, params, sim, [0])
-    return Trajectory(
-        times=times,
-        positions=xs[0],
-        velocities=vs[0],
-        seed=sim.seed,
-        params_hash=table.params_hash,
-        index=0,
-    )
+    return run_ensemble(table, params, replace(sim, ensemble_size=1))[0][0]
 
 
 def run_ensemble(
@@ -404,63 +386,46 @@ def run_ensemble(
     *,
     consumer_factories=(),
     threads: int = 1,
-    keep_trajectories: bool = True,
 ):
     """Integrate an ensemble while consumers stream the full-rate states.
 
-    Returns (trajectories, consumers) where ``consumers`` is one tuple of
-    instances per fixed block of member indices, in block order.  The block
-    partition does not depend on ``threads``, so merged consumer output is
-    identical for any worker count.
+    Returns (trajectories, consumers): one :class:`Trajectory` per member in
+    index order, and one consumer per factory.  Members run in fixed blocks
+    of ``BLOCK_SIZE`` indices, each with its own instance of every factory;
+    after the workers join, ``consumers[j]`` is factory j's first-block
+    instance with the later blocks' instances merged into it, in block
+    order, by ``absorb``.  The partition does not depend on ``threads``, so
+    the results are identical for any worker count.
     """
-    slots = [
+    blocks = [
         range(start, min(start + BLOCK_SIZE, sim.ensemble_size))
         for start in range(0, sim.ensemble_size, BLOCK_SIZE)
     ]
-    consumers_by_block = [tuple(f() for f in consumer_factories) for _ in slots]
-    results: list = [None] * len(slots)
+    consumers = [[f() for f in consumer_factories] for _ in blocks]
 
-    def work(slot: int):
-        indices = list(slots[slot])
-        times, xs, vs = _integrate_block(
-            table, params, sim, indices, consumers=consumers_by_block[slot]
-        )
-        if keep_trajectories:
-            results[slot] = [
-                Trajectory(
-                    times=times,
-                    positions=xs[row],
-                    velocities=vs[row],
-                    seed=sim.seed,
-                    params_hash=table.params_hash,
-                    index=idx,
-                )
-                for row, idx in enumerate(indices)
-            ]
+    def work(indices, block_consumers):
+        return _integrate_block(table, params, sim, indices, consumers=block_consumers)
 
-    if threads > 1 and len(slots) > 1:
+    if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(slots))))
+            records = list(pool.map(work, blocks, consumers))
     else:
-        for slot in range(len(slots)):
-            work(slot)
+        records = list(map(work, blocks, consumers))
 
-    trajectories = None
-    if keep_trajectories:
-        trajectories = [traj for block in results for traj in block]
-    return trajectories, consumers_by_block
-
-
-def sample_stationary_ensemble(
-    table: CoefficientTable,
-    params: SystemParams,
-    sim: SimConfig,
-    *,
-    threads: int = 1,
-) -> list[Trajectory]:
-    """Independent trajectories with per-index streams.
-
-    The i-th element is the same for every ``threads`` value and equals the
-    single-path integration with trajectory index i.
-    """
-    return run_ensemble(table, params, sim, threads=threads)[0]
+    trajectories = tuple(
+        Trajectory(
+            times=times,
+            positions=xs[row],
+            velocities=vs[row],
+            seed=sim.seed,
+            params_hash=table.params_hash,
+            index=idx,
+        )
+        for indices, (times, xs, vs) in zip(blocks, records)
+        for row, idx in enumerate(indices)
+    )
+    merged = consumers[0]
+    for later in consumers[1:]:
+        for head, extra in zip(merged, later):
+            head.absorb(extra)
+    return trajectories, tuple(merged)

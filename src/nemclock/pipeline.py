@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import langevin
 from .langevin import SimConfig, column_interpolant, run_ensemble
 from .params import SystemParams
 from .readout import DetectionPolicy, TickAccumulator, TickSeries
@@ -88,6 +87,10 @@ class SeriesAccumulator:
         for row, idx in enumerate(indices):
             self._chunks.setdefault(idx, []).append(values[row])
 
+    def absorb(self, other: "SeriesAccumulator") -> None:
+        """Take over another block's members (blocks never share one)."""
+        self._chunks.update(other._chunks)
+
     def series(self, index: int) -> np.ndarray:
         if index not in self._chunks:
             raise KeyError(f"no samples for member {index}")
@@ -105,9 +108,9 @@ class Corpus:
     ticks: tuple
     position_density: np.ndarray
     position_count: int
+    trajectories: tuple
     currents: tuple | None = None
     current_time_step: float | None = None
-    trajectories: tuple | None = None
 
 
 def _thermal_spread(params: SystemParams) -> float:
@@ -180,11 +183,16 @@ def build_corpus(
     *,
     policy: DetectionPolicy | None = None,
     current_stride: int | None = None,
-    keep_trajectories: bool = False,
     threads: int = 1,
 ) -> Corpus:
-    """Run one operating point and collect ticks, the stationary position
-    density on the table grid, and optionally strided current series."""
+    """Run one operating point and collect the recorded trajectories, ticks,
+    the stationary position density on the table grid, and optionally
+    strided current series.
+
+    Ticks, density and currents come from ``run_ensemble``'s merged
+    consumers, so they see every full-rate state whatever ``record_stride``
+    is; the stride only thins the stored trajectories.
+    """
     resolved = (policy or DetectionPolicy()).resolve(table)
     half = (table.grid[1] - table.grid[0]) / 2.0
     edges = np.append(table.grid - half, table.grid[-1] + half)
@@ -197,50 +205,29 @@ def build_corpus(
         current = column_interpolant(table, "current")
         factories.append(lambda: SeriesAccumulator(current, current_stride))
 
-    trajectories, consumers = run_ensemble(
-        table,
-        params,
-        sim,
-        consumer_factories=factories,
-        threads=threads,
-        keep_trajectories=keep_trajectories,
+    trajectories, (ticks, hist, *series) = run_ensemble(
+        table, params, sim, consumer_factories=factories, threads=threads
     )
-
-    block = langevin.BLOCK_SIZE
-    ticks = []
-    for idx in range(sim.ensemble_size):
-        acc: TickAccumulator = consumers[idx // block][0]
-        ticks.append(
-            TickSeries(
-                tick_times=acc.tick_times(idx),
-                detection_policy=resolved,
-                source=f"{table.params_hash[:16]}:{sim.seed}:{idx}",
-            )
-        )
-
-    hist = consumers[0][1]
-    for extra in consumers[1:]:
-        hist.absorb(extra[1])
-
-    currents = None
-    current_dt = None
-    if current_stride is not None:
-        currents = tuple(
-            consumers[idx // block][2].series(idx) for idx in range(sim.ensemble_size)
-        )
-        current_dt = sim.time_step * current_stride
-
     return Corpus(
         params=params,
         table=table,
         sim=sim,
         policy=resolved,
-        ticks=tuple(ticks),
+        ticks=tuple(
+            TickSeries(
+                tick_times=ticks.tick_times(traj.index),
+                detection_policy=resolved,
+                source=traj.fingerprint(),
+            )
+            for traj in trajectories
+        ),
         position_density=hist.density(),
         position_count=hist.total,
-        currents=currents,
-        current_time_step=current_dt,
-        trajectories=tuple(trajectories) if trajectories is not None else None,
+        trajectories=trajectories,
+        currents=(
+            tuple(series[0].series(t.index) for t in trajectories) if series else None
+        ),
+        current_time_step=sim.time_step * current_stride if series else None,
     )
 
 

@@ -122,6 +122,11 @@ class TickAccumulator:
                         kept.append(t)
             self._prev[idx] = (origin, seen + xs.shape[1], xs[row, -1])
 
+    def absorb(self, other: "TickAccumulator") -> None:
+        """Take over another block's members (blocks never share one)."""
+        self._prev.update(other._prev)
+        self._ticks.update(other._ticks)
+
     def tick_times(self, index) -> np.ndarray:
         return np.array(self._ticks.get(index, []), dtype=float)
 

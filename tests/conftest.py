@@ -141,12 +141,7 @@ def _corpus(voltage: float):
         record_stride=200,
     )
     corpus = build_corpus(
-        table,
-        params,
-        sim,
-        current_stride=cfg["current_stride"],
-        keep_trajectories=True,
-        threads=THREADS,
+        table, params, sim, current_stride=cfg["current_stride"], threads=THREADS
     )
     return params, table, corpus
 

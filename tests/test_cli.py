@@ -328,6 +328,36 @@ def test_ticks_after_detection_edit_needs_fresh_simulate(
             assert "re-run simulate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, edit, flags, named",
+    [
+        ("ticks", lambda c: None, ["--seed", "77"], "seed 9"),
+        ("analyze", lambda c: c["system"].update(voltage=6.0), [], "rebuilt (stale)"),
+        (
+            "analyze",
+            lambda c: c["simulation"].update(ensemble_size=2, burn_in=20.0 * math.pi),
+            [],
+            "members 4",
+        ),
+    ],
+    ids=["seed", "voltage", "members"],
+)
+def test_ensemble_from_another_config_needs_fresh_simulate(
+    tmp_path, pipeline_config, capsys, command, edit, flags, named
+):
+    out = tmp_path / "out"
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    edited = json.loads(json.dumps(pipeline_config))
+    edit(edited)
+    capsys.readouterr()
+    base = ["--config", str(_write(tmp_path / "edited.json", edited)), "--out", str(out)]
+    assert cli.main([command, *base, *flags]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "re-run simulate" in err
+    assert not (out / "ticks.csv").exists()
+
+
 def test_ensemble_without_streamed_evidence_is_stage_failure(
     tmp_path, pipeline_config, capsys
 ):

@@ -18,7 +18,6 @@ from nemclock.langevin import (
     integrate_trajectory,
     interpolate,
     run_ensemble,
-    sample_stationary_ensemble,
     _integrate_block,
 )
 from nemclock.params import default_params
@@ -75,8 +74,8 @@ def test_determinism_same_seed(ou_table, params100):
 
 def test_ensemble_members_are_distinct_and_thread_invariant(ou_table, params100):
     sim = _sim(3, seed=11, members=5)
-    serial = sample_stationary_ensemble(ou_table, params100, sim, threads=1)
-    threaded = sample_stationary_ensemble(ou_table, params100, sim, threads=THREADS)
+    serial = run_ensemble(ou_table, params100, sim, threads=1)[0]
+    threaded = run_ensemble(ou_table, params100, sim, threads=THREADS)[0]
     assert len(serial) == len(threaded) == 5
     for one, two in zip(serial, threaded):
         assert one.index == two.index
@@ -124,9 +123,7 @@ def test_ring_down_energy_monotone(params100):
 def test_ou_stationary_variance(ou_table, params100):
     # constant friction 0.5 and diffusion 1.0: Var[x] = D/(2 m^2 gamma w0^2)
     sim = _sim(150, burn=10, seed=29, members=8)
-    members = sample_stationary_ensemble(
-        ou_table, params100, sim, threads=THREADS
-    )
+    members = run_ensemble(ou_table, params100, sim, threads=THREADS)[0]
     pooled = np.concatenate([t.positions for t in members])
     assert pooled.var() == pytest.approx(1.0, rel=0.02)
     # velocity variance matches the same stationary level: Var[v] = D/(2 m^2 gamma)
@@ -189,7 +186,7 @@ def test_thermal_equilibrium_statistics(params100):
         tag="thermal",
     )
     sim = _sim(200, burn=20, seed=41, members=8)
-    members = sample_stationary_ensemble(table, params100, sim, threads=THREADS)
+    members = run_ensemble(table, params100, sim, threads=THREADS)[0]
     pooled = np.concatenate([t.positions for t in members])
     # equipartition: Var[x] = 1/(beta m w0^2) = 10
     assert pooled.mean() == pytest.approx(0.0, abs=3.0 * 10.0 / math.sqrt(200.0))
@@ -239,13 +236,17 @@ def test_column_interpolant_matches_pointwise(ou_table):
 
 
 class _Recorder:
-    """Consumer that keeps a copy of every feed call."""
+    """Consumer that keeps a copy of every feed call; absorbing another
+    block's recorder appends its calls, so a merged log is in block order."""
 
     def __init__(self):
         self.calls = []
 
     def feed(self, indices, t0, dt, xs, vs):
         self.calls.append((list(indices), t0, dt, np.array(xs), np.array(vs)))
+
+    def absorb(self, other):
+        self.calls.extend(other.calls)
 
 
 def _block(table, params, sim, indices, noise_source=None):
@@ -261,7 +262,8 @@ def _ensemble(table, params, sim):
         table, params, sim, consumer_factories=[_Recorder]
     )
     paths = [(t.index, t.times, t.positions, t.velocities) for t in trajectories]
-    return paths, [rec.calls for (rec,) in consumers]
+    (rec,) = consumers
+    return paths, rec.calls
 
 
 def _both_ways(monkeypatch, run):
@@ -333,7 +335,10 @@ def test_kernel_matches_reference_on_real_table(
     sim = _sim(3, burn=21, seed=5, members=members, stride=3)
     fast, ref = _both_ways(monkeypatch, lambda: _ensemble(table100, params100, sim))
     _assert_identical(fast, ref)
-    assert len(fast[1]) == (members + 15) // 16
+    # two feeds per 16-member block (the kept tail of the second chunk and
+    # the final state), merged in block order
+    blocks = [list(range(s, min(s + 16, members))) for s in range(0, members, 16)]
+    assert [call[0] for call in fast[1]] == [b for b in blocks for _ in range(2)]
 
 
 def test_kernel_matches_reference_with_noise_source(
@@ -422,4 +427,4 @@ def test_compiled_kernel_is_in_use(monkeypatch, ou_table, params100):
         raise AssertionError("the NumPy step loop ran")
 
     monkeypatch.setattr(langevin, "_steps_numpy", forbidden)
-    sample_stationary_ensemble(ou_table, params100, _sim(1, members=18), threads=2)
+    run_ensemble(ou_table, params100, _sim(1, members=18), threads=2)

@@ -109,6 +109,24 @@ def test_series_accumulator_stride_alignment():
         SeriesAccumulator(lambda x: x, stride=0)
 
 
+def test_series_accumulator_absorb_equals_one_instance():
+    # two disjoint member blocks in two instances, merged, against one
+    # instance fed every member
+    rng = np.random.default_rng(2)
+    full = rng.normal(size=(5, 23))
+    whole = SeriesAccumulator(np.exp, stride=2)
+    first = SeriesAccumulator(np.exp, stride=2)
+    second = SeriesAccumulator(np.exp, stride=2)
+    for start, width in ((0, 9), (9, 13), (22, 1)):
+        chunk = full[:, start : start + width]
+        whole.feed(range(5), start * 0.1, 0.1, chunk)
+        first.feed([0, 1, 2], start * 0.1, 0.1, chunk[:3])
+        second.feed([3, 4], start * 0.1, 0.1, chunk[3:])
+    first.absorb(second)
+    for idx in range(5):
+        np.testing.assert_array_equal(first.series(idx), whole.series(idx))
+
+
 def test_series_accumulator_skips_chunk_without_hits():
     acc = SeriesAccumulator(lambda x: x, stride=8)
     acc.feed([0], 1.0, 1.0, np.array([[1.0, 2.0, 3.0]]))  # k = 1, 2, 3
@@ -143,29 +161,15 @@ def test_run_ensemble_thread_invariance(ou_table, params100):
     thread_traj, thread_cons = run_ensemble(
         ou_table, params100, sim, consumer_factories=[factory], threads=THREADS
     )
-    # two blocks of sixteen-member stride regardless of worker count
-    assert len(serial_cons) == len(thread_cons) == 2
     assert [t.index for t in serial_traj] == list(range(18))
     for a, b in zip(serial_traj, thread_traj):
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.velocities, b.velocities)
         np.testing.assert_array_equal(a.times, b.times)
-    for (a,), (b,) in zip(serial_cons, thread_cons):
-        np.testing.assert_array_equal(a.counts, b.counts)
-    assert serial_cons[0][0].total != serial_cons[1][0].total  # 16 vs 2 members
-
-
-def test_run_ensemble_can_drop_trajectories(ou_table, params100):
-    sim = _short_sim(seed=7, ensemble=3)
-    trajectories, consumers = run_ensemble(
-        ou_table,
-        params100,
-        sim,
-        consumer_factories=[lambda: HistogramAccumulator([-12.0, 0.0, 12.0])],
-        keep_trajectories=False,
-    )
-    assert trajectories is None
-    assert consumers[0][0].total == 3 * (sim.total_steps - sim.burn_steps + 1)
+    # one consumer per factory, merged over both blocks (16 + 2 members)
+    ((serial,), (threaded,)) = serial_cons, thread_cons
+    np.testing.assert_array_equal(serial.counts, threaded.counts)
+    assert serial.total == threaded.total == 18 * (sim.total_steps - sim.burn_steps + 1)
 
 
 # ------------------------------------------------------------------- corpus --
@@ -201,7 +205,10 @@ def test_build_corpus_fields(tick_table, params100):
 
     assert corpus.current_time_step == pytest.approx(sim.time_step * 5)
     assert len(corpus.currents) == 18
-    assert corpus.trajectories is None
+    assert [t.index for t in corpus.trajectories] == list(range(18))
+    assert [t.source for t in corpus.ticks] == [
+        t.fingerprint() for t in corpus.trajectories
+    ]
 
 
 def test_build_corpus_current_stride_slices_full_series(tick_table, params100):
@@ -229,9 +236,7 @@ def test_build_corpus_deterministic_and_thread_invariant(tick_table, params100):
 def test_build_corpus_explicit_policy_and_trajectories(tick_table, params100):
     sim = _short_sim(seed=11, ensemble=3, duration=60.0)
     policy = DetectionPolicy(level=0.5, refractory=0.3)
-    corpus = build_corpus(
-        tick_table, params100, sim, policy=policy, keep_trajectories=True
-    )
+    corpus = build_corpus(tick_table, params100, sim, policy=policy)
     assert corpus.policy.level == 0.5
     assert corpus.policy.refractory == 0.3
     assert len(corpus.trajectories) == 3
@@ -242,7 +247,7 @@ def test_build_corpus_explicit_policy_and_trajectories(tick_table, params100):
 def test_build_corpus_ticks_equal_batch_detection(tick_table, params100):
     # several 4096-step chunks, so chunk offsets would show in the tick times
     sim = _short_sim(seed=11, ensemble=3, duration=1000.0, record_stride=1)
-    corpus = build_corpus(tick_table, params100, sim, keep_trajectories=True)
+    corpus = build_corpus(tick_table, params100, sim)
     assert sim.total_steps > 4 * 4096
     for ticks, traj in zip(corpus.ticks, corpus.trajectories):
         batch = detect_ticks(traj, tick_table, corpus.policy)

@@ -144,6 +144,27 @@ def test_streaming_matches_batch():
     np.testing.assert_array_equal(acc.tick_times(4), batch.tick_times)
 
 
+def test_absorb_of_disjoint_blocks_equals_one_accumulator():
+    # members 0-2 and 3-4 in two instances, merged, against one instance
+    # fed all five; every member ticks across the chunk boundaries
+    t, _ = _sine(periods=6)
+    x = np.stack([np.sin(t + phase) for phase in (0.1, 0.7, 1.9, 2.6, 4.0)])
+    dt = t[1] - t[0]
+    refractory = DetectionPolicy().refractory
+    whole = TickAccumulator(level=0.0, refractory=refractory)
+    first = TickAccumulator(level=0.0, refractory=refractory)
+    second = TickAccumulator(level=0.0, refractory=refractory)
+    bounds = [0, 333, 1500, x.shape[1]]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        whole.feed(range(5), t[lo], dt, x[:, lo:hi])
+        first.feed([0, 1, 2], t[lo], dt, x[:3, lo:hi])
+        second.feed([3, 4], t[lo], dt, x[3:, lo:hi])
+    first.absorb(second)
+    for idx in range(5):
+        assert whole.tick_times(idx).size >= 10
+        np.testing.assert_array_equal(first.tick_times(idx), whole.tick_times(idx))
+
+
 def test_empty_trajectory_yields_empty_series():
     traj = Trajectory(
         times=np.empty(0),
