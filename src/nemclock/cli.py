@@ -15,7 +15,9 @@ Configs are strict, versioned JSON: unknown keys are errors at every level.
 ``record_stride`` only thins the stored record.  ``ticks`` and ``analyze``
 read what ``simulate`` stored and refuse it (exit 2, "re-run simulate") when
 the config has since changed the coefficient table, the seed, the stride,
-the member or sample count, the sample spacing or the detection section.
+the member or sample count, the sample spacing or the detection section;
+they never build or save a coefficient table, so a refusal leaves coeffs.npz
+as it was.
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no
 timestamps; a rerun with the same config and seed is bit-identical no matter
@@ -295,8 +297,9 @@ def _sha256(path: Path) -> str:
 # ----------------------------------------------------------------- stages --
 
 
-def stage_coeffs(cfg, params, out: Path, threads: int):
-    """Build or reuse the coefficient table; returns (table, cache_note)."""
+def _cached_table(cfg, params, out: Path, threads: int):
+    """(grid_spec, table, note): the config's grid and the table coeffs.npz
+    holds for it, or None with note "missing", "stale" or "corrupt"."""
     g = cfg["grid"]
     if g["x_max"] is None:
         grid_spec = default_grid(params, nodes=int(g["nodes"]), threads=threads)
@@ -304,23 +307,37 @@ def stage_coeffs(cfg, params, out: Path, threads: int):
         grid_spec = GridSpec(x_max=float(g["x_max"]), nodes=int(g["nodes"]))
     expected = table_fingerprint(params, grid_spec.positions(), RTOL)
     cache = out / "coeffs.npz"
-    if cache.exists():
-        try:
-            table = CoefficientTable.load(cache, expected_hash=expected)
-            return table, "hit"
-        except ValueError as exc:
-            note = (
-                "rebuilt (stale)"
-                if "different parameters" in str(exc)
-                else "rebuilt (corrupt)"
-            )
-        except Exception:
-            note = "rebuilt (corrupt)"
-    else:
-        note = "built"
+    if not cache.exists():
+        return grid_spec, None, "missing"
+    try:
+        return grid_spec, CoefficientTable.load(cache, expected_hash=expected), "hit"
+    except ValueError as exc:
+        return grid_spec, None, "stale" if "different parameters" in str(exc) else "corrupt"
+    except Exception:
+        return grid_spec, None, "corrupt"
+
+
+def stage_coeffs(cfg, params, out: Path, threads: int):
+    """Build or reuse the coefficient table; returns (table, cache_note)."""
+    grid_spec, table, note = _cached_table(cfg, params, out, threads)
+    if table is not None:
+        return table, note
     table = build_coefficient_table(params, grid_spec, threads=threads)
-    table.save(cache)
-    return table, note
+    table.save(out / "coeffs.npz")
+    return table, "built" if note == "missing" else f"rebuilt ({note})"
+
+
+def stage_stored_table(cfg, params, out: Path, threads: int):
+    """The table ``simulate`` stored for this config; refuses (exit 2) rather
+    than build one, so a refused hand-off leaves coeffs.npz as it was."""
+    _, table, note = _cached_table(cfg, params, out, threads)
+    if table is None:
+        raise ConfigError(
+            f"coeffs.npz does not hold this config's coefficient table (cache "
+            f"{note}), so ensemble.npz may come from another operating point "
+            "or grid; re-run simulate"
+        )
+    return table
 
 
 def _policy(cfg) -> DetectionPolicy:
@@ -361,9 +378,9 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     return corpus
 
 
-def _load_corpus(cfg, params, table, cache_note, sim: SimConfig, out: Path) -> Corpus:
-    """The corpus ``simulate`` stored in ensemble.npz, checked against the
-    config: a reused coefficient table (``cache_note`` "hit"), the seed, the
+def _load_corpus(cfg, params, table, sim: SimConfig, out: Path) -> Corpus:
+    """The corpus ``simulate`` stored in ensemble.npz next to ``table`` (see
+    :func:`stage_stored_table`), checked against the config: the seed, the
     stride, the member and sample counts, the sample spacing and the
     detection policy.  A ``burn_in`` and a ``duration`` moved by the same
     amount leave all of these alike and go unnoticed."""
@@ -373,12 +390,6 @@ def _load_corpus(cfg, params, table, cache_note, sim: SimConfig, out: Path) -> C
         raise ValueError(
             "ensemble.npz holds no ticks or position density (an older "
             "nemclock wrote it); re-run simulate"
-        )
-    if cache_note != "hit":
-        raise ConfigError(
-            f"coeffs.npz did not hold this config's coefficient table (cache "
-            f"{cache_note}), so ensemble.npz may come from another operating "
-            "point or grid; re-run simulate"
         )
     times = d["times"]
     spacing = sim.time_step * sim.record_stride
@@ -690,9 +701,9 @@ def cmd_simulate(args) -> int:
 def cmd_ticks(args) -> int:
     cfg, out, params, sim = _prepare(args)
     with _stage("coeffs"):
-        table, note = stage_coeffs(cfg, params, out, args.threads)
+        table = stage_stored_table(cfg, params, out, args.threads)
     with _stage("ticks"):
-        series = stage_ticks(_load_corpus(cfg, params, table, note, sim, out), out)
+        series = stage_ticks(_load_corpus(cfg, params, table, sim, out), out)
     print(f"detected {sum(len(s) for s in series)} ticks")
     return 0
 
@@ -700,9 +711,9 @@ def cmd_ticks(args) -> int:
 def cmd_analyze(args) -> int:
     cfg, out, params, sim = _prepare(args)
     with _stage("coeffs"):
-        table, note = stage_coeffs(cfg, params, out, args.threads)
+        table = stage_stored_table(cfg, params, out, args.threads)
     with _stage("analyze"):
-        corpus = _load_corpus(cfg, params, table, note, sim, out)
+        corpus = _load_corpus(cfg, params, table, sim, out)
         stage_ticks(corpus, out)
         report = stage_analyze(cfg, corpus, out)
     print(

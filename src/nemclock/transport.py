@@ -54,7 +54,7 @@ __all__ = [
 
 RTOL = 1e-8          # default relative quadrature tolerance
 ATOL = 1e-14         # absolute floor so identically-zero integrands converge
-CHUNK = 64           # grid positions per quadrature pass of a table build
+CHUNK = 64           # most grid positions per quadrature pass of a table build
 
 
 def fermi_dirac(energy, chemical_potential, inverse_temperature):
@@ -413,6 +413,25 @@ def table_fingerprint(params: SystemParams, grid: np.ndarray, rtol: float) -> st
     )
 
 
+def _spans(grid: np.ndarray, params: SystemParams) -> list:
+    """Contiguous (lo, hi) index spans that tile ``grid``, one quadrature pass
+    each.
+
+    All positions of a span share one panel set, which has to resolve every
+    shifted resonance at -F x, so a span holds at most :data:`CHUNK`
+    positions whose level shifts lie within the narrowest lead bandwidth:
+    |F| (x_last - x_first) <= min(W_L, W_R).
+    """
+    width = min(params.left.bandwidth, params.right.bandwidth)
+    reach = width / abs(params.force) if params.force else np.inf
+    spans, lo = [], 0
+    while lo < grid.size:
+        fits = int(np.searchsorted(grid, grid[lo] + reach, side="right"))
+        spans.append((lo, min(lo + CHUNK, fits)))
+        lo = spans[-1][1]
+    return spans
+
+
 def build_coefficient_table(
     params: SystemParams,
     grid_spec,
@@ -423,9 +442,10 @@ def build_coefficient_table(
     """Tabulate every transport coefficient over a position grid.
 
     ``grid_spec`` is a :class:`GridSpec` or an explicit strictly increasing
-    array of positions.  Work is split into contiguous chunks; with
-    ``threads > 1`` the chunks run on a pool but land in preallocated slots,
-    so the result is identical for any thread count.
+    array of positions.  Work is split into contiguous spans sized by the
+    level shift they cover (see :func:`_spans`); with ``threads > 1`` the
+    spans run on a pool but land in preallocated slots, so the result is
+    identical for any thread count.
     """
     if isinstance(grid_spec, GridSpec):
         grid = grid_spec.positions()
@@ -447,7 +467,7 @@ def build_coefficient_table(
         cols["friction"][lo:hi] = slope / params.oscillator_mass
         cols["diffusion"][lo:hi] = np.maximum(spec[0], 0.0)
 
-    spans = [(i, min(i + CHUNK, grid.size)) for i in range(0, grid.size, CHUNK)]
+    spans = _spans(grid, params)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, spans))

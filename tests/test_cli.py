@@ -332,7 +332,7 @@ def test_ticks_after_detection_edit_needs_fresh_simulate(
     "command, edit, flags, named",
     [
         ("ticks", lambda c: None, ["--seed", "77"], "seed 9"),
-        ("analyze", lambda c: c["system"].update(voltage=6.0), [], "rebuilt (stale)"),
+        ("analyze", lambda c: c["system"].update(voltage=6.0), [], "cache stale"),
         (
             "analyze",
             lambda c: c["simulation"].update(ensemble_size=2, burn_in=20.0 * math.pi),
@@ -356,6 +356,21 @@ def test_ensemble_from_another_config_needs_fresh_simulate(
     err = capsys.readouterr().err
     assert named in err and "re-run simulate" in err
     assert not (out / "ticks.csv").exists()
+
+
+def test_refused_hand_off_leaves_coefficient_cache(tmp_path, pipeline_config, capsys):
+    out = tmp_path / "out"
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    stored = (out / "coeffs.npz").read_bytes()
+    edited = json.loads(json.dumps(pipeline_config))
+    edited["system"]["voltage"] = 6.0
+    edited_path = _write(tmp_path / "edited.json", edited)
+    assert cli.main(["analyze", "--config", str(edited_path), "--out", str(out)]) == 2
+    assert (out / "coeffs.npz").read_bytes() == stored
+    # the directory still serves the config it was simulated with
+    assert cli.main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "coeffs.npz").read_bytes() == stored
 
 
 def test_ensemble_without_streamed_evidence_is_stage_failure(

@@ -60,6 +60,13 @@ def test_default_grid_above_threshold(table100):
     assert grid[-1] == pytest.approx(max(1.5 * amp, amp + 8.0 * sigma), rel=2e-2)
 
 
+def test_default_grid_at_strong_bias():
+    # the probe table spans +-295 here; one shared panel set per 64 positions
+    # ran out of its 4096-panel budget, spans sized by the level shift do not
+    grid = default_grid(default_params(200.0))
+    assert math.isfinite(grid.x_max) and grid.x_max > 0.0
+
+
 # ---------------------------------------------------------------- consumers --
 
 

@@ -299,15 +299,50 @@ def test_one_quadrature_pass(monkeypatch, p100):
     monkeypatch.setattr(transport, "integrate", counting)
     transport._baseline_occupation.cache_clear()
     spec = GridSpec(x_max=5.0, nodes=21)
+    spans = transport._spans(spec.positions(), p100)
     build_coefficient_table(p100, spec)
-    # one pass per chunk, plus the zero-coupling baseline on a cold cache
-    assert len(calls) == math.ceil(spec.nodes / CHUNK) + 1
+    # one pass per span, plus the zero-coupling baseline on a cold cache
+    assert len(calls) == len(spans) + 1
     calls.clear()
     build_coefficient_table(p100, spec)
-    assert len(calls) == math.ceil(spec.nodes / CHUNK)
+    assert len(calls) == len(spans)
     calls.clear()
     friction_and_diffusion(0.0, p100)
     assert len(calls) == 1
+
+
+# spans of about 5 positions at V = 100: |F| = 0.5, narrowest bandwidth 5
+WIDE = GridSpec(x_max=60.0, nodes=49)
+
+
+def test_spans_follow_level_shift_reach(monkeypatch, p100):
+    transport._baseline_occupation(p100, RTOL)  # warm: no pass of its own
+    batches, calls = [], []
+    batch = transport._family_batch
+
+    def recording(positions, *args):
+        batches.append(np.array(positions))
+        return batch(positions, *args)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_family_batch", recording)
+    monkeypatch.setattr(transport, "integrate", counting)
+    build_coefficient_table(p100, WIDE)
+    np.testing.assert_array_equal(np.concatenate(batches), WIDE.positions())
+    reach = min(p100.left.bandwidth, p100.right.bandwidth)
+    for xs in batches:
+        assert xs.size <= CHUNK
+        assert abs(p100.force) * (xs[-1] - xs[0]) <= reach * (1.0 + 1e-12)
+    assert len(batches) > 1 and len(calls) == len(batches)
+
+
+def test_spans_without_force_are_plain_blocks(p100):
+    free = dataclasses.replace(p100, coupling=0.0)
+    spans = transport._spans(np.arange(150.0), free)
+    assert spans == [(0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 150)]
 
 
 def test_diffusion_positive_on_coarse_scan(p100):
@@ -358,9 +393,9 @@ def test_table_matches_pointwise_evaluation(small_table, p100):
 
 
 def test_table_threads_do_not_change_values(p100):
-    spec = GridSpec(x_max=3.0, nodes=13)
-    t1 = build_coefficient_table(p100, spec, threads=1)
-    t3 = build_coefficient_table(p100, spec, threads=3)
+    # several spans, so the pool runs more than one task
+    t1 = build_coefficient_table(p100, WIDE, threads=1)
+    t3 = build_coefficient_table(p100, WIDE, threads=3)
     for name in ("friction", "diffusion", "excess_occupation", "current",
                  "shot_noise"):
         np.testing.assert_array_equal(t1.column(name), t3.column(name))
