@@ -15,9 +15,9 @@ Configs are strict, versioned JSON: unknown keys are errors at every level.
 ``record_stride`` only thins the stored record.  ``ticks`` and ``analyze``
 read what ``simulate`` stored and refuse it (exit 2, "re-run simulate") when
 the config has since changed the coefficient table, the seed, the stride,
-the member or sample count, the sample spacing or the detection section;
-they never build or save a coefficient table, so a refusal leaves coeffs.npz
-as it was.
+the member or sample count, the sample spacing, the burn-in or the detection
+section; they never build or save a coefficient table, so a refusal leaves
+coeffs.npz as it was.
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no
 timestamps; a rerun with the same config and seed is bit-identical no matter
@@ -48,7 +48,6 @@ from .pipeline import (
 from .readout import DetectionPolicy, TickSeries, transduce
 from .svgplot import line_plot
 from .transport import (
-    RTOL,
     CoefficientTable,
     GridSpec,
     build_coefficient_table,
@@ -305,7 +304,7 @@ def _cached_table(cfg, params, out: Path, threads: int):
         grid_spec = default_grid(params, nodes=int(g["nodes"]), threads=threads)
     else:
         grid_spec = GridSpec(x_max=float(g["x_max"]), nodes=int(g["nodes"]))
-    expected = table_fingerprint(params, grid_spec.positions(), RTOL)
+    expected = table_fingerprint(params, grid_spec.positions())
     cache = out / "coeffs.npz"
     if not cache.exists():
         return grid_spec, None, "missing"
@@ -362,6 +361,7 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
             positions=xs,
             velocities=vs,
             seed=np.array([sim.seed], dtype=np.int64),
+            burn_in=np.array([sim.burn_in]),
             record_stride=np.array([sim.record_stride], dtype=np.int64),
             tick_times=np.concatenate([ts.tick_times for ts in corpus.ticks]),
             tick_counts=np.array([len(ts) for ts in corpus.ticks], dtype=np.int64),
@@ -381,15 +381,14 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
 def _load_corpus(cfg, params, table, sim: SimConfig, out: Path) -> Corpus:
     """The corpus ``simulate`` stored in ensemble.npz next to ``table`` (see
     :func:`stage_stored_table`), checked against the config: the seed, the
-    stride, the member and sample counts, the sample spacing and the
-    detection policy.  A ``burn_in`` and a ``duration`` moved by the same
-    amount leave all of these alike and go unnoticed."""
+    stride, the member and sample counts, the sample spacing, the burn-in and
+    the detection policy."""
     with np.load(out / "ensemble.npz") as data:
         d = dict(data)
-    if "tick_counts" not in d:
+    if "burn_in" not in d:
         raise ValueError(
-            "ensemble.npz holds no ticks or position density (an older "
-            "nemclock wrote it); re-run simulate"
+            "ensemble.npz holds no burn_in (an older nemclock wrote it); "
+            "re-run simulate"
         )
     times = d["times"]
     spacing = sim.time_step * sim.record_stride
@@ -399,6 +398,7 @@ def _load_corpus(cfg, params, table, sim: SimConfig, out: Path) -> Corpus:
         ("members", d["positions"].shape[0], sim.ensemble_size),
         ("samples per member", times.size, sim.recorded_samples),
         ("sample spacing", float(times[1]) if times.size > 1 else spacing, spacing),
+        ("burn_in", float(d["burn_in"][0]), sim.burn_in),
     ):
         if found != wanted:
             raise ConfigError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -32,7 +32,6 @@ __all__ = [
     "spectrum_peak",
     "spectrum_fwhm",
     "linewidth_fit",
-    "waiting_times",
     "fit_inverse_gaussian",
     "accuracy_resolution",
     "entropy_per_tick",
@@ -52,7 +51,6 @@ class CorrelationCurve:
 
     lags: np.ndarray
     values: np.ndarray
-    estimator_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lags = np.asarray(self.lags, dtype=float)
@@ -160,16 +158,7 @@ def autocorrelation(ensemble, time_step: float, max_lag: int | None = None):
         raw += acf[: max_lag + 1]
     counts = n_series * (length - np.arange(max_lag + 1))
     values = raw / counts
-    return CorrelationCurve(
-        lags=np.arange(max_lag + 1) * time_step,
-        values=values,
-        estimator_meta={
-            "ensemble_size": n_series,
-            "series_length": length,
-            "window": "none",
-            "pooled_mean": float(series.mean()),
-        },
-    )
+    return CorrelationCurve(lags=np.arange(max_lag + 1) * time_step, values=values)
 
 
 def power_spectrum(
@@ -253,14 +242,7 @@ def spectrum_fwhm(spec: Spectrum, omega_window) -> float:
     return float(wr - wl)
 
 
-def linewidth_fit(
-    curve: CorrelationCurve,
-    omega_seed: float,
-    *,
-    skip: float = 0.15,
-    upto: float = 0.55,
-    stride: int = 1,
-) -> tuple[float, float]:
+def linewidth_fit(curve: CorrelationCurve, omega_seed: float) -> tuple[float, float]:
     """Lorentzian-core linewidth of a spectral peak, fitted in the lag domain.
 
     A Lorentzian line of full width ``G`` at half maximum corresponds to a
@@ -272,7 +254,8 @@ def linewidth_fit(
     width differences; the lag-domain fit has no such floor, its reach being
     set by the statistical noise of the correlation estimate instead.
 
-    The fit window ``[skip, upto]`` (fractions of the curve length) excludes
+    The fit window is fixed at 0.15 to 0.55 of the curve length (lags
+    ``int(0.15 n)`` up to ``int(0.55 n)`` of an n-lag curve).  It excludes
     early lags, where fast decorrelation channels (amplitude relaxation)
     dominate, and the far tail, where the estimate is noisiest; what remains
     is the slow coherence core that forms the top of the spectral peak.
@@ -291,14 +274,10 @@ def linewidth_fit(
 
     Returns ``(fwhm, omega)`` of the fitted line.
     """
-    if not 0.0 <= skip < upto <= 1.0:
-        raise ValueError("need 0 <= skip < upto <= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     n = curve.values.size
-    a, b = int(skip * n), int(upto * n)
-    tau = curve.lags[a:b:stride]
-    y = curve.values[a:b:stride]
+    a, b = int(0.15 * n), int(0.55 * n)
+    tau = curve.lags[a:b]
+    y = curve.values[a:b]
     if tau.size < 32:
         raise ValueError("fit window contains fewer than 32 lags")
     tau_max = float(curve.lags[-1])
@@ -348,13 +327,6 @@ def linewidth_fit(
     )
     _, _, g_fit, w_fit = fit.x
     return float(g_fit), float(w_fit)
-
-
-def waiting_times(ticks: TickSeries) -> np.ndarray:
-    """Gaps between consecutive ticks."""
-    if len(ticks) < 2:
-        raise ValueError("need at least two ticks for waiting times")
-    return np.diff(ticks.tick_times)
 
 
 def fit_inverse_gaussian(samples) -> WtdFit:
@@ -424,32 +396,31 @@ def entropy_per_tick(
     return rate / nu
 
 
-def allan_variance(
-    ticks: TickSeries, mean_wait: float, T_values, *, origin: float = 0.0
-):
+def allan_variance(ticks: TickSeries, mean_wait: float, T_values):
     """Two-sample variance of the clock reading over window sizes T.
 
     The clock reading after n windows is mean_wait * (ticks counted up to
-    origin + n*T) minus n*T; the estimate averages squared second differences
-    of that reading over non-overlapping windows.
+    n*T) minus n*T, with time counted from zero, the end of the burn-in; the
+    estimate averages squared second differences of that reading over
+    non-overlapping windows.
     """
     times = ticks.tick_times
     if times.size < 2:
         raise ValueError("need at least two ticks")
-    span = float(times[-1] - origin)
+    span = float(times[-1])
     T_values = [float(T) for T in T_values]
     bad = [T for T in T_values if span < 3.0 * T]
     if bad:
         raise ValueError(
             f"span {span:.6g} is shorter than 3T for T={bad!r}"
         )
-    base = int(np.searchsorted(times, origin, side="right"))
+    base = int(np.searchsorted(times, 0.0, side="right"))
     out = []
     for T in T_values:
         n_windows = int(span // T)
-        edges = origin + T * np.arange(n_windows + 1)
+        edges = T * np.arange(n_windows + 1)
         counts = np.searchsorted(times, edges, side="right") - base
-        reading = mean_wait * counts - (edges - origin)
+        reading = mean_wait * counts - edges
         second = reading[:-2] - 2.0 * reading[1:-1] + reading[2:]
         out.append((T, float(np.mean(second**2) / (2.0 * T**2))))
     return out

@@ -39,22 +39,20 @@ import subprocess
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 
 from .params import SystemParams
-from .transport import COLUMNS, CoefficientTable, TransportPoint
+from .transport import COLUMNS, CoefficientTable
 
 __all__ = [
     "SimConfig",
     "Trajectory",
     "ExcursionError",
-    "interpolate",
     "column_interpolant",
-    "integrate_trajectory",
     "run_ensemble",
 ]
 
@@ -157,21 +155,6 @@ def _splines(table: CoefficientTable):
 def column_interpolant(table: CoefficientTable, name: str):
     """Cubic interpolant of one table column (exact at the nodes)."""
     return _splines(table)[0][name]
-
-
-def interpolate(table: CoefficientTable, x: float) -> TransportPoint:
-    """All transport coefficients at ``x`` by per-column cubic interpolation.
-
-    Refuses to extrapolate: positions outside the grid raise
-    :class:`ExcursionError` rather than returning a guess.
-    """
-    lo, hi = table.grid[0], table.grid[-1]
-    if not (lo <= x <= hi):
-        raise ExcursionError(time=float("nan"), position=float(x), index=-1)
-    sp = _splines(table)[0]
-    return TransportPoint(
-        position=float(x), **{name: float(sp[name](x)) for name in COLUMNS}
-    )
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -370,13 +353,6 @@ def _integrate_block(
             vs_rec[:, (total - burn) // stride] = v
     times = np.arange(n_rec) * (dt * stride)
     return times, xs_rec, vs_rec
-
-
-def integrate_trajectory(
-    table: CoefficientTable, params: SystemParams, sim: SimConfig
-) -> Trajectory:
-    """Integrate a single path (the stream at trajectory index 0)."""
-    return run_ensemble(table, params, replace(sim, ensemble_size=1))[0][0]
 
 
 def run_ensemble(

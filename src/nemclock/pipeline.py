@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clockstats import allan_variance
 from .langevin import SimConfig, column_interpolant, run_ensemble
 from .params import SystemParams
 from .readout import DetectionPolicy, TickAccumulator, TickSeries
+from .toymodels import limit_cycle_amplitude, reduced_coefficients
 from .transport import (
     CoefficientTable,
     GridSpec,
@@ -138,8 +140,6 @@ def default_grid(
     amplitude plus eight standard deviations of its fluctuations, so
     excursions past the edge are astronomically unlikely over long runs.
     """
-    from .toymodels import limit_cycle_amplitude, reduced_coefficients
-
     if params.force == 0.0:
         return GridSpec(x_max=10.0 * _thermal_spread(params), nodes=nodes)
     gamma0, diffusion0 = friction_and_diffusion(0.0, params)
@@ -240,15 +240,13 @@ def pooled_waiting_times(ticks_list) -> np.ndarray:
     return np.concatenate(gaps)
 
 
-def ensemble_allan(ticks_list, mean_wait: float, T_values, *, origin: float = 0.0):
+def ensemble_allan(ticks_list, mean_wait: float, T_values):
     """Allan variance per member, averaged across the ensemble."""
-    from .clockstats import allan_variance
-
     T_values = [float(t) for t in T_values]
     sums = np.zeros(len(T_values))
     used = 0
     for ts in ticks_list:
-        rows = allan_variance(ts, mean_wait, T_values, origin=origin)
+        rows = allan_variance(ts, mean_wait, T_values)
         sums += np.array([value for _, value in rows])
         used += 1
     if used == 0:

@@ -13,6 +13,7 @@ __all__ = ["line_plot"]
 
 _PALETTE = ["#1f6fb2", "#d1495b", "#3a7d44", "#8d6a9f", "#c77d1e", "#3b3b3b"]
 _MARGIN = dict(left=72, right=24, top=36, bottom=52)
+_WIDTH, _HEIGHT = 720, 480
 
 
 def _ticks(lo: float, hi: float, log: bool):
@@ -48,8 +49,6 @@ def line_plot(
     y_label: str = "",
     log_x: bool = False,
     log_y: bool = False,
-    width: int = 720,
-    height: int = 480,
 ) -> None:
     """Write a line plot of ``curves`` = [(label, x, y), ...] to ``path``."""
     if not curves:
@@ -75,8 +74,8 @@ def line_plot(
     y_lo -= pad
     y_hi += pad
 
-    inner_w = width - _MARGIN["left"] - _MARGIN["right"]
-    inner_h = height - _MARGIN["top"] - _MARGIN["bottom"]
+    inner_w = _WIDTH - _MARGIN["left"] - _MARGIN["right"]
+    inner_h = _HEIGHT - _MARGIN["top"] - _MARGIN["bottom"]
 
     def px(v):
         return _MARGIN["left"] + (v - x_lo) / (x_hi - x_lo) * inner_w
@@ -85,14 +84,14 @@ def line_plot(
         return _MARGIN["top"] + (y_hi - v) / (y_hi - y_lo) * inner_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<g font-family="sans-serif" font-size="12" fill="#222">',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-size="14">{title}</text>'
         )
 
@@ -131,7 +130,7 @@ def line_plot(
         )
     if x_label:
         parts.append(
-            f'<text x="{x0 + inner_w / 2:.1f}" y="{height - 12}" '
+            f'<text x="{x0 + inner_w / 2:.1f}" y="{_HEIGHT - 12}" '
             f'text-anchor="middle">{x_label}</text>'
         )
     if y_label:

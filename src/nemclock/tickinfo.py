@@ -17,7 +17,6 @@ __all__ = [
     "Histogram",
     "n_fold_convolution",
     "kl_divergence",
-    "kl_epsilon_sensitivity",
     "n_sum_samples",
     "pairwise_mutual_information",
     "mi_bias_bound",
@@ -62,13 +61,13 @@ class Histogram:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     @classmethod
-    def from_samples(cls, samples, *, bins=None, edges=None, clip=False) -> "Histogram":
+    def from_samples(cls, samples, *, edges=None, clip=False) -> "Histogram":
         """Bin samples on a uniform grid.
 
-        With neither ``bins`` nor ``edges`` given, the bin count follows the
-        Freedman-Diaconis rule.  Explicit ``edges`` must be uniform and must
-        cover every sample unless ``clip`` moves strays into the end bins
-        (appropriate when the grid's midpoint convention trims the support).
+        Without ``edges`` the bin count follows the Freedman-Diaconis rule.
+        Explicit ``edges`` must be uniform and must cover every sample unless
+        ``clip`` moves strays into the end bins (appropriate when the grid's
+        midpoint convention trims the support).
         """
         x = np.asarray(samples, dtype=float)
         if x.size < 2:
@@ -81,13 +80,12 @@ class Histogram:
                 raise ValueError("explicit edges do not cover the samples")
             counts, edges = np.histogram(x, bins=edges)
         else:
-            if bins is None:
-                iqr = float(np.subtract(*np.percentile(x, [75, 25])))
-                if iqr == 0.0:
-                    bins = max(1, int(math.ceil(math.sqrt(x.size))))
-                else:
-                    width = 2.0 * iqr / x.size ** (1.0 / 3.0)
-                    bins = max(1, int(math.ceil((x.max() - x.min()) / width)))
+            iqr = float(np.subtract(*np.percentile(x, [75, 25])))
+            if iqr == 0.0:
+                bins = max(1, int(math.ceil(math.sqrt(x.size))))
+            else:
+                width = 2.0 * iqr / x.size ** (1.0 / 3.0)
+                bins = max(1, int(math.ceil((x.max() - x.min()) / width)))
             counts, edges = np.histogram(x, bins=bins)
         return cls(
             edges=edges,
@@ -134,36 +132,22 @@ def _common_grid(p: Histogram, q: Histogram) -> None:
         raise ValueError("histograms live on different grids")
 
 
-def kl_divergence(p: Histogram, q: Histogram, *, epsilon: float | None = None) -> float:
+def kl_divergence(p: Histogram, q: Histogram) -> float:
     """KL divergence D(p || q) in nats on a shared grid.
 
-    Empty q-bins that carry p-mass get a pseudo-mass ``epsilon`` (default
-    one tenth of a count in q) before renormalizing, so finite samples never
-    produce an infinite divergence; the result is clipped at 0.
+    Empty q-bins that carry p-mass get a pseudo-mass of one tenth of a count
+    in q before renormalizing, so finite samples never produce an infinite
+    divergence; the result is clipped at 0.
     """
     _common_grid(p, q)
-    if epsilon is None:
-        epsilon = 1.0 / (10.0 * q.total_count)
     qm = q.masses.copy()
     needy = (qm == 0.0) & (p.masses > 0.0)
     if np.any(needy):
-        qm[needy] = epsilon
+        qm[needy] = 1.0 / (10.0 * q.total_count)
         qm /= qm.sum()
     mask = p.masses > 0.0
     value = float(np.sum(p.masses[mask] * np.log(p.masses[mask] / qm[mask])))
     return max(0.0, value)
-
-
-def kl_epsilon_sensitivity(
-    p: Histogram, q: Histogram, *, factors=(0.1, 10.0)
-) -> dict:
-    """KL divergence under rescaled regularization, to expose how much of
-    the estimate rides on empty-bin handling."""
-    base_eps = 1.0 / (10.0 * q.total_count)
-    out = {"epsilon": kl_divergence(p, q)}
-    for f in factors:
-        out[f"epsilon x {f:g}"] = kl_divergence(p, q, epsilon=base_eps * f)
-    return out
 
 
 def n_sum_samples(waits, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.signal import lfilter
 
-from .langevin import column_interpolant
+from .langevin import _stream, column_interpolant
 from .params import SystemParams
 from .transport import CoefficientTable
 
@@ -108,8 +108,8 @@ class OffsetModelParams:
     baseline: float = 0.0
 
 
-def _phase_grid(n_phase: int):
-    phi = 2.0 * np.pi * np.arange(n_phase) / n_phase
+def _phase_grid():
+    phi = 2.0 * np.pi * np.arange(PHASE_POINTS) / PHASE_POINTS
     return np.cos(phi), np.sin(phi)
 
 
@@ -117,7 +117,7 @@ def _coverage(table: CoefficientTable) -> float:
     return min(-float(table.grid[0]), float(table.grid[-1]))
 
 
-def _drift_function(table: CoefficientTable, params: SystemParams, n_phase: int):
+def _drift_function(table: CoefficientTable, params: SystemParams):
     """Radial drift of the amplitude, averaged over one cycle.
 
     Returns a callable accepting an array of amplitudes; every amplitude must
@@ -125,7 +125,7 @@ def _drift_function(table: CoefficientTable, params: SystemParams, n_phase: int)
     """
     gamma = column_interpolant(table, "friction")
     diff = column_interpolant(table, "diffusion")
-    cos_phi, sin_phi = _phase_grid(n_phase)
+    cos_phi, sin_phi = _phase_grid()
     m = params.oscillator_mass
     w0 = params.oscillator_frequency
     reach = _coverage(table)
@@ -146,12 +146,7 @@ def _drift_function(table: CoefficientTable, params: SystemParams, n_phase: int)
     return drift
 
 
-def limit_cycle_amplitude(
-    table: CoefficientTable,
-    params: SystemParams,
-    *,
-    n_phase: int = PHASE_POINTS,
-) -> float | None:
+def limit_cycle_amplitude(table: CoefficientTable, params: SystemParams) -> float | None:
     """Self-consistent oscillation amplitude, or None below threshold.
 
     The oscillator self-excites only where small-amplitude friction is
@@ -162,7 +157,7 @@ def limit_cycle_amplitude(
     gamma = column_interpolant(table, "friction")
     if float(gamma(0.0)) >= 0.0:
         return None
-    drift = _drift_function(table, params, n_phase)
+    drift = _drift_function(table, params)
     hi = _coverage(table) / 1.5
     ladder = np.geomspace(hi * 1e-3, hi, SCAN_NODES)
     values = drift(ladder)
@@ -177,11 +172,7 @@ def limit_cycle_amplitude(
 
 
 def reduced_coefficients(
-    table: CoefficientTable,
-    params: SystemParams,
-    amplitude: float,
-    *,
-    n_phase: int = PHASE_POINTS,
+    table: CoefficientTable, params: SystemParams, amplitude: float
 ) -> ReducedCycle:
     """Slow-variable coefficients at a given cycle amplitude.
 
@@ -190,11 +181,11 @@ def reduced_coefficients(
     averages of the position-dependent noise against the matching quadrature
     weights.
     """
-    drift = _drift_function(table, params, n_phase)
+    drift = _drift_function(table, params)
     h = 1e-3 * amplitude
     slope = (drift(amplitude + h) - drift(amplitude - h))[0] / (2.0 * h)
     diff = column_interpolant(table, "diffusion")
-    cos_phi, sin_phi = _phase_grid(n_phase)
+    cos_phi, sin_phi = _phase_grid()
     x = amplitude * cos_phi
     m = params.oscillator_mass
     w0 = params.oscillator_frequency
@@ -261,11 +252,6 @@ def offset_model_correlation(p: OffsetModelParams, w0: float, t):
     return position + amp
 
 
-def _toy_stream(seed: int):
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _simulate_telegraph(p: TelegraphParams, times, rng):
     l1, l2 = p.rates
     stationary, _ = telegraph_statics(p)
@@ -321,7 +307,7 @@ def simulate_toy(spec, duration: float, time_step: float, seed: int, *, frequenc
     if n_steps < 1:
         raise ValueError("duration shorter than one step")
     times = np.arange(n_steps + 1) * time_step
-    rng = _toy_stream(seed)
+    rng = _stream(seed, 0)
 
     if isinstance(spec, TelegraphParams):
         return times, _simulate_telegraph(spec, times, rng)

@@ -38,21 +38,17 @@ from .quadrature import QuadratureError, integrate
 __all__ = [
     "COLUMNS",
     "GridSpec",
-    "TransportPoint",
     "CoefficientTable",
     "fermi_dirac",
     "spectral_density",
     "lead_self_energy",
     "transmission",
-    "conditional_occupation",
-    "conditional_current",
-    "conditional_shot_noise",
     "charge_noise_spectrum",
     "friction_and_diffusion",
     "build_coefficient_table",
 ]
 
-RTOL = 1e-8          # default relative quadrature tolerance
+RTOL = 1e-8          # relative quadrature tolerance
 ATOL = 1e-14         # absolute floor so identically-zero integrands converge
 CHUNK = 64           # most grid positions per quadrature pass of a table build
 
@@ -147,7 +143,7 @@ def _window(params: SystemParams, pad: float = 0.0):
     return lo, hi, seeds
 
 
-def _family_batch(positions, omegas, params: SystemParams, rtol: float):
+def _family_batch(positions, omegas, params: SystemParams):
     """All transport integrals for a batch of positions in one adaptive pass.
 
     Returns (occupation, current, shot_thermal, shot_partition, slope,
@@ -213,7 +209,7 @@ def _family_batch(positions, omegas, params: SystemParams, rtol: float):
     lo, hi, seeds = _window(params, pad=pad)
     try:
         result = integrate(
-            integrand, lo, hi, rtol=rtol, atol=ATOL, breakpoints=seeds
+            integrand, lo, hi, rtol=RTOL, atol=ATOL, breakpoints=seeds
         )
     except QuadratureError as exc:
         raise QuadratureError(
@@ -227,48 +223,14 @@ def _family_batch(positions, omegas, params: SystemParams, rtol: float):
 
 
 @functools.lru_cache(maxsize=128)
-def _baseline_occupation(params: SystemParams, rtol: float) -> float:
+def _baseline_occupation(params: SystemParams) -> float:
     """Dot occupation with the electromechanical force removed."""
     decoupled = replace(params, coupling=0.0)
-    occ, *_ = _family_batch([0.0], [], decoupled, rtol)
+    occ, *_ = _family_batch([0.0], [], decoupled)
     return float(occ[0])
 
 
-def conditional_occupation(position, params: SystemParams, *, rtol: float = RTOL):
-    """(total, excess) dot occupation at frozen position.
-
-    ``excess`` subtracts the zero-coupling baseline, so it vanishes
-    identically when the force is switched off.
-    """
-    occ, *_ = _family_batch([position], [], params, rtol)
-    total = float(occ[0])
-    return total, total - _baseline_occupation(params, rtol)
-
-
-def conditional_current(position, params: SystemParams, *, rtol: float = RTOL):
-    """Mean charge current through the dot at frozen position."""
-    _, cur, *_ = _family_batch([position], [], params, rtol)
-    return float(cur[0])
-
-
-def conditional_shot_noise(
-    position, params: SystemParams, *, rtol: float = RTOL, split: bool = False
-):
-    """Zero-frequency current noise at frozen position (always >= 0).
-
-    With ``split=True`` returns the (thermal, partition) pieces separately;
-    the partition piece carries the factor tau(1-tau) and vanishes on a
-    perfectly transmitting bias window.
-    """
-    _, _, th, pa, *_ = _family_batch([position], [], params, rtol)
-    if split:
-        return float(th[0]), float(pa[0])
-    return float(th[0] + pa[0])
-
-
-def charge_noise_spectrum(
-    position, omega, params: SystemParams, *, rtol: float = RTOL
-):
+def charge_noise_spectrum(position, omega, params: SystemParams):
     """Force-noise spectrum S_x(omega) of the occupation fluctuations.
 
     Valid as a slow-variable input only for |omega| well below the
@@ -283,11 +245,11 @@ def charge_noise_spectrum(
             AdiabaticityWarning,
             stacklevel=2,
         )
-    *_, spec = _family_batch([position], [omega], params, rtol)
+    *_, spec = _family_batch([position], [omega], params)
     return float(spec[0, 0])
 
 
-def friction_and_diffusion(position, params: SystemParams, *, rtol: float = RTOL):
+def friction_and_diffusion(position, params: SystemParams):
     """(gamma_x, D_x): zero-frequency slope and value of S_x.
 
     The friction is gamma_x = m^-1 dS_x/domega at omega = 0, integrated
@@ -295,7 +257,7 @@ def friction_and_diffusion(position, params: SystemParams, *, rtol: float = RTOL
     quadrature pass as S_x(0); the diffusion is S_x(0), floored at zero
     against quadrature round-off.
     """
-    _, _, _, _, slope, spec = _family_batch([position], [0.0], params, rtol)
+    _, _, _, _, slope, spec = _family_batch([position], [0.0], params)
     gamma = slope[0] / params.oscillator_mass
     if not np.isfinite(gamma):
         raise RuntimeError(f"non-finite friction estimate at x={position!r}")
@@ -321,18 +283,6 @@ class GridSpec:
 
 # the tabulated coefficients, in archive order
 COLUMNS = ("excess_occupation", "current", "shot_noise", "friction", "diffusion")
-
-
-@dataclass(frozen=True)
-class TransportPoint:
-    """All position-conditioned transport coefficients at one position."""
-
-    position: float
-    excess_occupation: float
-    current: float
-    shot_noise: float
-    friction: float
-    diffusion: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,11 +355,11 @@ def _table_checksum(grid, cols: dict) -> str:
     return digest.hexdigest()
 
 
-def table_fingerprint(params: SystemParams, grid: np.ndarray, rtol: float) -> str:
+def table_fingerprint(params: SystemParams, grid: np.ndarray) -> str:
     grid = np.ascontiguousarray(grid, dtype=float)
     return fingerprint(
         params,
-        extra={"rtol": rtol, "grid_sha": hashlib.sha256(grid.tobytes()).hexdigest()},
+        extra={"rtol": RTOL, "grid_sha": hashlib.sha256(grid.tobytes()).hexdigest()},
     )
 
 
@@ -436,7 +386,6 @@ def build_coefficient_table(
     params: SystemParams,
     grid_spec,
     *,
-    rtol: float = RTOL,
     threads: int = 1,
 ) -> CoefficientTable:
     """Tabulate every transport coefficient over a position grid.
@@ -455,12 +404,12 @@ def build_coefficient_table(
         raise ValueError("grid must be a strictly increasing 1-D array")
 
     cols = {name: np.empty_like(grid) for name in COLUMNS}
-    baseline = _baseline_occupation(params, rtol)
+    baseline = _baseline_occupation(params)
 
     def work(span):
         lo, hi = span
         xs = grid[lo:hi]
-        o, c, th, pa, slope, spec = _family_batch(xs, [0.0], params, rtol)
+        o, c, th, pa, slope, spec = _family_batch(xs, [0.0], params)
         cols["excess_occupation"][lo:hi] = o - baseline
         cols["current"][lo:hi] = c
         cols["shot_noise"][lo:hi] = th + pa
@@ -480,5 +429,5 @@ def build_coefficient_table(
         bad = grid[~np.all(np.isfinite(stacked), axis=0)]
         raise RuntimeError(f"non-finite table column at x={bad!r}")
     return CoefficientTable(
-        grid=grid, columns=cols, params_hash=table_fingerprint(params, grid, rtol)
+        grid=grid, columns=cols, params_hash=table_fingerprint(params, grid)
     )

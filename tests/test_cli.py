@@ -339,8 +339,16 @@ def test_ticks_after_detection_edit_needs_fresh_simulate(
             [],
             "members 4",
         ),
+        (
+            "ticks",
+            lambda c: c["simulation"].update(
+                burn_in=20.0 * math.pi, duration=220.0 * math.pi
+            ),
+            [],
+            "burn_in",
+        ),
     ],
-    ids=["seed", "voltage", "members"],
+    ids=["seed", "voltage", "members", "burn_in"],
 )
 def test_ensemble_from_another_config_needs_fresh_simulate(
     tmp_path, pipeline_config, capsys, command, edit, flags, named

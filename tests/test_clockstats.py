@@ -21,7 +21,6 @@ from nemclock.clockstats import (
     renewal_allan_asymptote,
     spectrum_fwhm,
     spectrum_peak,
-    waiting_times,
 )
 from nemclock.readout import DetectionPolicy, TickSeries
 from nemclock.toymodels import OUAmplitude, ReducedCycle, simulate_toy
@@ -217,24 +216,13 @@ def test_linewidth_fit_reads_slow_core_of_two_timescale_envelope():
 
 
 def test_linewidth_fit_validation():
-    curve = _damped_cosine_curve(n=4001)
-    with pytest.raises(ValueError, match="skip"):
-        linewidth_fit(curve, 2.0, skip=0.7, upto=0.6)
-    with pytest.raises(ValueError, match="stride"):
-        linewidth_fit(curve, 2.0, stride=0)
+    # the window keeps lags int(0.15 n) up to int(0.55 n): 24 of 60
+    curve = _damped_cosine_curve(n=60)
     with pytest.raises(ValueError, match="fewer than 32"):
-        linewidth_fit(curve, 2.0, stride=4000)
+        linewidth_fit(curve, 2.0)
 
 
 # --------------------------------------------------------------- waiting times --
-
-
-def test_waiting_times_basic():
-    np.testing.assert_array_equal(
-        waiting_times(_ticks([0.0, 1.0, 3.0])), [1.0, 2.0]
-    )
-    with pytest.raises(ValueError, match="at least two ticks"):
-        waiting_times(_ticks([1.0]))
 
 
 def test_inverse_gaussian_fit_recovers_parameters():
@@ -338,21 +326,6 @@ def test_allan_deterministic_ticks_are_perfect():
     out = allan_variance(ticks, mu, [5.0 * mu, 20.0 * mu])
     for T, value in out:
         assert value == 0.0
-
-
-def test_allan_origin_shift_invariance():
-    rng = np.random.default_rng(3)
-    times = np.cumsum(rng.exponential(math.pi, size=5000))
-    mu = float(np.diff(times).mean())
-    T_values = [20.0, 55.0, 150.0]
-    base = allan_variance(_ticks(times), mu, T_values)
-    shift = 123.456
-    moved = allan_variance(
-        _ticks(times + shift), mu, T_values, origin=shift
-    )
-    for (T1, v1), (T2, v2) in zip(base, moved):
-        assert T1 == T2
-        assert v1 == pytest.approx(v2, rel=1e-9)
 
 
 def test_allan_poisson_matches_renewal_level():

@@ -15,8 +15,6 @@ from nemclock.langevin import (
     ExcursionError,
     SimConfig,
     column_interpolant,
-    integrate_trajectory,
-    interpolate,
     run_ensemble,
     _integrate_block,
 )
@@ -53,7 +51,7 @@ def test_config_validation():
 
 def test_recording_grid(ou_table, params100):
     sim = _sim(4, burn=2, stride=7)
-    traj = integrate_trajectory(ou_table, params100, sim)
+    traj = run_ensemble(ou_table, params100, sim)[0][0]
     n_expected = (sim.total_steps - sim.burn_steps) // 7 + 1
     assert traj.times.shape == traj.positions.shape == traj.velocities.shape
     assert traj.times.size == n_expected
@@ -64,11 +62,11 @@ def test_recording_grid(ou_table, params100):
 
 def test_determinism_same_seed(ou_table, params100):
     sim = _sim(5, seed=123)
-    a = integrate_trajectory(ou_table, params100, sim)
-    b = integrate_trajectory(ou_table, params100, sim)
+    a = run_ensemble(ou_table, params100, sim)[0][0]
+    b = run_ensemble(ou_table, params100, sim)[0][0]
     np.testing.assert_array_equal(a.positions, b.positions)
     np.testing.assert_array_equal(a.velocities, b.velocities)
-    c = integrate_trajectory(ou_table, params100, _sim(5, seed=124))
+    c = run_ensemble(ou_table, params100, _sim(5, seed=124))[0][0]
     assert not np.array_equal(a.positions, c.positions)
 
 
@@ -96,7 +94,7 @@ def test_symplectic_harmonic_motion(params100):
         np.linspace(-8.0, 8.0, 17), friction=0.0, diffusion=0.0, tag="harmonic"
     )
     sim = _sim(50, seed=3, dt=math.pi / 200)
-    traj = integrate_trajectory(table, params100, sim)
+    traj = run_ensemble(table, params100, sim)[0][0]
     x0, v0 = traj.positions[0], traj.velocities[0]
     energy = 0.5 * traj.velocities**2 + 0.5 * traj.positions**2
     assert np.all(np.abs(energy / energy[0] - 1.0) < 0.02)
@@ -110,7 +108,7 @@ def test_ring_down_energy_monotone(params100):
         np.linspace(-8.0, 8.0, 17), friction=0.1, diffusion=0.0, tag="damped"
     )
     sim = _sim(30, seed=5)
-    traj = integrate_trajectory(table, params100, sim)
+    traj = run_ensemble(table, params100, sim)[0][0]
     period_samples = int(round(TWO_PI / traj.sample_spacing))
     boundaries = np.arange(0, traj.times.size, period_samples)
     energy = (
@@ -136,7 +134,7 @@ def test_negative_friction_escapes_grid(params100):
         np.linspace(-3.0, 3.0, 13), friction=-0.2, diffusion=0.0, tag="growth"
     )
     with pytest.raises(ExcursionError) as info:
-        integrate_trajectory(table, params100, _sim(60, seed=2))
+        run_ensemble(table, params100, _sim(60, seed=2))
     err = info.value
     assert err.time > 0.0
     assert abs(err.position) > 3.0
@@ -197,19 +195,12 @@ def test_thermal_equilibrium_statistics(params100):
 
 
 def test_interpolate_node_exactness(ou_table):
+    friction = column_interpolant(ou_table, "friction")
+    diffusion = column_interpolant(ou_table, "diffusion")
     for i in (0, 5, 12, 24):
-        point = interpolate(ou_table, float(ou_table.grid[i]))
-        assert point.friction == pytest.approx(0.5, rel=1e-12)
-        assert point.diffusion == pytest.approx(1.0, rel=1e-12)
-
-
-def test_interpolate_out_of_range(ou_table):
-    # refuses to extrapolate, and flags the offending position
-    with pytest.raises(ExcursionError):
-        interpolate(ou_table, 12.5)
-    with pytest.raises(ExcursionError) as info:
-        interpolate(ou_table, -100.0)
-    assert info.value.position == -100.0
+        x = float(ou_table.grid[i])
+        assert friction(x) == pytest.approx(0.5, rel=1e-12)
+        assert diffusion(x) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_interpolation_converges_with_grid_refinement(params100):
@@ -224,12 +215,6 @@ def test_interpolation_converges_with_grid_refinement(params100):
         exact = fine.column(name)
         scale = np.max(np.abs(exact))
         assert np.max(np.abs(spline(fine.grid) - exact)) < 1e-6 * scale
-
-
-def test_column_interpolant_matches_pointwise(ou_table):
-    spline = column_interpolant(ou_table, "diffusion")
-    for x in (-3.3, 0.1, 7.7):
-        assert spline(x) == pytest.approx(interpolate(ou_table, x).diffusion)
 
 
 # ------------------------------------------------- compiled kernel oracle --

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_table
+from nemclock import toymodels
 from nemclock.params import default_params
 from nemclock.toymodels import (
     OUAmplitude,
@@ -107,12 +108,14 @@ def test_amplitude_outside_coverage(params):
         reduced_coefficients(table, params, 9.5)
 
 
-def test_phase_grid_resolution_converged(table100, params100):
+def test_phase_grid_resolution_converged(monkeypatch, table100, params100):
     amp = limit_cycle_amplitude(table100, params100)
-    fine = limit_cycle_amplitude(table100, params100, n_phase=512)
-    assert abs(fine - amp) < 1e-8
     c256 = reduced_coefficients(table100, params100, amp)
-    c512 = reduced_coefficients(table100, params100, amp, n_phase=512)
+    monkeypatch.setattr(toymodels, "PHASE_POINTS", 512)
+    assert toymodels._phase_grid()[0].size == 512
+    fine = limit_cycle_amplitude(table100, params100)
+    assert abs(fine - amp) < 1e-8
+    c512 = reduced_coefficients(table100, params100, amp)
     assert c512.amplitude_damping == pytest.approx(
         c256.amplitude_damping, rel=1e-8
     )

@@ -24,9 +24,6 @@ from nemclock.transport import (
     GridSpec,
     build_coefficient_table,
     charge_noise_spectrum,
-    conditional_current,
-    conditional_occupation,
-    conditional_shot_noise,
     fermi_dirac,
     friction_and_diffusion,
     lead_self_energy,
@@ -136,38 +133,41 @@ def test_sum_rule_spectral_weight(p100):
 # ------------------------------------------------------- frozen refinements --
 
 
+def _at(params, x, name):
+    """One coefficient at one position, from a one-node table."""
+    return build_coefficient_table(params, [x]).column(name)[0]
+
+
 def test_occupation_neutral_point_is_half(p100):
-    total, excess = conditional_occupation(0.0, p100)
+    excess = _at(p100, 0.0, "excess_occupation")
+    total = excess + transport._baseline_occupation(p100)
     assert total == pytest.approx(0.5, abs=1e-4)
     assert excess == 0.0
 
 
 def test_occupation_frozen_value(p100):
-    total, excess = conditional_occupation(1.0, p100)
+    excess = _at(p100, 1.0, "excess_occupation")
+    total = excess + transport._baseline_occupation(p100)
     assert total == pytest.approx(OCCUPATION_V100_X1, abs=5e-5)
     assert excess == pytest.approx(total - 0.4999921, abs=5e-5)
 
 
 def test_excess_occupation_is_odd(p100):
     for x in (0.5, 1.7, 3.0):
-        _, plus = conditional_occupation(x, p100)
-        _, minus = conditional_occupation(-x, p100)
+        plus = _at(p100, x, "excess_occupation")
+        minus = _at(p100, -x, "excess_occupation")
         assert plus == pytest.approx(-minus, abs=1e-7)
 
 
 def test_current_frozen_values(p100):
-    assert conditional_current(0.0, p100) == pytest.approx(
-        CURRENT_V100_X0, rel=1e-9
-    )
-    assert conditional_current(1.0, p100) == pytest.approx(
-        CURRENT_V100_X1, rel=1e-9
-    )
+    assert _at(p100, 0.0, "current") == pytest.approx(CURRENT_V100_X0, rel=1e-9)
+    assert _at(p100, 1.0, "current") == pytest.approx(CURRENT_V100_X1, rel=1e-9)
 
 
 def test_current_antisymmetric_under_bias_reversal(p100):
     for x in (0.0, 0.7):
-        assert conditional_current(x, p100.with_voltage(-100.0)) == pytest.approx(
-            -conditional_current(x, p100), rel=1e-9
+        assert _at(p100.with_voltage(-100.0), x, "current") == pytest.approx(
+            -_at(p100, x, "current"), rel=1e-9
         )
 
 
@@ -175,8 +175,8 @@ def test_current_mirror_symmetry(p100):
     # flipping the sign of the coupling mirrors the device in x
     flipped = dataclasses.replace(p100, coupling=-p100.coupling)
     for x in (0.4, 1.3):
-        assert conditional_current(x, flipped) == pytest.approx(
-            conditional_current(-x, p100), rel=1e-9
+        assert _at(flipped, x, "current") == pytest.approx(
+            _at(p100, -x, "current"), rel=1e-9
         )
 
 
@@ -184,20 +184,23 @@ def test_current_vanishes_at_zero_bias():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdiabaticityWarning)
         p0 = default_params(0.0)
-    assert conditional_current(0.8, p0) == pytest.approx(0.0, abs=1e-12)
+        # the table's zero-coupling baseline rebuilds p0, which warns again
+        current = _at(p0, 0.8, "current")
+    assert current == pytest.approx(0.0, abs=1e-12)
 
 
 def test_shot_noise_frozen_value_and_split(p50):
-    total = conditional_shot_noise(0.0, p50)
+    total = _at(p50, 0.0, "shot_noise")
     assert total == pytest.approx(SHOT_V50_X0, rel=1e-9)
-    thermal, partition = conditional_shot_noise(0.0, p50, split=True)
-    assert thermal >= 0.0 and partition >= 0.0
-    assert thermal + partition == pytest.approx(total, rel=1e-12)
+    # the column is the thermal plus the partition piece of one quadrature pass
+    _, _, thermal, partition, *_ = transport._family_batch([0.0], [0.0], p50)
+    assert thermal[0] >= 0.0 and partition[0] >= 0.0
+    assert thermal[0] + partition[0] == pytest.approx(total, rel=1e-12)
 
 
 def test_shot_noise_positive_across_positions(p100):
     for x in (-3.0, -0.5, 0.0, 1.5, 4.0):
-        assert conditional_shot_noise(x, p100) > 0.0
+        assert _at(p100, x, "shot_noise") > 0.0
 
 
 def test_charge_noise_frozen_values(p100):
@@ -316,7 +319,7 @@ WIDE = GridSpec(x_max=60.0, nodes=49)
 
 
 def test_spans_follow_level_shift_reach(monkeypatch, p100):
-    transport._baseline_occupation(p100, RTOL)  # warm: no pass of its own
+    transport._baseline_occupation(p100)  # warm: no pass of its own
     batches, calls = [], []
     batch = transport._family_batch
 
@@ -388,7 +391,7 @@ def test_table_matches_pointwise_evaluation(small_table, p100):
     assert small_table.column("friction")[i] == pytest.approx(gamma, rel=1e-12)
     assert small_table.column("diffusion")[i] == pytest.approx(diffusion, rel=1e-12)
     assert small_table.column("current")[i] == pytest.approx(
-        conditional_current(x, p100), rel=1e-12
+        _at(p100, x, "current"), rel=1e-12
     )
 
 
@@ -437,8 +440,7 @@ def test_table_load_rejects_corruption(tmp_path, small_table):
 
 def test_fingerprint_tracks_inputs(p100, p50):
     grid = np.linspace(-5, 5, 21)
-    base = table_fingerprint(p100, grid, 1e-8)
-    assert base == table_fingerprint(p100, grid, 1e-8)
-    assert base != table_fingerprint(p50, grid, 1e-8)
-    assert base != table_fingerprint(p100, grid * 1.001, 1e-8)
-    assert base != table_fingerprint(p100, grid, 1e-6)
+    base = table_fingerprint(p100, grid)
+    assert base == table_fingerprint(p100, grid)
+    assert base != table_fingerprint(p50, grid)
+    assert base != table_fingerprint(p100, grid * 1.001)
