@@ -56,10 +56,9 @@ def main(argv=None) -> int:
             params = default_params(voltage)
         grid = default_grid(params, nodes=args.nodes, threads=args.threads)
         table = build_coefficient_table(params, grid, threads=args.threads)
-        try:
-            radius = limit_cycle_amplitude(table, params)
-        except ValueError as err:
-            print(f"V={voltage:g}: no limit cycle ({err})")
+        radius = limit_cycle_amplitude(table, params)
+        if radius is None:
+            print(f"V={voltage:g}: no limit cycle (below threshold)")
             continue
         cycle = reduced_coefficients(table, params, radius)
         spread = math.sqrt(cycle.amplitude_variance)

@@ -12,12 +12,13 @@ sweep       repeat ``run`` across a list of voltages
 toymodel    sample one of the reduced toy processes
 
 Configs are strict, versioned JSON: unknown keys are errors at every level.
-``record_stride`` only thins the stored record.  ``ticks`` and ``analyze``
-read what ``simulate`` stored and refuse it (exit 2, "re-run simulate") when
-the config has since changed the coefficient table, the seed, the stride,
-the member or sample count, the sample spacing, the burn-in or the detection
-section; they never build or save a coefficient table, so a refusal leaves
-coeffs.npz as it was.
+``record_stride`` only thins the stored record.  ``simulate`` stores a
+provenance record in ensemble.npz: every field of the system, simulation and
+detection records the config builds, the grid section, and the hash of the
+coefficient table.  ``ticks`` and ``analyze`` build the same record from
+their config and refuse the first field that differs (exit 2, "re-run
+simulate"), then load coeffs.npz by the stored hash; they build no grid and
+no table, so a refusal leaves coeffs.npz as it was.
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no
 timestamps; a rerun with the same config and seed is bit-identical no matter
@@ -31,6 +32,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -296,47 +298,25 @@ def _sha256(path: Path) -> str:
 # ----------------------------------------------------------------- stages --
 
 
-def _cached_table(cfg, params, out: Path, threads: int):
-    """(grid_spec, table, note): the config's grid and the table coeffs.npz
-    holds for it, or None with note "missing", "stale" or "corrupt"."""
+def stage_coeffs(cfg, params, out: Path, threads: int):
+    """Build or reuse the coefficient table; returns (table, cache_note)."""
     g = cfg["grid"]
     if g["x_max"] is None:
         grid_spec = default_grid(params, nodes=int(g["nodes"]), threads=threads)
     else:
         grid_spec = GridSpec(x_max=float(g["x_max"]), nodes=int(g["nodes"]))
-    expected = table_fingerprint(params, grid_spec.positions())
     cache = out / "coeffs.npz"
-    if not cache.exists():
-        return grid_spec, None, "missing"
-    try:
-        return grid_spec, CoefficientTable.load(cache, expected_hash=expected), "hit"
-    except ValueError as exc:
-        return grid_spec, None, "stale" if "different parameters" in str(exc) else "corrupt"
-    except Exception:
-        return grid_spec, None, "corrupt"
-
-
-def stage_coeffs(cfg, params, out: Path, threads: int):
-    """Build or reuse the coefficient table; returns (table, cache_note)."""
-    grid_spec, table, note = _cached_table(cfg, params, out, threads)
-    if table is not None:
-        return table, note
+    note = "built"
+    if cache.exists():
+        expected = table_fingerprint(params, grid_spec.positions())
+        try:
+            return CoefficientTable.load(cache, expected_hash=expected), "hit"
+        except Exception as exc:
+            stale = "different parameters" in str(exc)
+            note = "rebuilt (stale)" if stale else "rebuilt (corrupt)"
     table = build_coefficient_table(params, grid_spec, threads=threads)
-    table.save(out / "coeffs.npz")
-    return table, "built" if note == "missing" else f"rebuilt ({note})"
-
-
-def stage_stored_table(cfg, params, out: Path, threads: int):
-    """The table ``simulate`` stored for this config; refuses (exit 2) rather
-    than build one, so a refused hand-off leaves coeffs.npz as it was."""
-    _, table, note = _cached_table(cfg, params, out, threads)
-    if table is None:
-        raise ConfigError(
-            f"coeffs.npz does not hold this config's coefficient table (cache "
-            f"{note}), so ensemble.npz may come from another operating point "
-            "or grid; re-run simulate"
-        )
-    return table
+    table.save(cache)
+    return table, note
 
 
 def _policy(cfg) -> DetectionPolicy:
@@ -347,6 +327,25 @@ def _policy(cfg) -> DetectionPolicy:
     )
 
 
+def _provenance(cfg, params, sim: SimConfig) -> dict:
+    """What an ensemble simulated for this config comes from, as JSON values:
+    the system, simulation and detection records and the grid section."""
+    g = cfg["grid"]
+    grid = {"x_max": None if g["x_max"] is None else float(g["x_max"]),
+            "nodes": int(g["nodes"])}
+    record = {"system": asdict(params), "grid": grid,
+              "simulation": asdict(sim), "detection": asdict(_policy(cfg))}
+    return json.loads(json.dumps(record))
+
+
+def _leaves(tree, prefix=""):
+    """(dotted key, value) for every leaf of a nested dict."""
+    if not isinstance(tree, dict):
+        return [(prefix, tree)]
+    return [leaf for key, value in tree.items()
+            for leaf in _leaves(value, f"{prefix}.{key}" if prefix else key)]
+
+
 def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     """Integrate the ensemble, detecting ticks and histogramming positions on
     every full-rate state; stores ensemble.npz and trajectory.csv."""
@@ -354,21 +353,18 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     times = corpus.trajectories[0].times
     xs = np.stack([t.positions for t in corpus.trajectories])
     vs = np.stack([t.velocities for t in corpus.trajectories])
+    record = {**_provenance(cfg, params, sim), "params_hash": table.params_hash}
     with open(out / "ensemble.npz", "wb") as fh:
         np.savez(
             fh,
             times=times,
             positions=xs,
             velocities=vs,
-            seed=np.array([sim.seed], dtype=np.int64),
-            burn_in=np.array([sim.burn_in]),
-            record_stride=np.array([sim.record_stride], dtype=np.int64),
+            provenance=np.frombuffer(json.dumps(record).encode(), dtype=np.uint8),
             tick_times=np.concatenate([ts.tick_times for ts in corpus.ticks]),
             tick_counts=np.array([len(ts) for ts in corpus.ticks], dtype=np.int64),
             position_density=corpus.position_density,
             position_count=np.array([corpus.position_count], dtype=np.int64),
-            level=np.array([corpus.policy.level]),
-            refractory=np.array([corpus.policy.refractory]),
         )
     _write_csv(
         out / "trajectory.csv",
@@ -378,41 +374,35 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     return corpus
 
 
-def _load_corpus(cfg, params, table, sim: SimConfig, out: Path) -> Corpus:
-    """The corpus ``simulate`` stored in ensemble.npz next to ``table`` (see
-    :func:`stage_stored_table`), checked against the config: the seed, the
-    stride, the member and sample counts, the sample spacing, the burn-in and
-    the detection policy."""
+def _load_corpus(cfg, params, sim: SimConfig, out: Path) -> Corpus:
+    """The corpus ``simulate`` stored in ensemble.npz, refused (exit 2) at the
+    first leaf of its provenance record that the config now sets otherwise,
+    or when coeffs.npz no longer holds the table it was simulated on."""
     with np.load(out / "ensemble.npz") as data:
         d = dict(data)
-    if "burn_in" not in d:
+    if "provenance" not in d:
         raise ValueError(
-            "ensemble.npz holds no burn_in (an older nemclock wrote it); "
-            "re-run simulate"
+            "ensemble.npz holds no provenance record (an older nemclock wrote "
+            "it); re-run simulate"
         )
-    times = d["times"]
-    spacing = sim.time_step * sim.record_stride
-    for name, found, wanted in (
-        ("seed", int(d["seed"][0]), sim.seed),
-        ("record_stride", int(d["record_stride"][0]), sim.record_stride),
-        ("members", d["positions"].shape[0], sim.ensemble_size),
-        ("samples per member", times.size, sim.recorded_samples),
-        ("sample spacing", float(times[1]) if times.size > 1 else spacing, spacing),
-        ("burn_in", float(d["burn_in"][0]), sim.burn_in),
-    ):
-        if found != wanted:
+    stored = json.loads(bytes(d["provenance"]).decode())
+    params_hash = stored.pop("params_hash")
+    held, asked = dict(_leaves(stored)), dict(_leaves(_provenance(cfg, params, sim)))
+    for key in dict.fromkeys([*asked, *held]):
+        if key not in held or key not in asked or held[key] != asked[key]:
             raise ConfigError(
-                f"ensemble.npz holds {name} {found!r}, the config asks for "
-                f"{wanted!r}; re-run simulate"
+                f"ensemble.npz holds {key} {held.get(key)!r}, the config asks "
+                f"for {asked.get(key)!r}; re-run simulate"
             )
-    policy = DetectionPolicy(
-        level=float(d["level"][0]), refractory=float(d["refractory"][0])
-    )
-    if _policy(cfg).resolve(table) != policy:
+    try:
+        table = CoefficientTable.load(out / "coeffs.npz", expected_hash=params_hash)
+    except (OSError, ValueError) as exc:
         raise ConfigError(
-            f"ensemble.npz was simulated with detection level {policy.level!r}, "
-            f"refractory {policy.refractory!r}, not as configured; re-run simulate"
-        )
+            f"coeffs.npz does not hold the table ensemble.npz was simulated on "
+            f"({exc}); re-run simulate"
+        ) from exc
+    times = d["times"]
+    policy = _policy(cfg).resolve(table)
     trajectories = tuple(
         Trajectory(times=times, positions=x, velocities=v, seed=sim.seed,
                    params_hash=table.params_hash, index=i)
@@ -446,8 +436,9 @@ def stage_ticks(corpus: Corpus, out: Path):
     return corpus.ticks
 
 
-def stage_analyze(cfg, corpus: Corpus, out: Path):
-    """Clock statistics from the stored ensemble; writes the report set."""
+def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
+    """Clock statistics from the stored ensemble; writes the report set and
+    returns the report.json payload."""
     params, table = corpus.params, corpus.table
     trajectories, tick_series = corpus.trajectories, corpus.ticks
     a = cfg["analysis"]
@@ -500,7 +491,6 @@ def stage_analyze(cfg, corpus: Corpus, out: Path):
         line_fwhm = line_loc = None
 
     entropy_tick = clockstats.entropy_per_tick(params, density, table, resolution)
-    entropy_rate = entropy_tick * resolution
 
     # The admissible window range is set by the sparsest member's tick span,
     # not the nominal recording length (the last tick lands short of the end).
@@ -527,27 +517,18 @@ def stage_analyze(cfg, corpus: Corpus, out: Path):
     info = _information_block(a, tick_series)
     _write_json(out / "info.json", info)
 
-    report = clockstats.ClockReport(
-        resolution=resolution,
-        accuracy=accuracy,
-        entropy_rate=entropy_rate,
-        entropy_per_tick=entropy_tick,
-        allan=tuple(allan),
-    )
-    _write_json(
-        out / "report.json",
-        {
-            "mean_wait": mean_wait,
-            "resolution": report.resolution,
-            "accuracy": report.accuracy,
-            "entropy_rate": report.entropy_rate,
-            "entropy_per_tick": report.entropy_per_tick,
-            "spectrum_peak": {"location": peak_loc, "height": peak_height},
-            "spectrum_fwhm": peak_width,
-            "linewidth_fit": {"fwhm": line_fwhm, "location": line_loc},
-            "tick_count": int(sum(len(ts) for ts in tick_series)),
-        },
-    )
+    report = {
+        "mean_wait": mean_wait,
+        "resolution": resolution,
+        "accuracy": accuracy,
+        "entropy_rate": entropy_tick * resolution,
+        "entropy_per_tick": entropy_tick,
+        "spectrum_peak": {"location": peak_loc, "height": peak_height},
+        "spectrum_fwhm": peak_width,
+        "linewidth_fit": {"fwhm": line_fwhm, "location": line_loc},
+        "tick_count": int(sum(len(ts) for ts in tick_series)),
+    }
+    _write_json(out / "report.json", report)
 
     if a["make_plots"]:
         line_plot(
@@ -700,25 +681,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_ticks(args) -> int:
     cfg, out, params, sim = _prepare(args)
-    with _stage("coeffs"):
-        table = stage_stored_table(cfg, params, out, args.threads)
     with _stage("ticks"):
-        series = stage_ticks(_load_corpus(cfg, params, table, sim, out), out)
+        series = stage_ticks(_load_corpus(cfg, params, sim, out), out)
     print(f"detected {sum(len(s) for s in series)} ticks")
     return 0
 
 
 def cmd_analyze(args) -> int:
     cfg, out, params, sim = _prepare(args)
-    with _stage("coeffs"):
-        table = stage_stored_table(cfg, params, out, args.threads)
     with _stage("analyze"):
-        corpus = _load_corpus(cfg, params, table, sim, out)
+        corpus = _load_corpus(cfg, params, sim, out)
         stage_ticks(corpus, out)
         report = stage_analyze(cfg, corpus, out)
     print(
-        f"accuracy {report.accuracy:.4g}, resolution {report.resolution:.4g}, "
-        f"entropy/tick {report.entropy_per_tick:.4g}"
+        f"accuracy {report['accuracy']:.4g}, resolution {report['resolution']:.4g}, "
+        f"entropy/tick {report['entropy_per_tick']:.4g}"
     )
     return 0
 
@@ -740,8 +717,8 @@ def cmd_run(args) -> int:
     cfg, out, params, sim = _prepare(args)
     report = _run_pipeline(cfg, out, params, sim, args.threads)
     print(
-        f"run complete: accuracy {report.accuracy:.4g}, "
-        f"resolution {report.resolution:.4g}"
+        f"run complete: accuracy {report['accuracy']:.4g}, "
+        f"resolution {report['resolution']:.4g}"
     )
     return 0
 
@@ -750,12 +727,15 @@ def cmd_sweep(args) -> int:
     cfg, out, params, sim = _prepare(args)
     if cfg["sweep"] is None:
         raise ConfigError("sweep subcommand needs a sweep section")
+    if cfg["system"]["left"] is not None:
+        raise ConfigError(
+            "sweep sets system.voltage, which explicit leads cannot take; "
+            "describe the device by the voltage shorthand"
+        )
     rows = []
     for voltage in cfg["sweep"]["voltages"]:
         sub_cfg = json.loads(json.dumps(cfg))
         sub_cfg["system"]["voltage"] = float(voltage)
-        sub_cfg["system"]["left"] = None
-        sub_cfg["system"]["right"] = None
         sub_cfg["sweep"] = None
         sub_params = build_params(sub_cfg)
         sub_out = out / f"V={voltage:g}"
@@ -764,13 +744,13 @@ def cmd_sweep(args) -> int:
         rows.append(
             (
                 float(voltage),
-                1.0 / report.resolution,
-                report.accuracy,
-                report.resolution,
-                report.entropy_per_tick,
+                1.0 / report["resolution"],
+                report["accuracy"],
+                report["resolution"],
+                report["entropy_per_tick"],
             )
         )
-        print(f"V={voltage:g} done: accuracy {report.accuracy:.4g}")
+        print(f"V={voltage:g} done: accuracy {report['accuracy']:.4g}")
     _write_csv(
         out / "summary.csv",
         ["voltage", "mean_wait", "accuracy", "resolution", "entropy_per_tick"],

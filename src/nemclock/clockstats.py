@@ -26,7 +26,6 @@ __all__ = [
     "CorrelationCurve",
     "Spectrum",
     "WtdFit",
-    "ClockReport",
     "autocorrelation",
     "power_spectrum",
     "spectrum_peak",
@@ -101,27 +100,6 @@ class WtdFit:
             raise ValueError("fitted mean must be > 0")
         if not self.variance > 0:
             raise ValueError("fitted variance must be > 0")
-
-
-@dataclass(frozen=True)
-class ClockReport:
-    """Headline clock metrics for one operating point."""
-
-    resolution: float
-    accuracy: float
-    entropy_rate: float
-    entropy_per_tick: float
-    allan: tuple
-
-    def __post_init__(self):
-        if not self.resolution > 0:
-            raise ValueError("resolution must be > 0")
-        if not self.accuracy > 0:
-            raise ValueError("accuracy must be > 0")
-        gap = abs(self.entropy_per_tick * self.resolution - self.entropy_rate)
-        scale = max(abs(self.entropy_rate), 1e-30)
-        if gap > 1e-9 * scale:
-            raise ValueError("entropy_per_tick and entropy_rate disagree")
 
 
 def _as_matrix(ensemble) -> np.ndarray:

@@ -28,7 +28,7 @@ import hashlib
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,18 +143,19 @@ def _window(params: SystemParams, pad: float = 0.0):
     return lo, hi, seeds
 
 
-def _family_batch(positions, omegas, params: SystemParams):
+def _family_batch(positions, omegas, params: SystemParams, force=None):
     """All transport integrals for a batch of positions in one adaptive pass.
 
     Returns (occupation, current, shot_thermal, shot_partition, slope,
     spectrum): ``slope`` is dS_x/domega at omega = 0 and spectrum has shape
     (len(omegas), len(positions)).  Components share one panel subdivision,
-    so the integrator refines for the worst of them.
+    so the integrator refines for the worst of them.  ``force`` overrides
+    ``params.force``.
     """
     xs = np.asarray(positions, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
     n_x, n_w = xs.size, omegas.size
-    force = params.force
+    force = params.force if force is None else force
     mu_l = params.left.chemical_potential
     mu_r = params.right.chemical_potential
     beta = params.inverse_temperature
@@ -225,8 +226,7 @@ def _family_batch(positions, omegas, params: SystemParams):
 @functools.lru_cache(maxsize=128)
 def _baseline_occupation(params: SystemParams) -> float:
     """Dot occupation with the electromechanical force removed."""
-    decoupled = replace(params, coupling=0.0)
-    occ, *_ = _family_batch([0.0], [], decoupled)
+    occ, *_ = _family_batch([0.0], [], params, force=0.0)
     return float(occ[0])
 
 

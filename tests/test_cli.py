@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nemclock import cli
+from nemclock import cli, pipeline, transport
 from nemclock.cli import ConfigError, build_params, load_config, stage_coeffs
 from nemclock.params import default_params, fingerprint
 from nemclock.transport import friction_and_diffusion
@@ -331,13 +331,18 @@ def test_ticks_after_detection_edit_needs_fresh_simulate(
 @pytest.mark.parametrize(
     "command, edit, flags, named",
     [
-        ("ticks", lambda c: None, ["--seed", "77"], "seed 9"),
-        ("analyze", lambda c: c["system"].update(voltage=6.0), [], "cache stale"),
+        ("ticks", lambda c: None, ["--seed", "77"], "simulation.seed 9"),
         (
             "analyze",
-            lambda c: c["simulation"].update(ensemble_size=2, burn_in=20.0 * math.pi),
+            lambda c: c["system"].update(voltage=6.0),
             [],
-            "members 4",
+            "system.left.chemical_potential 2.5",
+        ),
+        (
+            "analyze",
+            lambda c: c["simulation"].update(ensemble_size=2),
+            [],
+            "simulation.ensemble_size 4",
         ),
         (
             "ticks",
@@ -345,10 +350,19 @@ def test_ticks_after_detection_edit_needs_fresh_simulate(
                 burn_in=20.0 * math.pi, duration=220.0 * math.pi
             ),
             [],
-            "burn_in",
+            "simulation.burn_in",
+        ),
+        # one more step than a record_stride of 2 can show: the same samples
+        (
+            "ticks",
+            lambda c: c["simulation"].update(
+                duration=210.0 * math.pi + math.pi / 100.0
+            ),
+            [],
+            "simulation.duration",
         ),
     ],
-    ids=["seed", "voltage", "members", "burn_in"],
+    ids=["seed", "voltage", "members", "burn_in", "duration"],
 )
 def test_ensemble_from_another_config_needs_fresh_simulate(
     tmp_path, pipeline_config, capsys, command, edit, flags, named
@@ -381,6 +395,26 @@ def test_refused_hand_off_leaves_coefficient_cache(tmp_path, pipeline_config, ca
     assert (out / "coeffs.npz").read_bytes() == stored
 
 
+def test_hand_off_builds_no_grid_or_table(tmp_path, pipeline_config, monkeypatch):
+    payload = json.loads(json.dumps(pipeline_config))
+    payload["grid"] = {"nodes": 41}
+    cfg_path = _write(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    assert cli.main(["simulate", *base]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hand-off must not build a grid or a table")
+
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "default_grid", refuse)
+    for module in (cli, pipeline, transport):
+        monkeypatch.setattr(module, "build_coefficient_table", refuse)
+    assert cli.main(["ticks", *base]) == 0
+    assert cli.main(["analyze", *base]) == 0
+    assert (out / "report.json").exists()
+
+
 def test_ensemble_without_streamed_evidence_is_stage_failure(
     tmp_path, pipeline_config, capsys
 ):
@@ -388,10 +422,11 @@ def test_ensemble_without_streamed_evidence_is_stage_failure(
     out = tmp_path / "out"
     assert _run(cfg_path, out) == 0
     # the five arrays an ensemble.npz held before ticks were stored with it
-    old = ("times", "positions", "velocities", "seed", "record_stride")
     with np.load(out / "ensemble.npz") as data:
-        arrays = {name: data[name] for name in old}
-    np.savez(out / "ensemble.npz", **arrays)
+        arrays = {name: data[name] for name in ("times", "positions", "velocities")}
+    seed = np.array([pipeline_config["simulation"]["seed"]], dtype=np.int64)
+    stride = np.array([pipeline_config["simulation"]["record_stride"]], dtype=np.int64)
+    np.savez(out / "ensemble.npz", **arrays, seed=seed, record_stride=stride)
     base = ["--config", str(cfg_path), "--out", str(out)]
     for command in ("ticks", "analyze"):
         capsys.readouterr()
@@ -473,6 +508,24 @@ def test_sweep_runs_each_voltage(tmp_path, pipeline_config):
     # sweep without a sweep section is a configuration error
     bare = _write(tmp_path / "bare.json", _base_config())
     assert cli.main(["sweep", "--config", str(bare), "--out", str(out)]) == 2
+
+
+def test_sweep_refuses_explicit_leads(tmp_path, capsys):
+    lead = dict(band_center=2.5, bandwidth=5.0, peak_rate=10.0)
+    payload = {
+        "version": 1,
+        "system": {
+            "left": {**lead, "chemical_potential": 2.5},
+            "right": {**lead, "band_center": -2.5, "bandwidth": 2.0,
+                      "chemical_potential": -2.5},
+        },
+        "sweep": {"voltages": [5.0]},
+    }
+    cfg_path = _write(tmp_path / "sweep.json", payload)
+    out = tmp_path / "sweep_out"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "explicit leads" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 # ----------------------------------------------------------------- toymodel --

@@ -7,7 +7,6 @@ import pytest
 from scipy import stats as sstats
 
 from nemclock.clockstats import (
-    ClockReport,
     CorrelationCurve,
     EstimatorWarning,
     accuracy_resolution,
@@ -287,33 +286,6 @@ def test_entropy_per_tick_uniform_density():
         entropy_per_tick(params, density * 1.1, table, nu=2.0)
     with pytest.raises(ValueError, match="rate"):
         entropy_per_tick(params, density, table, nu=0.0)
-
-
-def test_clock_report_consistency():
-    report = ClockReport(
-        resolution=2.0,
-        accuracy=100.0,
-        entropy_rate=6.0,
-        entropy_per_tick=3.0,
-        allan=(),
-    )
-    assert report.entropy_per_tick * report.resolution == report.entropy_rate
-    with pytest.raises(ValueError, match="disagree"):
-        ClockReport(
-            resolution=2.0,
-            accuracy=100.0,
-            entropy_rate=6.0,
-            entropy_per_tick=2.9,
-            allan=(),
-        )
-    with pytest.raises(ValueError):
-        ClockReport(
-            resolution=-1.0,
-            accuracy=1.0,
-            entropy_rate=0.0,
-            entropy_per_tick=0.0,
-            allan=(),
-        )
 
 
 # --------------------------------------------------------------------- Allan --

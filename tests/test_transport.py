@@ -184,9 +184,19 @@ def test_current_vanishes_at_zero_bias():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdiabaticityWarning)
         p0 = default_params(0.0)
-        # the table's zero-coupling baseline rebuilds p0, which warns again
         current = _at(p0, 0.8, "current")
     assert current == pytest.approx(0.0, abs=1e-12)
+
+
+def test_table_build_repeats_no_adiabaticity_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p0 = default_params(0.0)
+        assert [w.category for w in caught] == [AdiabaticityWarning]
+        # the zero-coupling baseline is computed on a cold cache
+        transport._baseline_occupation.cache_clear()
+        build_coefficient_table(p0, [0.8])
+    assert len(caught) == 1
 
 
 def test_shot_noise_frozen_value_and_split(p50):
