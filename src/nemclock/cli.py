@@ -377,8 +377,12 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
 def _load_corpus(cfg, params, sim: SimConfig, out: Path) -> Corpus:
     """The corpus ``simulate`` stored in ensemble.npz, refused (exit 2) at the
     first leaf of its provenance record that the config now sets otherwise,
-    or when coeffs.npz no longer holds the table it was simulated on."""
-    with np.load(out / "ensemble.npz") as data:
+    when coeffs.npz no longer holds the table it was simulated on, or when
+    there is no ensemble.npz at all."""
+    path = out / "ensemble.npz"
+    if not path.is_file():
+        raise ConfigError(f"{path} does not exist; run simulate first")
+    with np.load(path) as data:
         d = dict(data)
     if "provenance" not in d:
         raise ValueError(

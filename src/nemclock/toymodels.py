@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import lfilter
 
 from .langevin import _stream, column_interpolant
 from .params import SystemParams
@@ -278,6 +277,8 @@ def _exact_ou_path(cycle: ReducedCycle, first: float, time_step: float, noise) -
     density, so the sampled path is distributed correctly at any step size
     (no Euler discretisation bias); one standard normal is consumed per step.
     """
+    from scipy.signal import lfilter
+
     rho = math.exp(-cycle.amplitude_damping * time_step)
     scale = math.sqrt(cycle.amplitude_variance * (1.0 - rho * rho))
     start = rho * (first - cycle.amplitude)

@@ -1,6 +1,7 @@
 """The public surface other code relies on: every exported name resolves,
 and every hook the traced benchmark patches exists."""
 import importlib
+import os
 import pkgutil
 import subprocess
 import sys
@@ -31,3 +32,19 @@ def test_benchmark_trace_hooks_exist():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_out_scipy_stats_and_signal():
+    # each CLI stage is a fresh process, so what `import nemclock.cli` loads
+    # is paid on every command; only `toymodel` needs scipy.signal
+    code = (
+        "import sys, nemclock.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Command-line pipeline: config validation, artifacts, determinism, caching."""
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ from nemclock import cli, pipeline, transport
 from nemclock.cli import ConfigError, build_params, load_config, stage_coeffs
 from nemclock.params import default_params, fingerprint
 from nemclock.transport import friction_and_diffusion
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 pytestmark = pytest.mark.filterwarnings("ignore::nemclock.params.AdiabaticityWarning")
 
@@ -380,6 +383,15 @@ def test_ensemble_from_another_config_needs_fresh_simulate(
     assert not (out / "ticks.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["ticks", "analyze"])
+def test_hand_off_without_simulate_is_config_error(tmp_path, pipeline_config, capsys, command):
+    out = tmp_path / "out"
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "ensemble.npz" in err and "run simulate first" in err
+
+
 def test_refused_hand_off_leaves_coefficient_cache(tmp_path, pipeline_config, capsys):
     out = tmp_path / "out"
     cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
@@ -606,6 +618,9 @@ def test_module_entrypoint_smoke(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
+        # the checkout's src first, so the subprocess finds the package uninstalled
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
     )
     assert result.returncode == 0
     assert "toymodel phase_diffusion" in result.stdout

@@ -235,6 +235,20 @@ def test_inverse_gaussian_fit_recovers_parameters():
     assert fit.ks_statistic < 0.02
 
 
+@pytest.mark.parametrize(
+    "size, ratio", [(100, 1e-3), (100, 1.0), (3000, 0.03), (3000, 0.5), (50000, 1e-3), (50000, 1.0)]
+)
+def test_inverse_gaussian_ks_statistic_equals_scipy(size, ratio):
+    # ratio = mean/shape; scipy.stats is the oracle, and the value must match bit for bit
+    mean = math.pi
+    samples = np.random.default_rng(size).wald(mean, mean / ratio, size)
+    fit = fit_inverse_gaussian(samples)
+    mu = samples.mean()
+    lam = 1.0 / (np.mean(1.0 / samples) - 1.0 / mu)
+    law = sstats.invgauss(mu / lam, scale=lam)
+    assert fit.ks_statistic == sstats.kstest(samples, law.cdf).statistic
+
+
 def test_inverse_gaussian_fit_validation():
     with pytest.raises(ValueError, match=">= 100"):
         fit_inverse_gaussian(np.ones(50))
