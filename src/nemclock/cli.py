@@ -12,13 +12,14 @@ sweep       repeat ``run`` across a list of voltages
 toymodel    sample one of the reduced toy processes
 
 Configs are strict, versioned JSON: unknown keys are errors at every level.
-``record_stride`` only thins the stored record.  ``simulate`` stores a
-provenance record in ensemble.npz: every field of the system, simulation and
-detection records the config builds, the grid section, and the hash of the
-coefficient table.  ``ticks`` and ``analyze`` build the same record from
-their config and refuse the first field that differs (exit 2, "re-run
-simulate"), then load coeffs.npz by the stored hash; they build no grid and
-no table, so a refusal leaves coeffs.npz as it was.
+``record_stride`` only thins the stored record, whose ``positions`` and
+``velocities`` in ensemble.npz hold one row per member.  With them
+``simulate`` stores a provenance record: every field of the system,
+simulation and detection records the config builds, the grid section, and
+the hash of the coefficient table.  ``ticks`` and ``analyze`` build the same
+record from their config and refuse the first field that differs (exit 2,
+"re-run simulate"), then load coeffs.npz by the stored hash; they build no
+grid and no table, so a refusal leaves coeffs.npz as it was.
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no
 timestamps; a rerun with the same config and seed is bit-identical no matter
@@ -156,6 +157,24 @@ _CYCLE_KEYS = dict(
 )
 
 
+def _finite(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _check_analysis(a: dict) -> None:
+    """Analysis values that can only be mistakes: a lag range that is not
+    positive, and counts that are not integers >= 1."""
+    if not (_finite(a["max_lag_periods"]) and a["max_lag_periods"] > 0):
+        raise ConfigError(
+            f"analysis.max_lag_periods must be a number > 0, not {a['max_lag_periods']!r}"
+        )
+    for key in ("allan_per_decade", "kl_orders", "mi_separations"):
+        counts = [a[key]] if key == "allan_per_decade" else a[key]
+        if not (isinstance(counts, (list, tuple))
+                and all(type(n) is int and n >= 1 for n in counts)):
+            raise ConfigError(f"analysis.{key} must hold integers >= 1, not {a[key]!r}")
+
+
 def load_config(path) -> dict:
     """Parse and validate a pipeline config, filling in defaults."""
     try:
@@ -203,10 +222,18 @@ def load_config(path) -> dict:
     cfg["simulation"] = _take(top["simulation"], "simulation", _SIM_KEYS)
     cfg["detection"] = _take(top["detection"], "detection", _DETECTION_KEYS)
     cfg["analysis"] = _take(top["analysis"], "analysis", _ANALYSIS_KEYS)
+    _check_analysis(cfg["analysis"])
     if cfg["sweep"] is not None:
         sweep = _take(cfg["sweep"], "sweep", dict(voltages=...))
-        if not sweep["voltages"]:
-            raise ConfigError("sweep.voltages must be a non-empty list")
+        voltages = sweep["voltages"]
+        if not (isinstance(voltages, list) and voltages and all(map(_finite, voltages))):
+            raise ConfigError(
+                f"sweep.voltages must be a non-empty list of numbers, not {voltages!r}"
+            )
+        labels = [f"V={v:g}" for v in voltages]
+        twice = sorted({label for label in labels if labels.count(label) > 1})
+        if twice:
+            raise ConfigError(f"sweep.voltages name the directory {', '.join(twice)} twice")
         cfg["sweep"] = sweep
     if cfg["toymodel"] is not None:
         toy = _take(cfg["toymodel"], "toymodel", _TOY_KEYS)
@@ -350,17 +377,15 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     """Integrate the ensemble, detecting ticks and histogramming positions on
     every full-rate state; stores ensemble.npz and trajectory.csv."""
     corpus = build_corpus(table, params, sim, policy=_policy(cfg), threads=threads)
-    times = corpus.trajectories[0].times
-    xs = np.stack([t.positions for t in corpus.trajectories])
-    vs = np.stack([t.velocities for t in corpus.trajectories])
-    record = {**_provenance(cfg, params, sim), "params_hash": table.params_hash}
+    rec = corpus.record
+    provenance = {**_provenance(cfg, params, sim), "params_hash": table.params_hash}
     with open(out / "ensemble.npz", "wb") as fh:
         np.savez(
             fh,
-            times=times,
-            positions=xs,
-            velocities=vs,
-            provenance=np.frombuffer(json.dumps(record).encode(), dtype=np.uint8),
+            times=rec.times,
+            positions=rec.positions,
+            velocities=rec.velocities,
+            provenance=np.frombuffer(json.dumps(provenance).encode(), dtype=np.uint8),
             tick_times=np.concatenate([ts.tick_times for ts in corpus.ticks]),
             tick_counts=np.array([len(ts) for ts in corpus.ticks], dtype=np.int64),
             position_density=corpus.position_density,
@@ -369,7 +394,7 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     _write_csv(
         out / "trajectory.csv",
         ["time", "position", "velocity"],
-        zip(times, xs[0], vs[0]),
+        zip(rec.times, rec.positions[0], rec.velocities[0]),
     )
     return corpus
 
@@ -405,23 +430,14 @@ def _load_corpus(cfg, params, sim: SimConfig, out: Path) -> Corpus:
             f"coeffs.npz does not hold the table ensemble.npz was simulated on "
             f"({exc}); re-run simulate"
         ) from exc
-    times = d["times"]
     policy = _policy(cfg).resolve(table)
-    trajectories = tuple(
-        Trajectory(times=times, positions=x, velocities=v, seed=sim.seed,
-                   params_hash=table.params_hash, index=i)
-        for i, (x, v) in enumerate(zip(d["positions"], d["velocities"]))
-    )
     members = np.split(d["tick_times"], np.cumsum(d["tick_counts"])[:-1])
-    ticks = tuple(
-        TickSeries(tick_times=t, detection_policy=policy, source=traj.fingerprint())
-        for t, traj in zip(members, trajectories)
-    )
     return Corpus(
-        params=params, table=table, sim=sim, policy=policy, ticks=ticks,
+        params=params, table=table, sim=sim, policy=policy,
+        ticks=tuple(TickSeries(t, policy) for t in members),
         position_density=d["position_density"],
         position_count=int(d["position_count"][0]),
-        trajectories=trajectories,
+        record=Trajectory(d["times"], d["positions"], d["velocities"]),
     )
 
 
@@ -444,9 +460,9 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     """Clock statistics from the stored ensemble; writes the report set and
     returns the report.json payload."""
     params, table = corpus.params, corpus.table
-    trajectories, tick_series = corpus.trajectories, corpus.ticks
+    tick_series = corpus.ticks
     a = cfg["analysis"]
-    dt_rec = trajectories[0].sample_spacing
+    dt_rec = corpus.record.sample_spacing
     w0 = params.oscillator_frequency
 
     waits = pooled_waiting_times(tick_series)
@@ -465,7 +481,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
         }
     _write_json(out / "wtd_fit.json", fit_payload or {"note": "too few waits"})
 
-    currents = np.stack([transduce(t, table) for t in trajectories])
+    currents = transduce(corpus.record, table)
     max_lag = min(
         currents.shape[1] // 2,
         int(round(a["max_lag_periods"] * 2.0 * math.pi / (w0 * dt_rec))),
@@ -504,7 +520,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
             raise ValueError("no member produced two ticks")
         span = min(float(ts.tick_times[-1]) for ts in usable)
         T_grid = clockstats.default_allan_grid(
-            mean_wait, span, per_decade=int(a["allan_per_decade"])
+            mean_wait, span, per_decade=a["allan_per_decade"]
         )
         allan = ensemble_allan(usable, mean_wait, T_grid)
     except ValueError:
@@ -589,7 +605,6 @@ def _information_block(a, tick_series) -> dict:
     if pooled.size >= 200:
         base = tickinfo.Histogram.from_samples(pooled)
         for n in a["kl_orders"]:
-            n = int(n)
             predicted = tickinfo.n_fold_convolution(base, n)
             sums = np.concatenate(
                 [
@@ -605,7 +620,6 @@ def _information_block(a, tick_series) -> dict:
     else:
         out["kl_orders"] = None
     for m in a["mi_separations"]:
-        m = int(m)
         values = [
             tickinfo.pairwise_mutual_information(w, m)
             for w in per_member
@@ -679,7 +693,7 @@ def cmd_simulate(args) -> int:
         table, _ = stage_coeffs(cfg, params, out, args.threads)
     with _stage("simulate"):
         corpus = stage_simulate(cfg, params, table, sim, out, args.threads)
-    print(f"simulated {len(corpus.trajectories)} members, {corpus.trajectories[0].times.size} samples each")
+    print("simulated {} members, {} samples each".format(*corpus.record.positions.shape))
     return 0
 
 

@@ -13,10 +13,11 @@ per unit time, which would swamp the physical |gamma| ~ 1e-4 here and break
 the step-halving convergence guarantee, while the ordered update is neutral
 to leading order.
 
-Randomness comes from one counter-based stream per trajectory, keyed by
-(seed, trajectory index), so ensembles are bit-identical under any worker
+Randomness comes from one counter-based stream per member, keyed by
+(seed, member index), so ensembles are bit-identical under any worker
 layout.  Each stream is consumed in a fixed pattern: two draws for the
 initial condition, then one standard-normal block per integration chunk.
+The recorded ensemble is one :class:`Trajectory` with a row per member.
 
 The per-step loop runs in a small C kernel, ``_stepper.c``, compiled on
 first use with ``/usr/bin/cc -O2 -ffp-contract=off`` and loaded through
@@ -112,29 +113,24 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One recorded path.  ``times`` restart at zero after the burn-in."""
+    """The recorded ensemble: ``times`` (n,) restart at zero after the
+    burn-in; ``positions`` and ``velocities`` (members, n) hold a row per member."""
 
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
-    seed: int
-    params_hash: str
-    index: int = 0
 
     @property
     def sample_spacing(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def fingerprint(self) -> str:
-        return f"{self.params_hash[:16]}:{self.seed}:{self.index}"
-
 
 class ExcursionError(RuntimeError):
-    """A trajectory left the tabulated grid (or went non-finite)."""
+    """A member left the tabulated grid (or went non-finite)."""
 
     def __init__(self, time: float, position: float, index: int):
         super().__init__(
-            f"trajectory {index} left the coefficient grid at "
+            f"member {index} left the coefficient grid at "
             f"t={time:.6g}, x={position:.6g}; enlarge the table range"
         )
         self.time = time
@@ -365,9 +361,10 @@ def run_ensemble(
 ):
     """Integrate an ensemble while consumers stream the full-rate states.
 
-    Returns (trajectories, consumers): one :class:`Trajectory` per member in
-    index order, and one consumer per factory.  Members run in fixed blocks
-    of ``BLOCK_SIZE`` indices, each with its own instance of every factory;
+    Returns (record, consumers): the recorded :class:`Trajectory` with one
+    row per member in index order, and one consumer per factory.  Members
+    run in fixed blocks of ``BLOCK_SIZE`` indices, each with its own
+    instance of every factory and each writing its own rows of the record;
     after the workers join, ``consumers[j]`` is factory j's first-block
     instance with the later blocks' instances merged into it, in block
     order, by ``absorb``.  The partition does not depend on ``threads``, so
@@ -378,30 +375,23 @@ def run_ensemble(
         for start in range(0, sim.ensemble_size, BLOCK_SIZE)
     ]
     consumers = [[f() for f in consumer_factories] for _ in blocks]
+    positions = np.empty((sim.ensemble_size, sim.recorded_samples))
+    velocities = np.empty_like(positions)
 
     def work(indices, block_consumers):
-        return _integrate_block(table, params, sim, indices, consumers=block_consumers)
+        times, positions[indices], velocities[indices] = _integrate_block(
+            table, params, sim, indices, consumers=block_consumers
+        )
+        return times
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(work, blocks, consumers))
+            times = list(pool.map(work, blocks, consumers))[0]
     else:
-        records = list(map(work, blocks, consumers))
+        times = list(map(work, blocks, consumers))[0]
 
-    trajectories = tuple(
-        Trajectory(
-            times=times,
-            positions=xs[row],
-            velocities=vs[row],
-            seed=sim.seed,
-            params_hash=table.params_hash,
-            index=idx,
-        )
-        for indices, (times, xs, vs) in zip(blocks, records)
-        for row, idx in enumerate(indices)
-    )
     merged = consumers[0]
     for later in consumers[1:]:
         for head, extra in zip(merged, later):
             head.absorb(extra)
-    return trajectories, tuple(merged)
+    return Trajectory(times, positions, velocities), tuple(merged)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clockstats import allan_variance
-from .langevin import SimConfig, column_interpolant, run_ensemble
+from .langevin import SimConfig, Trajectory, column_interpolant, run_ensemble
 from .params import SystemParams
 from .readout import DetectionPolicy, TickAccumulator, TickSeries
 from .toymodels import limit_cycle_amplitude, reduced_coefficients
@@ -110,7 +110,7 @@ class Corpus:
     ticks: tuple
     position_density: np.ndarray
     position_count: int
-    trajectories: tuple
+    record: Trajectory
     currents: tuple | None = None
     current_time_step: float | None = None
 
@@ -185,13 +185,13 @@ def build_corpus(
     current_stride: int | None = None,
     threads: int = 1,
 ) -> Corpus:
-    """Run one operating point and collect the recorded trajectories, ticks,
+    """Run one operating point and collect the recorded ensemble, ticks,
     the stationary position density on the table grid, and optionally
-    strided current series.
+    strided current series, one per member.
 
     Ticks, density and currents come from ``run_ensemble``'s merged
     consumers, so they see every full-rate state whatever ``record_stride``
-    is; the stride only thins the stored trajectories.
+    is; the stride only thins the record.
     """
     resolved = (policy or DetectionPolicy()).resolve(table)
     half = (table.grid[1] - table.grid[0]) / 2.0
@@ -205,28 +205,20 @@ def build_corpus(
         current = column_interpolant(table, "current")
         factories.append(lambda: SeriesAccumulator(current, current_stride))
 
-    trajectories, (ticks, hist, *series) = run_ensemble(
+    record, (ticks, hist, *series) = run_ensemble(
         table, params, sim, consumer_factories=factories, threads=threads
     )
+    members = range(sim.ensemble_size)
     return Corpus(
         params=params,
         table=table,
         sim=sim,
         policy=resolved,
-        ticks=tuple(
-            TickSeries(
-                tick_times=ticks.tick_times(traj.index),
-                detection_policy=resolved,
-                source=traj.fingerprint(),
-            )
-            for traj in trajectories
-        ),
+        ticks=tuple(TickSeries(ticks.tick_times(i), resolved) for i in members),
         position_density=hist.density(),
         position_count=hist.total,
-        trajectories=trajectories,
-        currents=(
-            tuple(series[0].series(t.index) for t in trajectories) if series else None
-        ),
+        record=record,
+        currents=tuple(series[0].series(i) for i in members) if series else None,
         current_time_step=sim.time_step * current_stride if series else None,
     )
 

@@ -1,10 +1,11 @@
 """Current transduction and tick extraction.
 
-The transduced current is maximal where the table's current column peaks, so
-a tick is registered whenever the position crosses that argmax level (in
-either direction); each crossing instant is refined by linear interpolation
-between the two straddling samples, and crossings inside the refractory
-window of the previous tick are discarded greedily.
+Both take the recorded ensemble, one :class:`Trajectory` with a row per
+member.  The transduced current is maximal where the table's current column
+peaks, so a tick is registered whenever the position crosses that argmax
+level (in either direction); each crossing instant is refined by linear
+interpolation between the two straddling samples, and crossings inside the
+refractory window of the previous tick are discarded greedily.
 """
 from __future__ import annotations
 
@@ -52,11 +53,10 @@ class DetectionPolicy:
 
 @dataclass(frozen=True, eq=False)
 class TickSeries:
-    """Strictly increasing tick times with their detection provenance."""
+    """One member's strictly increasing tick times, with their detection policy."""
 
     tick_times: np.ndarray
     detection_policy: DetectionPolicy
-    source: str
 
     def __post_init__(self):
         times = np.asarray(self.tick_times, dtype=float)
@@ -77,14 +77,16 @@ def current_level_maximum(table: CoefficientTable) -> float:
     return float(table.grid[int(np.argmax(table.column("current")))])
 
 
-def transduce(traj: Trajectory, table: CoefficientTable) -> np.ndarray:
-    """Current series I(t_i) along a trajectory, on its sampling grid."""
+def transduce(record: Trajectory, table: CoefficientTable) -> np.ndarray:
+    """Current series I(t_i) of every member, shape (members, n), on the
+    record's sampling grid; the first sample off the table grid raises."""
     lo, hi = table.grid[0], table.grid[-1]
-    xmin, xmax = float(np.min(traj.positions)), float(np.max(traj.positions))
-    if xmin < lo or xmax > hi:
-        worst = xmin if abs(xmin) > abs(xmax) else xmax
-        raise ExcursionError(time=float("nan"), position=worst, index=traj.index)
-    return np.asarray(column_interpolant(table, "current")(traj.positions))
+    outside = np.argwhere((record.positions < lo) | (record.positions > hi))
+    if outside.size:
+        row, col = outside[0]
+        x = float(record.positions[row, col])
+        raise ExcursionError(time=float(record.times[col]), position=x, index=int(row))
+    return np.asarray(column_interpolant(table, "current")(record.positions))
 
 
 class TickAccumulator:
@@ -132,26 +134,18 @@ class TickAccumulator:
 
 
 def detect_ticks(
-    traj: Trajectory,
+    record: Trajectory,
     table: CoefficientTable,
     policy: DetectionPolicy | None = None,
-) -> TickSeries:
-    """Extract the tick series of one trajectory.
+) -> tuple[TickSeries, ...]:
+    """Extract one tick series per member of the record, in row order.
 
     The crossing level defaults to the current-column argmax; ticks are
     crossings in both directions, trimmed by the refractory window.
     """
     resolved = (policy or DetectionPolicy()).resolve(table)
     acc = TickAccumulator(level=resolved.level, refractory=resolved.refractory)
-    if traj.positions.size:
-        acc.feed(
-            [traj.index],
-            float(traj.times[0]),
-            traj.sample_spacing,
-            traj.positions[None, :],
-        )
-    return TickSeries(
-        tick_times=acc.tick_times(traj.index),
-        detection_policy=resolved,
-        source=traj.fingerprint(),
-    )
+    rows = range(record.positions.shape[0])
+    if record.positions.size:
+        acc.feed(rows, float(record.times[0]), record.sample_spacing, record.positions)
+    return tuple(TickSeries(acc.tick_times(row), resolved) for row in rows)

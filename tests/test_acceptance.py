@@ -154,7 +154,7 @@ def test_allan_poisson_reference():
     rng = np.random.default_rng(2024)
     policy = nc.DetectionPolicy(level=0.0, refractory=0.0)
     ticks = [
-        nc.TickSeries(np.cumsum(rng.exponential(1.0, size=100_000)), policy, "poisson")
+        nc.TickSeries(np.cumsum(rng.exponential(1.0, size=100_000)), policy)
         for _ in range(16)
     ]
     windows = np.geomspace(300.0, 3000.0, 9)
@@ -357,9 +357,8 @@ def test_reduced_coefficients_match_simulation(corpus100):
     radius = nc.limit_cycle_amplitude(table, params)
     cycle = nc.reduced_coefficients(table, params, radius)
     w0 = params.oscillator_frequency
-    amplitudes = np.concatenate(
-        [np.sqrt(t.positions**2 + (t.velocities / w0) ** 2) for t in corpus.trajectories]
-    )
+    rec = corpus.record
+    amplitudes = np.sqrt(rec.positions**2 + (rec.velocities / w0) ** 2).ravel()
     hist = tickinfo.Histogram.from_samples(amplitudes)
     peak = float(hist.midpoints[np.argmax(hist.masses)])
     radius_err = abs(peak - radius) / radius

@@ -1,6 +1,7 @@
 """The public surface other code relies on: every exported name resolves,
 and every hook the traced benchmark patches exists."""
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -32,6 +33,40 @@ def test_benchmark_trace_hooks_exist():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_benchmark_runs_after_hooks_change_shape(tmp_path):
+    # the hooks exist by name above; here a traced `run` must also get through
+    # every wrapped layer and count each member-step once
+    config = {
+        "version": 1,
+        "system": {"voltage": 5.0},
+        "grid": {"nodes": 41},
+        "simulation": {"duration": 400.0, "ensemble_size": 3, "record_stride": 10},
+        "analysis": {"make_plots": True},
+    }
+    cfg, out = str(tmp_path / "cfg.json"), str(tmp_path / "out")
+    Path(cfg).write_text(json.dumps(config))
+    paths = [str(ROOT / "perfbench"), str(ROOT / "src")]
+    code = (
+        f"import json, sys; sys.path[:0] = {paths!r}\n"
+        "import layers\n"
+        "from spans import Tracer\n"
+        "from nemclock import cli\n"
+        "tracer = Tracer()\n"
+        "layers.instrument(tracer)\n"
+        f"code = cli.main(['run', '--config', {cfg!r}, '--out', {out!r}])\n"
+        "metrics, _ = layers.reduce(tracer.spans)\n"
+        f"sim = cli.build_sim(cli.load_config({cfg!r}))\n"
+        "print(json.dumps([code, metrics['langevin.member_steps'], sim.total_steps]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, member_steps, total_steps = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == 0, proc.stderr
+    assert member_steps == 3 * total_steps
 
 
 def test_cli_import_leaves_out_scipy_stats_and_signal():

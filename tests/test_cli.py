@@ -82,6 +82,15 @@ def test_config_defaults_fill_in(tmp_path):
             "need both",
         ),
         (lambda c: c.update(sweep={"voltages": []}), "non-empty"),
+        (lambda c: c.update(sweep={"voltages": "56"}), "numbers, not '56'"),
+        (lambda c: c.update(sweep={"voltages": 5}), "numbers, not 5"),
+        (lambda c: c.update(sweep={"voltages": [5, 5.0]}), "V=5 twice"),
+        (lambda c: c.update(sweep={"voltages": [100, 100.0000001]}), "V=100 twice"),
+        (lambda c: c.update(analysis={"max_lag_periods": -1}), "max_lag_periods"),
+        (lambda c: c.update(analysis={"kl_orders": [0]}), r"kl_orders .*\[0\]"),
+        (lambda c: c.update(analysis={"kl_orders": [2.5]}), r"kl_orders .*\[2.5\]"),
+        (lambda c: c.update(analysis={"mi_separations": [0]}), "mi_separations"),
+        (lambda c: c.update(analysis={"allan_per_decade": 0}), "allan_per_decade"),
         (
             lambda c: c.update(
                 toymodel={

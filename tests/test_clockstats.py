@@ -31,7 +31,6 @@ def _ticks(times, refractory=0.0):
     return TickSeries(
         tick_times=np.asarray(times, dtype=float),
         detection_policy=DetectionPolicy(level=0.0, refractory=refractory),
-        source="unit",
     )
 
 

@@ -51,9 +51,9 @@ def test_config_validation():
 
 def test_recording_grid(ou_table, params100):
     sim = _sim(4, burn=2, stride=7)
-    traj = run_ensemble(ou_table, params100, sim)[0][0]
+    traj = run_ensemble(ou_table, params100, sim)[0]
     n_expected = (sim.total_steps - sim.burn_steps) // 7 + 1
-    assert traj.times.shape == traj.positions.shape == traj.velocities.shape
+    assert traj.positions.shape == traj.velocities.shape == (1, traj.times.size)
     assert traj.times.size == n_expected
     assert traj.times[0] == 0.0
     assert traj.sample_spacing == pytest.approx(7 * sim.time_step)
@@ -62,11 +62,11 @@ def test_recording_grid(ou_table, params100):
 
 def test_determinism_same_seed(ou_table, params100):
     sim = _sim(5, seed=123)
-    a = run_ensemble(ou_table, params100, sim)[0][0]
-    b = run_ensemble(ou_table, params100, sim)[0][0]
+    a = run_ensemble(ou_table, params100, sim)[0]
+    b = run_ensemble(ou_table, params100, sim)[0]
     np.testing.assert_array_equal(a.positions, b.positions)
     np.testing.assert_array_equal(a.velocities, b.velocities)
-    c = run_ensemble(ou_table, params100, _sim(5, seed=124))[0][0]
+    c = run_ensemble(ou_table, params100, _sim(5, seed=124))[0]
     assert not np.array_equal(a.positions, c.positions)
 
 
@@ -74,14 +74,12 @@ def test_ensemble_members_are_distinct_and_thread_invariant(ou_table, params100)
     sim = _sim(3, seed=11, members=5)
     serial = run_ensemble(ou_table, params100, sim, threads=1)[0]
     threaded = run_ensemble(ou_table, params100, sim, threads=THREADS)[0]
-    assert len(serial) == len(threaded) == 5
-    for one, two in zip(serial, threaded):
-        assert one.index == two.index
-        np.testing.assert_array_equal(one.positions, two.positions)
-        np.testing.assert_array_equal(one.velocities, two.velocities)
-    fingerprints = {t.fingerprint() for t in serial}
-    assert len(fingerprints) == 5
-    assert not np.array_equal(serial[0].positions, serial[1].positions)
+    assert serial.positions.shape[0] == threaded.positions.shape[0] == 5
+    np.testing.assert_array_equal(serial.positions, threaded.positions)
+    np.testing.assert_array_equal(serial.velocities, threaded.velocities)
+    rows = {row.tobytes() for row in serial.positions}
+    assert len(rows) == 5
+    assert not np.array_equal(serial.positions[0], serial.positions[1])
 
 
 # ---------------------------------------------------------------- physics --
@@ -94,13 +92,14 @@ def test_symplectic_harmonic_motion(params100):
         np.linspace(-8.0, 8.0, 17), friction=0.0, diffusion=0.0, tag="harmonic"
     )
     sim = _sim(50, seed=3, dt=math.pi / 200)
-    traj = run_ensemble(table, params100, sim)[0][0]
-    x0, v0 = traj.positions[0], traj.velocities[0]
-    energy = 0.5 * traj.velocities**2 + 0.5 * traj.positions**2
+    traj = run_ensemble(table, params100, sim)[0]
+    x, v = traj.positions[0], traj.velocities[0]
+    x0, v0 = x[0], v[0]
+    energy = 0.5 * v**2 + 0.5 * x**2
     assert np.all(np.abs(energy / energy[0] - 1.0) < 0.02)
     exact = x0 * np.cos(traj.times) + v0 * np.sin(traj.times)
     amp = math.hypot(x0, v0)
-    assert np.max(np.abs(traj.positions - exact)) < 0.05 * amp
+    assert np.max(np.abs(x - exact)) < 0.05 * amp
 
 
 def test_ring_down_energy_monotone(params100):
@@ -108,12 +107,12 @@ def test_ring_down_energy_monotone(params100):
         np.linspace(-8.0, 8.0, 17), friction=0.1, diffusion=0.0, tag="damped"
     )
     sim = _sim(30, seed=5)
-    traj = run_ensemble(table, params100, sim)[0][0]
+    traj = run_ensemble(table, params100, sim)[0]
     period_samples = int(round(TWO_PI / traj.sample_spacing))
     boundaries = np.arange(0, traj.times.size, period_samples)
     energy = (
-        0.5 * traj.velocities[boundaries] ** 2
-        + 0.5 * traj.positions[boundaries] ** 2
+        0.5 * traj.velocities[0, boundaries] ** 2
+        + 0.5 * traj.positions[0, boundaries] ** 2
     )
     assert np.all(np.diff(energy) < 0.0)
 
@@ -122,10 +121,10 @@ def test_ou_stationary_variance(ou_table, params100):
     # constant friction 0.5 and diffusion 1.0: Var[x] = D/(2 m^2 gamma w0^2)
     sim = _sim(150, burn=10, seed=29, members=8)
     members = run_ensemble(ou_table, params100, sim, threads=THREADS)[0]
-    pooled = np.concatenate([t.positions for t in members])
+    pooled = members.positions.ravel()
     assert pooled.var() == pytest.approx(1.0, rel=0.02)
     # velocity variance matches the same stationary level: Var[v] = D/(2 m^2 gamma)
-    pooled_v = np.concatenate([t.velocities for t in members])
+    pooled_v = members.velocities.ravel()
     assert pooled_v.var() == pytest.approx(1.0, rel=0.02)
 
 
@@ -185,7 +184,7 @@ def test_thermal_equilibrium_statistics(params100):
     )
     sim = _sim(200, burn=20, seed=41, members=8)
     members = run_ensemble(table, params100, sim, threads=THREADS)[0]
-    pooled = np.concatenate([t.positions for t in members])
+    pooled = members.positions.ravel()
     # equipartition: Var[x] = 1/(beta m w0^2) = 10
     assert pooled.mean() == pytest.approx(0.0, abs=3.0 * 10.0 / math.sqrt(200.0))
     assert pooled.var() == pytest.approx(1.0 / beta, rel=0.05)
@@ -243,10 +242,10 @@ def _block(table, params, sim, indices, noise_source=None):
 
 
 def _ensemble(table, params, sim):
-    trajectories, consumers = run_ensemble(
+    record, consumers = run_ensemble(
         table, params, sim, consumer_factories=[_Recorder]
     )
-    paths = [(t.index, t.times, t.positions, t.velocities) for t in trajectories]
+    paths = (record.times, record.positions, record.velocities)
     (rec,) = consumers
     return paths, rec.calls
 

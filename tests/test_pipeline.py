@@ -168,11 +168,10 @@ def test_run_ensemble_thread_invariance(ou_table, params100):
     thread_traj, thread_cons = run_ensemble(
         ou_table, params100, sim, consumer_factories=[factory], threads=THREADS
     )
-    assert [t.index for t in serial_traj] == list(range(18))
-    for a, b in zip(serial_traj, thread_traj):
-        np.testing.assert_array_equal(a.positions, b.positions)
-        np.testing.assert_array_equal(a.velocities, b.velocities)
-        np.testing.assert_array_equal(a.times, b.times)
+    assert serial_traj.positions.shape == (18, sim.recorded_samples)
+    np.testing.assert_array_equal(serial_traj.positions, thread_traj.positions)
+    np.testing.assert_array_equal(serial_traj.velocities, thread_traj.velocities)
+    np.testing.assert_array_equal(serial_traj.times, thread_traj.times)
     # one consumer per factory, merged over both blocks (16 + 2 members)
     ((serial,), (threaded,)) = serial_cons, thread_cons
     np.testing.assert_array_equal(serial.counts, threaded.counts)
@@ -201,7 +200,7 @@ def test_build_corpus_fields(tick_table, params100):
     # default detection level resolves to the current maximum on the grid
     assert corpus.policy.level == current_level_maximum(tick_table) == 1.0
     assert len(corpus.ticks) == 18
-    assert len({t.source for t in corpus.ticks}) == 18
+    assert len({row.tobytes() for row in corpus.record.positions}) == 18
     assert all(t.detection_policy.level == 1.0 for t in corpus.ticks)
     assert sum(len(t) for t in corpus.ticks) > 100
 
@@ -212,10 +211,8 @@ def test_build_corpus_fields(tick_table, params100):
 
     assert corpus.current_time_step == pytest.approx(sim.time_step * 5)
     assert len(corpus.currents) == 18
-    assert [t.index for t in corpus.trajectories] == list(range(18))
-    assert [t.source for t in corpus.ticks] == [
-        t.fingerprint() for t in corpus.trajectories
-    ]
+    assert corpus.record.positions.shape == (18, sim.recorded_samples)
+    assert len(corpus.ticks) == corpus.record.positions.shape[0]
 
 
 def test_build_corpus_current_stride_slices_full_series(tick_table, params100):
@@ -246,8 +243,8 @@ def test_build_corpus_explicit_policy_and_trajectories(tick_table, params100):
     corpus = build_corpus(tick_table, params100, sim, policy=policy)
     assert corpus.policy.level == 0.5
     assert corpus.policy.refractory == 0.3
-    assert len(corpus.trajectories) == 3
-    assert [t.index for t in corpus.trajectories] == [0, 1, 2]
+    assert corpus.record.positions.shape == (3, sim.recorded_samples)
+    assert corpus.record.velocities.shape == (3, sim.recorded_samples)
     assert corpus.currents is None and corpus.current_time_step is None
 
 
@@ -256,8 +253,9 @@ def test_build_corpus_ticks_equal_batch_detection(tick_table, params100):
     sim = _short_sim(seed=11, ensemble=3, duration=1000.0, record_stride=1)
     corpus = build_corpus(tick_table, params100, sim)
     assert sim.total_steps > 4 * 4096
-    for ticks, traj in zip(corpus.ticks, corpus.trajectories):
-        batch = detect_ticks(traj, tick_table, corpus.policy)
+    batches = detect_ticks(corpus.record, tick_table, corpus.policy)
+    assert len(batches) == len(corpus.ticks) == 3
+    for ticks, batch in zip(corpus.ticks, batches):
         assert len(ticks) > 100
         np.testing.assert_array_equal(ticks.tick_times, batch.tick_times)
 
@@ -269,7 +267,6 @@ def _ticks(times) -> TickSeries:
     return TickSeries(
         tick_times=np.asarray(times, dtype=float),
         detection_policy=DetectionPolicy(level=0.0, refractory=0.1),
-        source="test",
     )
 
 

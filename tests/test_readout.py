@@ -20,16 +20,16 @@ from nemclock.readout import (
 TWO_PI = 2.0 * math.pi
 
 
-def _traj(times, positions, index=0):
+def _traj(times, *rows):
+    """A record with one row per position series, all on ``times``."""
     times = np.asarray(times, dtype=float)
-    positions = np.asarray(positions, dtype=float)
+    positions = np.array(rows, dtype=float)
     return Trajectory(
         times=times,
         positions=positions,
-        velocities=np.gradient(positions, times) if times.size > 1 else positions * 0.0,
-        seed=0,
-        params_hash="synthetic",
-        index=index,
+        velocities=(
+            np.gradient(positions, times, axis=1) if times.size > 1 else positions * 0.0
+        ),
     )
 
 
@@ -50,13 +50,13 @@ def test_policy_validation():
 def test_tick_series_validation():
     policy = DetectionPolicy(level=0.0, refractory=0.5)
     series = TickSeries(
-        tick_times=[0.0, 1.0, 2.5], detection_policy=policy, source="s"
+        tick_times=[0.0, 1.0, 2.5], detection_policy=policy
     )
     assert len(series) == 3
     with pytest.raises(ValueError, match="strictly increasing"):
-        TickSeries(tick_times=[0.0, 2.0, 1.0], detection_policy=policy, source="s")
+        TickSeries(tick_times=[0.0, 2.0, 1.0], detection_policy=policy)
     with pytest.raises(ValueError, match="refractory"):
-        TickSeries(tick_times=[0.0, 0.2], detection_policy=policy, source="s")
+        TickSeries(tick_times=[0.0, 0.2], detection_policy=policy)
 
 
 # -------------------------------------------------------------- crossings --
@@ -70,7 +70,7 @@ def _noise_free_table():
 
 def test_sinusoid_ticks_every_half_period():
     t, x = _sine()
-    series = detect_ticks(_traj(t, x), _noise_free_table(), DetectionPolicy(level=0.0))
+    (series,) = detect_ticks(_traj(t, x), _noise_free_table(), DetectionPolicy(level=0.0))
     # both-direction zero crossings of a sinusoid: one tick per half period
     waits = np.diff(series.tick_times)
     assert waits.size >= 38
@@ -82,9 +82,9 @@ def test_sinusoid_ticks_every_half_period():
 
 def test_refractory_window_thins_ticks():
     t, x = _sine()
-    base = detect_ticks(_traj(t, x), _noise_free_table(), DetectionPolicy(level=0.0))
+    (base,) = detect_ticks(_traj(t, x), _noise_free_table(), DetectionPolicy(level=0.0))
     # a dead time longer than the true half-period keeps every other crossing
-    thinned = detect_ticks(
+    (thinned,) = detect_ticks(
         _traj(t, x), _noise_free_table(), DetectionPolicy(level=0.0, refractory=1.2 * math.pi)
     )
     assert thinned.tick_times.size == pytest.approx(base.tick_times.size / 2, abs=1)
@@ -95,8 +95,8 @@ def test_small_jitter_does_not_split_ticks():
     t, x = _sine()
     rng = np.random.Generator(np.random.Philox(99))
     noisy = x + 1e-3 * rng.standard_normal(x.size)
-    clean = detect_ticks(_traj(t, x), _noise_free_table(), DetectionPolicy(level=0.0))
-    jittered = detect_ticks(
+    (clean,) = detect_ticks(_traj(t, x), _noise_free_table(), DetectionPolicy(level=0.0))
+    (jittered,) = detect_ticks(
         _traj(t, noisy), _noise_free_table(), DetectionPolicy(level=0.0)
     )
     assert jittered.tick_times.size == clean.tick_times.size
@@ -107,7 +107,7 @@ def test_crossing_interpolation_is_linear_between_samples():
     # a coarse saw-like signal with known crossing fractions
     times = np.array([0.0, 1.0, 2.0, 3.0])
     positions = np.array([-1.0, 3.0, -3.0, 1.0])
-    series = detect_ticks(
+    (series,) = detect_ticks(
         _traj(times, positions),
         _noise_free_table(),
         DetectionPolicy(level=0.0, refractory=0.0),
@@ -125,7 +125,7 @@ def test_default_level_resolves_to_current_argmax():
     )
     assert current_level_maximum(table) == 1.0
     t, x = _sine(amplitude=3.0)
-    series = detect_ticks(_traj(t, x), table)
+    (series,) = detect_ticks(_traj(t, x), table)
     assert series.detection_policy.level == 1.0
     # crossings of level 1 on a 3sin(t): sin = 1/3 upward and downward
     target = math.asin(1.0 / 3.0)
@@ -135,13 +135,27 @@ def test_default_level_resolves_to_current_argmax():
 
 def test_streaming_matches_batch():
     t, x = _sine(periods=13)
-    batch = detect_ticks(_traj(t, x), _noise_free_table(), DetectionPolicy(level=0.0))
+    (batch,) = detect_ticks(_traj(t, x), _noise_free_table(), DetectionPolicy(level=0.0))
     acc = TickAccumulator(level=0.0, refractory=DetectionPolicy().refractory)
     dt = t[1] - t[0]
     bounds = [0, 7, 100, 101, 350, 2000, 4001, x.size]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         acc.feed([4], t[lo], dt, x[None, lo:hi])
     np.testing.assert_array_equal(acc.tick_times(4), batch.tick_times)
+
+
+def test_detect_ticks_gives_each_row_its_own_series():
+    # one feed over three rows ticks each row as a record of that row alone
+    t, _ = _sine(periods=6)
+    rows = [np.sin(t + phase) for phase in (0.1, 1.9, 4.0)]
+    policy = DetectionPolicy(level=0.0)
+    together = detect_ticks(_traj(t, *rows), _noise_free_table(), policy)
+    assert len(together) == 3
+    for row, series in zip(rows, together):
+        (alone,) = detect_ticks(_traj(t, row), _noise_free_table(), policy)
+        assert len(series) >= 10
+        np.testing.assert_array_equal(series.tick_times, alone.tick_times)
+    assert not np.array_equal(together[0].tick_times, together[1].tick_times)
 
 
 def test_absorb_of_disjoint_blocks_equals_one_accumulator():
@@ -168,20 +182,17 @@ def test_absorb_of_disjoint_blocks_equals_one_accumulator():
 def test_empty_trajectory_yields_empty_series():
     traj = Trajectory(
         times=np.empty(0),
-        positions=np.empty(0),
-        velocities=np.empty(0),
-        seed=0,
-        params_hash="synthetic",
-        index=3,
+        positions=np.empty((1, 0)),
+        velocities=np.empty((1, 0)),
     )
-    series = detect_ticks(traj, _noise_free_table(), DetectionPolicy(level=0.0))
+    (series,) = detect_ticks(traj, _noise_free_table(), DetectionPolicy(level=0.0))
     assert len(series) == 0
     assert series.tick_times.size == 0
 
 
 def test_no_crossings_when_signal_stays_below_level():
     t = np.linspace(0.0, 10.0, 200)
-    series = detect_ticks(
+    (series,) = detect_ticks(
         _traj(t, 0.1 * np.sin(t)),
         _noise_free_table(),
         DetectionPolicy(level=2.0),
@@ -201,7 +212,7 @@ def test_transduce_interpolates_current_column():
         tag="tanh",
     )
     t, x = _sine(periods=3, amplitude=2.0)
-    signal = transduce(_traj(t, x), table)
+    (signal,) = transduce(_traj(t, x), table)
     reference = CubicSpline(table.grid, table.column("current"))(x)
     np.testing.assert_allclose(signal, reference, rtol=1e-12, atol=1e-12)
     # cubic interpolation of a smooth profile on a fine grid is accurate
@@ -213,7 +224,12 @@ def test_transduce_rejects_out_of_grid_positions():
         np.linspace(-1.0, 1.0, 11), friction=0.0, diffusion=0.0, tag="narrow"
     )
     t, x = _sine(periods=2, amplitude=3.0)
+    inside = [0.5 * np.sin(t + k) for k in range(7)]
     with pytest.raises(ExcursionError) as info:
-        transduce(_traj(t, x, index=7), table)
+        transduce(_traj(t, *inside, x), table)
     assert info.value.index == 7
     assert abs(info.value.position) > 1.0
+    # the first sample of member 7 off the grid, at its real time
+    first = int(np.argmax(np.abs(x) > 1.0))
+    assert info.value.time == t[first]
+    assert info.value.position == x[first]
