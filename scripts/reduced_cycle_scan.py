@@ -14,7 +14,7 @@ This is the theory-side companion to ``nemclock sweep``: everything here is
 deterministic quadrature, so it runs in minutes and has no sampling error.
 
 Example:
-    python scripts/reduced_cycle_scan.py --voltages 50 75 100 --threads 4
+    python scripts/reduced_cycle_scan.py --voltages 50 75 100
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--voltages", type=float, nargs="+", default=[50.0, 75.0, 100.0])
     parser.add_argument("--nodes", type=int, default=401, help="table grid nodes")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", type=Path, default=Path("reduced_cycle_scan.csv"))
     args = parser.parse_args(argv)
 
@@ -54,8 +53,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AdiabaticityWarning)
             params = default_params(voltage)
-        grid = default_grid(params, nodes=args.nodes, threads=args.threads)
-        table = build_coefficient_table(params, grid, threads=args.threads)
+        grid = default_grid(params, nodes=args.nodes)
+        table = build_coefficient_table(params, grid)
         radius = limit_cycle_amplitude(table, params)
         if radius is None:
             print(f"V={voltage:g}: no limit cycle (below threshold)")

@@ -53,8 +53,8 @@ def measure(voltage, *, burn, periods, ensemble, seed, lag_periods, threads):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdiabaticityWarning)
         params = default_params(voltage)
-    grid = default_grid(params, threads=threads)
-    table = build_coefficient_table(params, grid, threads=threads)
+    grid = default_grid(params)
+    table = build_coefficient_table(params, grid)
     sim = SimConfig(
         time_step=math.pi / 100.0,
         burn_in=burn * TWO_PI,

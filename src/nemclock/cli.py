@@ -20,6 +20,9 @@ the hash of the coefficient table.  ``ticks`` and ``analyze`` build the same
 record from their config and refuse the first field that differs (exit 2,
 "re-run simulate"), then load coeffs.npz by the stored hash; they build no
 grid and no table, so a refusal leaves coeffs.npz as it was.
+``--threads`` sets the stepper's worker threads; coefficient tables are
+built on the calling thread, because their quadrature is many small numpy
+operations that hold the GIL, so more threads only contend for it.
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no
 timestamps; a rerun with the same config and seed is bit-identical no matter
@@ -161,12 +164,32 @@ def _finite(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
-def _check_analysis(a: dict) -> None:
-    """Analysis values that can only be mistakes: a lag range that is not
-    positive, and counts that are not integers >= 1."""
+def _check_values(cfg: dict) -> None:
+    """Values that can only be mistakes: counts that are not integers, a
+    negative refractory window, a lag range that is not positive, a spectrum
+    window that is not 0 < low < high, and analysis counts that are not
+    integers >= 1."""
+    for section, key in (("simulation", "seed"), ("simulation", "ensemble_size"),
+                         ("simulation", "record_stride"), ("grid", "nodes")):
+        if type(cfg[section][key]) is not int:
+            raise ConfigError(
+                f"{section}.{key} must be an integer, not {cfg[section][key]!r}"
+            )
+    refractory = cfg["detection"]["refractory"]
+    if not (_finite(refractory) and refractory >= 0):
+        raise ConfigError(
+            f"detection.refractory must be a number >= 0, not {refractory!r}"
+        )
+    a = cfg["analysis"]
     if not (_finite(a["max_lag_periods"]) and a["max_lag_periods"] > 0):
         raise ConfigError(
             f"analysis.max_lag_periods must be a number > 0, not {a['max_lag_periods']!r}"
+        )
+    window = a["spectrum_window"]
+    if not (isinstance(window, (list, tuple)) and len(window) == 2
+            and all(map(_finite, window)) and 0 < window[0] < window[1]):
+        raise ConfigError(
+            f"analysis.spectrum_window must be two numbers 0 < low < high, not {window!r}"
         )
     for key in ("allan_per_decade", "kl_orders", "mi_separations"):
         counts = [a[key]] if key == "allan_per_decade" else a[key]
@@ -222,7 +245,7 @@ def load_config(path) -> dict:
     cfg["simulation"] = _take(top["simulation"], "simulation", _SIM_KEYS)
     cfg["detection"] = _take(top["detection"], "detection", _DETECTION_KEYS)
     cfg["analysis"] = _take(top["analysis"], "analysis", _ANALYSIS_KEYS)
-    _check_analysis(cfg["analysis"])
+    _check_values(cfg)
     if cfg["sweep"] is not None:
         sweep = _take(cfg["sweep"], "sweep", dict(voltages=...))
         voltages = sweep["voltages"]
@@ -278,15 +301,15 @@ def build_params(cfg: dict) -> SystemParams:
 
 def build_sim(cfg: dict, seed_override=None) -> SimConfig:
     s = cfg["simulation"]
-    seed = int(seed_override) if seed_override is not None else int(s["seed"])
+    seed = s["seed"] if seed_override is None else int(seed_override)
     try:
         return SimConfig(
             time_step=float(s["time_step"]),
             burn_in=float(s["burn_in"]),
             duration=float(s["duration"]),
             seed=seed,
-            ensemble_size=int(s["ensemble_size"]),
-            record_stride=int(s["record_stride"]),
+            ensemble_size=s["ensemble_size"],
+            record_stride=s["record_stride"],
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid simulation section: {exc}") from exc
@@ -325,13 +348,13 @@ def _sha256(path: Path) -> str:
 # ----------------------------------------------------------------- stages --
 
 
-def stage_coeffs(cfg, params, out: Path, threads: int):
+def stage_coeffs(cfg, params, out: Path):
     """Build or reuse the coefficient table; returns (table, cache_note)."""
     g = cfg["grid"]
     if g["x_max"] is None:
-        grid_spec = default_grid(params, nodes=int(g["nodes"]), threads=threads)
+        grid_spec = default_grid(params, nodes=g["nodes"])
     else:
-        grid_spec = GridSpec(x_max=float(g["x_max"]), nodes=int(g["nodes"]))
+        grid_spec = GridSpec(x_max=float(g["x_max"]), nodes=g["nodes"])
     cache = out / "coeffs.npz"
     note = "built"
     if cache.exists():
@@ -341,7 +364,7 @@ def stage_coeffs(cfg, params, out: Path, threads: int):
         except Exception as exc:
             stale = "different parameters" in str(exc)
             note = "rebuilt (stale)" if stale else "rebuilt (corrupt)"
-    table = build_coefficient_table(params, grid_spec, threads=threads)
+    table = build_coefficient_table(params, grid_spec)
     table.save(cache)
     return table, note
 
@@ -359,7 +382,7 @@ def _provenance(cfg, params, sim: SimConfig) -> dict:
     the system, simulation and detection records and the grid section."""
     g = cfg["grid"]
     grid = {"x_max": None if g["x_max"] is None else float(g["x_max"]),
-            "nodes": int(g["nodes"])}
+            "nodes": g["nodes"]}
     record = {"system": asdict(params), "grid": grid,
               "simulation": asdict(sim), "detection": asdict(_policy(cfg))}
     return json.loads(json.dumps(record))
@@ -653,10 +676,7 @@ def _write_manifest(out: Path, cfg, sim: SimConfig, params, cache_note, extra=No
 
 def _check_record_resolves_spectrum(cfg, params, sim: SimConfig) -> None:
     """The stored record's Nyquist frequency must exceed the spectrum window."""
-    try:
-        top = float(cfg["analysis"]["spectrum_window"][1]) * params.oscillator_frequency
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"analysis.spectrum_window needs two numbers: {exc}") from exc
+    top = cfg["analysis"]["spectrum_window"][1] * params.oscillator_frequency
     if math.pi / (sim.time_step * sim.record_stride) > top:
         return
     largest = math.ceil(math.pi / (sim.time_step * top)) - 1
@@ -682,7 +702,7 @@ def _prepare(args):
 def cmd_coeffs(args) -> int:
     cfg, out, params, sim = _prepare(args)
     with _stage("coeffs"):
-        table, note = stage_coeffs(cfg, params, out, args.threads)
+        table, note = stage_coeffs(cfg, params, out)
     print(f"coefficient table: {table.grid.size} nodes, cache {note}")
     return 0
 
@@ -690,7 +710,7 @@ def cmd_coeffs(args) -> int:
 def cmd_simulate(args) -> int:
     cfg, out, params, sim = _prepare(args)
     with _stage("coeffs"):
-        table, _ = stage_coeffs(cfg, params, out, args.threads)
+        table, _ = stage_coeffs(cfg, params, out)
     with _stage("simulate"):
         corpus = stage_simulate(cfg, params, table, sim, out, args.threads)
     print("simulated {} members, {} samples each".format(*corpus.record.positions.shape))
@@ -720,7 +740,7 @@ def cmd_analyze(args) -> int:
 
 def _run_pipeline(cfg, out: Path, params, sim, threads: int):
     with _stage("coeffs"):
-        table, note = stage_coeffs(cfg, params, out, threads)
+        table, note = stage_coeffs(cfg, params, out)
     with _stage("simulate"):
         corpus = stage_simulate(cfg, params, table, sim, out, threads)
     with _stage("ticks"):
@@ -847,7 +867,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=int, default=1, help="stepper threads")
         p.add_argument("--out", default="nemclock_out", help="output directory")
         p.set_defaults(handler=handler)
     return parser

@@ -139,6 +139,8 @@ def default_grid(
     limit cycle and the grid spans the larger of 1.5 amplitudes and the
     amplitude plus eight standard deviations of its fluctuations, so
     excursions past the edge are astronomically unlikely over long runs.
+    The probe table is built on the calling thread; ``threads`` has no
+    effect (see :func:`~nemclock.transport.build_coefficient_table`).
     """
     if params.force == 0.0:
         return GridSpec(x_max=10.0 * _thermal_spread(params), nodes=nodes)
@@ -165,7 +167,7 @@ def default_grid(
         + abs(params.dot_energy)
     ) / abs(params.force)
     probe = build_coefficient_table(
-        params, GridSpec(x_max=probe_span, nodes=PROBE_NODES), threads=threads
+        params, GridSpec(x_max=probe_span, nodes=PROBE_NODES)
     )
     amplitude = limit_cycle_amplitude(probe, params)
     if amplitude is None:

@@ -27,7 +27,6 @@ import functools
 import hashlib
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +192,10 @@ def _family_batch(positions, omegas, params: SystemParams, force=None):
             sigma_less * (dg2 * w_more + g2 * dw_more) * (force**2 / (2.0 * np.pi)),
         ]
         for w in omegas:
+            if w == 0.0:
+                # energy + 0 == energy, so the row reuses g2 and w_more
+                rows.append(sigma_less * (g2 * w_more) * (force**2 / (2.0 * np.pi)))
+                continue
             shifted = energy + w
             ks = spectral_density(shifted, params.left)
             kt = spectral_density(shifted, params.right)
@@ -392,9 +395,10 @@ def build_coefficient_table(
 
     ``grid_spec`` is a :class:`GridSpec` or an explicit strictly increasing
     array of positions.  Work is split into contiguous spans sized by the
-    level shift they cover (see :func:`_spans`); with ``threads > 1`` the
-    spans run on a pool but land in preallocated slots, so the result is
-    identical for any thread count.
+    level shift they cover (see :func:`_spans`), computed one after another
+    on the calling thread.  ``threads`` has no effect: each span is an
+    adaptive quadrature over many small numpy operations that hold the GIL,
+    so a pool only adds contention.
     """
     if isinstance(grid_spec, GridSpec):
         grid = grid_spec.positions()
@@ -406,23 +410,13 @@ def build_coefficient_table(
     cols = {name: np.empty_like(grid) for name in COLUMNS}
     baseline = _baseline_occupation(params)
 
-    def work(span):
-        lo, hi = span
-        xs = grid[lo:hi]
-        o, c, th, pa, slope, spec = _family_batch(xs, [0.0], params)
+    for lo, hi in _spans(grid, params):
+        o, c, th, pa, slope, spec = _family_batch(grid[lo:hi], [0.0], params)
         cols["excess_occupation"][lo:hi] = o - baseline
         cols["current"][lo:hi] = c
         cols["shot_noise"][lo:hi] = th + pa
         cols["friction"][lo:hi] = slope / params.oscillator_mass
         cols["diffusion"][lo:hi] = np.maximum(spec[0], 0.0)
-
-    spans = _spans(grid, params)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
-    else:
-        for span in spans:
-            work(span)
 
     stacked = np.stack([cols[name] for name in COLUMNS])
     if not np.all(np.isfinite(stacked)):

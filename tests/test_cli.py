@@ -91,6 +91,17 @@ def test_config_defaults_fill_in(tmp_path):
         (lambda c: c.update(analysis={"kl_orders": [2.5]}), r"kl_orders .*\[2.5\]"),
         (lambda c: c.update(analysis={"mi_separations": [0]}), "mi_separations"),
         (lambda c: c.update(analysis={"allan_per_decade": 0}), "allan_per_decade"),
+        (lambda c: c.update(detection={"refractory": -1}), r"refractory .*-1"),
+        (lambda c: c.update(detection={"refractory": float("nan")}), "refractory"),
+        (lambda c: c.update(analysis={"spectrum_window": [2.4, 1.6]}), "spectrum_window"),
+        (lambda c: c.update(analysis={"spectrum_window": [0, 2.4]}), "spectrum_window"),
+        (lambda c: c.update(analysis={"spectrum_window": [1.6]}), "spectrum_window"),
+        (lambda c: c.update(analysis={"spectrum_window": ["1.6", 2.4]}), "spectrum_window"),
+        (lambda c: c.update(simulation={"seed": 1.5}), r"seed .*1\.5"),
+        (lambda c: c.update(simulation={"ensemble_size": 2.5}), r"ensemble_size .*2\.5"),
+        (lambda c: c.update(simulation={"record_stride": 2.0}), "record_stride"),
+        (lambda c: c.update(simulation={"seed": True}), "seed"),
+        (lambda c: c.update(grid={"nodes": 41.7}), r"nodes .*41\.7"),
         (
             lambda c: c.update(
                 toymodel={
@@ -487,20 +498,20 @@ def test_coefficient_cache_notes(tmp_path, pipeline_config):
     params = build_params(cfg)
     out = tmp_path / "out"
     out.mkdir()
-    _, note = stage_coeffs(cfg, params, out, threads=2)
+    _, note = stage_coeffs(cfg, params, out)
     assert note == "built"
-    _, note = stage_coeffs(cfg, params, out, threads=2)
+    _, note = stage_coeffs(cfg, params, out)
     assert note == "hit"
 
     # same file, different operating point: the fingerprint protects the reuse
     other = json.loads(json.dumps(pipeline_config))
     other["system"]["voltage"] = 6.0
     cfg6 = load_config(_write(tmp_path / "cfg6.json", other))
-    _, note = stage_coeffs(cfg6, build_params(cfg6), out, threads=2)
+    _, note = stage_coeffs(cfg6, build_params(cfg6), out)
     assert note == "rebuilt (stale)"
 
     (out / "coeffs.npz").write_bytes(b"not an archive")
-    _, note = stage_coeffs(cfg6, build_params(cfg6), out, threads=2)
+    _, note = stage_coeffs(cfg6, build_params(cfg6), out)
     assert note == "rebuilt (corrupt)"
 
 

@@ -286,10 +286,10 @@ def test_friction_matches_spectrum_slope(voltage, x):
     def central(k):
         upper = charge_noise_spectrum(x, k, params)
         lower = charge_noise_spectrum(x, -k, params)
-        return (upper - lower) / (2.0 * k), max(upper, lower)
+        return (upper - lower) / (2.0 * k), max(upper, lower), (upper + lower) / 2.0
 
-    coarse, s_coarse = central(h)
-    fine, s_fine = central(h / 2)
+    coarse, s_coarse, even_coarse = central(h)
+    fine, s_fine, even_fine = central(h / 2)
     richardson = (4.0 * fine - coarse) / 3.0
     slope = friction_and_diffusion(x, params)[0] * params.oscillator_mass
     # Each S value carries a quadrature error of at most RTOL * S, so a
@@ -300,6 +300,13 @@ def test_friction_matches_spectrum_slope(voltage, x):
     s_max = max(s_coarse, s_fine)
     bound = 3.0 * RTOL * s_max / h + RTOL * abs(slope)
     assert abs(slope - richardson) <= bound
+    # The omega = 0 row reuses the integrand's unshifted factors; the even
+    # part (S(k) + S(-k))/2 = S(0) + O(k^2) comes from the shifted-energy
+    # path.  Its Richardson limit met S(0) within 1.6e-10 relative at these
+    # six points (the largest at V = 100, x = 22; 1.5e-12 at x = 0), while
+    # the even part at k = h/2 alone is off by up to 6e-6.
+    limit = (4.0 * even_fine - even_coarse) / 3.0
+    assert charge_noise_spectrum(x, 0.0, params) == pytest.approx(limit, rel=1e-9)
 
 
 def test_one_quadrature_pass(monkeypatch, p100):
