@@ -260,6 +260,8 @@ def load_config(path) -> dict:
         cfg["sweep"] = sweep
     if cfg["toymodel"] is not None:
         toy = _take(cfg["toymodel"], "toymodel", _TOY_KEYS)
+        if type(toy["seed"]) is not int:
+            raise ConfigError(f"toymodel.seed must be an integer, not {toy['seed']!r}")
         if toy["cycle"] is not None:
             toy["cycle"] = _take(toy["cycle"], "toymodel.cycle", _CYCLE_KEYS)
         cfg["toymodel"] = toy
@@ -318,17 +320,28 @@ def build_sim(cfg: dict, seed_override=None) -> SimConfig:
 # -------------------------------------------------------------- artifacts --
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+_CSV_CHUNK = 1024  # rows formatted per write, so no full-size value list
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length 1-D ``columns`` under ``header``: a float as
+    ``repr(float(v))``, the shortest text that reads back to the same
+    double, and an integer as ``str``.  Each chunk of rows is one ``%r``
+    format over the columns' ``.tolist()`` values."""
+    columns = [np.asarray(c) for c in columns]
+    n_rows = columns[0].shape[0]
+    if any(c.shape != (n_rows,) for c in columns):
+        raise ValueError("CSV columns must be 1-D and of equal length")
+    width = len(columns)
+    row = ",".join(["%r"] * width) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, n_rows, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, n_rows)
+            values = [None] * ((stop - start) * width)
+            for j, c in enumerate(columns):
+                values[j::width] = c[start:stop].tolist()
+            fh.write((row * (stop - start)) % tuple(values))
 
 
 def _write_json(path, payload) -> None:
@@ -417,7 +430,7 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     _write_csv(
         out / "trajectory.csv",
         ["time", "position", "velocity"],
-        zip(rec.times, rec.positions[0], rec.velocities[0]),
+        [rec.times, rec.positions[0], rec.velocities[0]],
     )
     return corpus
 
@@ -466,14 +479,21 @@ def _load_corpus(cfg, params, sim: SimConfig, out: Path) -> Corpus:
 
 def stage_ticks(corpus: Corpus, out: Path):
     """Stores the ticks detected while simulating as ticks.csv and ticks.json."""
-    rows = [(i, t) for i, ts in enumerate(corpus.ticks) for t in ts.tick_times]
-    _write_csv(out / "ticks.csv", ["member", "tick_time"], rows)
+    counts = [len(ts) for ts in corpus.ticks]
+    _write_csv(
+        out / "ticks.csv",
+        ["member", "tick_time"],
+        [
+            np.repeat(np.arange(len(counts)), counts),
+            np.concatenate([ts.tick_times for ts in corpus.ticks]),
+        ],
+    )
     _write_json(
         out / "ticks.json",
         {
             "level": corpus.policy.level,
             "refractory": corpus.policy.refractory,
-            "counts": [len(ts) for ts in corpus.ticks],
+            "counts": counts,
         },
     )
     return corpus.ticks
@@ -491,7 +511,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     waits = pooled_waiting_times(tick_series)
     mean_wait = float(waits.mean())
     accuracy, resolution = clockstats.accuracy_resolution(waits)
-    _write_csv(out / "wtd.csv", ["wait"], ((w,) for w in waits))
+    _write_csv(out / "wtd.csv", ["wait"], [waits])
 
     fit_payload = None
     if waits.size >= 100 and np.var(waits) > 0:
@@ -511,7 +531,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     )
     curve = clockstats.autocorrelation(currents, dt_rec, max_lag=max_lag)
     _write_csv(
-        out / "autocorrelation.csv", ["lag", "value"], zip(curve.lags, curve.values)
+        out / "autocorrelation.csv", ["lag", "value"], [curve.lags, curve.values]
     )
 
     density = corpus.position_density
@@ -520,7 +540,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     _write_csv(
         out / "spectrum.csv",
         ["omega", "power"],
-        zip(spectrum.frequencies, spectrum.values),
+        [spectrum.frequencies, spectrum.values],
     )
     window = tuple(float(v) * w0 for v in a["spectrum_window"])
     peak_loc, peak_height = clockstats.spectrum_peak(spectrum, window)
@@ -548,13 +568,13 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
         allan = ensemble_allan(usable, mean_wait, T_grid)
     except ValueError:
         allan = []
-    renewal = [
-        clockstats.renewal_allan_asymptote(mean_wait, accuracy, T) for T, _ in allan
-    ]
+    T = np.array([row[0] for row in allan])
+    val = np.array([row[1] for row in allan])
+    renewal = np.array(
+        [clockstats.renewal_allan_asymptote(mean_wait, accuracy, t) for t, _ in allan]
+    )
     _write_csv(
-        out / "allan.csv",
-        ["window", "allan_variance", "renewal"],
-        ((T, val, r) for (T, val), r in zip(allan, renewal)),
+        out / "allan.csv", ["window", "allan_variance", "renewal"], [T, val, renewal]
     )
 
     info = _information_block(a, tick_series)
@@ -590,14 +610,12 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
             y_label="C",
         )
         if allan:
-            T = np.array([row[0] for row in allan])
-            val = np.array([row[1] for row in allan])
             keep = val > 0
             line_plot(
                 out / "allan.svg",
                 [
                     ("measured", T[keep], val[keep]),
-                    ("renewal", T, np.array(renewal)),
+                    ("renewal", T, renewal),
                 ],
                 title="Allan variance",
                 x_label="window",
@@ -792,7 +810,7 @@ def cmd_sweep(args) -> int:
     _write_csv(
         out / "summary.csv",
         ["voltage", "mean_wait", "accuracy", "resolution", "entropy_per_tick"],
-        rows,
+        list(zip(*rows)),
     )
     _write_manifest(out, cfg, sim, params, "per-voltage", extra={"kind": "sweep"})
     return 0
@@ -805,7 +823,7 @@ def cmd_toymodel(args) -> int:
     toy = cfg["toymodel"]
     if toy is None:
         raise ConfigError("toymodel subcommand needs a toymodel section")
-    seed = int(args.seed) if args.seed is not None else int(toy["seed"])
+    seed = toy["seed"] if args.seed is None else args.seed
 
     def need_cycle():
         if toy["cycle"] is None:
@@ -840,7 +858,7 @@ def cmd_toymodel(args) -> int:
             seed,
             frequency=float(toy["frequency"]),
         )
-        _write_csv(out / "toymodel.csv", ["time", "value"], zip(times, series))
+        _write_csv(out / "toymodel.csv", ["time", "value"], [times, series])
     print(f"toymodel {kind}: {times.size} samples")
     return 0
 

@@ -220,6 +220,43 @@ def spectrum_fwhm(spec: Spectrum, omega_window) -> float:
     return float(wr - wl)
 
 
+def _profile_scan(tau, y, gammas, omegas):
+    """``(gamma, omega, alpha, beta)`` of the grid point whose damped cosine
+    ``exp(-gamma*tau/2) * (alpha*cos(omega*tau) + beta*sin(omega*tau))``
+    fits ``y`` best, or None when no point has a finite cost.
+
+    Amplitude and phase enter linearly, so each point solves them exactly
+    and scores its profiled residual.  The point kept is the first least
+    cost in gamma-major order, the one a strict ``<`` scan over gamma, then
+    omega, keeps.  Each envelope is computed once and each cos/sin pair
+    once per omega, and only one pair is held at a time.
+    """
+    envs = [np.exp(-0.5 * g * tau) for g in gammas]
+    costs = np.full((gammas.size, omegas.size), math.inf)
+    amps = np.zeros(costs.shape + (2,))
+    for j, w in enumerate(omegas):
+        cos_w, sin_w = np.cos(w * tau), np.sin(w * tau)
+        for i, env in enumerate(envs):
+            c = env * cos_w
+            s = env * sin_w
+            g11, g12, g22 = c @ c, c @ s, s @ s
+            r1, r2 = c @ y, s @ y
+            det = g11 * g22 - g12 * g12
+            if det <= 0.0:
+                continue
+            alpha = (g22 * r1 - g12 * r2) / det
+            beta = (g11 * r2 - g12 * r1) / det
+            resid = y - alpha * c - beta * s
+            costs[i, j] = resid @ resid
+            amps[i, j] = alpha, beta
+    # argmin takes the first least cost in C order; a NaN never wins a strict <
+    k = np.argmin(np.where(costs < math.inf, costs, math.inf))
+    i, j = divmod(int(k), omegas.size)
+    if not costs[i, j] < math.inf:
+        return None
+    return gammas[i], omegas[j], amps[i, j, 0], amps[i, j, 1]
+
+
 def linewidth_fit(curve: CorrelationCurve, omega_seed: float) -> tuple[float, float]:
     """Lorentzian-core linewidth of a spectral peak, fitted in the lag domain.
 
@@ -261,31 +298,12 @@ def linewidth_fit(curve: CorrelationCurve, omega_seed: float) -> tuple[float, fl
     tau_max = float(curve.lags[-1])
     tau_span = float(tau[-1] - tau[0])
 
-    def profiled(gamma, omega):
-        # amplitude and phase enter linearly: solve them exactly, scan the rest
-        env = np.exp(-0.5 * gamma * tau)
-        c = env * np.cos(omega * tau)
-        s = env * np.sin(omega * tau)
-        g11, g12, g22 = c @ c, c @ s, s @ s
-        r1, r2 = c @ y, s @ y
-        det = g11 * g22 - g12 * g12
-        if det <= 0.0:
-            return math.inf, 0.0, 0.0
-        alpha = (g22 * r1 - g12 * r2) / det
-        beta = (g11 * r2 - g12 * r1) / det
-        resid = y - alpha * c - beta * s
-        return float(resid @ resid), alpha, beta
-
     half_window = 10.0 * math.pi / tau_max
     omegas = omega_seed + np.linspace(-half_window, half_window, 33)
     gammas = np.geomspace(0.2 / tau_max, 60.0 / tau_span, 25)
-    best = (math.inf, gammas[0], omega_seed, 0.0, 0.0)
-    for g in gammas:
-        for w in omegas:
-            cost, alpha, beta = profiled(g, w)
-            if cost < best[0]:
-                best = (cost, g, w, alpha, beta)
-    _, g0, w0, a0, b0 = best
+    g0, w0, a0, b0 = _profile_scan(tau, y, gammas, omegas) or (
+        gammas[0], omega_seed, 0.0, 0.0
+    )
 
     from scipy.optimize import least_squares
 

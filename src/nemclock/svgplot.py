@@ -14,6 +14,7 @@ __all__ = ["line_plot"]
 _PALETTE = ["#1f6fb2", "#d1495b", "#3a7d44", "#8d6a9f", "#c77d1e", "#3b3b3b"]
 _MARGIN = dict(left=72, right=24, top=36, bottom=52)
 _WIDTH, _HEIGHT = 720, 480
+_POINTS_CHUNK = 1024  # points formatted per %-format, so no full-size float list
 
 
 def _ticks(lo: float, hi: float, log: bool):
@@ -50,7 +51,11 @@ def line_plot(
     log_x: bool = False,
     log_y: bool = False,
 ) -> None:
-    """Write a line plot of ``curves`` = [(label, x, y), ...] to ``path``."""
+    """Write a line plot of ``curves`` = [(label, x, y), ...] to ``path``.
+
+    A point whose plotted x or y is not finite (a value <= 0 on a log axis,
+    say) is left out, and the axes span the points that remain.
+    """
     if not curves:
         raise ValueError("need at least one curve")
 
@@ -60,12 +65,18 @@ def line_plot(
     def ty(v):
         return np.log10(v) if log_y else np.asarray(v, dtype=float)
 
-    xs = [tx(np.asarray(c[1], dtype=float)) for c in curves]
-    ys = [ty(np.asarray(c[2], dtype=float)) for c in curves]
-    x_lo = min(float(np.min(a)) for a in xs)
-    x_hi = max(float(np.max(a)) for a in xs)
-    y_lo = min(float(np.min(a)) for a in ys)
-    y_hi = max(float(np.max(a)) for a in ys)
+    xs, ys = [], []
+    for _, x, y in curves:
+        x, y = tx(np.asarray(x, dtype=float)), ty(np.asarray(y, dtype=float))
+        keep = np.isfinite(x) & np.isfinite(y)
+        xs.append(x[keep])
+        ys.append(y[keep])
+    x_lo = min(float(np.min(a, initial=math.inf)) for a in xs)
+    x_hi = max(float(np.max(a, initial=-math.inf)) for a in xs)
+    y_lo = min(float(np.min(a, initial=math.inf)) for a in ys)
+    y_hi = max(float(np.max(a, initial=-math.inf)) for a in ys)
+    if x_lo > x_hi:
+        raise ValueError("no curve has a finite point to plot")
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -141,11 +152,13 @@ def line_plot(
 
     for i, (label, _, _) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(
-            f"{px(a):.2f},{py(b):.2f}"
-            for a, b in zip(xs[i], ys[i])
-            if np.isfinite(a) and np.isfinite(b)
-        )
+        xy = np.stack([px(xs[i]), py(ys[i])], axis=1)
+        blocks = []
+        for k in range(0, len(xy), _POINTS_CHUNK):
+            block = xy[k : k + _POINTS_CHUNK]
+            points = " ".join(["%.2f,%.2f"] * len(block))
+            blocks.append(points % tuple(block.ravel().tolist()))
+        pts = " ".join(blocks)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

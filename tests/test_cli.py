@@ -103,6 +103,16 @@ def test_config_defaults_fill_in(tmp_path):
         (lambda c: c.update(simulation={"seed": True}), "seed"),
         (lambda c: c.update(grid={"nodes": 41.7}), r"nodes .*41\.7"),
         (
+            lambda c: c.update(toymodel={"type": "telegraph", "duration": 1.0,
+                                         "time_step": 0.1, "seed": 1.5}),
+            r"toymodel.seed .*1\.5",
+        ),
+        (
+            lambda c: c.update(toymodel={"type": "telegraph", "duration": 1.0,
+                                         "time_step": 0.1, "seed": True}),
+            r"toymodel.seed .*True",
+        ),
+        (
             lambda c: c.update(
                 toymodel={
                     "type": "ou_amplitude",
@@ -186,6 +196,48 @@ def test_main_numerical_failure_is_exit_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "[simulate]" in err
+
+
+# -------------------------------------------------------------- csv writer --
+
+
+def _per_row_csv(header, rows) -> str:
+    """Oracle: every value written on its own, a float as repr(float(v)) and
+    anything else as str(v)."""
+
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "n_rows", [0, 1, 17, cli._CSV_CHUNK, cli._CSV_CHUNK + 1, 3 * cli._CSV_CHUNK + 17]
+)
+def test_write_csv_matches_per_value_repr(tmp_path, n_rows):
+    rng = np.random.Generator(np.random.Philox(2))
+    special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1]
+    pool = np.concatenate(
+        [special, rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)]
+    )
+    values = np.resize(pool, n_rows)
+    columns = [
+        np.arange(n_rows, dtype=np.int64) - 3,
+        values,
+        values[::-1],
+    ]
+    header = ["member", "a", "b"]
+    cli._write_csv(tmp_path / "t.csv", header, columns)
+    expected = _per_row_csv(header, zip(*columns))
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+def test_write_csv_refuses_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="equal length"):
+        cli._write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
 
 
 # ------------------------------------------------------------ full pipeline --

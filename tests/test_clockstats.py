@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from nemclock import clockstats
 from nemclock.clockstats import (
     CorrelationCurve,
     EstimatorWarning,
@@ -166,51 +167,164 @@ def test_spectrum_fwhm_window_errors():
 # -------------------------------------------------------------- linewidth fit --
 
 
-def test_linewidth_fit_recovers_exact_rate():
-    gamma = 5e-4
-    tau = np.arange(200000) * (math.pi / 50)
-    curve = CorrelationCurve(
-        lags=tau, values=0.8 * np.exp(-gamma * tau) * np.cos(2.0 * tau)
+_LONG_TAU = np.arange(200000) * (math.pi / 50)
+_GAMMA = 5e-4
+
+
+def _exact_rate_curve():
+    tau = _LONG_TAU
+    return CorrelationCurve(
+        lags=tau, values=0.8 * np.exp(-_GAMMA * tau) * np.cos(2.0 * tau)
     )
-    fwhm, omega = linewidth_fit(curve, 2.0003)
-    assert fwhm == pytest.approx(2.0 * gamma, rel=1e-6)
+
+
+def _sub_kernel_curve():
+    tau = _LONG_TAU
+    gamma = 0.125 / tau[-1]
+    return CorrelationCurve(
+        lags=tau, values=0.5 * np.exp(-gamma * tau) * np.cos(2.0 * tau)
+    )
+
+
+def _noisy_curve():
+    tau = _LONG_TAU
+    clean = 0.8 * np.exp(-_GAMMA * tau) * np.cos(2.0 * tau)
+    rng = np.random.Generator(np.random.Philox(5))
+    noisy = clean + 0.1 * np.sqrt(np.mean(clean**2)) * rng.standard_normal(tau.size)
+    noisy[0] = np.abs(noisy).max() * (1.0 + 1e-9)
+    return CorrelationCurve(lags=tau, values=noisy)
+
+
+def _two_timescale_curve():
+    tau = _LONG_TAU
+    values = 0.6 * np.exp(-8e-3 * tau) * np.cos(2.0 * tau) + 0.2 * np.exp(
+        -1e-4 * tau
+    ) * np.cos(2.0 * tau + 0.2)
+    return CorrelationCurve(lags=tau, values=values)
+
+
+def _run_sized_curve():
+    # the shape `nemclock run` fits at V = 100: 20001 lags of pi/100, a
+    # slow coherence core under amplitude-relaxation and estimator noise
+    tau = np.arange(20001) * (math.pi / 100)
+    rng = np.random.Generator(np.random.Philox(11))
+    values = (
+        40.0 * np.exp(-2e-3 * tau) * np.cos(1.9994 * tau)
+        + 15.0 * np.exp(-0.05 * tau) * np.cos(2.0 * tau + 0.3)
+        + 0.5 * rng.standard_normal(tau.size)
+    )
+    values[0] = np.abs(values).max()
+    return CorrelationCurve(lags=tau, values=values)
+
+
+def test_linewidth_fit_recovers_exact_rate():
+    fwhm, omega = linewidth_fit(_exact_rate_curve(), 2.0003)
+    assert fwhm == pytest.approx(2.0 * _GAMMA, rel=1e-6)
     assert omega == pytest.approx(2.0, abs=1e-9)
 
 
 def test_linewidth_fit_resolves_below_truncation_kernel():
     # a line 12x narrower than pi/max_lag: any frequency-domain half-maximum
     # readout floors at the kernel width; the lag-domain fit does not
-    tau = np.arange(200000) * (math.pi / 50)
+    tau = _LONG_TAU
     gamma = 0.125 / tau[-1]
     kernel = math.pi / tau[-1]
     assert 2.0 * gamma < kernel / 6.0
-    curve = CorrelationCurve(
-        lags=tau, values=0.5 * np.exp(-gamma * tau) * np.cos(2.0 * tau)
-    )
-    fwhm, _ = linewidth_fit(curve, 2.0)
+    fwhm, _ = linewidth_fit(_sub_kernel_curve(), 2.0)
     assert fwhm == pytest.approx(2.0 * gamma, rel=1e-6)
 
 
 def test_linewidth_fit_tolerates_noise():
-    gamma = 5e-4
-    tau = np.arange(200000) * (math.pi / 50)
-    clean = 0.8 * np.exp(-gamma * tau) * np.cos(2.0 * tau)
-    rng = np.random.Generator(np.random.Philox(5))
-    noisy = clean + 0.1 * np.sqrt(np.mean(clean**2)) * rng.standard_normal(tau.size)
-    noisy[0] = np.abs(noisy).max() * (1.0 + 1e-9)
-    fwhm, _ = linewidth_fit(CorrelationCurve(lags=tau, values=noisy), 2.0003)
-    assert fwhm == pytest.approx(2.0 * gamma, rel=0.02)
+    fwhm, _ = linewidth_fit(_noisy_curve(), 2.0003)
+    assert fwhm == pytest.approx(2.0 * _GAMMA, rel=0.02)
 
 
 def test_linewidth_fit_reads_slow_core_of_two_timescale_envelope():
     # fast amplitude channel + slow coherence core: the default window skips
     # the fast transient and reports the core width that shapes the peak top
-    tau = np.arange(200000) * (math.pi / 50)
-    values = 0.6 * np.exp(-8e-3 * tau) * np.cos(2.0 * tau) + 0.2 * np.exp(
-        -1e-4 * tau
-    ) * np.cos(2.0 * tau + 0.2)
-    fwhm, _ = linewidth_fit(CorrelationCurve(lags=tau, values=values), 2.0)
+    fwhm, _ = linewidth_fit(_two_timescale_curve(), 2.0)
     assert fwhm == pytest.approx(2e-4, rel=0.01)
+
+
+def _nested_scan_linewidth_fit(curve, omega_seed):
+    """Oracle: the profile scan as one (gamma, omega) point at a time, each
+    computing its own envelope and trig rows, then the same refinement.
+    Returns the chosen ``(g0, w0, alpha, beta)`` and ``(fwhm, omega)``."""
+    from scipy.optimize import least_squares
+
+    n = curve.values.size
+    a, b = int(0.15 * n), int(0.55 * n)
+    tau = curve.lags[a:b]
+    y = curve.values[a:b]
+    tau_max = float(curve.lags[-1])
+    tau_span = float(tau[-1] - tau[0])
+
+    def profiled(gamma, omega):
+        env = np.exp(-0.5 * gamma * tau)
+        c = env * np.cos(omega * tau)
+        s = env * np.sin(omega * tau)
+        g11, g12, g22 = c @ c, c @ s, s @ s
+        r1, r2 = c @ y, s @ y
+        det = g11 * g22 - g12 * g12
+        if det <= 0.0:
+            return math.inf, 0.0, 0.0
+        alpha = (g22 * r1 - g12 * r2) / det
+        beta = (g11 * r2 - g12 * r1) / det
+        resid = y - alpha * c - beta * s
+        return float(resid @ resid), alpha, beta
+
+    half_window = 10.0 * math.pi / tau_max
+    omegas = omega_seed + np.linspace(-half_window, half_window, 33)
+    gammas = np.geomspace(0.2 / tau_max, 60.0 / tau_span, 25)
+    best = (math.inf, gammas[0], omega_seed, 0.0, 0.0)
+    for g in gammas:
+        for w in omegas:
+            cost, alpha, beta = profiled(g, w)
+            if cost < best[0]:
+                best = (cost, g, w, alpha, beta)
+    _, g0, w0, a0, b0 = best
+
+    def residual(p):
+        al, be, g, w = p
+        env = np.exp(-0.5 * np.clip(g, 0.0, None) * tau)
+        return al * env * np.cos(w * tau) + be * env * np.sin(w * tau) - y
+
+    step = omegas[1] - omegas[0]
+    fit = least_squares(
+        residual,
+        [a0, b0, g0, w0],
+        bounds=(
+            [-np.inf, -np.inf, gammas[0] / 10.0, w0 - 3.0 * step],
+            [np.inf, np.inf, gammas[-1] * 10.0, w0 + 3.0 * step],
+        ),
+    )
+    _, _, g_fit, w_fit = fit.x
+    return (g0, w0, a0, b0), (float(g_fit), float(w_fit))
+
+
+@pytest.mark.parametrize(
+    "make_curve, omega_seed",
+    [
+        (_exact_rate_curve, 2.0003),
+        (_sub_kernel_curve, 2.0),
+        (_noisy_curve, 2.0003),
+        (_two_timescale_curve, 2.0),
+        (_run_sized_curve, 1.9993),
+    ],
+)
+def test_linewidth_fit_equals_nested_scan(make_curve, omega_seed, monkeypatch):
+    curve = make_curve()
+    chosen, result = _nested_scan_linewidth_fit(curve, omega_seed)
+    starts = []
+    scan = clockstats._profile_scan
+
+    def recorded_scan(*args):
+        starts.append(scan(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(clockstats, "_profile_scan", recorded_scan)
+    assert linewidth_fit(curve, omega_seed) == result
+    assert starts == [chosen]
 
 
 def test_linewidth_fit_validation():
