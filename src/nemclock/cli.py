@@ -11,7 +11,8 @@ run         all of the above, plus a manifest of every artifact
 sweep       repeat ``run`` across a list of voltages
 toymodel    sample one of the reduced toy processes
 
-Configs are strict, versioned JSON: unknown keys are errors at every level.
+Configs are strict, versioned JSON: unknown keys are errors at every level,
+and every value given must be of the kind its key declares.
 ``record_stride`` only thins the stored record, whose ``positions`` and
 ``velocities`` in ensemble.npz hold one row per member.  With them
 ``simulate`` stores a provenance record: every field of the system,
@@ -89,113 +90,128 @@ def _stage(name: str):
 # ----------------------------------------------------------------- config --
 
 
-def _take(mapping, section: str, allowed: dict):
-    """Validated copy of a config section: unknown keys are errors and
-    missing keys take their defaults (a default of ... marks required)."""
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {', '.join(unknown)}")
-    out = {}
-    for key, default in allowed.items():
-        if key in mapping:
-            out[key] = mapping[key]
-        elif default is ...:
-            raise ConfigError(f"missing required key {section!r}.{key}")
-        else:
-            out[key] = default
-    return out
+def _number(value) -> bool:
+    """A JSON number that is a finite double; true and false are not numbers."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-_SYSTEM_KEYS = dict(
-    voltage=None,
-    coupling=0.5,
-    inverse_temperature=0.1,
-    dot_energy=0.0,
-    band_center=2.5,
-    bandwidth=5.0,
-    peak_rate=10.0,
-    left=None,
-    right=None,
-)
+def _list(value, each, length=None) -> bool:
+    return (isinstance(value, (list, tuple)) and length in (None, len(value))
+            and all(map(each, value)))
+
+
+def _int_at_least(low: int):
+    return (lambda v: type(v) is int and v >= low, f"an integer >= {low}")
+
+
+# A kind is a (test, text) pair: a given value that fails the test is refused
+# as "<dotted key> must be <text>, not <value>".
+_NUMBER = (_number, "a finite number")
+_POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
+_NONNEGATIVE = (lambda v: _number(v) and v >= 0, "a number >= 0")
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_COUNT = _int_at_least(1)
+_COUNTS = (lambda v: _list(v, _COUNT[0]), "a list of integers >= 1")
+
+# Each section maps a key to (default, kind); a default of ... marks the key
+# required, and a kind that is itself such a table marks a nested section.
 _LEAD_KEYS = dict(
-    band_center=..., bandwidth=..., peak_rate=..., chemical_potential=...
+    band_center=(..., _NUMBER),
+    bandwidth=(..., _POSITIVE),
+    peak_rate=(..., _POSITIVE),
+    chemical_potential=(..., _NUMBER),
 )
-_GRID_KEYS = dict(x_max=None, nodes=801)
+_SYSTEM_KEYS = dict(
+    voltage=(None, _NUMBER),
+    coupling=(0.5, _NUMBER),
+    inverse_temperature=(0.1, _POSITIVE),
+    dot_energy=(0.0, _NUMBER),
+    band_center=(2.5, _NUMBER),
+    bandwidth=(5.0, _POSITIVE),
+    peak_rate=(10.0, _POSITIVE),
+    left=(None, _LEAD_KEYS),
+    right=(None, _LEAD_KEYS),
+)
+_GRID_KEYS = dict(x_max=(None, _POSITIVE), nodes=(GridSpec.nodes, _int_at_least(4)))
 _SIM_KEYS = dict(
-    time_step=math.pi / 100.0,
-    burn_in=100.0 * math.pi,
-    duration=500.0 * math.pi,
-    seed=1,
-    ensemble_size=4,
-    record_stride=1,
+    time_step=(math.pi / 100.0, _POSITIVE),
+    burn_in=(100.0 * math.pi, _NONNEGATIVE),
+    duration=(500.0 * math.pi, _POSITIVE),
+    seed=(1, _INTEGER),
+    ensemble_size=(4, _COUNT),
+    record_stride=(1, _COUNT),
 )
-_DETECTION_KEYS = dict(level=None, refractory=0.25 * math.pi)
+_DETECTION_KEYS = dict(
+    level=(None, _NUMBER), refractory=(DetectionPolicy.refractory, _NONNEGATIVE)
+)
 _ANALYSIS_KEYS = dict(
-    max_lag_periods=100.0,
-    spectrum_window=(1.6, 2.4),
-    allan_per_decade=20,
-    mi_separations=(1, 100),
-    kl_orders=(2, 4, 8),
-    make_plots=True,
-)
-_TOY_KEYS = dict(
-    type=...,
-    duration=...,
-    time_step=...,
-    seed=0,
-    frequency=1.0,
-    cycle=None,
-    rates=None,
-    levels=None,
-    offset=0.0,
-    baseline=0.0,
+    max_lag_periods=(100.0, _POSITIVE),
+    spectrum_window=(
+        (1.6, 2.4),
+        (lambda v: _list(v, _number, 2) and 0 < v[0] < v[1],
+         "two numbers 0 < low < high"),
+    ),
+    allan_per_decade=(20, _COUNT),
+    mi_separations=((1, 100), _COUNTS),
+    kl_orders=((2, 4, 8), _COUNTS),
+    make_plots=(True, (lambda v: type(v) is bool, "true or false")),
 )
 _CYCLE_KEYS = dict(
-    amplitude=...,
-    amplitude_damping=...,
-    amplitude_diffusion=...,
-    phase_diffusion=...,
+    amplitude=(..., _POSITIVE),
+    amplitude_damping=(..., _POSITIVE),
+    amplitude_diffusion=(..., _NONNEGATIVE),
+    phase_diffusion=(..., _NONNEGATIVE),
+)
+_TOY_KEYS = dict(
+    type=(..., (lambda v: type(v) is str, "a string")),
+    duration=(..., _POSITIVE),
+    time_step=(..., _POSITIVE),
+    seed=(0, _INTEGER),
+    frequency=(1.0, _NUMBER),
+    cycle=(None, _CYCLE_KEYS),
+    rates=(None, (lambda v: _list(v, _POSITIVE[0], 2), "two numbers > 0")),
+    levels=(None, (lambda v: _list(v, _number, 2), "two numbers")),
+    offset=(0.0, _NUMBER),
+    baseline=(0.0, _NUMBER),
+)
+_CONFIG_KEYS = dict(
+    version=(..., _INTEGER),
+    system=(..., _SYSTEM_KEYS),
+    grid=({}, _GRID_KEYS),
+    simulation=({}, _SIM_KEYS),
+    detection=({}, _DETECTION_KEYS),
+    analysis=({}, _ANALYSIS_KEYS),
+    sweep=(None, dict(voltages=(..., (lambda v: _list(v, _number) and len(v) > 0,
+                                      "a non-empty list of numbers")))),
+    toymodel=(None, _TOY_KEYS),
 )
 
 
-def _finite(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _check_values(cfg: dict) -> None:
-    """Values that can only be mistakes: counts that are not integers, a
-    negative refractory window, a lag range that is not positive, a spectrum
-    window that is not 0 < low < high, and analysis counts that are not
-    integers >= 1."""
-    for section, key in (("simulation", "seed"), ("simulation", "ensemble_size"),
-                         ("simulation", "record_stride"), ("grid", "nodes")):
-        if type(cfg[section][key]) is not int:
-            raise ConfigError(
-                f"{section}.{key} must be an integer, not {cfg[section][key]!r}"
-            )
-    refractory = cfg["detection"]["refractory"]
-    if not (_finite(refractory) and refractory >= 0):
-        raise ConfigError(
-            f"detection.refractory must be a number >= 0, not {refractory!r}"
-        )
-    a = cfg["analysis"]
-    if not (_finite(a["max_lag_periods"]) and a["max_lag_periods"] > 0):
-        raise ConfigError(
-            f"analysis.max_lag_periods must be a number > 0, not {a['max_lag_periods']!r}"
-        )
-    window = a["spectrum_window"]
-    if not (isinstance(window, (list, tuple)) and len(window) == 2
-            and all(map(_finite, window)) and 0 < window[0] < window[1]):
-        raise ConfigError(
-            f"analysis.spectrum_window must be two numbers 0 < low < high, not {window!r}"
-        )
-    for key in ("allan_per_decade", "kl_orders", "mi_separations"):
-        counts = [a[key]] if key == "allan_per_decade" else a[key]
-        if not (isinstance(counts, (list, tuple))
-                and all(type(n) is int and n >= 1 for n in counts)):
-            raise ConfigError(f"analysis.{key} must hold integers >= 1, not {a[key]!r}")
+def _take(mapping, section: str, table: dict) -> dict:
+    """Checked copy of a config section, with its nested sections.  Unknown
+    keys are errors, missing keys take their defaults, and JSON null stands
+    for a missing key only where the default is None.  Every value given is
+    checked against its kind; the defaults are not."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"section {section!r} must be an object")
+    unknown = sorted(set(mapping) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown keys in {section!r}: {', '.join(unknown)}")
+    prefix = "" if section == "config" else f"{section}."
+    out = {}
+    for key, (default, kind) in table.items():
+        if key not in mapping and default is ...:
+            raise ConfigError(f"missing required key {section!r}.{key}")
+        value = mapping.get(key, default)
+        if value is None and default is None:
+            out[key] = None
+        elif isinstance(kind, dict):
+            out[key] = _take(value, prefix + key, kind)
+        elif key in mapping and not kind[0](value):
+            raise ConfigError(f"{prefix}{key} must be {kind[1]}, not {value!r}")
+        else:
+            out[key] = value
+    return out
 
 
 def load_config(path) -> dict:
@@ -206,99 +222,56 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    top = _take(
-        raw,
-        "config",
-        dict(
-            version=...,
-            system=...,
-            grid={},
-            simulation={},
-            detection={},
-            analysis={},
-            sweep=None,
-            toymodel=None,
-        ),
-    )
-    if top["version"] != CONFIG_VERSION:
+    cfg = _take(raw, "config", _CONFIG_KEYS)
+    if cfg["version"] != CONFIG_VERSION:
         raise ConfigError(
-            f"unsupported config version {top['version']!r}; "
+            f"unsupported config version {cfg['version']!r}; "
             f"this build reads version {CONFIG_VERSION}"
         )
-    cfg = dict(top)
-    cfg["system"] = _take(top["system"], "system", _SYSTEM_KEYS)
-    for side in ("left", "right"):
-        if cfg["system"][side] is not None:
-            cfg["system"][side] = _take(
-                cfg["system"][side], f"system.{side}", _LEAD_KEYS
-            )
-    explicit = (cfg["system"]["left"] is not None) or (
-        cfg["system"]["right"] is not None
-    )
-    if explicit and not (cfg["system"]["left"] and cfg["system"]["right"]):
+    system = cfg["system"]
+    explicit = system["left"] is not None or system["right"] is not None
+    if explicit and not (system["left"] and system["right"]):
         raise ConfigError("explicit leads need both system.left and system.right")
-    if explicit and cfg["system"]["voltage"] is not None:
+    if explicit and system["voltage"] is not None:
         raise ConfigError("give either system.voltage or explicit leads, not both")
-    if not explicit and cfg["system"]["voltage"] is None:
+    if not explicit and system["voltage"] is None:
         raise ConfigError("system needs a voltage (or explicit leads)")
-    cfg["grid"] = _take(top["grid"], "grid", _GRID_KEYS)
-    cfg["simulation"] = _take(top["simulation"], "simulation", _SIM_KEYS)
-    cfg["detection"] = _take(top["detection"], "detection", _DETECTION_KEYS)
-    cfg["analysis"] = _take(top["analysis"], "analysis", _ANALYSIS_KEYS)
-    _check_values(cfg)
     if cfg["sweep"] is not None:
-        sweep = _take(cfg["sweep"], "sweep", dict(voltages=...))
-        voltages = sweep["voltages"]
-        if not (isinstance(voltages, list) and voltages and all(map(_finite, voltages))):
-            raise ConfigError(
-                f"sweep.voltages must be a non-empty list of numbers, not {voltages!r}"
-            )
-        labels = [f"V={v:g}" for v in voltages]
+        labels = [f"V={v:g}" for v in cfg["sweep"]["voltages"]]
         twice = sorted({label for label in labels if labels.count(label) > 1})
         if twice:
             raise ConfigError(f"sweep.voltages name the directory {', '.join(twice)} twice")
-        cfg["sweep"] = sweep
-    if cfg["toymodel"] is not None:
-        toy = _take(cfg["toymodel"], "toymodel", _TOY_KEYS)
-        if type(toy["seed"]) is not int:
-            raise ConfigError(f"toymodel.seed must be an integer, not {toy['seed']!r}")
-        if toy["cycle"] is not None:
-            toy["cycle"] = _take(toy["cycle"], "toymodel.cycle", _CYCLE_KEYS)
-        cfg["toymodel"] = toy
     return cfg
 
 
 def build_params(cfg: dict) -> SystemParams:
     s = cfg["system"]
-    try:
-        if s["left"] is not None:
-            return SystemParams(
-                left=LeadSpec(**s["left"]),
-                right=LeadSpec(**s["right"]),
-                inverse_temperature=s["inverse_temperature"],
-                coupling=s["coupling"],
-                dot_energy=s["dot_energy"],
-            )
-        v = float(s["voltage"])
+    if s["left"] is not None:
         return SystemParams(
-            left=LeadSpec(
-                band_center=s["band_center"],
-                bandwidth=s["bandwidth"],
-                peak_rate=s["peak_rate"],
-                chemical_potential=v / 2.0,
-            ),
-            right=LeadSpec(
-                band_center=-s["band_center"],
-                bandwidth=s["bandwidth"],
-                peak_rate=s["peak_rate"],
-                chemical_potential=-v / 2.0,
-            ),
+            left=LeadSpec(**s["left"]),
+            right=LeadSpec(**s["right"]),
             inverse_temperature=s["inverse_temperature"],
             coupling=s["coupling"],
             dot_energy=s["dot_energy"],
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid system parameters: {exc}") from exc
+    v = float(s["voltage"])
+    return SystemParams(
+        left=LeadSpec(
+            band_center=s["band_center"],
+            bandwidth=s["bandwidth"],
+            peak_rate=s["peak_rate"],
+            chemical_potential=v / 2.0,
+        ),
+        right=LeadSpec(
+            band_center=-s["band_center"],
+            bandwidth=s["bandwidth"],
+            peak_rate=s["peak_rate"],
+            chemical_potential=-v / 2.0,
+        ),
+        inverse_temperature=s["inverse_temperature"],
+        coupling=s["coupling"],
+        dot_energy=s["dot_energy"],
+    )
 
 
 def build_sim(cfg: dict, seed_override=None) -> SimConfig:
@@ -313,7 +286,7 @@ def build_sim(cfg: dict, seed_override=None) -> SimConfig:
             ensemble_size=s["ensemble_size"],
             record_stride=s["record_stride"],
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid simulation section: {exc}") from exc
 
 
@@ -373,10 +346,13 @@ def stage_coeffs(cfg, params, out: Path):
     if cache.exists():
         expected = table_fingerprint(params, grid_spec.positions())
         try:
-            return CoefficientTable.load(cache, expected_hash=expected), "hit"
-        except Exception as exc:
-            stale = "different parameters" in str(exc)
-            note = "rebuilt (stale)" if stale else "rebuilt (corrupt)"
+            cached = CoefficientTable.load(cache)
+        except Exception:
+            note = "rebuilt (corrupt)"
+        else:
+            if cached.params_hash == expected:
+                return cached, "hit"
+            note = "rebuilt (stale)"
     table = build_coefficient_table(params, grid_spec)
     table.save(cache)
     return table, note
@@ -559,8 +535,6 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     # not the nominal recording length (the last tick lands short of the end).
     usable = [ts for ts in tick_series if ts.tick_times.size >= 2]
     try:
-        if not usable:
-            raise ValueError("no member produced two ticks")
         span = min(float(ts.tick_times[-1]) for ts in usable)
         T_grid = clockstats.default_allan_grid(
             mean_wait, span, per_decade=a["allan_per_decade"]
@@ -708,6 +682,8 @@ def _check_record_resolves_spectrum(cfg, params, sim: SimConfig) -> None:
 
 
 def _prepare(args):
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be an integer >= 1, not {args.threads}")
     cfg = load_config(args.config)
     params = build_params(cfg)
     sim = build_sim(cfg, args.seed)

@@ -60,9 +60,6 @@ __all__ = [
 CHUNK_STEPS = 4096   # integration steps per noise block
 BLOCK_SIZE = 16      # trajectories per block, the unit of work of one thread
 
-DEFAULT_TIME_STEP = math.pi / 100.0          # 200 steps per period
-DEFAULT_BURN_IN = 200.0 * 2.0 * math.pi      # 200 periods
-
 # the compiled step loop; the shared object is cached next to the package's
 # bytecode under a name keyed by the source and the flags
 _CC = "/usr/bin/cc"
@@ -79,12 +76,12 @@ class SimConfig:
     discarded, and every ``record_stride``-th state of the remainder is kept.
     """
 
-    time_step: float = DEFAULT_TIME_STEP
-    burn_in: float = DEFAULT_BURN_IN
-    duration: float = DEFAULT_BURN_IN + 1000.0 * 2.0 * math.pi
-    seed: int = 0
-    ensemble_size: int = 1
-    record_stride: int = 1
+    time_step: float
+    burn_in: float
+    duration: float
+    seed: int
+    ensemble_size: int
+    record_stride: int
 
     def __post_init__(self):
         if not self.time_step > 0:
@@ -339,14 +336,13 @@ def _integrate_block(
                 xs_rec[:, slots] = buf_x[:, cols]
                 vs_rec[:, slots] = buf_v[:, cols]
 
-    # final state, at step `total`
-    if total >= burn:
-        final_t = (total - burn) * dt
-        for c in consumers:
-            c.feed(indices, final_t, dt, x[:, None], v[:, None])
-        if (total - burn) % stride == 0:
-            xs_rec[:, (total - burn) // stride] = x
-            vs_rec[:, (total - burn) // stride] = v
+    # final state, at step `total`, which SimConfig keeps at or past `burn`
+    final_t = (total - burn) * dt
+    for c in consumers:
+        c.feed(indices, final_t, dt, x[:, None], v[:, None])
+    if (total - burn) % stride == 0:
+        xs_rec[:, (total - burn) // stride] = x
+        vs_rec[:, (total - burn) // stride] = v
     times = np.arange(n_rec) * (dt * stride)
     return times, xs_rec, vs_rec
 

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ from nemclock.cli import ConfigError, build_params, load_config, stage_coeffs
 from nemclock.params import default_params, fingerprint
 from nemclock.transport import friction_and_diffusion
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 pytestmark = pytest.mark.filterwarnings("ignore::nemclock.params.AdiabaticityWarning")
 
@@ -123,6 +125,40 @@ def test_config_defaults_fill_in(tmp_path):
             ),
             "unknown keys in 'toymodel.cycle'",
         ),
+        (lambda c: c["system"].update(voltage=True), r"system\.voltage .*, not True"),
+        (lambda c: c["system"].update(voltage=float("nan")), r"system\.voltage .*, not nan"),
+        (lambda c: c["system"].update(coupling=True), r"system\.coupling .*, not True"),
+        (lambda c: c.update(simulation={"time_step": True}),
+         r"simulation\.time_step .*, not True"),
+        (lambda c: c.update(simulation={"duration": float("inf")}),
+         r"simulation\.duration .*, not inf"),
+        (lambda c: c.update(grid={"x_max": True}), r"grid\.x_max .*, not True"),
+        (lambda c: c.update(grid={"nodes": 2}), r"grid\.nodes .*>= 4, not 2"),
+        (lambda c: c.update(detection={"level": True}), r"detection\.level .*, not True"),
+        (lambda c: c.update(analysis={"make_plots": 0}), r"analysis\.make_plots .*, not 0"),
+        (lambda c: c.update(version=True), r"version .*, not True"),
+        (
+            lambda c: c.update(toymodel={"type": "telegraph", "duration": "10",
+                                         "time_step": 0.1}),
+            r"toymodel\.duration .*, not '10'",
+        ),
+        (
+            lambda c: c.update(toymodel={"type": "telegraph", "duration": 1.0,
+                                         "time_step": 0.1, "frequency": True}),
+            r"toymodel\.frequency .*, not True",
+        ),
+        (
+            lambda c: c.update(
+                toymodel={
+                    "type": "offset",
+                    "duration": 1.0,
+                    "time_step": 0.1,
+                    "cycle": {"amplitude": True, "amplitude_damping": 0.5,
+                              "amplitude_diffusion": 0.2, "phase_diffusion": 0.01},
+                }
+            ),
+            r"toymodel\.cycle\.amplitude .*, not True",
+        ),
     ],
 )
 def test_config_rejections(tmp_path, mangle, message):
@@ -130,6 +166,42 @@ def test_config_rejections(tmp_path, mangle, message):
     mangle(payload)
     with pytest.raises(ConfigError, match=message):
         load_config(_write(tmp_path / "bad.json", payload))
+
+
+def _declared_defaults(table, prefix=""):
+    """(dotted key, default, kind) for every key of a section table, nested
+    sections included, whose default is a value rather than None or ...."""
+    for key, (default, kind) in table.items():
+        if isinstance(kind, dict):
+            yield from _declared_defaults(kind, f"{prefix}{key}.")
+        elif default is not ... and default is not None:
+            yield prefix + key, default, kind
+
+
+def test_declared_defaults_pass_their_kinds():
+    # load_config checks only the values a config gives, so a default that
+    # broke its own kind would reach the pipeline unchecked
+    defaults = list(_declared_defaults(cli._CONFIG_KEYS))
+    assert "simulation.time_step" in [key for key, _, _ in defaults]
+    assert "toymodel.seed" in [key for key, _, _ in defaults]
+    assert [(key, value) for key, value, (test, _) in defaults if not test(value)] == []
+
+
+def _documented_configs():
+    blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks, "README.md holds no json config block"
+    return [
+        *[pytest.param(block, id=f"README-{i}") for i, block in enumerate(blocks, 1)],
+        pytest.param(ROOT / "perfbench" / "run-v100.json", id="perfbench-run-v100"),
+    ]
+
+
+@pytest.mark.parametrize("config", _documented_configs())
+def test_documented_configs_load(tmp_path, config):
+    if not isinstance(config, Path):
+        (tmp_path / "doc.json").write_text(config)
+        config = tmp_path / "doc.json"
+    load_config(config)
 
 
 def test_config_voltage_and_leads_exclusive(tmp_path):
@@ -175,6 +247,16 @@ def test_main_config_error_is_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_is_exit_2(tmp_path, capsys, threads):
+    cfg_path = _write(tmp_path / "c.json", _base_config())
+    out = tmp_path / "out"
+    args = ["simulate", "--config", str(cfg_path), "--out", str(out)]
+    assert cli.main([*args, "--threads", str(threads)]) == 2
+    assert f"--threads must be an integer >= 1, not {threads}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_numerical_failure_is_exit_3(tmp_path, capsys):
@@ -655,6 +737,9 @@ def test_toymodel_command_round_trip(tmp_path):
         (dict(type="unknown"), "unknown toymodel.type"),
         (dict(type="ou_amplitude", cycle=None), "needs a cycle"),
         (dict(type="telegraph", cycle=None), "needs rates and levels"),
+        (dict(type="telegraph", rates=["a", 1], levels=[0.0, 1.0]),
+         "toymodel.rates must be two numbers > 0, not ['a', 1]"),
+        (dict(time_step=float("nan")), "toymodel.time_step must be a number > 0, not nan"),
     ],
 )
 def test_toymodel_config_failures(tmp_path, capsys, toy, message):

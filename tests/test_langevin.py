@@ -39,14 +39,17 @@ def _sim(periods, *, burn=0.0, seed=7, members=1, stride=1, dt=math.pi / 100):
 
 
 def test_config_validation():
+    valid = dict(time_step=0.1, burn_in=1.0, duration=5.0, seed=0,
+                 ensemble_size=1, record_stride=1)
+    SimConfig(**valid)
     with pytest.raises(ValueError):
-        SimConfig(time_step=0.0)
+        SimConfig(**{**valid, "time_step": 0.0})
     with pytest.raises(ValueError):
-        SimConfig(burn_in=10.0, duration=5.0)
+        SimConfig(**{**valid, "burn_in": 10.0, "duration": 5.0})
     with pytest.raises(ValueError):
-        SimConfig(ensemble_size=0)
+        SimConfig(**{**valid, "ensemble_size": 0})
     with pytest.raises(ValueError):
-        SimConfig(record_stride=0)
+        SimConfig(**{**valid, "record_stride": 0})
 
 
 def test_recording_grid(ou_table, params100):
