@@ -31,8 +31,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from nemclock.clockstats import (
     autocorrelation,
     linewidth_fit,
@@ -64,10 +62,11 @@ def measure(voltage, *, burn, periods, ensemble, seed, lag_periods, threads):
         record_stride=200,
     )
     corpus = build_corpus(table, params, sim, current_stride=2, threads=threads)
-    series = np.stack(corpus.currents)
     dtc = corpus.current_time_step
-    max_lag = min(series.shape[1] - 1, int(round(lag_periods * TWO_PI / dtc)))
-    curve = autocorrelation(series, dtc, max_lag=max_lag)
+    max_lag = min(
+        corpus.currents.shape[1] - 1, int(round(lag_periods * TWO_PI / dtc))
+    )
+    curve = autocorrelation(corpus.currents, dtc, max_lag=max_lag)
     kernel_floor = math.pi / float(curve.lags[-1])
 
     row = {"voltage": voltage, "kernel_floor": kernel_floor}

@@ -36,7 +36,7 @@ static long find_interval(const double *g, long nx, double x, double scale)
 
    x, v     state per row, updated in place
    noise    block x n standard normals, row-major
-   buf_x/v  block x (n - keep_from): the state before each step k >= keep_from
+   buf_x/v  block x n: the state before each step, or NULL to record nothing
    grid     the nx spline breakpoints
    c        spline coefficients, shape (4, nx-1, 3), columns friction,
             diffusion, excess occupation
@@ -45,7 +45,7 @@ static long find_interval(const double *g, long nx, double x, double scale)
    Returns -1, or the lowest row that left the grid at the earliest failing
    step; that step goes to *fail_step and the row's x holds the position
    after it. */
-long nemclock_steps(long block, long n, long keep_from,
+long nemclock_steps(long block, long n,
                     double *x, double *v, const double *noise,
                     double *buf_x, double *buf_v,
                     const double *grid, long nx, const double *c,
@@ -55,15 +55,14 @@ long nemclock_steps(long block, long n, long keep_from,
     const double lo = grid[0], hi = grid[nx - 1];
     const double scale = (double)(nx - 1) / (hi - lo);
     const long power_stride = (nx - 1) * 3;
-    const long kept = n - keep_from;
     long bad = -1;
 
     for (long k = 0; k < n; k++) {
         for (long r = 0; r < block; r++) {
             double xr = x[r], vr = v[r];
-            if (k >= keep_from) {
-                buf_x[r * kept + k - keep_from] = xr;
-                buf_v[r * kept + k - keep_from] = vr;
+            if (buf_x) {
+                buf_x[r * n + k] = xr;
+                buf_v[r * n + k] = vr;
             }
             const double xe = xr < lo ? lo : (xr > hi ? hi : xr);
             double coeff[3] = {NAN, NAN, NAN};

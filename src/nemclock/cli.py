@@ -501,10 +501,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     _write_json(out / "wtd_fit.json", fit_payload or {"note": "too few waits"})
 
     currents = transduce(corpus.record, table)
-    max_lag = min(
-        currents.shape[1] // 2,
-        int(round(a["max_lag_periods"] * 2.0 * math.pi / (w0 * dt_rec))),
-    )
+    max_lag = _max_lag(cfg, params, corpus.sim)
     curve = clockstats.autocorrelation(currents, dt_rec, max_lag=max_lag)
     _write_csv(
         out / "autocorrelation.csv", ["lag", "value"], [curve.lags, curve.values]
@@ -519,15 +516,14 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
         [spectrum.frequencies, spectrum.values],
     )
     window = tuple(float(v) * w0 for v in a["spectrum_window"])
-    peak_loc, peak_height = clockstats.spectrum_peak(spectrum, window)
-    try:
+    peak_loc = peak_height = peak_width = line_fwhm = line_loc = None
+    with contextlib.suppress(ValueError):
+        peak_loc, peak_height = clockstats.spectrum_peak(spectrum, window)
+    with contextlib.suppress(ValueError):
         peak_width = clockstats.spectrum_fwhm(spectrum, window)
-    except ValueError:
-        peak_width = None
-    try:
-        line_fwhm, line_loc = clockstats.linewidth_fit(curve, peak_loc)
-    except ValueError:
-        line_fwhm = line_loc = None
+    if peak_loc is not None:
+        with contextlib.suppress(ValueError):
+            line_fwhm, line_loc = clockstats.linewidth_fit(curve, peak_loc)
 
     entropy_tick = clockstats.entropy_per_tick(params, density, table, resolution)
 
@@ -551,7 +547,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
         out / "allan.csv", ["window", "allan_variance", "renewal"], [T, val, renewal]
     )
 
-    info = _information_block(a, tick_series)
+    info = _information_block(a, tick_series, waits)
     _write_json(out / "info.json", info)
 
     report = {
@@ -609,27 +605,23 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     return report
 
 
-def _information_block(a, tick_series) -> dict:
+def _information_block(a, tick_series, pooled_waits) -> dict:
     """KL divergence of n-tick sums from the independent-gap prediction,
     and wait-wait mutual information, where the data suffice."""
     per_member = [
         np.diff(ts.tick_times) for ts in tick_series if len(ts) >= 2
     ]
-    pooled = np.concatenate(per_member) if per_member else np.empty(0)
     out: dict = {"kl_orders": {}, "mutual_information": {}}
-    if pooled.size >= 200:
-        base = tickinfo.Histogram.from_samples(pooled)
+    if pooled_waits.size >= 200:
+        base = tickinfo.Histogram.from_samples(pooled_waits)
         for n in a["kl_orders"]:
+            sums = [tickinfo.n_sum_samples(w, n) for w in per_member if w.size >= n]
+            if not sums:
+                out["kl_orders"][str(n)] = None
+                continue
             predicted = tickinfo.n_fold_convolution(base, n)
-            sums = np.concatenate(
-                [
-                    tickinfo.n_sum_samples(w, n)
-                    for w in per_member
-                    if w.size >= n
-                ]
-            )
             measured = tickinfo.Histogram.from_samples(
-                sums, edges=predicted.edges, clip=True
+                np.concatenate(sums), edges=predicted.edges, clip=True
             )
             out["kl_orders"][str(n)] = tickinfo.kl_divergence(measured, predicted)
     else:
@@ -666,8 +658,24 @@ def _write_manifest(out: Path, cfg, sim: SimConfig, params, cache_note, extra=No
 # ------------------------------------------------------------ subcommands --
 
 
+def _max_lag(cfg, params, sim: SimConfig) -> int:
+    """The last lag of the record that the current correlation reaches."""
+    spacing = sim.time_step * sim.record_stride
+    horizon = cfg["analysis"]["max_lag_periods"] * 2.0 * math.pi
+    return min(
+        sim.recorded_samples // 2,
+        int(round(horizon / (params.oscillator_frequency * spacing))),
+    )
+
+
 def _check_record_resolves_spectrum(cfg, params, sim: SimConfig) -> None:
-    """The stored record's Nyquist frequency must exceed the spectrum window."""
+    """The correlation horizon must reach a lag of the stored record, and the
+    record's Nyquist frequency must exceed the spectrum window."""
+    if _max_lag(cfg, params, sim) < 1:
+        raise ConfigError(
+            f"analysis.max_lag_periods {cfg['analysis']['max_lag_periods']:g} reaches "
+            f"no lag of the record ({sim.recorded_samples} samples) for a spectrum"
+        )
     top = cfg["analysis"]["spectrum_window"][1] * params.oscillator_frequency
     if math.pi / (sim.time_step * sim.record_stride) > top:
         return
@@ -806,6 +814,11 @@ def cmd_toymodel(args) -> int:
             raise ConfigError(f"toymodel.type {toy['type']!r} needs a cycle section")
         return toymodels.ReducedCycle(**toy["cycle"])
 
+    if round(toy["duration"] / toy["time_step"]) < 1:
+        raise ConfigError(
+            f"toymodel.duration {toy['duration']:g} is under half of "
+            f"toymodel.time_step {toy['time_step']:g}: no step to take"
+        )
     kind = toy["type"]
     with _stage("toymodel"):
         if kind == "ou_amplitude":

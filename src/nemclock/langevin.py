@@ -16,7 +16,8 @@ to leading order.
 Randomness comes from one counter-based stream per member, keyed by
 (seed, member index), so ensembles are bit-identical under any worker
 layout.  Each stream is consumed in a fixed pattern: two draws for the
-initial condition, then one standard-normal block per integration chunk.
+initial condition, then one standard-normal block per integration chunk;
+the draws do not depend on where the chunks are cut.
 The recorded ensemble is one :class:`Trajectory` with a row per member.
 
 The per-step loop runs in a small C kernel, ``_stepper.c``, compiled on
@@ -26,8 +27,9 @@ kernel reproduces the NumPy loop (:func:`_steps_numpy`) bit for bit: same
 interval rule and power sum as scipy's PPoly evaluation, same operation
 order, no fused multiply-adds.  The NumPy loop is the test oracle and the
 fallback, taken after one RuntimeWarning when the kernel cannot be built or
-loaded.  Noise draws, chunking, recording and consumers stay in Python, so
-the stream layout and the consumer contract are the same on both paths.
+loaded.  Noise draws, chunking and consumers (the record is two of them)
+stay in Python, so the stream layout and the consumer contract are the same
+on both paths.
 """
 from __future__ import annotations
 
@@ -53,6 +55,7 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "ExcursionError",
+    "SeriesAccumulator",
     "column_interpolant",
     "run_ensemble",
 ]
@@ -135,6 +138,33 @@ class ExcursionError(RuntimeError):
         self.index = index
 
 
+class SeriesAccumulator:
+    """Writes a strided transform of the post-burn-in states into its
+    members' rows of a shared ``(members, n)`` array ``out``.
+
+    ``transform(xs, vs)`` maps state samples to the observable; ``stride``
+    counts full-resolution steps past the burn-in, so column j of ``out``
+    holds the state j*stride steps past it.
+    """
+
+    def __init__(self, transform, stride: int, out: np.ndarray):
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
+        self.transform = transform
+        self.stride = stride
+        self.out = out
+
+    def feed(self, indices, t0, dt, xs, vs):
+        k0 = int(round(t0 / dt))
+        cols = slice(-k0 % self.stride, None, self.stride)
+        values = self.transform(xs[:, cols], vs[:, cols])
+        slot = (k0 + cols.start) // self.stride
+        self.out[list(indices), slot : slot + values.shape[1]] = values
+
+    def absorb(self, other: "SeriesAccumulator") -> None:
+        """Nothing to merge: blocks write disjoint rows of the shared ``out``."""
+
+
 @functools.lru_cache(maxsize=8)
 def _splines(table: CoefficientTable):
     """Per-column cubic interpolants, and the drive: one vector-valued cubic
@@ -175,7 +205,7 @@ def _load_kernel():
             tmp.unlink(missing_ok=True)
     fn = ctypes.CDLL(str(lib)).nemclock_steps
     long, ptr, double = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
-    fn.argtypes = [long, long, long, ptr, ptr, ptr, ptr, ptr, ptr, long, ptr,
+    fn.argtypes = [long, long, ptr, ptr, ptr, ptr, ptr, ptr, long, ptr,
                    double, double, double, double, ptr]
     fn.restype = long
     return fn
@@ -206,18 +236,18 @@ def _kernel():
         return _kernel_cache[0]
 
 
-def _steps_numpy(drive, x, v, noise, keep_from, buf_x, buf_v, dt, w0, force, m):
+def _steps_numpy(drive, x, v, noise, buf_x, buf_v, dt, w0, force, m):
     """Reference step loop: advance ``x``, ``v`` over ``noise.shape[1]``
-    steps, recording the state before each step k >= keep_from.
+    steps, recording the state before each step when ``buf_x`` is given.
 
     Returns (x, v, failure) where failure is None or (k, row) for the first
     step k at which a member left the grid and the lowest such row.
     """
     lo, hi = drive.x[0], drive.x[-1]
     for k in range(noise.shape[1]):
-        if k >= keep_from:
-            buf_x[:, k - keep_from] = x
-            buf_v[:, k - keep_from] = v
+        if buf_x is not None:
+            buf_x[:, k] = x
+            buf_v[:, k] = v
         xe = np.clip(x, lo, hi)
         coeff = drive(xe)
         gam, dif, exc = coeff[:, 0], coeff[:, 1], coeff[:, 2]
@@ -230,9 +260,7 @@ def _steps_numpy(drive, x, v, noise, keep_from, buf_x, buf_v, dt, w0, force, m):
     return x, v, None
 
 
-def _steps_compiled(
-    kernel, drive, x, v, noise, keep_from, buf_x, buf_v, dt, w0, force, m
-):
+def _steps_compiled(kernel, drive, x, v, noise, buf_x, buf_v, dt, w0, force, m):
     """:func:`_steps_numpy` in C, bit for bit; ``x`` and ``v`` are updated
     in place."""
     noise = np.ascontiguousarray(noise, dtype=np.float64)
@@ -240,7 +268,7 @@ def _steps_compiled(
     coeffs = np.ascontiguousarray(drive.c, dtype=np.float64)
     fail_step = ctypes.c_long()
     bad = kernel(
-        x.shape[0], noise.shape[1], keep_from,
+        x.shape[0], noise.shape[1],
         x.ctypes.data, v.ctypes.data, noise.ctypes.data,
         None if buf_x is None else buf_x.ctypes.data,
         None if buf_v is None else buf_v.ctypes.data,
@@ -269,15 +297,16 @@ def _integrate_block(
     consumers=(),
     noise_source=None,
 ):
-    """Advance a block of trajectories; returns (times, xs, vs) arrays.
+    """Advance a block of trajectories; returns the final (x, v) arrays.
 
-    ``consumers`` receive every retained full-resolution state via
-    ``feed(indices, t0, dt, xs, vs)`` with xs, vs of shape (block, n);
+    ``consumers`` receive every post-burn-in full-resolution state via
+    ``feed(indices, t0, dt, xs, vs)`` with xs, vs of shape (block, n) and
+    t0 the time past the burn-in, then the final state as a one-column feed;
     ``noise_source(indices, start_step, n)`` overrides the per-trajectory
     streams (used by step-halving tests to share one Brownian path).
+    Chunks restart where the burn-in ends, so no chunk straddles it.
     """
     indices = list(indices)
-    block = len(indices)
     dt = sim.time_step
     m = params.oscillator_mass
     w0 = params.oscillator_frequency
@@ -299,23 +328,17 @@ def _integrate_block(
 
     total = sim.total_steps
     burn = sim.burn_steps
-    stride = sim.record_stride
-    n_rec = sim.recorded_samples
-    xs_rec = np.empty((block, n_rec))
-    vs_rec = np.empty((block, n_rec))
-
-    for start in range(0, total, CHUNK_STEPS):
-        n = min(CHUNK_STEPS, total - start)
+    bounds = [*range(0, burn, CHUNK_STEPS), *range(burn, total, CHUNK_STEPS), total]
+    for start, stop in zip(bounds, bounds[1:]):
+        n = stop - start
         if noise_source is None:
             noise = np.stack([g.standard_normal(n) for g in gens])
         else:
             noise = _sourced(noise_source, indices, start, n)
-        keep_from = max(burn - start, 0)
-        buf_x = np.empty((block, n - keep_from)) if n > keep_from else None
-        buf_v = np.empty_like(buf_x) if buf_x is not None else None
-        x, v, failure = steps(
-            drive, x, v, noise, keep_from, buf_x, buf_v, dt, w0, force, m
-        )
+        buf_x = buf_v = None
+        if start >= burn:
+            buf_x, buf_v = np.empty((len(indices), n)), np.empty((len(indices), n))
+        x, v, failure = steps(drive, x, v, noise, buf_x, buf_v, dt, w0, force, m)
         if failure is not None:
             k, bad = failure
             raise ExcursionError(
@@ -323,28 +346,13 @@ def _integrate_block(
                 index=indices[bad],
             )
         if buf_x is not None:
-            # states at steps [start+keep_from, start+n), i.e. times
-            # (step - burn)*dt past the burn-in
-            first = start + keep_from
             for c in consumers:
-                c.feed(indices, (first - burn) * dt, dt, buf_x, buf_v)
-            sched = np.arange(first, start + n)
-            hits = (sched - burn) % stride == 0
-            if hits.any():
-                cols = sched[hits] - first
-                slots = (sched[hits] - burn) // stride
-                xs_rec[:, slots] = buf_x[:, cols]
-                vs_rec[:, slots] = buf_v[:, cols]
+                c.feed(indices, (start - burn) * dt, dt, buf_x, buf_v)
 
     # final state, at step `total`, which SimConfig keeps at or past `burn`
-    final_t = (total - burn) * dt
     for c in consumers:
-        c.feed(indices, final_t, dt, x[:, None], v[:, None])
-    if (total - burn) % stride == 0:
-        xs_rec[:, (total - burn) // stride] = x
-        vs_rec[:, (total - burn) // stride] = v
-    times = np.arange(n_rec) * (dt * stride)
-    return times, xs_rec, vs_rec
+        c.feed(indices, (total - burn) * dt, dt, x[:, None], v[:, None])
+    return x, v
 
 
 def run_ensemble(
@@ -360,34 +368,34 @@ def run_ensemble(
     Returns (record, consumers): the recorded :class:`Trajectory` with one
     row per member in index order, and one consumer per factory.  Members
     run in fixed blocks of ``BLOCK_SIZE`` indices, each with its own
-    instance of every factory and each writing its own rows of the record;
-    after the workers join, ``consumers[j]`` is factory j's first-block
-    instance with the later blocks' instances merged into it, in block
-    order, by ``absorb``.  The partition does not depend on ``threads``, so
-    the results are identical for any worker count.
+    instance of every factory and two :class:`SeriesAccumulator` s that
+    write its rows of the record; after the workers join, ``consumers[j]``
+    is factory j's first-block instance with the later blocks' instances
+    merged into it, in block order, by ``absorb``.  The partition does not
+    depend on ``threads``, so the results are identical for any worker count.
     """
     blocks = [
         range(start, min(start + BLOCK_SIZE, sim.ensemble_size))
         for start in range(0, sim.ensemble_size, BLOCK_SIZE)
     ]
-    consumers = [[f() for f in consumer_factories] for _ in blocks]
     positions = np.empty((sim.ensemble_size, sim.recorded_samples))
     velocities = np.empty_like(positions)
-
-    def work(indices, block_consumers):
-        times, positions[indices], velocities[indices] = _integrate_block(
-            table, params, sim, indices, consumers=block_consumers
-        )
-        return times
-
+    factories = [
+        lambda: SeriesAccumulator(lambda xs, vs: xs, sim.record_stride, positions),
+        lambda: SeriesAccumulator(lambda xs, vs: vs, sim.record_stride, velocities),
+        *consumer_factories,
+    ]
+    consumers = [[f() for f in factories] for _ in blocks]
+    work = functools.partial(_integrate_block, table, params, sim)
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            times = list(pool.map(work, blocks, consumers))[0]
+            list(pool.map(work, blocks, consumers))
     else:
-        times = list(map(work, blocks, consumers))[0]
+        list(map(work, blocks, consumers))
 
     merged = consumers[0]
     for later in consumers[1:]:
         for head, extra in zip(merged, later):
             head.absorb(extra)
-    return Trajectory(times, positions, velocities), tuple(merged)
+    times = np.arange(sim.recorded_samples) * (sim.time_step * sim.record_stride)
+    return Trajectory(times, positions, velocities), tuple(merged[2:])

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clockstats import allan_variance
-from .langevin import SimConfig, Trajectory, column_interpolant, run_ensemble
+from .langevin import (
+    SeriesAccumulator,
+    SimConfig,
+    Trajectory,
+    column_interpolant,
+    run_ensemble,
+)
 from .params import SystemParams
 from .readout import DetectionPolicy, TickAccumulator, TickSeries
 from .toymodels import limit_cycle_amplitude, reduced_coefficients
@@ -64,41 +70,6 @@ class HistogramAccumulator:
         return self.counts / (self.total * width)
 
 
-class SeriesAccumulator:
-    """Streams a strided transform of the position into per-member arrays.
-
-    ``transform`` maps position samples to the observable (identity for the
-    position itself, a current interpolant for the transduced signal);
-    ``stride`` counts full-resolution steps past the burn-in.
-    """
-
-    def __init__(self, transform, stride: int):
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        self.transform = transform
-        self.stride = stride
-        self._chunks: dict[int, list[np.ndarray]] = {}
-
-    def feed(self, indices, t0, dt, xs, vs=None):
-        k0 = int(round(t0 / dt))
-        offsets = np.arange(xs.shape[1])
-        mask = (k0 + offsets) % self.stride == 0
-        if not mask.any():
-            return
-        values = self.transform(xs[:, mask])
-        for row, idx in enumerate(indices):
-            self._chunks.setdefault(idx, []).append(values[row])
-
-    def absorb(self, other: "SeriesAccumulator") -> None:
-        """Take over another block's members (blocks never share one)."""
-        self._chunks.update(other._chunks)
-
-    def series(self, index: int) -> np.ndarray:
-        if index not in self._chunks:
-            raise KeyError(f"no samples for member {index}")
-        return np.concatenate(self._chunks[index])
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """One operating point's simulated evidence, ready for analysis."""
@@ -111,7 +82,7 @@ class Corpus:
     position_density: np.ndarray
     position_count: int
     record: Trajectory
-    currents: tuple | None = None
+    currents: np.ndarray | None = None
     current_time_step: float | None = None
 
 
@@ -129,7 +100,7 @@ def _thermal_spread(params: SystemParams) -> float:
 def default_grid(
     params: SystemParams,
     *,
-    nodes: int = 801,
+    nodes: int = GridSpec.nodes,
     threads: int = 1,
 ) -> GridSpec:
     """Position grid sized to hold the stationary dynamics.
@@ -189,7 +160,7 @@ def build_corpus(
 ) -> Corpus:
     """Run one operating point and collect the recorded ensemble, ticks,
     the stationary position density on the table grid, and optionally
-    strided current series, one per member.
+    strided current series, a row per member.
 
     Ticks, density and currents come from ``run_ensemble``'s merged
     consumers, so they see every full-rate state whatever ``record_stride``
@@ -203,11 +174,18 @@ def build_corpus(
         lambda: TickAccumulator(level=resolved.level, refractory=resolved.refractory),
         lambda: HistogramAccumulator(edges),
     ]
+    currents = None
     if current_stride is not None:
         current = column_interpolant(table, "current")
-        factories.append(lambda: SeriesAccumulator(current, current_stride))
+        n = (sim.total_steps - sim.burn_steps) // current_stride + 1
+        currents = np.empty((sim.ensemble_size, n))
+        factories.append(
+            lambda: SeriesAccumulator(
+                lambda xs, vs: current(xs), current_stride, currents
+            )
+        )
 
-    record, (ticks, hist, *series) = run_ensemble(
+    record, (ticks, hist, *_) = run_ensemble(
         table, params, sim, consumer_factories=factories, threads=threads
     )
     members = range(sim.ensemble_size)
@@ -220,8 +198,8 @@ def build_corpus(
         position_density=hist.density(),
         position_count=hist.total,
         record=record,
-        currents=tuple(series[0].series(i) for i in members) if series else None,
-        current_time_step=sim.time_step * current_stride if series else None,
+        currents=currents,
+        current_time_step=None if currents is None else sim.time_step * current_stride,
     )
 
 

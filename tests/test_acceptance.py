@@ -84,10 +84,9 @@ def test_self_oscillation_onset_window():
 
 
 def _current_spectrum(corpus) -> nc.Spectrum:
-    series = np.stack(corpus.currents)
     dtc = corpus.current_time_step
-    max_lag = min(series.shape[1] - 1, int(round(6000.0 * TWO_PI / dtc)))
-    curve = nc.autocorrelation(series, dtc, max_lag=max_lag)
+    max_lag = min(corpus.currents.shape[1] - 1, int(round(6000.0 * TWO_PI / dtc)))
+    curve = nc.autocorrelation(corpus.currents, dtc, max_lag=max_lag)
     return nc.power_spectrum(curve, 0.0)
 
 

@@ -694,6 +694,43 @@ def test_sweep_refuses_explicit_leads(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def _run_with_analysis(tmp_path, pipeline_config, **analysis):
+    payload = json.loads(json.dumps(pipeline_config))
+    payload["analysis"] = analysis
+    out = tmp_path / "out"
+    return _run(_write(tmp_path / "cfg.json", payload), out), out
+
+
+def test_kl_order_beyond_every_member_is_null(tmp_path, pipeline_config):
+    # no member has 5000 waits, so that order has no n-tick sums to compare
+    code, out = _run_with_analysis(tmp_path, pipeline_config, kl_orders=[2, 5000])
+    assert code == 0
+    kl = json.loads((out / "info.json").read_text())["kl_orders"]
+    assert kl["5000"] is None and kl["2"] >= 0
+
+
+def test_spectrum_window_without_three_bins_is_null(tmp_path, pipeline_config):
+    code, out = _run_with_analysis(
+        tmp_path, pipeline_config, spectrum_window=[1.99, 2.0]
+    )
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["spectrum_peak"] == {"location": None, "height": None}
+    assert report["spectrum_fwhm"] is None
+    assert report["linewidth_fit"] == {"fwhm": None, "location": None}
+    assert report["accuracy"] > 0
+
+
+def test_lag_horizon_below_one_lag_fails_before_coeffs(
+    tmp_path, pipeline_config, capsys
+):
+    # 1e-3 periods is 0.1 record spacings at time_step pi/100, stride 2
+    code, out = _run_with_analysis(tmp_path, pipeline_config, max_lag_periods=1e-3)
+    assert code == 2
+    assert "analysis.max_lag_periods 0.001 reaches no lag" in capsys.readouterr().err
+    assert not (out / "coeffs.npz").exists()
+
+
 # ----------------------------------------------------------------- toymodel --
 
 
@@ -740,6 +777,8 @@ def test_toymodel_command_round_trip(tmp_path):
         (dict(type="telegraph", rates=["a", 1], levels=[0.0, 1.0]),
          "toymodel.rates must be two numbers > 0, not ['a', 1]"),
         (dict(time_step=float("nan")), "toymodel.time_step must be a number > 0, not nan"),
+        (dict(duration=0.01, time_step=0.1),
+         "toymodel.duration 0.01 is under half of toymodel.time_step 0.1"),
     ],
 )
 def test_toymodel_config_failures(tmp_path, capsys, toy, message):

@@ -13,6 +13,7 @@ from nemclock import langevin
 from nemclock.langevin import (
     CHUNK_STEPS,
     ExcursionError,
+    SeriesAccumulator,
     SimConfig,
     column_interpolant,
     run_ensemble,
@@ -164,12 +165,8 @@ def test_step_halving_shared_noise(ou_table, params100):
         pairs = fine_noise[:, 2 * start : 2 * (start + n)]
         return (pairs[:, 0::2] + pairs[:, 1::2]) / math.sqrt(2.0)
 
-    _, xs_c, _ = _integrate_block(
-        ou_table, params100, coarse, [0], noise_source=coarse_source
-    )
-    _, xs_f, _ = _integrate_block(
-        ou_table, params100, fine, [0], noise_source=fine_source
-    )
+    xs_c, *_ = _block(ou_table, params100, coarse, [0], noise_source=coarse_source)
+    xs_f, *_ = _block(ou_table, params100, fine, [0], noise_source=fine_source)
     shared = xs_f[0, ::2]
     rms_diff = np.sqrt(np.mean((xs_c[0] - shared) ** 2))
     rms_scale = np.sqrt(np.mean(shared**2))
@@ -237,11 +234,20 @@ class _Recorder:
 
 
 def _block(table, params, sim, indices, noise_source=None):
+    """One block's recorded positions and velocities (a row per index, in
+    ``indices`` order), its final (x, v) and its feed log."""
     rec = _Recorder()
-    out = _integrate_block(
-        table, params, sim, indices, consumers=(rec,), noise_source=noise_source
+    xs = np.empty((max(indices) + 1, sim.recorded_samples))
+    vs = np.empty_like(xs)
+    record = (
+        SeriesAccumulator(lambda x, v: x, sim.record_stride, xs),
+        SeriesAccumulator(lambda x, v: v, sim.record_stride, vs),
     )
-    return (*out, rec.calls)
+    final = _integrate_block(
+        table, params, sim, indices, consumers=(*record, rec),
+        noise_source=noise_source,
+    )
+    return xs[indices], vs[indices], final, rec.calls
 
 
 def _ensemble(table, params, sim):
@@ -304,7 +310,8 @@ def rough_table():
 
 
 def test_kernel_matches_reference_across_chunks(monkeypatch, rough_table, params100):
-    # 9000 steps over three chunks; the burn-in ends 904 steps into the second
+    # 9000 steps; the burn-in ends 904 steps into the second chunk, where a
+    # chunk restarts, so the 4000 recorded steps are one chunk
     sim = _sim(20, burn=25, seed=31, members=3, stride=7)
     assert sim.total_steps > 2 * CHUNK_STEPS
     assert sim.burn_steps % CHUNK_STEPS not in (0, sim.burn_steps)
@@ -312,7 +319,23 @@ def test_kernel_matches_reference_across_chunks(monkeypatch, rough_table, params
         monkeypatch, lambda: _block(rough_table, params100, sim, [4, 0, 9])
     )
     _assert_identical(fast, ref)
-    assert len(fast[3]) == 3  # two chunk feeds and the final state
+    assert len(fast[3]) == 2  # one chunk feed and the final state
+
+
+def test_kernel_matches_reference_across_recorded_chunks(
+    monkeypatch, rough_table, params100
+):
+    # 1000 burn-in steps, then 9000 recorded steps over three chunks
+    sim = _sim(45, burn=5, seed=13, members=3, stride=7)
+    fast, ref = _both_ways(
+        monkeypatch, lambda: _block(rough_table, params100, sim, [2, 7, 1])
+    )
+    _assert_identical(fast, ref)
+    calls = fast[3]
+    assert [call[1] for call in calls] == [
+        k * sim.time_step for k in (0, CHUNK_STEPS, 2 * CHUNK_STEPS, 9000)
+    ]
+    assert [call[3].shape[1] for call in calls] == [CHUNK_STEPS, CHUNK_STEPS, 808, 1]
 
 
 @pytest.mark.parametrize("members", [1, 17])
@@ -322,8 +345,8 @@ def test_kernel_matches_reference_on_real_table(
     sim = _sim(3, burn=21, seed=5, members=members, stride=3)
     fast, ref = _both_ways(monkeypatch, lambda: _ensemble(table100, params100, sim))
     _assert_identical(fast, ref)
-    # two feeds per 16-member block (the kept tail of the second chunk and
-    # the final state), merged in block order
+    # two feeds per 16-member block (the one recorded chunk, which starts
+    # where the burn-in ends, and the final state), merged in block order
     blocks = [list(range(s, min(s + 16, members))) for s in range(0, members, 16)]
     assert [call[0] for call in fast[1]] == [b for b in blocks for _ in range(2)]
 
@@ -353,7 +376,7 @@ def test_kernel_matches_reference_at_grid_edges(monkeypatch, rough_table, params
         lambda: _block(rough_table, params100, sim, [0, 1, 2, 3], noise_source=source),
     )
     _assert_identical(fast, ref)
-    assert fast[1][0, 0] > grid[-1] >= fast[1][0, 1]
+    assert fast[0][0, 0] > grid[-1] >= fast[0][0, 1]
 
 
 def test_excursion_error_matches_reference(monkeypatch, params100):

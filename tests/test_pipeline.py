@@ -1,10 +1,12 @@
 """Ensemble drivers: grid sizing, streaming consumers, corpus assembly."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nemclock import langevin
 from nemclock.clockstats import allan_variance
 from nemclock.langevin import SimConfig
 from nemclock.params import default_params
@@ -97,50 +99,51 @@ def test_histogram_accumulator_matches_numpy():
 
 
 def test_series_accumulator_stride_alignment():
-    acc = SeriesAccumulator(lambda x: x**2, stride=3)
+    out = np.full((10, 5), np.nan)
+    acc = SeriesAccumulator(lambda x, v: x**2 - v, stride=3, out=out)
     rng = np.random.default_rng(1)
     full = rng.normal(size=(2, 13))
+    vel = rng.normal(size=(2, 13))
     dt = 0.25
     start = 0
     for width in (7, 5, 1):
-        chunk = full[:, start : start + width]
-        acc.feed([4, 9], start * dt, dt, chunk)
+        chunk = slice(start, start + width)
+        acc.feed([4, 9], start * dt, dt, full[:, chunk], vel[:, chunk])
         start += width
-    for row, idx in enumerate((4, 9)):
-        np.testing.assert_allclose(
-            acc.series(idx), full[row, ::3] ** 2, rtol=1e-15
-        )
-    with pytest.raises(KeyError, match="member 5"):
-        acc.series(5)
+    np.testing.assert_array_equal(out[[4, 9]], full[:, ::3] ** 2 - vel[:, ::3])
+    others = np.delete(out, [4, 9], axis=0)
+    assert np.isnan(others).all()
     with pytest.raises(ValueError, match="stride"):
-        SeriesAccumulator(lambda x: x, stride=0)
+        SeriesAccumulator(lambda x, v: x, stride=0, out=out)
 
 
 def test_series_accumulator_absorb_equals_one_instance():
-    # two disjoint member blocks in two instances, merged, against one
-    # instance fed every member
+    # two disjoint member blocks in two instances sharing one array, merged,
+    # against one instance fed every member
     rng = np.random.default_rng(2)
     full = rng.normal(size=(5, 23))
-    whole = SeriesAccumulator(np.exp, stride=2)
-    first = SeriesAccumulator(np.exp, stride=2)
-    second = SeriesAccumulator(np.exp, stride=2)
+    one, shared = np.empty((5, 12)), np.empty((5, 12))
+    whole = SeriesAccumulator(lambda x, v: np.exp(x), stride=2, out=one)
+    first = SeriesAccumulator(lambda x, v: np.exp(x), stride=2, out=shared)
+    second = SeriesAccumulator(lambda x, v: np.exp(x), stride=2, out=shared)
     for start, width in ((0, 9), (9, 13), (22, 1)):
         chunk = full[:, start : start + width]
-        whole.feed(range(5), start * 0.1, 0.1, chunk)
-        first.feed([0, 1, 2], start * 0.1, 0.1, chunk[:3])
-        second.feed([3, 4], start * 0.1, 0.1, chunk[3:])
+        whole.feed(range(5), start * 0.1, 0.1, chunk, chunk)
+        first.feed([0, 1, 2], start * 0.1, 0.1, chunk[:3], chunk[:3])
+        second.feed([3, 4], start * 0.1, 0.1, chunk[3:], chunk[3:])
     first.absorb(second)
-    for idx in range(5):
-        np.testing.assert_array_equal(first.series(idx), whole.series(idx))
+    np.testing.assert_array_equal(shared, one)
 
 
 def test_series_accumulator_skips_chunk_without_hits():
-    acc = SeriesAccumulator(lambda x: x, stride=8)
-    acc.feed([0], 1.0, 1.0, np.array([[1.0, 2.0, 3.0]]))  # k = 1, 2, 3
-    with pytest.raises(KeyError):
-        acc.series(0)
-    acc.feed([0], 4.0, 1.0, np.arange(4.0, 10.0)[None, :])  # k = 4..9 hits 8
-    np.testing.assert_array_equal(acc.series(0), [8.0])
+    out = np.full((1, 2), np.nan)
+    acc = SeriesAccumulator(lambda x, v: x, stride=8, out=out)
+    xs = np.array([[1.0, 2.0, 3.0]])
+    acc.feed([0], 1.0, 1.0, xs, xs)  # k = 1, 2, 3
+    assert np.isnan(out).all()
+    xs = np.arange(4.0, 10.0)[None, :]
+    acc.feed([0], 4.0, 1.0, xs, xs)  # k = 4..9 hits 8
+    np.testing.assert_array_equal(out, [[np.nan, 8.0]])
 
 
 # ----------------------------------------------------------------- ensemble --
@@ -246,6 +249,43 @@ def test_build_corpus_explicit_policy_and_trajectories(tick_table, params100):
     assert corpus.record.positions.shape == (3, sim.recorded_samples)
     assert corpus.record.velocities.shape == (3, sim.recorded_samples)
     assert corpus.currents is None and corpus.current_time_step is None
+
+
+def test_build_corpus_currents_are_written_in_place(tick_table, params100):
+    # the current series is written into the array it is returned as, so
+    # building it costs about that array, not a second copy of it
+    sim = _short_sim(
+        seed=11, ensemble=2, duration=5.0 + 200_000 * 0.05, record_stride=1000
+    )
+    tracemalloc.start()
+    try:
+        corpus = build_corpus(tick_table, params100, sim, current_stride=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert corpus.currents.shape == (2, 200_001)
+    assert peak < 1.5 * corpus.currents.nbytes
+
+
+def test_build_corpus_does_not_depend_on_chunk_layout(
+    monkeypatch, tick_table, params100
+):
+    # chunks restart where the burn-in ends; that is safe because the noise
+    # streams, and so every output, do not depend on where chunks are cut
+    sim = _short_sim(
+        seed=13, ensemble=3, burn_in=60.15, duration=560.0, record_stride=3
+    )
+    assert sim.burn_steps > 1000 and sim.burn_steps % 1000 != 0
+    default = build_corpus(tick_table, params100, sim, current_stride=2)
+    monkeypatch.setattr(langevin, "CHUNK_STEPS", 1000)
+    small = build_corpus(tick_table, params100, sim, current_stride=2)
+    np.testing.assert_array_equal(small.record.positions, default.record.positions)
+    np.testing.assert_array_equal(small.record.velocities, default.record.velocities)
+    np.testing.assert_array_equal(small.currents, default.currents)
+    np.testing.assert_array_equal(small.position_density, default.position_density)
+    assert sum(len(t) for t in default.ticks) > 50
+    for a, b in zip(small.ticks, default.ticks, strict=True):
+        np.testing.assert_array_equal(a.tick_times, b.tick_times)
 
 
 def test_build_corpus_ticks_equal_batch_detection(tick_table, params100):

@@ -1,5 +1,7 @@
 """The analysis scripts under scripts/ still import, and run where cheap."""
+import csv
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -27,3 +29,18 @@ def test_reduced_cycle_scan_below_threshold(tmp_path, capsys):
     assert "V=5: no limit cycle" in printed
     assert "nothing above threshold" in printed
     assert not out.exists()
+
+
+def test_spectral_narrowing_runs(tmp_path, capsys):
+    # the one script that reads Corpus.currents, at the smallest useful scale
+    script = _load(next(p for p in SCRIPTS if p.stem == "spectral_narrowing"))
+    out = tmp_path / "narrowing.csv"
+    argv = ["--voltages", "100", "--burn", "10", "--periods", "40",
+            "--ensemble", "2", "--lag-periods", "10", "--out", str(out)]
+    assert script.main(argv) == 0
+    assert "V=100" in capsys.readouterr().out
+    with out.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["voltage"]) == 100.0
+    for key in ("peak_none", "peak_hann", "fit_peak"):
+        assert math.isfinite(float(row[key]))
