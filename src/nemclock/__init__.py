@@ -5,7 +5,12 @@ a bias threshold the mode self-oscillates and its zero crossings tick like a
 clock.  The package computes the position-dependent transport coefficients,
 integrates the resulting stochastic dynamics, extracts ticks, and quantifies
 how good a timepiece the device makes.
+
+``import nemclock`` loads NumPy but not scipy: the names of the analysis
+modules :mod:`~nemclock.clockstats` and :mod:`~nemclock.tickinfo`, which use
+scipy, are imported on first access.
 """
+import importlib
 
 from .params import (
     AdiabaticityWarning,
@@ -40,31 +45,6 @@ from .readout import (
     detect_ticks,
     transduce,
 )
-from .clockstats import (
-    CorrelationCurve,
-    EstimatorWarning,
-    Spectrum,
-    WtdFit,
-    accuracy_resolution,
-    allan_variance,
-    autocorrelation,
-    default_allan_grid,
-    entropy_per_tick,
-    fit_inverse_gaussian,
-    linewidth_fit,
-    power_spectrum,
-    renewal_allan_asymptote,
-    spectrum_fwhm,
-    spectrum_peak,
-)
-from .tickinfo import (
-    Histogram,
-    kl_divergence,
-    mi_bias_bound,
-    n_fold_convolution,
-    n_sum_samples,
-    pairwise_mutual_information,
-)
 from .toymodels import (
     OffsetModelParams,
     OUAmplitude,
@@ -89,6 +69,35 @@ from .pipeline import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "clockstats": (
+        "CorrelationCurve",
+        "EstimatorWarning",
+        "Spectrum",
+        "WtdFit",
+        "accuracy_resolution",
+        "allan_variance",
+        "autocorrelation",
+        "default_allan_grid",
+        "entropy_per_tick",
+        "fit_inverse_gaussian",
+        "linewidth_fit",
+        "power_spectrum",
+        "renewal_allan_asymptote",
+        "spectrum_fwhm",
+        "spectrum_peak",
+    ),
+    "tickinfo": (
+        "Histogram",
+        "kl_divergence",
+        "mi_bias_bound",
+        "n_fold_convolution",
+        "n_sum_samples",
+        "pairwise_mutual_information",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "AdiabaticityWarning",
@@ -159,3 +168,13 @@ __all__ = [
     "run_ensemble",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """Import an analysis module on first access to one of its names."""
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.optimize import least_squares
 from scipy.special import log_ndtr
 
 from .params import SystemParams
@@ -304,8 +305,6 @@ def linewidth_fit(curve: CorrelationCurve, omega_seed: float) -> tuple[float, fl
     g0, w0, a0, b0 = _profile_scan(tau, y, gammas, omegas) or (
         gammas[0], omega_seed, 0.0, 0.0
     )
-
-    from scipy.optimize import least_squares
 
     def residual(p):
         al, be, g, w = p

@@ -6,7 +6,11 @@ The equation of motion is
     dx = v dt,
 
 with gamma, D and excess looked up from a :class:`CoefficientTable` by cubic
-interpolation.  The position update uses the freshly advanced velocity
+interpolation.  The splines are built here: not-a-knot coefficients computed
+as scipy's ``CubicSpline`` computes them, with its tridiagonal system solved
+by a port of LAPACK ``dgtsv``, and evaluated by scipy's ``PPoly`` rule.
+scipy is the test oracle for both and is not imported.  The position update
+uses the freshly advanced velocity
 (kick-then-drift ordering): for a weakly damped oscillator the plain
 simultaneous update injects an artificial energy drift of order w0^2*dt/2
 per unit time, which would swamp the physical |gamma| ~ 1e-4 here and break
@@ -20,16 +24,17 @@ initial condition, then one standard-normal block per integration chunk;
 the draws do not depend on where the chunks are cut.
 The recorded ensemble is one :class:`Trajectory` with a row per member.
 
-The per-step loop runs in a small C kernel, ``_stepper.c``, compiled on
-first use with ``/usr/bin/cc -O2 -ffp-contract=off`` and loaded through
-ctypes, which releases the GIL, so threads advance blocks in parallel.  The
-kernel reproduces the NumPy loop (:func:`_steps_numpy`) bit for bit: same
-interval rule and power sum as scipy's PPoly evaluation, same operation
-order, no fused multiply-adds.  The NumPy loop is the test oracle and the
-fallback, taken after one RuntimeWarning when the kernel cannot be built or
-loaded.  Noise draws, chunking and consumers (the record is two of them)
-stay in Python, so the stream layout and the consumer contract are the same
-on both paths.
+The per-step loop and the spline evaluation run in a small C kernel,
+``_stepper.c``, compiled on first use with ``/usr/bin/cc -O2
+-ffp-contract=off`` and loaded through ctypes, which releases the GIL, so
+threads advance blocks in parallel.  The kernel reproduces the NumPy loop
+(:func:`_steps_numpy`) and the NumPy evaluation (:func:`_evaluate_numpy`)
+bit for bit: same interval rule and power sum, same operation order, no
+fused multiply-adds.  The NumPy code is the test oracle and the fallback,
+taken after one RuntimeWarning when the kernel cannot be built or loaded.
+Noise draws, chunking and consumers (the record is two of them) stay in
+Python, so the stream layout and the consumer contract are the same on both
+paths.
 """
 from __future__ import annotations
 
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
+import numpy.random  # noqa: F401  NumPy loads it lazily: not in a first ensemble call
 
 from .params import SystemParams
 from .transport import COLUMNS, CoefficientTable
@@ -56,6 +61,7 @@ __all__ = [
     "Trajectory",
     "ExcursionError",
     "SeriesAccumulator",
+    "Spline",
     "column_interpolant",
     "run_ensemble",
 ]
@@ -165,17 +171,150 @@ class SeriesAccumulator:
         """Nothing to merge: blocks write disjoint rows of the shared ``out``."""
 
 
+@dataclass(frozen=True, eq=False)
+class Spline:
+    """Piecewise cubic on the increasing breakpoints ``x``: on interval i it
+    is ``sum(c[m, i] * (t - x[i])**(3 - m))``.  ``c`` has shape (4, n-1) for
+    one column or (4, n-1, k) for k columns evaluated together.
+
+    Calling it evaluates as scipy's ``PPoly`` does: interval i holds
+    x[i] <= t < x[i+1], the last interval also takes the upper end and
+    everything above it, the first everything below the grid, and NaN gives
+    NaN.  The result has the shape of ``t`` (plus k).
+    """
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __post_init__(self):
+        # the compiled evaluation reads both as contiguous doubles
+        x = np.ascontiguousarray(self.x, dtype=np.float64)
+        c = np.ascontiguousarray(self.c, dtype=np.float64)
+        if x.ndim != 1 or x.size < 2 or c.ndim not in (2, 3) or c.shape[:2] != (4, x.size - 1):
+            raise ValueError(f"coefficients of shape {c.shape} do not fit {x.size} breakpoints")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "c", c)
+
+    def __call__(self, t):
+        kernel = _kernel()
+        if kernel is None:
+            return _evaluate_numpy(self, t)
+        return _evaluate_compiled(kernel, self, t)
+
+
+def _evaluate_numpy(spline: Spline, t) -> np.ndarray:
+    """Reference spline evaluation: the interval and the power sum of
+    scipy's ``PPoly``, operation for operation."""
+    t = np.asarray(t, dtype=np.float64)
+    i = np.clip(np.searchsorted(spline.x, t, side="right") - 1, 0, spline.x.size - 2)
+    s = t - spline.x[i]
+    if spline.c.ndim == 3:
+        s = s[..., None]
+    c = spline.c
+    # PPoly's sum starts at 0.0, which turns a -0.0 coefficient into 0.0
+    return 0.0 + c[3, i] + c[2, i] * s + c[1, i] * (s * s) + c[0, i] * (s * s * s)
+
+
+def _evaluate_compiled(kernel, spline: Spline, t) -> np.ndarray:
+    """:func:`_evaluate_numpy` in C, bit for bit, written straight into the
+    result; a 1- or 2-D ``t`` is read in place through its strides."""
+    t = np.asarray(t, dtype=np.float64)
+    rows = t.reshape(math.prod(t.shape[:-1]), t.shape[-1]) if t.ndim else t.reshape(1, 1)
+    if any(stride % 8 for stride in rows.strides):
+        rows = np.ascontiguousarray(rows)
+    out = np.empty(t.shape + spline.c.shape[2:])
+    kernel.nemclock_eval(
+        rows.shape[0], rows.shape[1], rows.ctypes.data,
+        rows.strides[0] // 8, rows.strides[1] // 8,
+        spline.x.ctypes.data, spline.x.size, spline.c.ctypes.data,
+        spline.c[0, 0].size, out.ctypes.data,
+    )
+    return out
+
+
+def _dgtsv(lower: list, diag: list, upper: list, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system (sub-, main and super-diagonal) for every
+    column of ``b`` (n, k) as LAPACK ``dgtsv`` does: Gaussian elimination
+    that swaps rows i and i+1 where |diag[i]| < |lower[i]|, then back
+    substitution.  The elimination is one pass over the matrix; its steps
+    are then applied to each column.  The diagonals are overwritten."""
+    n = len(diag)
+    steps = []
+    for i in range(n - 1):
+        if abs(diag[i]) >= abs(lower[i]):
+            fact = lower[i] / diag[i]
+            diag[i + 1] = diag[i + 1] - fact * upper[i]
+            if i < n - 2:
+                lower[i] = 0.0
+            steps.append((False, fact))
+        else:
+            fact = diag[i] / lower[i]
+            diag[i] = lower[i]
+            temp = diag[i + 1]
+            diag[i + 1] = upper[i] - fact * temp
+            if i < n - 2:
+                lower[i] = upper[i + 1]
+                upper[i + 1] = -fact * lower[i]
+            upper[i] = temp
+            steps.append((True, fact))
+    solved = []
+    for col in b.T.tolist():
+        for i, (swap, fact) in enumerate(steps):
+            if swap:
+                col[i], col[i + 1] = col[i + 1], col[i] - fact * col[i + 1]
+            else:
+                col[i + 1] = col[i + 1] - fact * col[i]
+        col[n - 1] = col[n - 1] / diag[n - 1]
+        col[n - 2] = (col[n - 2] - upper[n - 2] * col[n - 1]) / diag[n - 2]
+        for i in range(n - 3, -1, -1):
+            col[i] = (col[i] - upper[i] * col[i + 1] - lower[i] * col[i + 2]) / diag[i]
+        solved.append(col)
+    return np.array(solved).T
+
+
+def not_a_knot_spline(x, y) -> Spline:
+    """Cubic interpolant of ``y`` (n,) or (n, k) at the nodes ``x`` with
+    not-a-knot ends, equal bit for bit to ``scipy.interpolate.CubicSpline(x,
+    y)``: the same slopes and right-hand side (scipy 1.17 ``_cubic.py``),
+    the same tridiagonal solve, the same Hermite coefficients.  Needs at
+    least 4 nodes, where not-a-knot ends are two distinct conditions."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.size
+    if n < 4:
+        raise ValueError(f"a not-a-knot cubic spline needs at least 4 nodes, got {n}")
+    dx = np.diff(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    # scipy squares a NumPy scalar here, by pow(), which can differ from x*x
+    d = x[2] - x[0]
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    e = x[-1] - x[-3]
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * e + dx[-1]) * dx[-2] * slope[-1]) / e
+    s = _dgtsv(
+        [*dx[1:].tolist(), float(e)],
+        [float(dx[1]), *(2 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])],
+        [float(d), *dx[:-1].tolist()],
+        b.reshape(n, -1),
+    ).reshape(y.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return Spline(x, np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])))
+
+
 @functools.lru_cache(maxsize=8)
 def _splines(table: CoefficientTable):
     """Per-column cubic interpolants, and the drive: one vector-valued cubic
     over the three columns the stepper needs, so the hot loop pays a single
-    interpolation per step."""
-    columns = {name: CubicSpline(table.grid, table.column(name)) for name in COLUMNS}
-    drive = [columns[name].c for name in ("friction", "diffusion", "excess_occupation")]
-    return columns, PPoly(np.stack(drive, axis=-1), table.grid)
+    interpolation per step.  All five columns share one spline solve."""
+    both = not_a_knot_spline(table.grid, np.column_stack([table.column(n) for n in COLUMNS]))
+    columns = {name: Spline(both.x, both.c[..., j]) for j, name in enumerate(COLUMNS)}
+    drive = [COLUMNS.index(n) for n in ("friction", "diffusion", "excess_occupation")]
+    return columns, Spline(both.x, both.c[..., drive])
 
 
-def column_interpolant(table: CoefficientTable, name: str):
+def column_interpolant(table: CoefficientTable, name: str) -> Spline:
     """Cubic interpolant of one table column (exact at the nodes)."""
     return _splines(table)[0][name]
 
@@ -203,12 +342,14 @@ def _load_kernel():
             os.replace(tmp, lib)
         finally:
             tmp.unlink(missing_ok=True)
-    fn = ctypes.CDLL(str(lib)).nemclock_steps
+    kernel = ctypes.CDLL(str(lib))
     long, ptr, double = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
-    fn.argtypes = [long, long, ptr, ptr, ptr, ptr, ptr, ptr, long, ptr,
-                   double, double, double, double, ptr]
-    fn.restype = long
-    return fn
+    kernel.nemclock_steps.argtypes = [long, long, ptr, ptr, ptr, ptr, ptr, ptr, long,
+                                      ptr, double, double, double, double, ptr]
+    kernel.nemclock_steps.restype = long
+    kernel.nemclock_eval.argtypes = [long, long, ptr, long, long, ptr, long, ptr, long, ptr]
+    kernel.nemclock_eval.restype = None
+    return kernel
 
 
 _kernel_lock = threading.Lock()
@@ -216,10 +357,12 @@ _kernel_cache: list = []
 
 
 def _kernel():
-    """The compiled step loop, or None when it cannot be built or loaded.
+    """The compiled step loop and spline evaluation, or None when they
+    cannot be built or loaded.
 
     A failure is reported once per process by a RuntimeWarning; every block
-    then runs the NumPy loop, with the same results at about 20x the cost.
+    then runs the NumPy loop and every spline the NumPy evaluation, with the
+    same results at about 20x and 10x the cost.
     """
     with _kernel_lock:
         if not _kernel_cache:
@@ -228,7 +371,8 @@ def _kernel():
             except (OSError, AttributeError) as exc:
                 warnings.warn(
                     f"compiled Langevin stepper unavailable ({exc}); "
-                    "falling back to the NumPy step loop, about 20x slower",
+                    "falling back to the NumPy step loop and spline evaluation, "
+                    "about 20x slower",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -249,7 +393,7 @@ def _steps_numpy(drive, x, v, noise, buf_x, buf_v, dt, w0, force, m):
             buf_x[:, k] = x
             buf_v[:, k] = v
         xe = np.clip(x, lo, hi)
-        coeff = drive(xe)
+        coeff = _evaluate_numpy(drive, xe)
         gam, dif, exc = coeff[:, 0], coeff[:, 1], coeff[:, 2]
         v = v + (-gam * v - w0**2 * x + (force / m) * exc) * dt \
             + np.sqrt(dif * dt) * noise[:, k] / m
@@ -264,15 +408,13 @@ def _steps_compiled(kernel, drive, x, v, noise, buf_x, buf_v, dt, w0, force, m):
     """:func:`_steps_numpy` in C, bit for bit; ``x`` and ``v`` are updated
     in place."""
     noise = np.ascontiguousarray(noise, dtype=np.float64)
-    grid = np.ascontiguousarray(drive.x, dtype=np.float64)
-    coeffs = np.ascontiguousarray(drive.c, dtype=np.float64)
     fail_step = ctypes.c_long()
-    bad = kernel(
+    bad = kernel.nemclock_steps(
         x.shape[0], noise.shape[1],
         x.ctypes.data, v.ctypes.data, noise.ctypes.data,
         None if buf_x is None else buf_x.ctypes.data,
         None if buf_v is None else buf_v.ctypes.data,
-        grid.ctypes.data, grid.shape[0], coeffs.ctypes.data,
+        drive.x.ctypes.data, drive.x.size, drive.c.ctypes.data,
         dt, w0**2, force / m, m, ctypes.byref(fail_step),
     )
     return x, v, (None if bad < 0 else (fail_step.value, bad))

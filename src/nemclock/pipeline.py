@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clockstats import allan_variance
 from .langevin import (
     SeriesAccumulator,
     SimConfig,
@@ -214,6 +213,8 @@ def pooled_waiting_times(ticks_list) -> np.ndarray:
 
 def ensemble_allan(ticks_list, mean_wait: float, T_values):
     """Allan variance per member, averaged across the ensemble."""
+    from .clockstats import allan_variance  # here: clockstats loads scipy
+
     T_values = [float(t) for t in T_values]
     sums = np.zeros(len(T_values))
     used = 0

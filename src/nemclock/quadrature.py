@@ -104,7 +104,11 @@ def integrate(
     edges = [lower, upper]
     if breakpoints is not None:
         edges += [float(p) for p in breakpoints if lower < p < upper]
-    edges = np.unique(np.asarray(edges, dtype=float))
+    # np.unique's sort-and-compare steps, without its masked-array check,
+    # which imports numpy.ma
+    edges = np.asarray(edges, dtype=float)
+    edges.sort()
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     lo, hi = edges[:-1].copy(), edges[1:].copy()
 
     kron, err = _panel_rule(f, lo, hi)

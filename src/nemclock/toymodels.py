@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .langevin import _stream, column_interpolant
 from .params import SystemParams
@@ -40,6 +39,10 @@ __all__ = [
 
 PHASE_POINTS = 256
 SCAN_NODES = 64
+# scipy.optimize.brentq's defaults
+BRENT_XTOL = 2e-12
+BRENT_RTOL = 4 * float(np.finfo(float).eps)
+BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,8 @@ def limit_cycle_amplitude(table: CoefficientTable, params: SystemParams) -> floa
     The oscillator self-excites only where small-amplitude friction is
     negative; otherwise the fixed point at the origin is stable and there is
     no cycle.  Above threshold the radial drift is scanned on a logarithmic
-    amplitude ladder and the root is polished by bisection.
+    amplitude ladder and the root is polished by Brent's method
+    (:func:`brentq`).
     """
     gamma = column_interpolant(table, "friction")
     if float(gamma(0.0)) >= 0.0:
@@ -167,7 +171,50 @@ def limit_cycle_amplitude(table: CoefficientTable, params: SystemParams) -> floa
             f"drift({ladder[-1]:.4g}) = {values[-1]:.4g}; enlarge the grid"
         )
     i = int(sign_change[0])
-    return float(brentq(lambda a: float(drift(a)[0]), ladder[i], ladder[i + 1]))
+    return brentq(lambda a: float(drift(a)[0]), float(ladder[i]), float(ladder[i + 1]))
+
+
+def brentq(f, xa: float, xb: float) -> float:
+    """Root of ``f`` in a sign-changing bracket by Brent's method: scipy's C
+    ``brentq`` (scipy 1.17) step for step, so it returns the same float as
+    ``scipy.optimize.brentq`` with its default tolerances."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq did not converge in {BRENT_MAXITER} iterations")
 
 
 def reduced_coefficients(

@@ -71,10 +71,11 @@ def test_traced_benchmark_runs_after_hooks_change_shape(tmp_path):
 
 def test_cli_import_leaves_out_scipy_stats_and_signal():
     # each CLI stage is a fresh process, so what `import nemclock.cli` loads
-    # is paid on every command; only `toymodel` needs scipy.signal
+    # is paid on every command; only `toymodel` needs scipy.signal, and no
+    # command needs scipy.interpolate
     code = (
-        "import sys, nemclock.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])"
+        "import sys, nemclock.cli; print([m for m in "
+        "('scipy.stats', 'scipy.signal', 'scipy.interpolate') if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -83,3 +84,30 @@ def test_cli_import_leaves_out_scipy_stats_and_signal():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_tables_and_ensembles_need_no_scipy():
+    # the table and ensemble path imports no scipy, and its first calls
+    # import nothing new, so no timed call pays an import
+    code = (
+        "import math, sys\n"
+        "import nemclock\n"
+        "from nemclock import langevin, params, pipeline, transport\n"
+        "before = set(sys.modules)\n"
+        "p = params.default_params(100.0)\n"
+        "table = transport.build_coefficient_table(p, pipeline.default_grid(p))\n"
+        "sim = langevin.SimConfig(time_step=math.pi / 100, burn_in=2 * math.pi,\n"
+        "                         duration=6 * math.pi, seed=3, ensemble_size=2,\n"
+        "                         record_stride=10)\n"
+        "corpus = pipeline.build_corpus(table, p, sim, current_stride=2)\n"
+        "assert corpus.currents.shape == (2, 201)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]

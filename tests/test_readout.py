@@ -214,7 +214,7 @@ def test_transduce_interpolates_current_column():
     t, x = _sine(periods=3, amplitude=2.0)
     (signal,) = transduce(_traj(t, x), table)
     reference = CubicSpline(table.grid, table.column("current"))(x)
-    np.testing.assert_allclose(signal, reference, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(signal, reference)
     # cubic interpolation of a smooth profile on a fine grid is accurate
     np.testing.assert_allclose(signal, 2.0 + np.tanh(x), atol=1e-4)
 

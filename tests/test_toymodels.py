@@ -67,6 +67,39 @@ def test_limit_cycle_amplitude_exact(params):
     assert amp == pytest.approx(2.0 * math.sqrt(a / b), rel=1e-9)
 
 
+def _brent_cases(table100, params100):
+    """Bracketed functions: the radial drift of the V = 100 and quartic
+    tables, plus smooth, steep, flat and kinked shapes."""
+    drift = toymodels._drift_function(table100, params100)
+    quartic = toymodels._drift_function(_quartic_table(), params100)
+    return [
+        (lambda a: float(drift(a)[0]), 1.0, 30.0),
+        (lambda a: float(drift(a)[0]), 20.0, 23.0),
+        (lambda a: float(quartic(a)[0]), 0.5, 5.3),
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (math.cos, 0.0, 3.0),
+        (lambda x: math.exp(x) - 1e6, -5.0, 30.0),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
+        (lambda x: x**3 - 1e-9, -1.0, 2.0),
+        (lambda x: abs(x - 0.7) - 0.2, 0.7, 5.0),
+        (lambda x: x, -1.0, 0.0),
+    ]
+
+
+def test_brentq_equals_scipy(table100, params100):
+    from scipy.optimize import brentq as scipy_brentq
+
+    for f, a, b in _brent_cases(table100, params100):
+        assert toymodels.brentq(f, a, b) == scipy_brentq(f, a, b)
+        assert toymodels.brentq(f, b, a) == scipy_brentq(f, b, a)
+    with pytest.raises(ValueError, match="different signs"):
+        toymodels.brentq(math.cos, 0.0, 1.0)
+    # a flat ninth-power root exhausts both within the 100 iterations
+    for brentq in (toymodels.brentq, scipy_brentq):
+        with pytest.raises(RuntimeError, match="converge"):
+            brentq(lambda x: (x - 1e-3) ** 9, -1.0, 2.0)
+
+
 def test_reduced_coefficients_exact(params):
     a, b, D = 0.5, 0.125, 0.35
     table = _quartic_table(a, b, diffusion=D)
