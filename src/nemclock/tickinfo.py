@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
+from numpy import fft  # loaded here, not inside the first timed transform
 
 __all__ = [
     "Histogram",
@@ -94,6 +94,34 @@ class Histogram:
         )
 
 
+def next_fast_len(target: int) -> int:
+    """Smallest 11-smooth length >= ``target``: an FFT size pocketfft
+    transforms fast, the value of ``scipy.fft.next_fast_len(target)``.
+
+    Each product of powers of 3, 5, 7 and 11 below the best length so far is
+    doubled up to ``target``; the least of those is the answer.
+    """
+    if target < 1:
+        raise ValueError("target must be >= 1")
+    best = 1 << (target - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    length = p3 << ((target - 1) // p3).bit_length()
+                    if length < best:
+                        best = length
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def n_fold_convolution(hist: Histogram, n: int) -> Histogram:
     """Distribution of the sum of n independent draws from ``hist``.
 
@@ -108,8 +136,8 @@ def n_fold_convolution(hist: Histogram, n: int) -> Histogram:
         return hist
     m = hist.masses.size
     out_len = n * (m - 1) + 1
-    n_fft = sfft.next_fast_len(out_len)
-    masses = sfft.irfft(sfft.rfft(hist.masses, n_fft) ** n, n_fft)[:out_len]
+    n_fft = next_fast_len(out_len)
+    masses = fft.irfft(fft.rfft(hist.masses, n_fft) ** n, n_fft)[:out_len]
     if masses.min() < -1e-9:
         raise RuntimeError(f"convolution produced mass {masses.min():.3e}")
     masses = np.clip(masses, 0.0, None)

@@ -69,13 +69,28 @@ def test_traced_benchmark_runs_after_hooks_change_shape(tmp_path):
     assert member_steps == 3 * total_steps
 
 
-def test_cli_import_leaves_out_scipy_stats_and_signal():
+def test_cli_needs_no_scipy(tmp_path):
     # each CLI stage is a fresh process, so what `import nemclock.cli` loads
-    # is paid on every command; only `toymodel` needs scipy.signal, and no
-    # command needs scipy.interpolate
+    # is paid on every command: no scipy (only `toymodel` imports
+    # scipy.signal, when it runs); and a whole `run` imports no module, so
+    # no timed call pays an import
+    config = {
+        "version": 1,
+        "system": {"voltage": 5.0},
+        "grid": {"nodes": 41},
+        "simulation": {"duration": 660.0, "ensemble_size": 4, "record_stride": 2, "seed": 9},
+    }
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(config))
     code = (
-        "import sys, nemclock.cli; print([m for m in "
-        "('scipy.stats', 'scipy.signal', 'scipy.interpolate') if m in sys.modules])"
+        "import json, sys\n"
+        "from nemclock import cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "before = set(sys.modules)\n"
+        f"assert cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+        f"assert 'ks_statistic' in json.loads(open({str(out / 'wtd_fit.json')!r}).read())\n"
+        f"assert json.loads(open({str(out / 'report.json')!r}).read())['linewidth_fit']['fwhm']\n"
+        "print(sorted(set(sys.modules) - before))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -83,7 +98,8 @@ def test_cli_import_leaves_out_scipy_stats_and_signal():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_tables_and_ensembles_need_no_scipy():

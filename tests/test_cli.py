@@ -721,6 +721,20 @@ def test_spectrum_window_without_three_bins_is_null(tmp_path, pipeline_config):
     assert report["accuracy"] > 0
 
 
+def test_degenerate_waits_leave_the_fit_out(tmp_path, pipeline_config, monkeypatch):
+    # waits can pass a variance check and still be degenerate to the fit
+    # (pi + 1e-13 noise: mean(1/tau) - 1/mean rounds below 0); its
+    # ValueError leaves a note in wtd_fit.json, not a failed stage
+    def degenerate(waits):
+        raise ValueError("degenerate (zero-variance) waiting times")
+
+    monkeypatch.setattr(cli.clockstats, "fit_inverse_gaussian", degenerate)
+    code, out = _run_with_analysis(tmp_path, pipeline_config)
+    assert code == 0
+    assert json.loads((out / "wtd_fit.json").read_text()) == {"note": "too few waits"}
+    assert json.loads((out / "report.json").read_text())["accuracy"] > 0
+
+
 def test_lag_horizon_below_one_lag_fails_before_coeffs(
     tmp_path, pipeline_config, capsys
 ):

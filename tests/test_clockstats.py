@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
+from scipy import special as sspecial
 from scipy import stats as sstats
 
 from nemclock import clockstats
@@ -108,6 +110,38 @@ def _damped_cosine_curve(gamma=5e-3, omega=2.0, dt=0.2, n=20001, amp2=1.0):
     return CorrelationCurve(
         lags=tau, values=amp2 * np.exp(-gamma * tau) * np.cos(omega * tau)
     )
+
+
+def _scipy_fft_autocorrelation(series, max_lag):
+    """The estimator's lag sums by scipy.fft, as the package computed them
+    before it moved to numpy.fft."""
+    centered = series - series.mean()
+    n_fft = sfft.next_fast_len(series.shape[1] + max_lag)
+    raw = np.zeros(max_lag + 1)
+    for row in centered:
+        spec = sfft.rfft(row, n_fft)
+        raw += sfft.irfft(spec * np.conj(spec), n_fft)[: max_lag + 1]
+    return raw / (series.shape[0] * (series.shape[1] - np.arange(max_lag + 1)))
+
+
+def test_autocorrelation_and_spectrum_equal_scipy_fft():
+    # run-sized rows: 4 members of 50001 samples, lags up to 20000
+    dt = math.pi / 100
+    rng = np.random.Generator(np.random.Philox(3))
+    t = np.arange(50001) * dt
+    series = np.cos(2.0 * t + rng.uniform(0, 2 * math.pi, (4, 1))) + rng.standard_normal((4, t.size))
+    curve = autocorrelation(series, dt, max_lag=20000)
+    np.testing.assert_array_equal(curve.values, _scipy_fft_autocorrelation(series, 20000))
+    for window in ("none", "hann"):
+        spec = power_spectrum(curve, 0.25, lag_window=window)
+        values = curve.values
+        if window == "hann":
+            values = values * 0.5 * (1.0 + np.cos(np.pi * np.arange(values.size) / (values.size - 1)))
+        sym = np.concatenate([values, values[-2:0:-1]])
+        np.testing.assert_array_equal(spec.values, sfft.rfft(sym).real * dt + 0.25)
+        np.testing.assert_array_equal(
+            spec.frequencies, 2.0 * np.pi * sfft.rfftfreq(sym.size, d=dt)
+        )
 
 
 def test_spectrum_of_zero_curve_is_flat_floor():
@@ -217,6 +251,16 @@ def _run_sized_curve():
     return CorrelationCurve(lags=tau, values=values)
 
 
+def _undamped_curve():
+    # a line narrower than the fit's lower width bound, 0.02/max_lag: the
+    # best fit in the box has its width on that bound
+    tau = np.arange(20001) * (math.pi / 100)
+    rng = np.random.Generator(np.random.Philox(13))
+    values = 0.5 * np.cos(2.0 * tau) + 0.05 * rng.standard_normal(tau.size)
+    values[0] = np.abs(values).max()
+    return CorrelationCurve(lags=tau, values=values)
+
+
 def test_linewidth_fit_recovers_exact_rate():
     fwhm, omega = linewidth_fit(_exact_rate_curve(), 2.0003)
     assert fwhm == pytest.approx(2.0 * _GAMMA, rel=1e-6)
@@ -248,8 +292,9 @@ def test_linewidth_fit_reads_slow_core_of_two_timescale_envelope():
 
 def _nested_scan_linewidth_fit(curve, omega_seed):
     """Oracle: the profile scan as one (gamma, omega) point at a time, each
-    computing its own envelope and trig rows, then the same refinement.
-    Returns the chosen ``(g0, w0, alpha, beta)`` and ``(fwhm, omega)``."""
+    computing its own envelope and trig rows, then scipy's ``least_squares``
+    (TRF) from that start in the same box.  Returns the chosen
+    ``(g0, w0, alpha, beta)``, scipy's result and the residual function."""
     from scipy.optimize import least_squares
 
     n = curve.values.size
@@ -298,8 +343,22 @@ def _nested_scan_linewidth_fit(curve, omega_seed):
             [np.inf, np.inf, gammas[-1] * 10.0, w0 + 3.0 * step],
         ),
     )
-    _, _, g_fit, w_fit = fit.x
-    return (g0, w0, a0, b0), (float(g_fit), float(w_fit))
+    return (g0, w0, a0, b0), fit, residual
+
+
+def _cost_resolution(residual, x):
+    """Largest change of the cost when omega moves by one or two ulp from
+    ``x``: the finest cost difference the evaluation of the model resolves
+    there.  It is the rounding of omega*tau, and it matters only for a
+    near-exact fit (on the two-timescale curve, cost 1.1e-11, it is 3.2e-9
+    relative and not monotone in omega)."""
+    cost = 0.5 * residual(x) @ residual(x)
+    swings = []
+    for k in (-2, -1, 1, 2):
+        moved = np.array(x, dtype=float)
+        moved[3] += k * np.spacing(moved[3])
+        swings.append(abs(0.5 * residual(moved) @ residual(moved) - cost))
+    return max(swings)
 
 
 @pytest.mark.parametrize(
@@ -310,21 +369,60 @@ def _nested_scan_linewidth_fit(curve, omega_seed):
         (_noisy_curve, 2.0003),
         (_two_timescale_curve, 2.0),
         (_run_sized_curve, 1.9993),
+        (_undamped_curve, 2.0),
     ],
 )
 def test_linewidth_fit_equals_nested_scan(make_curve, omega_seed, monkeypatch):
+    # the start is the nested scan's exactly; the refinement is held to
+    # scipy's least_squares, which stops at its ftol = 1e-8, by tolerance
     curve = make_curve()
-    chosen, result = _nested_scan_linewidth_fit(curve, omega_seed)
-    starts = []
-    scan = clockstats._profile_scan
+    chosen, fit, residual = _nested_scan_linewidth_fit(curve, omega_seed)
+    starts, results = [], []
+    scan, refine = clockstats._profile_scan, clockstats._damped_cosine_fit
 
     def recorded_scan(*args):
         starts.append(scan(*args))
         return starts[-1]
 
+    def recorded_refine(*args):
+        results.append(refine(*args))
+        return results[-1]
+
     monkeypatch.setattr(clockstats, "_profile_scan", recorded_scan)
-    assert linewidth_fit(curve, omega_seed) == result
+    monkeypatch.setattr(clockstats, "_damped_cosine_fit", recorded_refine)
+    fwhm, omega = linewidth_fit(curve, omega_seed)
     assert starts == [chosen]
+    assert (fwhm, omega) == tuple(results[0][2:])
+    assert fwhm == pytest.approx(fit.x[2], rel=1e-5)
+    assert omega == pytest.approx(fit.x[3], rel=1e-9)
+    cost = 0.5 * residual(results[0]) @ residual(results[0])
+    assert cost <= fit.cost * (1 + 1e-9) + _cost_resolution(residual, fit.x)
+
+
+def test_linewidth_fit_stops_on_the_width_bound():
+    # a bound the descent pushes against holds its parameter exactly, and
+    # the other three are fitted without it
+    curve = _undamped_curve()
+    fwhm, omega = linewidth_fit(curve, 2.0)
+    assert fwhm == 0.2 / curve.lags[-1] / 10.0  # the lowest scan width / 10
+    assert omega == pytest.approx(2.0, abs=1e-4)
+
+
+def test_linewidth_fit_from_singular_start(monkeypatch):
+    # no finite-cost scan point: the refinement starts at alpha = beta = 0,
+    # where the gamma and omega columns of the Jacobian vanish
+    monkeypatch.setattr(clockstats, "_profile_scan", lambda *args: None)
+    fwhm, omega = linewidth_fit(_exact_rate_curve(), 2.0)
+    assert fwhm == pytest.approx(2.0 * _GAMMA, rel=1e-9)
+    assert omega == pytest.approx(2.0, rel=1e-12)
+
+
+def test_linewidth_fit_refuses_non_finite_curve():
+    curve = _exact_rate_curve()
+    values = curve.values.copy()
+    values[100000] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        linewidth_fit(CorrelationCurve(lags=curve.lags, values=values), 2.0003)
 
 
 def test_linewidth_fit_validation():
@@ -348,18 +446,53 @@ def test_inverse_gaussian_fit_recovers_parameters():
     assert fit.ks_statistic < 0.02
 
 
+def _scipy_ks_statistic(samples):
+    mu = samples.mean()
+    lam = 1.0 / (np.mean(1.0 / samples) - 1.0 / mu)
+    law = sstats.invgauss(mu / lam, scale=lam)
+    return sstats.kstest(samples, law.cdf).statistic
+
+
 @pytest.mark.parametrize(
     "size, ratio", [(100, 1e-3), (100, 1.0), (3000, 0.03), (3000, 0.5), (50000, 1e-3), (50000, 1.0)]
 )
 def test_inverse_gaussian_ks_statistic_equals_scipy(size, ratio):
-    # ratio = mean/shape; scipy.stats is the oracle, and the value must match bit for bit
+    # ratio = mean/shape; scipy.stats is the oracle.  The native log_ndtr
+    # is within 8 ulp of scipy's, so the statistic is held within 2e-15
     mean = math.pi
     samples = np.random.default_rng(size).wald(mean, mean / ratio, size)
     fit = fit_inverse_gaussian(samples)
-    mu = samples.mean()
-    lam = 1.0 / (np.mean(1.0 / samples) - 1.0 / mu)
-    law = sstats.invgauss(mu / lam, scale=lam)
-    assert fit.ks_statistic == sstats.kstest(samples, law.cdf).statistic
+    assert abs(fit.ks_statistic - _scipy_ks_statistic(samples)) <= 2e-15
+
+
+def test_inverse_gaussian_ks_statistic_on_random_wald_draws():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        size = int(rng.integers(100, 5000))
+        ratio = 10.0 ** rng.uniform(-4.0, 0.5)
+        samples = rng.wald(math.pi, math.pi / ratio, size)
+        fit = fit_inverse_gaussian(samples)
+        assert abs(fit.ks_statistic - _scipy_ks_statistic(samples)) <= 2e-15
+
+
+def test_log_ndtr_against_scipy():
+    a = np.concatenate(
+        [
+            -np.geomspace(1e6, 1e-6, 40001),
+            [0.0, -1.0, np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0)],
+            np.geomspace(1e-6, 37.0, 20001),
+            np.linspace(-30.0, 37.0, 40001),
+        ]
+    )
+    ours, ref = clockstats._log_ndtr(a), sspecial.log_ndtr(a)
+    ulps = np.abs(ours - ref) / np.spacing(np.abs(ref))
+    assert ulps[a <= -5.0].max() <= 1.0
+    assert ulps[(a > -5.0) & (a <= 1.0)].max() <= 8.0
+    high = a > 1.0
+    assert np.max(np.abs(ours[high] / ref[high] - 1.0)) <= 1e-12
+    special = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300])
+    np.testing.assert_array_equal(clockstats._log_ndtr(special), sspecial.log_ndtr(special))
+    assert np.signbit(clockstats._log_ndtr(np.array([np.inf]))[0])
 
 
 def test_inverse_gaussian_fit_validation():
@@ -370,6 +503,11 @@ def test_inverse_gaussian_fit_validation():
         fit_inverse_gaussian(bad)
     with pytest.raises(ValueError, match="degenerate"):
         fit_inverse_gaussian(np.full(200, 2.0))
+    # positive variance, but rounding puts mean(1/tau) - 1/mean at -5.6e-17
+    jittered = math.pi + 1e-13 * np.random.default_rng(0).standard_normal(200)
+    assert np.var(jittered) > 0
+    with pytest.raises(ValueError, match="degenerate"):
+        fit_inverse_gaussian(jittered)
 
 
 def test_accuracy_resolution_exponential_waits():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy import stats as sstats
 
 from nemclock.tickinfo import (
@@ -13,6 +14,7 @@ from nemclock.tickinfo import (
     mi_bias_bound,
     n_fold_convolution,
     n_sum_samples,
+    next_fast_len,
     pairwise_mutual_information,
 )
 
@@ -121,6 +123,25 @@ def test_convolution_inverse_gaussian_closure():
 
 
 # ----------------------------------------------------------------------- KL --
+
+
+def test_next_fast_len_equals_scipy():
+    targets = range(1, 2**17 + 1)
+    assert [next_fast_len(n) for n in targets] == [sfft.next_fast_len(n) for n in targets]
+    with pytest.raises(ValueError, match=">= 1"):
+        next_fast_len(0)
+
+
+@pytest.mark.parametrize("bins, n", [(60, 2), (257, 4), (1001, 8), (4099, 3)])
+def test_convolution_equals_scipy_fft(bins, n):
+    # the masses numpy.fft convolves equal those of the scipy.fft transform
+    masses = np.random.default_rng(bins).random(bins)
+    h = _hist(masses / masses.sum())
+    out_len = n * (bins - 1) + 1
+    n_fft = sfft.next_fast_len(out_len)
+    ref = sfft.irfft(sfft.rfft(h.masses, n_fft) ** n, n_fft)[:out_len]
+    ref = np.clip(ref, 0.0, None)
+    np.testing.assert_array_equal(n_fold_convolution(h, n).masses, ref / ref.sum())
 
 
 def test_kl_two_bin_exact():
