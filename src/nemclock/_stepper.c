@@ -1,15 +1,18 @@
-/* Kick-then-drift Langevin steps for one block of trajectories, and the
-   evaluation of the cubic splines they step through.
+/* Kick-then-drift Langevin steps for one block of trajectories, the
+   evaluation of the cubic splines they step through, and the per-position
+   rows of the transport integrand the splines' tables are built from.
 
    This is the compiled form of the NumPy step loop and spline evaluation in
-   langevin.py and must agree with them bit for bit, so every floating-point
-   operation below is the one NumPy performs, in the same order:
+   langevin.py and of the integrand rows in transport.py, and must agree
+   with them bit for bit, so every floating-point operation below is the one
+   NumPy performs, in the same order:
 
    - a spline is evaluated by the rule of scipy's PPoly, which the tests hold
      it to: the interval rule of find_interval (g[i] <= x < g[i+1], the last
      interval at and above g[nx-1], the first below g[0], NaN for NaN) and
      the power sum of evaluate_poly1;
-   - the velocity update groups its terms as the NumPy expression does;
+   - the velocity update and every integrand row group their terms as the
+     NumPy expressions do;
    - it is compiled with -O2 -ffp-contract=off and without -ffast-math, so
      no product is fused into an add and no sum is reassociated.
 
@@ -130,4 +133,77 @@ long nemclock_steps(long block, long n,
             break;
     }
     return bad;
+}
+
+/* Energies per pass of nemclock_rows: the energy-only factors of one pass
+   stay in L1 while every position's rows are written. */
+#define ROW_TILE 256
+#define PI 3.141592653589793
+
+/* The six per-position rows of the transport integrand at omega = 0, for
+   nx positions at ne energies: occupation, current, the thermal and
+   partition shot noise, the friction slope and the spectrum, written into
+   out as (6, nx, ne), row-major.
+
+   absden        nx x ne: |D| of the shifted denominator D = base + fx[i], as
+                 NumPy's abs computes it
+   fx            nx: force * x
+   base          ne complex (re, im pairs): E - eps - chi_L - chi_R
+   kl, kr        ne: the leads' rates, and dkl, dkr their slopes
+   fl, fr        ne: the leads' Fermi functions
+   dchi_l/r      ne complex: the self-energy slopes
+   beta          inverse temperature; c4 = force**2 / 2pi
+
+   A complex operand with a real one is taken as NumPy takes it, with a
+   0.0 imaginary part: 1.0 - dchi_l has Im 0.0 - Im dchi_l, and D has
+   Im base + 0.0. */
+void nemclock_rows(long nx, long ne, const double *absden, const double *fx,
+                   const double *base, const double *kl, const double *kr,
+                   const double *dkl, const double *dkr,
+                   const double *fl, const double *fr,
+                   const double *dchi_l, const double *dchi_r,
+                   double beta, double c4, double *out)
+{
+    double rates[ROW_TILE], w_less[ROW_TILE], w_more[ROW_TILE], dw_more[ROW_TILE];
+    double dden_re[ROW_TILE], dden_im[ROW_TILE], occ_f[ROW_TILE], cur_f[ROW_TILE];
+    double therm_f[ROW_TILE], part_f[ROW_TILE];
+    const long plane = nx * ne;
+    for (long j0 = 0; j0 < ne; j0 += ROW_TILE) {
+        const long n = ne - j0 < ROW_TILE ? ne - j0 : ROW_TILE;
+        for (long t = 0; t < n; t++) {
+            const long j = j0 + t;
+            const double el = 1.0 - fl[j], er = 1.0 - fr[j];
+            const double fwin = fl[j] - fr[j];
+            rates[t] = kl[j] * kr[j];
+            w_less[t] = kl[j] * fl[j] + kr[j] * fr[j];
+            w_more[t] = kl[j] * el + kr[j] * er;
+            dw_more[t] = dkl[j] * el + dkr[j] * er
+                         + beta * (kl[j] * fl[j] * el + kr[j] * fr[j] * er);
+            dden_re[t] = 1.0 - dchi_l[2 * j] - dchi_r[2 * j];
+            dden_im[t] = 0.0 - dchi_l[2 * j + 1] - dchi_r[2 * j + 1];
+            occ_f[t] = w_less[t] / (2.0 * PI);
+            cur_f[t] = fwin / PI;
+            therm_f[t] = (fl[j] * el + fr[j] * er) * (2.0 / PI);
+            part_f[t] = (fwin * fwin) * (2.0 / PI);
+        }
+        for (long i = 0; i < nx; i++) {
+            const double *a = absden + i * ne + j0;
+            double *occ = out + i * ne + j0, *cur = occ + plane, *therm = cur + plane;
+            double *part = therm + plane, *slope = part + plane, *spec = slope + plane;
+            for (long t = 0; t < n; t++) {
+                const double g2 = 1.0 / (a[t] * a[t]);
+                const double tau = rates[t] * g2;
+                const double sigma_less = g2 * w_less[t];
+                const double re = base[2 * (j0 + t)] + fx[i];
+                const double im = base[2 * (j0 + t) + 1] + 0.0;
+                const double dg2 = (-2.0 * (re * dden_re[t] + im * dden_im[t])) * (g2 * g2);
+                occ[t] = g2 * occ_f[t];
+                cur[t] = tau * cur_f[t];
+                therm[t] = tau * therm_f[t];
+                part[t] = (tau * (1.0 - tau)) * part_f[t];
+                slope[t] = (sigma_less * (dg2 * w_more[t] + g2 * dw_more[t])) * c4;
+                spec[t] = (sigma_less * (g2 * w_more[t])) * c4;
+            }
+        }
+    }
 }

@@ -22,8 +22,9 @@ record from their config and refuse the first field that differs (exit 2,
 "re-run simulate"), then load coeffs.npz by the stored hash; they build no
 grid and no table, so a refusal leaves coeffs.npz as it was.
 ``--threads`` sets the stepper's worker threads; coefficient tables are
-built on the calling thread, because their quadrature is many small numpy
-operations that hold the GIL, so more threads only contend for it.
+built on the calling thread, because their quadrature is, outside the
+compiled integrand rows, many small numpy operations that hold the GIL, so
+more threads only contend for it.
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no
 timestamps; a rerun with the same config and seed is bit-identical no matter
@@ -387,7 +388,7 @@ def _leaves(tree, prefix=""):
 
 def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     """Integrate the ensemble, detecting ticks and histogramming positions on
-    every full-rate state; stores ensemble.npz and trajectory.csv."""
+    every full-rate state; stores ensemble.npz."""
     corpus = build_corpus(table, params, sim, policy=_policy(cfg), threads=threads)
     rec = corpus.record
     provenance = {**_provenance(cfg, params, sim), "params_hash": table.params_hash}
@@ -403,11 +404,6 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
             position_density=corpus.position_density,
             position_count=np.array([corpus.position_count], dtype=np.int64),
         )
-    _write_csv(
-        out / "trajectory.csv",
-        ["time", "position", "velocity"],
-        [rec.times, rec.positions[0], rec.velocities[0]],
-    )
     return corpus
 
 
@@ -487,12 +483,12 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     waits = pooled_waiting_times(tick_series)
     mean_wait = float(waits.mean())
     accuracy, resolution = clockstats.accuracy_resolution(waits)
-    _write_csv(out / "wtd.csv", ["wait"], [waits])
 
     try:
         fit = clockstats.fit_inverse_gaussian(waits)
-    except ValueError:
-        fit_payload = {"note": "too few waits"}
+    except ValueError as exc:
+        # the check that refused the fit: too few, non-positive or degenerate waits
+        fit_payload = {"note": str(exc)}
     else:
         fit_payload = {
             "mean": fit.mean,

@@ -27,7 +27,9 @@ The recorded ensemble is one :class:`Trajectory` with a row per member.
 The per-step loop and the spline evaluation run in a small C kernel,
 ``_stepper.c``, compiled on first use with ``/usr/bin/cc -O2
 -ffp-contract=off`` and loaded through ctypes, which releases the GIL, so
-threads advance blocks in parallel.  The kernel reproduces the NumPy loop
+threads advance blocks in parallel.  The same shared object holds the
+transport integrand's per-position rows, which :mod:`~nemclock.transport`
+reaches through :func:`_kernel`.  The kernel reproduces the NumPy loop
 (:func:`_steps_numpy`) and the NumPy evaluation (:func:`_evaluate_numpy`)
 bit for bit: same interval rule and power sum, same operation order, no
 fused multiply-adds.  The NumPy code is the test oracle and the fallback,
@@ -49,12 +51,15 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.random  # noqa: F401  NumPy loads it lazily: not in a first ensemble call
 
 from .params import SystemParams
-from .transport import COLUMNS, CoefficientTable
+
+if TYPE_CHECKING:  # transport imports this module for the compiled kernel
+    from .transport import CoefficientTable
 
 __all__ = [
     "SimConfig",
@@ -308,9 +313,10 @@ def _splines(table: CoefficientTable):
     """Per-column cubic interpolants, and the drive: one vector-valued cubic
     over the three columns the stepper needs, so the hot loop pays a single
     interpolation per step.  All five columns share one spline solve."""
-    both = not_a_knot_spline(table.grid, np.column_stack([table.column(n) for n in COLUMNS]))
-    columns = {name: Spline(both.x, both.c[..., j]) for j, name in enumerate(COLUMNS)}
-    drive = [COLUMNS.index(n) for n in ("friction", "diffusion", "excess_occupation")]
+    names = list(table.columns)  # transport.COLUMNS, the table's order
+    both = not_a_knot_spline(table.grid, np.column_stack(list(table.columns.values())))
+    columns = {name: Spline(both.x, both.c[..., j]) for j, name in enumerate(names)}
+    drive = [names.index(n) for n in ("friction", "diffusion", "excess_occupation")]
     return columns, Spline(both.x, both.c[..., drive])
 
 
@@ -349,6 +355,8 @@ def _load_kernel():
     kernel.nemclock_steps.restype = long
     kernel.nemclock_eval.argtypes = [long, long, ptr, long, long, ptr, long, ptr, long, ptr]
     kernel.nemclock_eval.restype = None
+    kernel.nemclock_rows.argtypes = [long, long, *[ptr] * 11, double, double, ptr]
+    kernel.nemclock_rows.restype = None
     return kernel
 
 
@@ -361,8 +369,9 @@ def _kernel():
     cannot be built or loaded.
 
     A failure is reported once per process by a RuntimeWarning; every block
-    then runs the NumPy loop and every spline the NumPy evaluation, with the
-    same results at about 20x and 10x the cost.
+    then runs the NumPy loop, every spline the NumPy evaluation and every
+    transport integrand the NumPy rows, with the same results at about 20x,
+    10x and 1.5x the cost.
     """
     with _kernel_lock:
         if not _kernel_cache:
@@ -370,9 +379,9 @@ def _kernel():
                 _kernel_cache.append(_load_kernel())
             except (OSError, AttributeError) as exc:
                 warnings.warn(
-                    f"compiled Langevin stepper unavailable ({exc}); "
-                    "falling back to the NumPy step loop and spline evaluation, "
-                    "about 20x slower",
+                    f"compiled kernel unavailable ({exc}); falling back to the "
+                    "NumPy step loop (about 20x slower), spline evaluation and "
+                    "transport integrand rows",
                     RuntimeWarning,
                     stacklevel=2,
                 )

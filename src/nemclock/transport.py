@@ -20,6 +20,15 @@ and every factor has a closed-form derivative (Lorentzian rates, Fermi
 functions, the Lorentzian self-energies inside D), so the slope is one more
 row of the same quadrature pass that yields occupation, current, shot noise
 and S_x(0).
+
+The integrand's per-(position, energy) arithmetic runs in ``nemclock_rows``
+of the compiled kernel that :mod:`~nemclock.langevin` loads, bit for bit
+equal to the NumPy rows of :func:`_integrand_rows`, which are its oracle and
+its fallback.  NumPy keeps what C cannot reproduce portably: the Fermi
+functions (``tanh``) and the complex divisions of the self-energies, which
+are NumPy's own SIMD code, and ``abs`` of the complex denominator, which
+NumPy computes differently from ``hypot`` on some CPUs.  The shifted-energy
+rows of a nonzero omega have no compiled form.
 """
 from __future__ import annotations
 
@@ -31,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import langevin
 from .params import AdiabaticityWarning, LeadSpec, SystemParams, fingerprint
 from .quadrature import QuadratureError, integrate
 
@@ -60,18 +70,31 @@ def fermi_dirac(energy, chemical_potential, inverse_temperature):
     return 0.5 * (1.0 - np.tanh(arg))
 
 
-def spectral_density(energy, lead: LeadSpec):
-    """Lorentzian tunnelling rate of one lead band."""
+def _lead_factors(energy, lead: LeadSpec):
+    """A lead's rate k, its slope dk/dE, its self-energy chi and the slope
+    dchi/dE at ``energy``, all from one detuning E - c.
+
+    k = Gamma W^2 / ((E - c)^2 + W^2) is a Lorentzian, so dk/dE =
+    -2 (E - c) k / ((E - c)^2 + W^2); chi = (Gamma W / 2) / (E - c + iW) and
+    dchi/dE = -(Gamma W / 2) / (E - c + iW)^2.
+    """
     detune = np.asarray(energy) - lead.band_center
     bw2 = lead.bandwidth**2
-    return lead.peak_rate * bw2 / (detune**2 + bw2)
+    lorentz = detune**2 + bw2
+    rate = lead.peak_rate * bw2 / lorentz
+    pole = detune + 1j * lead.bandwidth
+    half_width_rate = 0.5 * lead.peak_rate * lead.bandwidth
+    return (
+        rate,
+        -2.0 * detune * rate / lorentz,
+        half_width_rate / pole,
+        -half_width_rate / pole**2,
+    )
 
 
-def _spectral_density_slope(energy, lead: LeadSpec):
-    """dk/dE = -2 (E - c) k / ((E - c)^2 + W^2) of a Lorentzian rate."""
-    detune = np.asarray(energy) - lead.band_center
-    rate = spectral_density(energy, lead)
-    return -2.0 * detune * rate / (detune**2 + lead.bandwidth**2)
+def spectral_density(energy, lead: LeadSpec):
+    """Lorentzian tunnelling rate of one lead band."""
+    return _lead_factors(energy, lead)[0]
 
 
 def lead_self_energy(energy, lead: LeadSpec):
@@ -80,15 +103,7 @@ def lead_self_energy(energy, lead: LeadSpec):
     Its imaginary part equals -spectral_density/2 identically, which is the
     regression handle for the principal-value (real) part.
     """
-    detune = np.asarray(energy) - lead.band_center
-    return (0.5 * lead.peak_rate * lead.bandwidth) / (detune + 1j * lead.bandwidth)
-
-
-def _self_energy_slope(energy, lead: LeadSpec):
-    """dchi/dE = -(Gamma W / 2) / (E - c + iW)^2 of a Lorentzian band."""
-    detune = np.asarray(energy) - lead.band_center
-    half_width_rate = 0.5 * lead.peak_rate * lead.bandwidth
-    return -half_width_rate / (detune + 1j * lead.bandwidth) ** 2
+    return _lead_factors(energy, lead)[2]
 
 
 def _resonance_denominator(energy, params: SystemParams):
@@ -142,6 +157,76 @@ def _window(params: SystemParams, pad: float = 0.0):
     return lo, hi, seeds
 
 
+def _integrand_rows(energy, xs, omegas, params: SystemParams, force, kernel):
+    """The transport integrand at the flat ``energy`` array for the positions
+    ``xs``: 5 + len(omegas) rows of len(xs) each, stacked into one
+    (rows * len(xs), len(energy)) array.
+
+    The rows are occupation, current, the thermal and partition shot noise,
+    the friction slope dS_x/domega at omega = 0, and S_x at each omega.  The
+    lead factors, the Fermi functions and |D| are NumPy's.  With ``kernel``
+    (the compiled ``nemclock_rows``, usable only when every omega is 0 and
+    there is at most one) the products and sums built from them run in C;
+    otherwise in NumPy, which is the oracle and the fallback.  Both give the
+    same bits.
+    """
+    mu_l = params.left.chemical_potential
+    mu_r = params.right.chemical_potential
+    beta = params.inverse_temperature
+    c4 = force**2 / (2.0 * np.pi)
+    fx = force * xs
+    kl, dkl, chi_l, dchi_l = _lead_factors(energy, params.left)
+    kr, dkr, chi_r, dchi_r = _lead_factors(energy, params.right)
+    fl = fermi_dirac(energy, mu_l, beta)
+    fr = fermi_dirac(energy, mu_r, beta)
+    base = np.asarray(energy, dtype=complex) - params.dot_energy - chi_l - chi_r
+    absden = np.abs(base[None, :] + fx[:, None])
+    if kernel is not None:
+        out = np.empty((6 * xs.size, absden.shape[1]))
+        kernel.nemclock_rows(
+            xs.size, absden.shape[1], absden.ctypes.data, fx.ctypes.data,
+            *(a.ctypes.data for a in (base, kl, kr, dkl, dkr, fl, fr, dchi_l, dchi_r)),
+            beta, c4, out.ctypes.data,
+        )
+        return out[: (5 + omegas.size) * xs.size]
+    el, er = 1.0 - fl, 1.0 - fr
+    w_less = kl * fl + kr * fr
+    w_more = kl * el + kr * er
+    fwin = fl - fr
+    # d/dE of g2 * w_more: df/dE = -beta f (1 - f), d|D|^-2/dE =
+    # -2 Re(conj(D) D') |D|^-4 with D' = 1 - chi_L' - chi_R'
+    dw_more = dkl * el + dkr * er + beta * (kl * fl * el + kr * fr * er)
+    dden = 1.0 - dchi_l - dchi_r
+    g2 = 1.0 / absden**2
+    tau = (kl * kr) * g2
+    sigma_less = g2 * w_less
+    # the parts of D = base + force x as NumPy's complex add forms them
+    den_re, den_im = base.real + fx[:, None], base.imag + 0.0
+    dg2 = -2.0 * (den_re * dden.real + den_im * dden.imag) * g2**2
+    rows = [
+        g2 * (w_less / (2.0 * np.pi)),
+        tau * (fwin / np.pi),
+        tau * ((fl * el + fr * er) * (2.0 / np.pi)),
+        tau * (1.0 - tau) * (fwin**2 * (2.0 / np.pi)),
+        sigma_less * (dg2 * w_more + g2 * dw_more) * c4,
+    ]
+    for w in omegas:
+        if w == 0.0:
+            # energy + 0 == energy, so the row reuses g2 and w_more
+            rows.append(sigma_less * (g2 * w_more) * c4)
+            continue
+        shifted = energy + w
+        ks = spectral_density(shifted, params.left)
+        kt = spectral_density(shifted, params.right)
+        fs = fermi_dirac(shifted, mu_l, beta)
+        ft = fermi_dirac(shifted, mu_r, beta)
+        base_s = _resonance_denominator(shifted, params)
+        g2_s = 1.0 / np.abs(base_s[None, :] + fx[:, None]) ** 2
+        more_s = ks * (1.0 - fs) + kt * (1.0 - ft)
+        rows.append(sigma_less * (g2_s * more_s) * c4)
+    return np.concatenate(rows, axis=0)
+
+
 def _family_batch(positions, omegas, params: SystemParams, force=None):
     """All transport integrals for a batch of positions in one adaptive pass.
 
@@ -155,59 +240,11 @@ def _family_batch(positions, omegas, params: SystemParams, force=None):
     omegas = np.asarray(omegas, dtype=float)
     n_x, n_w = xs.size, omegas.size
     force = params.force if force is None else force
-    mu_l = params.left.chemical_potential
-    mu_r = params.right.chemical_potential
-    beta = params.inverse_temperature
+    # the shifted-energy rows of omega != 0 have no compiled form
+    kernel = langevin._kernel() if n_w <= 1 and not np.any(omegas) else None
 
     def integrand(energy):
-        kl = spectral_density(energy, params.left)
-        kr = spectral_density(energy, params.right)
-        fl = fermi_dirac(energy, mu_l, beta)
-        fr = fermi_dirac(energy, mu_r, beta)
-        den = _resonance_denominator(energy, params)[None, :] + force * xs[:, None]
-        g2 = 1.0 / np.abs(den) ** 2
-        w_less = kl * fl + kr * fr
-        w_more = kl * (1.0 - fl) + kr * (1.0 - fr)
-        tau = (kl * kr) * g2
-        fwin = fl - fr
-        sigma_less = g2 * w_less
-        # d/dE of g2 * w_more: df/dE = -beta f (1 - f), d|D|^-2/dE =
-        # -2 Re(conj(D) D') |D|^-4 with D' = 1 - chi_L' - chi_R'
-        dw_more = (
-            _spectral_density_slope(energy, params.left) * (1.0 - fl)
-            + _spectral_density_slope(energy, params.right) * (1.0 - fr)
-            + beta * (kl * fl * (1.0 - fl) + kr * fr * (1.0 - fr))
-        )
-        dden = (
-            1.0
-            - _self_energy_slope(energy, params.left)
-            - _self_energy_slope(energy, params.right)
-        )
-        dg2 = -2.0 * (den.real * dden.real + den.imag * dden.imag) * g2**2
-        rows = [
-            g2 * (w_less / (2.0 * np.pi)),
-            tau * (fwin / np.pi),
-            tau * ((fl * (1.0 - fl) + fr * (1.0 - fr)) * (2.0 / np.pi)),
-            tau * (1.0 - tau) * (fwin**2 * (2.0 / np.pi)),
-            sigma_less * (dg2 * w_more + g2 * dw_more) * (force**2 / (2.0 * np.pi)),
-        ]
-        for w in omegas:
-            if w == 0.0:
-                # energy + 0 == energy, so the row reuses g2 and w_more
-                rows.append(sigma_less * (g2 * w_more) * (force**2 / (2.0 * np.pi)))
-                continue
-            shifted = energy + w
-            ks = spectral_density(shifted, params.left)
-            kt = spectral_density(shifted, params.right)
-            fs = fermi_dirac(shifted, mu_l, beta)
-            ft = fermi_dirac(shifted, mu_r, beta)
-            base_s = _resonance_denominator(shifted, params)
-            g2_s = 1.0 / np.abs(base_s[None, :] + force * xs[:, None]) ** 2
-            more_s = ks * (1.0 - fs) + kt * (1.0 - ft)
-            rows.append(
-                sigma_less * (g2_s * more_s) * (force**2 / (2.0 * np.pi))
-            )
-        return np.concatenate(rows, axis=0)
+        return _integrand_rows(energy, xs, omegas, params, force, kernel)
 
     pad = float(np.max(np.abs(omegas))) if n_w else 0.0
     lo, hi, seeds = _window(params, pad=pad)
@@ -397,8 +434,9 @@ def build_coefficient_table(
     array of positions.  Work is split into contiguous spans sized by the
     level shift they cover (see :func:`_spans`), computed one after another
     on the calling thread.  ``threads`` has no effect: each span is an
-    adaptive quadrature over many small numpy operations that hold the GIL,
-    so a pool only adds contention.
+    adaptive quadrature whose integrand rows run in the compiled kernel,
+    which ctypes calls without the GIL, but whose other steps are many small
+    numpy operations that hold it, so a pool only adds contention.
     """
     if isinstance(grid_spec, GridSpec):
         grid = grid_spec.positions()

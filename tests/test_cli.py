@@ -327,10 +327,8 @@ def test_write_csv_refuses_ragged_columns(tmp_path):
 EXPECTED_FILES = {
     "coeffs.npz",
     "ensemble.npz",
-    "trajectory.csv",
     "ticks.csv",
     "ticks.json",
-    "wtd.csv",
     "wtd_fit.json",
     "autocorrelation.csv",
     "spectrum.csv",
@@ -366,6 +364,8 @@ def test_run_produces_complete_artifact_set(tmp_path, pipeline_config, capsys):
 
     names = {p.name for p in out.iterdir()}
     assert EXPECTED_FILES <= names
+    # member 0's record is in ensemble.npz and the waits are ticks.csv's gaps
+    assert not {"trajectory.csv", "wtd.csv"} & names
 
     report = json.loads((out / "report.json").read_text())
     assert report["mean_wait"] > 0
@@ -445,7 +445,6 @@ def test_results_do_not_depend_on_record_stride(tmp_path, pipeline_config):
     for name in (
         "ticks.csv",
         "ticks.json",
-        "wtd.csv",
         "wtd_fit.json",
         "allan.csv",
         "info.json",
@@ -731,8 +730,23 @@ def test_degenerate_waits_leave_the_fit_out(tmp_path, pipeline_config, monkeypat
     monkeypatch.setattr(cli.clockstats, "fit_inverse_gaussian", degenerate)
     code, out = _run_with_analysis(tmp_path, pipeline_config)
     assert code == 0
-    assert json.loads((out / "wtd_fit.json").read_text()) == {"note": "too few waits"}
+    assert json.loads((out / "wtd_fit.json").read_text()) == {
+        "note": "degenerate (zero-variance) waiting times"
+    }
     assert json.loads((out / "report.json").read_text())["accuracy"] > 0
+
+
+def test_too_few_waits_name_the_fit_check(tmp_path, pipeline_config):
+    # one member over 30 periods ticks about 60 times, short of the fit's 100
+    payload = json.loads(json.dumps(pipeline_config))
+    payload["simulation"].update(ensemble_size=1, duration=70.0 * math.pi)
+    out = tmp_path / "out"
+    assert _run(_write(tmp_path / "cfg.json", payload), out) == 0
+    waits = sum(json.loads((out / "ticks.json").read_text())["counts"]) - 1
+    assert 0 < waits < 100
+    assert json.loads((out / "wtd_fit.json").read_text()) == {
+        "note": f"need >= 100 samples, got {waits}"
+    }
 
 
 def test_lag_horizon_below_one_lag_fails_before_coeffs(

@@ -7,6 +7,7 @@ integration windows) and are stated here to their converged digits.
 """
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nemclock import transport
+from nemclock import langevin, pipeline, transport
 from nemclock.params import AdiabaticityWarning, default_params
 from nemclock.quadrature import integrate
 from nemclock.transport import (
@@ -461,3 +462,115 @@ def test_fingerprint_tracks_inputs(p100, p50):
     assert base == table_fingerprint(p100, grid)
     assert base != table_fingerprint(p50, grid)
     assert base != table_fingerprint(p100, grid * 1.001)
+
+
+# ------------------------------------------------- compiled integrand rows --
+
+
+def _same(a, b):
+    """Equal bit for bit up to NaN payloads: values, NaNs and zero signs."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a[~np.isnan(a)]), np.signbit(b[~np.isnan(b)]))
+    )
+
+
+@pytest.fixture
+def rows_kernel():
+    kernel = langevin._kernel()
+    if kernel is None:
+        pytest.skip("compiled kernel unavailable")
+    return kernel
+
+
+def _both_rows(kernel, energy, xs, omegas, params, force):
+    xs, omegas = np.asarray(xs, dtype=float), np.asarray(omegas, dtype=float)
+    fast = transport._integrand_rows(energy, xs, omegas, params, force, kernel)
+    reference = transport._integrand_rows(energy, xs, omegas, params, force, None)
+    return fast, reference
+
+
+@pytest.mark.parametrize("voltage", [5.0, 50.0, 100.0])
+def test_rows_kernel_matches_numpy_integrand(rows_kernel, voltage):
+    params = default_params(voltage)
+    rng = np.random.default_rng(int(voltage))
+    x_max = pipeline.default_grid(params).x_max
+    # more energies than one tile of the kernel, and a ragged last tile
+    energy = np.concatenate([rng.uniform(-80.0, 80.0, 700), rng.normal(0.0, 3.0, 45)])
+    batches = [
+        rng.uniform(-x_max, x_max, 17),
+        [0.0],  # n_x = 1
+        [-x_max, x_max],  # the grid's edges
+        np.linspace(-x_max, x_max, 64),
+    ]
+    for xs in batches:
+        for omegas in ([], [0.0]):
+            for force in (params.force, 0.0):
+                fast, reference = _both_rows(rows_kernel, energy, xs, omegas, params, force)
+                assert fast.shape == ((5 + len(omegas)) * len(xs), energy.size)
+                assert _same(fast, reference), (len(xs), omegas, force)
+
+
+def test_rows_kernel_matches_numpy_integrand_at_non_finite_energies(rows_kernel, p100):
+    energy = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, 5e-324])
+    with np.errstate(all="ignore"):
+        fast, reference = _both_rows(rows_kernel, energy, [-3.0, 0.0, 2.5], [0.0], p100, p100.force)
+    assert not np.all(np.isfinite(reference))
+    assert _same(fast, reference)
+
+
+def _tables(voltage):
+    """The probe table (when the voltage has one) and the main table."""
+    params = default_params(voltage)
+    probes = []
+
+    def recording(*args, **kwargs):
+        probes.append(transport.build_coefficient_table(*args, **kwargs))
+        return probes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "build_coefficient_table", recording)
+        grid = pipeline.default_grid(params)
+    return [*probes, build_coefficient_table(params, grid)]
+
+
+@pytest.mark.parametrize("voltage", [5.0, 50.0, 100.0])
+def test_tables_equal_with_the_rows_kernel_off(monkeypatch, rows_kernel, voltage):
+    transport._baseline_occupation.cache_clear()
+    fast = _tables(voltage)
+    assert len(fast) == (1 if voltage == 5.0 else 2)
+    monkeypatch.setattr(langevin, "_kernel", lambda: None)
+    transport._baseline_occupation.cache_clear()
+    reference = _tables(voltage)
+    for one, two in zip(fast, reference):
+        assert np.array_equal(one.grid, two.grid)
+        for name in transport.COLUMNS:
+            assert np.array_equal(one.column(name), two.column(name)), name
+
+
+def test_onset_scan_friction_equal_with_the_rows_kernel_off(monkeypatch, rows_kernel):
+    # scripts/onset_scan.py's voltages: single-position quadrature passes
+    voltages = np.linspace(10.0, 60.0, 26)
+    fast = [friction_and_diffusion(0.0, default_params(float(v))) for v in voltages]
+    monkeypatch.setattr(langevin, "_kernel", lambda: None)
+    reference = [friction_and_diffusion(0.0, default_params(float(v))) for v in voltages]
+    assert fast == reference
+
+
+@pytest.mark.skipif(not os.path.exists(langevin._CC), reason="no C compiler")
+def test_tables_use_the_rows_kernel(monkeypatch, p100):
+    # a broken build would otherwise pass every test on the NumPy rows
+    kernel = langevin._kernel()
+    assert kernel is not None
+    calls = []
+
+    class Counting:
+        def nemclock_rows(self, *args):
+            calls.append(args[0])
+            return kernel.nemclock_rows(*args)
+
+    monkeypatch.setattr(langevin, "_kernel", Counting)
+    build_coefficient_table(p100, [0.0, 0.5])
+    assert 2 in calls  # both positions in one pass
