@@ -22,7 +22,7 @@ from .params import (
     default_params,
     fingerprint,
 )
-from .quadrature import QuadratureError, QuadResult, integrate
+from .quadrature import QuadratureError, QuadResult, integrate, kronrod
 from .transport import (
     CoefficientTable,
     GridSpec,
@@ -111,6 +111,7 @@ __all__ = [
     "QuadratureError",
     "QuadResult",
     "integrate",
+    "kronrod",
     "CoefficientTable",
     "GridSpec",
     "build_coefficient_table",

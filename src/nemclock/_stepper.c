@@ -1,11 +1,12 @@
 /* Kick-then-drift Langevin steps for one block of trajectories, the
-   evaluation of the cubic splines they step through, and the per-position
-   rows of the transport integrand the splines' tables are built from.
+   evaluation of the cubic splines they step through, and the Gauss-Kronrod
+   panel sums of the transport integrand the splines' tables are built from.
 
    This is the compiled form of the NumPy step loop and spline evaluation in
-   langevin.py and of the integrand rows in transport.py, and must agree
-   with them bit for bit, so every floating-point operation below is the one
-   NumPy performs, in the same order:
+   langevin.py and of quadrature.kronrod over the integrand rows of
+   transport.py, and must agree with them bit for bit, so every
+   floating-point operation below is the one NumPy performs, in the same
+   order:
 
    - a spline is evaluated by the rule of scipy's PPoly, which the tests hold
      it to: the interval rule of find_interval (g[i] <= x < g[i+1], the last
@@ -13,6 +14,8 @@
      the power sum of evaluate_poly1;
    - the velocity update and every integrand row group their terms as the
      NumPy expressions do;
+   - a panel sum adds its node values in node order, one at a time, as
+     quadrature.kronrod does, never as a BLAS dot product would;
    - it is compiled with -O2 -ffp-contract=off and without -ffast-math, so
      no product is fused into an add and no sum is reassociated.
 
@@ -135,75 +138,140 @@ long nemclock_steps(long block, long n,
     return bad;
 }
 
-/* Energies per pass of nemclock_rows: the energy-only factors of one pass
-   stay in L1 while every position's rows are written. */
-#define ROW_TILE 256
+/* The Gauss-Kronrod 15(7) weights of quadrature.py, Kronrod in node order
+   and Gauss on the odd nodes. */
+static const double KRONROD_W[15] = {
+    0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
+    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
+    0.2044329400752989, 0.2094821410847278, 0.2044329400752989,
+    0.1903505780647854, 0.1690047266392679, 0.1406532597155259,
+    0.1047900103222502, 0.0630920926299786, 0.0229353220105292,
+};
+static const double GAUSS_W[7] = {
+    0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
+    0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
+    0.1294849661688697,
+};
+
+#define NODES 15
+#define ROWS 6
 #define PI 3.141592653589793
 
-/* The six per-position rows of the transport integrand at omega = 0, for
-   nx positions at ne energies: occupation, current, the thermal and
-   partition shot noise, the friction slope and the spectrum, written into
-   out as (6, nx, ne), row-major.
+/* The energy-only factors of the transport rows at one panel's 15 nodes. */
+struct node_factors {
+    double rates[NODES], w_less[NODES], w_more[NODES], dw_more[NODES];
+    double dden_re[NODES], dden_im[NODES], occ_f[NODES], cur_f[NODES];
+    double therm_f[NODES], part_f[NODES], base_re[NODES], base_im[NODES];
+};
 
-   absden        nx x ne: |D| of the shifted denominator D = base + fx[i], as
-                 NumPy's abs computes it
-   fx            nx: force * x
-   base          ne complex (re, im pairs): E - eps - chi_L - chi_R
-   kl, kr        ne: the leads' rates, and dkl, dkr their slopes
-   fl, fr        ne: the leads' Fermi functions
-   dchi_l/r      ne complex: the self-energy slopes
-   beta          inverse temperature; c4 = force**2 / 2pi
+/* Positions per pass.  The position loops run over an even width, 8 or 2
+   for the rest, so -O2 vectorises them in pairs with no scalar tail; a
+   ragged pass repeats its last position and stores nothing for the copy.
+   Positions are independent, so the width changes no result. */
+#define X_TILE 8
 
-   A complex operand with a real one is taken as NumPy takes it, with a
-   0.0 imaginary part: 1.0 - dchi_l has Im 0.0 - Im dchi_l, and D has
-   Im base + 0.0. */
-void nemclock_rows(long nx, long ne, const double *absden, const double *fx,
-                   const double *base, const double *kl, const double *kr,
-                   const double *dkl, const double *dkr,
-                   const double *fl, const double *fr,
-                   const double *dchi_l, const double *dchi_r,
-                   double beta, double c4, double *out)
+/* One panel's Kronrod estimates and errors of the six rows for the n
+   (<= width) positions whose force * x start at fx.  Row r of position t
+   is stored at out[r * row_stride + t * pos_stride], and likewise in err. */
+static inline void panel_tile(const struct node_factors *q, const double *fx,
+                              long n, int width, double c4, double half,
+                              long row_stride, long pos_stride,
+                              double *out, double *err)
 {
-    double rates[ROW_TILE], w_less[ROW_TILE], w_more[ROW_TILE], dw_more[ROW_TILE];
-    double dden_re[ROW_TILE], dden_im[ROW_TILE], occ_f[ROW_TILE], cur_f[ROW_TILE];
-    double therm_f[ROW_TILE], part_f[ROW_TILE];
-    const long plane = nx * ne;
-    for (long j0 = 0; j0 < ne; j0 += ROW_TILE) {
-        const long n = ne - j0 < ROW_TILE ? ne - j0 : ROW_TILE;
+    double shift[X_TILE], kron[ROWS][X_TILE], gauss[ROWS][X_TILE];
+    for (int t = 0; t < width; t++)
+        shift[t] = fx[t < n ? t : n - 1];
+    for (int r = 0; r < ROWS; r++)
+        for (int t = 0; t < width; t++)
+            kron[r][t] = gauss[r][t] = 0.0;
+    for (int k = 0; k < NODES; k++) {
+        double v[ROWS][X_TILE];
+        for (int t = 0; t < width; t++) {
+            const double re = q->base_re[k] + shift[t], im = q->base_im[k];
+            const double g2 = 1.0 / (re * re + im * im);
+            const double tau = q->rates[k] * g2;
+            const double sigma_less = g2 * q->w_less[k];
+            const double dg2 = (-2.0 * (re * q->dden_re[k] + im * q->dden_im[k])) * (g2 * g2);
+            v[0][t] = g2 * q->occ_f[k];
+            v[1][t] = tau * q->cur_f[k];
+            v[2][t] = tau * q->therm_f[k];
+            v[3][t] = (tau * (1.0 - tau)) * q->part_f[k];
+            v[4][t] = (sigma_less * (dg2 * q->w_more[k] + g2 * q->dw_more[k])) * c4;
+            v[5][t] = (sigma_less * (g2 * q->w_more[k])) * c4;
+        }
+        for (int r = 0; r < ROWS; r++)
+            for (int t = 0; t < width; t++)
+                kron[r][t] = kron[r][t] + v[r][t] * KRONROD_W[k];
+        if (k & 1)
+            for (int r = 0; r < ROWS; r++)
+                for (int t = 0; t < width; t++)
+                    gauss[r][t] = gauss[r][t] + v[r][t] * GAUSS_W[k >> 1];
+    }
+    for (int r = 0; r < ROWS; r++) {
         for (long t = 0; t < n; t++) {
-            const long j = j0 + t;
+            const double k_est = kron[r][t] * half;
+            out[r * row_stride + t * pos_stride] = k_est;
+            err[r * row_stride + t * pos_stride] = fabs(k_est - gauss[r][t] * half);
+        }
+    }
+}
+
+/* The Kronrod estimate and |Kronrod - Gauss| of the six rows of the
+   transport integrand at omega = 0 (occupation, current, the thermal and
+   partition shot noise, the friction slope and the spectrum) for nx
+   positions on npan panels, written into out as (2, 6, nx, npan): the
+   estimates, then the errors.
+
+   fx     nx: force * x
+   real   (6, 15 npan): the leads' rates kl, kr, their slopes dkl, dkr and
+          their Fermi functions fl, fr at the 15 nodes of every panel
+   cplx   (3, 15 npan) complex (re, im pairs): base = E - eps - chi_L - chi_R
+          and the self-energy slopes dchi_l, dchi_r
+   half   npan: each panel's half width
+   beta   inverse temperature; c4 = force**2 / 2pi
+
+   Each row is the NumPy expression of transport._integrand_rows, with
+   D = base + fx and |D|^2 = re^2 + im^2.  A complex operand with a real
+   one is taken as NumPy takes it, with a 0.0 imaginary part: 1.0 - dchi_l
+   has Im 0.0 - Im dchi_l, and D has Im base + 0.0.  Each (row, position)
+   sum runs over the nodes in order from 0.0, one multiply and one add per
+   node, and is then scaled by half, as quadrature.kronrod sums. */
+void nemclock_panels(long nx, long npan, const double *fx, const double *real,
+                     const double *cplx, const double *half,
+                     double beta, double c4, double *out)
+{
+    const long ne = NODES * npan;
+    const double *kl = real, *kr = kl + ne, *dkl = kr + ne, *dkr = dkl + ne;
+    const double *fl = dkr + ne, *fr = fl + ne;
+    const double *base = cplx, *dchi_l = base + 2 * ne, *dchi_r = dchi_l + 2 * ne;
+    double *err = out + ROWS * nx * npan;
+
+    for (long p = 0; p < npan; p++) {
+        struct node_factors q;
+        for (int k = 0; k < NODES; k++) {
+            const long j = p * NODES + k;
             const double el = 1.0 - fl[j], er = 1.0 - fr[j];
             const double fwin = fl[j] - fr[j];
-            rates[t] = kl[j] * kr[j];
-            w_less[t] = kl[j] * fl[j] + kr[j] * fr[j];
-            w_more[t] = kl[j] * el + kr[j] * er;
-            dw_more[t] = dkl[j] * el + dkr[j] * er
-                         + beta * (kl[j] * fl[j] * el + kr[j] * fr[j] * er);
-            dden_re[t] = 1.0 - dchi_l[2 * j] - dchi_r[2 * j];
-            dden_im[t] = 0.0 - dchi_l[2 * j + 1] - dchi_r[2 * j + 1];
-            occ_f[t] = w_less[t] / (2.0 * PI);
-            cur_f[t] = fwin / PI;
-            therm_f[t] = (fl[j] * el + fr[j] * er) * (2.0 / PI);
-            part_f[t] = (fwin * fwin) * (2.0 / PI);
+            q.rates[k] = kl[j] * kr[j];
+            q.w_less[k] = kl[j] * fl[j] + kr[j] * fr[j];
+            q.w_more[k] = kl[j] * el + kr[j] * er;
+            q.dw_more[k] = dkl[j] * el + dkr[j] * er
+                           + beta * (kl[j] * fl[j] * el + kr[j] * fr[j] * er);
+            q.dden_re[k] = 1.0 - dchi_l[2 * j] - dchi_r[2 * j];
+            q.dden_im[k] = 0.0 - dchi_l[2 * j + 1] - dchi_r[2 * j + 1];
+            q.occ_f[k] = q.w_less[k] / (2.0 * PI);
+            q.cur_f[k] = fwin / PI;
+            q.therm_f[k] = (fl[j] * el + fr[j] * er) * (2.0 / PI);
+            q.part_f[k] = (fwin * fwin) * (2.0 / PI);
+            q.base_re[k] = base[2 * j];
+            q.base_im[k] = base[2 * j + 1] + 0.0;
         }
-        for (long i = 0; i < nx; i++) {
-            const double *a = absden + i * ne + j0;
-            double *occ = out + i * ne + j0, *cur = occ + plane, *therm = cur + plane;
-            double *part = therm + plane, *slope = part + plane, *spec = slope + plane;
-            for (long t = 0; t < n; t++) {
-                const double g2 = 1.0 / (a[t] * a[t]);
-                const double tau = rates[t] * g2;
-                const double sigma_less = g2 * w_less[t];
-                const double re = base[2 * (j0 + t)] + fx[i];
-                const double im = base[2 * (j0 + t) + 1] + 0.0;
-                const double dg2 = (-2.0 * (re * dden_re[t] + im * dden_im[t])) * (g2 * g2);
-                occ[t] = g2 * occ_f[t];
-                cur[t] = tau * cur_f[t];
-                therm[t] = tau * therm_f[t];
-                part[t] = (tau * (1.0 - tau)) * part_f[t];
-                slope[t] = (sigma_less * (dg2 * w_more[t] + g2 * dw_more[t])) * c4;
-                spec[t] = (sigma_less * (g2 * w_more[t])) * c4;
-            }
-        }
+        long i = 0;
+        for (; i + X_TILE <= nx; i += X_TILE)
+            panel_tile(&q, fx + i, X_TILE, X_TILE, c4, half[p], nx * npan, npan,
+                       out + i * npan + p, err + i * npan + p);
+        for (; i < nx; i += 2)
+            panel_tile(&q, fx + i, nx - i < 2 ? nx - i : 2, 2, c4, half[p], nx * npan, npan,
+                       out + i * npan + p, err + i * npan + p);
     }
 }

@@ -23,7 +23,7 @@ record from their config and refuse the first field that differs (exit 2,
 grid and no table, so a refusal leaves coeffs.npz as it was.
 ``--threads`` sets the stepper's worker threads; coefficient tables are
 built on the calling thread, because their quadrature is, outside the
-compiled integrand rows, many small numpy operations that hold the GIL, so
+compiled panel rule, many small numpy operations that hold the GIL, so
 more threads only contend for it.
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no

@@ -28,8 +28,8 @@ The per-step loop and the spline evaluation run in a small C kernel,
 ``_stepper.c``, compiled on first use with ``/usr/bin/cc -O2
 -ffp-contract=off`` and loaded through ctypes, which releases the GIL, so
 threads advance blocks in parallel.  The same shared object holds the
-transport integrand's per-position rows, which :mod:`~nemclock.transport`
-reaches through :func:`_kernel`.  The kernel reproduces the NumPy loop
+transport integrand's Gauss-Kronrod panel rule, which
+:mod:`~nemclock.transport` reaches through :func:`_kernel`.  The kernel reproduces the NumPy loop
 (:func:`_steps_numpy`) and the NumPy evaluation (:func:`_evaluate_numpy`)
 bit for bit: same interval rule and power sum, same operation order, no
 fused multiply-adds.  The NumPy code is the test oracle and the fallback,
@@ -355,8 +355,8 @@ def _load_kernel():
     kernel.nemclock_steps.restype = long
     kernel.nemclock_eval.argtypes = [long, long, ptr, long, long, ptr, long, ptr, long, ptr]
     kernel.nemclock_eval.restype = None
-    kernel.nemclock_rows.argtypes = [long, long, *[ptr] * 11, double, double, ptr]
-    kernel.nemclock_rows.restype = None
+    kernel.nemclock_panels.argtypes = [long, long, ptr, ptr, ptr, ptr, double, double, ptr]
+    kernel.nemclock_panels.restype = None
     return kernel
 
 
@@ -370,8 +370,8 @@ def _kernel():
 
     A failure is reported once per process by a RuntimeWarning; every block
     then runs the NumPy loop, every spline the NumPy evaluation and every
-    transport integrand the NumPy rows, with the same results at about 20x,
-    10x and 1.5x the cost.
+    transport quadrature the NumPy panel rule, with the same results at
+    about 20x, 10x and 3x the cost.
     """
     with _kernel_lock:
         if not _kernel_cache:
@@ -381,7 +381,7 @@ def _kernel():
                 warnings.warn(
                     f"compiled kernel unavailable ({exc}); falling back to the "
                     "NumPy step loop (about 20x slower), spline evaluation and "
-                    "transport integrand rows",
+                    "transport panel rule",
                     RuntimeWarning,
                     stacklevel=2,
                 )

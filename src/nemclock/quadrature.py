@@ -2,9 +2,19 @@
 
 The transport module evaluates families of energy integrals that share one
 integration window (one integrand value per oscillator position), so the
-integrator accepts vector-valued integrands and refines a panel when *any*
-component of the family still misses its error budget.  All integrand
-evaluations in one refinement sweep are batched into a single call.
+integrator works on vector-valued panel estimates and refines a panel when
+*any* component of the family still misses its error budget.
+
+:func:`integrate` takes a panel rule: ``rule(lo, hi)`` returns, for a batch
+of panels, each component's Kronrod estimate and its distance |K - G| from
+the embedded Gauss estimate, as arrays of shape ``(panels,)`` or
+``(k, panels)``.  All panels of one refinement sweep go to one rule call.
+:func:`kronrod` makes the rule of a pointwise integrand.  It sums each
+panel's 15 (and 7) weighted node values in node order, one multiply and one
+add per node, and only then scales by the panel's half width.  So a panel's
+estimate depends on its own node values alone: not on the other panels of
+the sweep and not on a BLAS build.  The compiled transport rule follows the
+same order and is held ``==`` to it.
 """
 from __future__ import annotations
 
@@ -12,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadResult", "QuadratureError", "integrate"]
+__all__ = ["QuadResult", "QuadratureError", "integrate", "kronrod", "panel_nodes"]
 
 # 15-point Kronrod abscissae (ascending) with the embedded 7-point Gauss rule
 # on the odd indices.
@@ -57,20 +67,40 @@ class QuadResult:
     evaluations: int
 
 
-def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod and Gauss estimates on a batch of panels, one f call."""
+def panel_nodes(lo: np.ndarray, hi: np.ndarray):
+    """The 15 Kronrod abscissae of every panel, flat and panel by panel, and
+    each panel's half width."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    energies = mid[:, None] + half[:, None] * _NODES[None, :]
-    raw = np.asarray(f(energies.ravel()), dtype=float)
-    vals = raw.reshape(raw.shape[:-1] + (lo.size, _NODES.size))
-    kron = (vals @ _KRONROD_W) * half
-    gauss = (vals[..., _GAUSS_IDX] @ _GAUSS_W) * half
-    return kron, np.abs(kron - gauss)
+    return (mid[:, None] + half[:, None] * _NODES[None, :]).ravel(), half
+
+
+def kronrod(f):
+    """The panel rule of the pointwise integrand ``f``.
+
+    ``f`` maps a flat array of abscissae to values of shape ``(n,)`` or
+    ``(k, n)`` for a family of k integrands sharing them; the rule makes one
+    ``f`` call per batch of panels.  Each estimate is the node-order sum
+    ``((0 + v0 w0) + v1 w1) + ...`` times the half width.
+    """
+
+    def rule(lo, hi):
+        points, half = panel_nodes(lo, hi)
+        raw = np.asarray(f(points), dtype=float)
+        vals = raw.reshape(raw.shape[:-1] + (lo.size, _NODES.size))
+        kron = gauss = 0.0
+        for k, w in enumerate(_KRONROD_W):
+            kron = kron + vals[..., k] * w
+        for k, w in zip(_GAUSS_IDX, _GAUSS_W):
+            gauss = gauss + vals[..., k] * w
+        kron = kron * half
+        return kron, np.abs(kron - gauss * half)
+
+    return rule
 
 
 def integrate(
-    f,
+    rule,
     lower: float,
     upper: float,
     *,
@@ -79,14 +109,15 @@ def integrate(
     breakpoints=None,
     max_panels: int = 4096,
 ) -> QuadResult:
-    """Adaptively integrate ``f`` over ``[lower, upper]``.
+    """Adaptively integrate the panel rule ``rule`` over ``[lower, upper]``.
 
     Parameters
     ----------
-    f:
-        Callable mapping a flat array of abscissae to integrand values of
-        shape ``(n,)`` or ``(k, n)`` for a family of k integrands sharing the
-        abscissae.
+    rule:
+        Callable mapping the panels' lower and upper ends to their Kronrod
+        estimates and errors |K - G|, each of shape ``(panels,)`` or
+        ``(k, panels)`` for a family of k integrands; :func:`kronrod` makes
+        one from a pointwise integrand.
     breakpoints:
         Optional interior points (band edges, chemical potentials) used to
         seed the initial panel layout.
@@ -111,7 +142,7 @@ def integrate(
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
     lo, hi = edges[:-1].copy(), edges[1:].copy()
 
-    kron, err = _panel_rule(f, lo, hi)
+    kron, err = rule(lo, hi)
     evaluations = lo.size * _NODES.size
     while True:
         total = kron.sum(axis=-1)
@@ -135,7 +166,7 @@ def integrate(
         mid = 0.5 * (lo[bad] + hi[bad])
         new_lo = np.concatenate([lo[bad], mid])
         new_hi = np.concatenate([mid, hi[bad]])
-        new_kron, new_err = _panel_rule(f, new_lo, new_hi)
+        new_kron, new_err = rule(new_lo, new_hi)
         evaluations += new_lo.size * _NODES.size
         keep = ~bad
         lo = np.concatenate([lo[keep], new_lo])

@@ -21,28 +21,34 @@ functions, the Lorentzian self-energies inside D), so the slope is one more
 row of the same quadrature pass that yields occupation, current, shot noise
 and S_x(0).
 
-The integrand's per-(position, energy) arithmetic runs in ``nemclock_rows``
-of the compiled kernel that :mod:`~nemclock.langevin` loads, bit for bit
-equal to the NumPy rows of :func:`_integrand_rows`, which are its oracle and
-its fallback.  NumPy keeps what C cannot reproduce portably: the Fermi
-functions (``tanh``) and the complex divisions of the self-energies, which
-are NumPy's own SIMD code, and ``abs`` of the complex denominator, which
-NumPy computes differently from ``hypot`` on some CPUs.  The shifted-energy
-rows of a nonzero omega have no compiled form.
+A quadrature pass hands :func:`~nemclock.quadrature.integrate` a panel rule
+(see :func:`_panel_rule`): for a batch of panels, each row's Kronrod
+estimate and |Kronrod - Gauss|.  Its compiled form, ``nemclock_panels`` of
+the kernel that :mod:`~nemclock.langevin` loads, forms D = base + F x and
+|D|^2 = re^2 + im^2, evaluates the six rows and sums their node values in
+node order, bit for bit equal to ``kronrod`` over the NumPy rows of
+:func:`_integrand_rows`, which are its oracle and its fallback.  NumPy keeps
+the energy-only factors (:func:`_energy_factors`): the Fermi functions
+(``tanh``) and the complex divisions of the self-energies are NumPy's own
+SIMD code, which C does not reproduce portably.  The shifted-energy rows of
+a nonzero omega have no compiled form.  No step of either rule mixes one
+panel's values with another's, so a table's bits depend neither on how many
+panels share a sweep nor on a BLAS build.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
 import json
+import types
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import langevin
 from .params import AdiabaticityWarning, LeadSpec, SystemParams, fingerprint
-from .quadrature import QuadratureError, integrate
+from .quadrature import QuadratureError, integrate, kronrod, panel_nodes
 
 __all__ = [
     "COLUMNS",
@@ -157,38 +163,57 @@ def _window(params: SystemParams, pad: float = 0.0):
     return lo, hi, seeds
 
 
-def _integrand_rows(energy, xs, omegas, params: SystemParams, force, kernel):
+def _both_leads(params: SystemParams):
+    """The two leads of ``params`` as one lead whose every field is a (2, 1)
+    column, left then right, so that :func:`_lead_factors` and
+    :func:`fermi_dirac` make one NumPy pass over both."""
+    return types.SimpleNamespace(**{
+        field.name: np.array([[getattr(params.left, field.name)],
+                              [getattr(params.right, field.name)]])
+        for field in fields(LeadSpec)
+    })
+
+
+def _energy_factors(energy, params: SystemParams, leads):
+    """The energy-only factors of the transport integrand at the flat
+    ``energy`` array, packed as the compiled panel rule reads them;
+    ``leads`` is ``_both_leads(params)``.
+
+    Returns ``real``, shape (6, n): the leads' rates kl, kr, their slopes
+    dkl, dkr and their Fermi functions fl, fr; and ``cplx``, shape (3, n):
+    base = E - eps - chi_L - chi_R, and the self-energy slopes dchi_L and
+    dchi_R.
+    """
+    real = np.empty((3, 2, energy.size))
+    cplx = np.empty((3, energy.size), dtype=complex)
+    real[0], real[1], chi, cplx[1:] = _lead_factors(energy, leads)
+    real[2] = fermi_dirac(energy, leads.chemical_potential, params.inverse_temperature)
+    cplx[0] = np.asarray(energy, dtype=complex) - params.dot_energy - chi[0] - chi[1]
+    return real.reshape(6, energy.size), cplx
+
+
+def _inverse_square(base, fx):
+    """The parts of D = base + force x as NumPy's complex add forms them,
+    and g2 = 1/|D|^2 with |D|^2 = re^2 + im^2, for every (x, E) pair."""
+    re, im = base.real + fx[:, None], base.imag + 0.0
+    return re, im, 1.0 / (re * re + im * im)
+
+
+def _integrand_rows(energy, xs, omegas, params: SystemParams, force):
     """The transport integrand at the flat ``energy`` array for the positions
     ``xs``: 5 + len(omegas) rows of len(xs) each, stacked into one
     (rows * len(xs), len(energy)) array.
 
     The rows are occupation, current, the thermal and partition shot noise,
-    the friction slope dS_x/domega at omega = 0, and S_x at each omega.  The
-    lead factors, the Fermi functions and |D| are NumPy's.  With ``kernel``
-    (the compiled ``nemclock_rows``, usable only when every omega is 0 and
-    there is at most one) the products and sums built from them run in C;
-    otherwise in NumPy, which is the oracle and the fallback.  Both give the
-    same bits.
+    the friction slope dS_x/domega at omega = 0, and S_x at each omega.
+    Under :func:`~nemclock.quadrature.kronrod` these rows are the oracle of
+    the compiled panel rule (see :func:`_panel_rule`) and its fallback.
     """
-    mu_l = params.left.chemical_potential
-    mu_r = params.right.chemical_potential
     beta = params.inverse_temperature
     c4 = force**2 / (2.0 * np.pi)
     fx = force * xs
-    kl, dkl, chi_l, dchi_l = _lead_factors(energy, params.left)
-    kr, dkr, chi_r, dchi_r = _lead_factors(energy, params.right)
-    fl = fermi_dirac(energy, mu_l, beta)
-    fr = fermi_dirac(energy, mu_r, beta)
-    base = np.asarray(energy, dtype=complex) - params.dot_energy - chi_l - chi_r
-    absden = np.abs(base[None, :] + fx[:, None])
-    if kernel is not None:
-        out = np.empty((6 * xs.size, absden.shape[1]))
-        kernel.nemclock_rows(
-            xs.size, absden.shape[1], absden.ctypes.data, fx.ctypes.data,
-            *(a.ctypes.data for a in (base, kl, kr, dkl, dkr, fl, fr, dchi_l, dchi_r)),
-            beta, c4, out.ctypes.data,
-        )
-        return out[: (5 + omegas.size) * xs.size]
+    leads = _both_leads(params)
+    (kl, kr, dkl, dkr, fl, fr), (base, dchi_l, dchi_r) = _energy_factors(energy, params, leads)
     el, er = 1.0 - fl, 1.0 - fr
     w_less = kl * fl + kr * fr
     w_more = kl * el + kr * er
@@ -197,11 +222,9 @@ def _integrand_rows(energy, xs, omegas, params: SystemParams, force, kernel):
     # -2 Re(conj(D) D') |D|^-4 with D' = 1 - chi_L' - chi_R'
     dw_more = dkl * el + dkr * er + beta * (kl * fl * el + kr * fr * er)
     dden = 1.0 - dchi_l - dchi_r
-    g2 = 1.0 / absden**2
+    den_re, den_im, g2 = _inverse_square(base, fx)
     tau = (kl * kr) * g2
     sigma_less = g2 * w_less
-    # the parts of D = base + force x as NumPy's complex add forms them
-    den_re, den_im = base.real + fx[:, None], base.imag + 0.0
     dg2 = -2.0 * (den_re * dden.real + den_im * dden.imag) * g2**2
     rows = [
         g2 * (w_less / (2.0 * np.pi)),
@@ -215,16 +238,38 @@ def _integrand_rows(energy, xs, omegas, params: SystemParams, force, kernel):
             # energy + 0 == energy, so the row reuses g2 and w_more
             rows.append(sigma_less * (g2 * w_more) * c4)
             continue
-        shifted = energy + w
-        ks = spectral_density(shifted, params.left)
-        kt = spectral_density(shifted, params.right)
-        fs = fermi_dirac(shifted, mu_l, beta)
-        ft = fermi_dirac(shifted, mu_r, beta)
-        base_s = _resonance_denominator(shifted, params)
-        g2_s = 1.0 / np.abs(base_s[None, :] + fx[:, None]) ** 2
+        (ks, kt, _, _, fs, ft), (base_s, _, _) = _energy_factors(energy + w, params, leads)
         more_s = ks * (1.0 - fs) + kt * (1.0 - ft)
-        rows.append(sigma_less * (g2_s * more_s) * c4)
+        rows.append(sigma_less * (_inverse_square(base_s, fx)[2] * more_s) * c4)
     return np.concatenate(rows, axis=0)
+
+
+def _panel_rule(xs, omegas, params: SystemParams, force, kernel):
+    """The quadrature's panel rule for the integrand rows at the positions
+    ``xs``: ``kronrod`` of :func:`_integrand_rows`, or with ``kernel`` the
+    same sums, bit for bit, in one ``nemclock_panels`` call per sweep.
+
+    The compiled rule serves only the omega = 0 rows (at most one omega, and
+    it 0); NumPy computes the energy-only factors it reads.
+    """
+    if kernel is None:
+        return kronrod(lambda energy: _integrand_rows(energy, xs, omegas, params, force))
+    n_rows = (5 + omegas.size) * xs.size
+    fx = force * xs
+    beta, c4 = params.inverse_temperature, force**2 / (2.0 * np.pi)
+    leads = _both_leads(params)
+
+    def rule(lo, hi):
+        energy, half = panel_nodes(lo, hi)
+        real, cplx = _energy_factors(energy, params, leads)
+        out = np.empty((2, 6 * xs.size, lo.size))
+        kernel.nemclock_panels(
+            xs.size, lo.size, fx.ctypes.data, real.ctypes.data, cplx.ctypes.data,
+            half.ctypes.data, beta, c4, out.ctypes.data,
+        )
+        return out[0, :n_rows], out[1, :n_rows]
+
+    return rule
 
 
 def _family_batch(positions, omegas, params: SystemParams, force=None):
@@ -242,15 +287,12 @@ def _family_batch(positions, omegas, params: SystemParams, force=None):
     force = params.force if force is None else force
     # the shifted-energy rows of omega != 0 have no compiled form
     kernel = langevin._kernel() if n_w <= 1 and not np.any(omegas) else None
-
-    def integrand(energy):
-        return _integrand_rows(energy, xs, omegas, params, force, kernel)
-
     pad = float(np.max(np.abs(omegas))) if n_w else 0.0
     lo, hi, seeds = _window(params, pad=pad)
     try:
         result = integrate(
-            integrand, lo, hi, rtol=RTOL, atol=ATOL, breakpoints=seeds
+            _panel_rule(xs, omegas, params, force, kernel),
+            lo, hi, rtol=RTOL, atol=ATOL, breakpoints=seeds,
         )
     except QuadratureError as exc:
         raise QuadratureError(
@@ -434,7 +476,7 @@ def build_coefficient_table(
     array of positions.  Work is split into contiguous spans sized by the
     level shift they cover (see :func:`_spans`), computed one after another
     on the calling thread.  ``threads`` has no effect: each span is an
-    adaptive quadrature whose integrand rows run in the compiled kernel,
+    adaptive quadrature whose panel sums run in the compiled kernel,
     which ctypes calls without the GIL, but whose other steps are many small
     numpy operations that hold it, so a pool only adds contention.
     """

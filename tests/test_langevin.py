@@ -3,6 +3,7 @@ on synthetic coefficient tables, step-size consistency, interpolation, and
 the compiled step loop against the NumPy reference loop."""
 import math
 import os
+import subprocess
 import warnings
 
 import numpy as np
@@ -426,6 +427,17 @@ def test_noise_source_shape_is_checked(ou_table, params100):
     with pytest.raises(ValueError, match="noise_source returned shape"):
         _integrate_block(ou_table, params100, _sim(1, members=2), [0, 1],
                          noise_source=short)
+
+
+@pytest.mark.skipif(not os.path.exists(langevin._CC), reason="no C compiler")
+def test_kernel_compiles_without_warnings(tmp_path):
+    # the kernel's own flags plus every common warning, as errors
+    proc = subprocess.run(
+        [langevin._CC, *langevin._CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernel.so"), str(langevin._KERNEL_SOURCE), "-lm"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(not os.path.exists(langevin._CC), reason="no C compiler")

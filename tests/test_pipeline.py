@@ -10,6 +10,7 @@ from nemclock import langevin
 from nemclock.clockstats import allan_variance
 from nemclock.langevin import SimConfig
 from nemclock.params import default_params
+from nemclock.quadrature import QuadratureError
 from nemclock.pipeline import (
     HistogramAccumulator,
     SeriesAccumulator,
@@ -66,6 +67,13 @@ def test_default_grid_at_strong_bias():
     # the probe table spans +-295 here; one shared panel set per 64 positions
     # ran out of its 4096-panel budget, spans sized by the level shift do not
     grid = default_grid(default_params(200.0))
+    assert math.isfinite(grid.x_max) and grid.x_max > 0.0
+
+
+@pytest.mark.xfail(raises=QuadratureError, strict=True,
+                   reason="the probe span x = -395 ... -385.1 runs out of panels (ROADMAP item 7)")
+def test_default_grid_beyond_v200():
+    grid = default_grid(default_params(300.0))
     assert math.isfinite(grid.x_max) and grid.x_max > 0.0
 
 

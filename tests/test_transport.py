@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from nemclock import langevin, pipeline, transport
 from nemclock.params import AdiabaticityWarning, default_params
-from nemclock.quadrature import integrate
+from nemclock.quadrature import integrate, kronrod
 from nemclock.transport import (
     CHUNK,
     RTOL,
@@ -122,7 +122,7 @@ def test_sum_rule_spectral_weight(p100):
         return dos / (np.abs(den) ** 2 * 2.0 * np.pi)
 
     res = integrate(
-        integrand,
+        kronrod(integrand),
         -600.0,
         600.0,
         rtol=1e-10,
@@ -464,7 +464,7 @@ def test_fingerprint_tracks_inputs(p100, p50):
     assert base != table_fingerprint(p100, grid * 1.001)
 
 
-# ------------------------------------------------- compiled integrand rows --
+# ---------------------------------------------------- compiled panel rule --
 
 
 def _same(a, b):
@@ -478,47 +478,81 @@ def _same(a, b):
 
 
 @pytest.fixture
-def rows_kernel():
+def panel_kernel():
     kernel = langevin._kernel()
     if kernel is None:
         pytest.skip("compiled kernel unavailable")
     return kernel
 
 
-def _both_rows(kernel, energy, xs, omegas, params, force):
+def _both_rules(kernel, lo, hi, xs, omegas, params, force):
+    """(kron, err) of the compiled panel rule and of ``kronrod`` over the
+    NumPy integrand rows, its oracle."""
     xs, omegas = np.asarray(xs, dtype=float), np.asarray(omegas, dtype=float)
-    fast = transport._integrand_rows(energy, xs, omegas, params, force, kernel)
-    reference = transport._integrand_rows(energy, xs, omegas, params, force, None)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    fast = transport._panel_rule(xs, omegas, params, force, kernel)(lo, hi)
+    reference = kronrod(
+        lambda energy: transport._integrand_rows(energy, xs, omegas, params, force)
+    )(lo, hi)
     return fast, reference
 
 
 @pytest.mark.parametrize("voltage", [5.0, 50.0, 100.0])
-def test_rows_kernel_matches_numpy_integrand(rows_kernel, voltage):
+def test_panel_kernel_matches_numpy_rule(panel_kernel, voltage):
     params = default_params(voltage)
     rng = np.random.default_rng(int(voltage))
     x_max = pipeline.default_grid(params).x_max
-    # more energies than one tile of the kernel, and a ragged last tile
-    energy = np.concatenate([rng.uniform(-80.0, 80.0, 700), rng.normal(0.0, 3.0, 45)])
+    lo, hi, _ = transport._window(params)
     batches = [
-        rng.uniform(-x_max, x_max, 17),
+        rng.uniform(-x_max, x_max, 17),  # two full position tiles and a ragged one
         [0.0],  # n_x = 1
         [-x_max, x_max],  # the grid's edges
         np.linspace(-x_max, x_max, 64),
     ]
-    for xs in batches:
-        for omegas in ([], [0.0]):
-            for force in (params.force, 0.0):
-                fast, reference = _both_rows(rows_kernel, energy, xs, omegas, params, force)
-                assert fast.shape == ((5 + len(omegas)) * len(xs), energy.size)
-                assert _same(fast, reference), (len(xs), omegas, force)
+    # a ragged panel count: random panels over the window, one panel, two
+    edges = np.sort(rng.uniform(lo, hi, 34))
+    for panels in ((edges[:-1], edges[1:]), ([lo], [hi]), (edges[3:5], edges[4:6])):
+        for xs in batches:
+            for omegas in ([], [0.0]):
+                for force in (params.force, 0.0):
+                    fast, reference = _both_rules(panel_kernel, *panels, xs, omegas, params, force)
+                    assert fast[0].shape == ((5 + len(omegas)) * len(xs), len(panels[0]))
+                    for mine, theirs in zip(fast, reference):
+                        assert _same(mine, theirs), (len(xs), omegas, force)
 
 
-def test_rows_kernel_matches_numpy_integrand_at_non_finite_energies(rows_kernel, p100):
-    energy = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, 5e-324])
+def test_panel_kernel_matches_numpy_rule_at_non_finite_energies(panel_kernel, p100):
+    # panels whose nodes overflow, sit at +-inf or are NaN, and a subnormal one
+    lo = [1e300, -1.7e308, 1e308, -np.inf, 0.0, np.nan, -5e-324, -np.inf]
+    hi = [1.7e308, -1e300, np.inf, 0.0, np.inf, 1.0, 5e-324, np.inf]
     with np.errstate(all="ignore"):
-        fast, reference = _both_rows(rows_kernel, energy, [-3.0, 0.0, 2.5], [0.0], p100, p100.force)
-    assert not np.all(np.isfinite(reference))
-    assert _same(fast, reference)
+        fast, reference = _both_rules(panel_kernel, lo, hi, [-3.0, 0.0, 2.5], [0.0], p100, p100.force)
+    assert not np.all(np.isfinite(reference[0]))
+    for mine, theirs in zip(fast, reference):
+        assert _same(mine, theirs)
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_panel_rules_do_not_depend_on_the_batch(panel_kernel, p100, compiled):
+    # a panel's (kron, err) has the same bits alone or anywhere in a batch
+    rng = np.random.default_rng(11)
+    lo, hi, _ = transport._window(p100)
+    edges = np.sort(rng.uniform(lo, hi, 42))
+    lo, hi = edges[:-1], edges[1:]
+    xs = rng.uniform(-30.0, 30.0, 11)
+    rule = transport._panel_rule(
+        xs, np.array([0.0]), p100, p100.force, panel_kernel if compiled else None
+    )
+    kron, err = rule(lo, hi)
+    for i in range(lo.size):
+        one_kron, one_err = rule(lo[i:i + 1], hi[i:i + 1])
+        assert np.array_equal(one_kron[:, 0], kron[:, i])
+        assert np.array_equal(one_err[:, 0], err[:, i])
+    order = rng.permutation(lo.size)
+    part = order[: lo.size // 3]
+    part_kron, part_err = rule(lo[part], hi[part])
+    assert np.array_equal(part_kron, kron[:, part])
+    assert np.array_equal(part_err, err[:, part])
 
 
 def _tables(voltage):
@@ -536,8 +570,12 @@ def _tables(voltage):
     return [*probes, build_coefficient_table(params, grid)]
 
 
+# "the rows kernel" below is nemclock_panels, which evaluates the integrand
+# rows inside its panel sums
+
+
 @pytest.mark.parametrize("voltage", [5.0, 50.0, 100.0])
-def test_tables_equal_with_the_rows_kernel_off(monkeypatch, rows_kernel, voltage):
+def test_tables_equal_with_the_rows_kernel_off(monkeypatch, panel_kernel, voltage):
     transport._baseline_occupation.cache_clear()
     fast = _tables(voltage)
     assert len(fast) == (1 if voltage == 5.0 else 2)
@@ -550,7 +588,7 @@ def test_tables_equal_with_the_rows_kernel_off(monkeypatch, rows_kernel, voltage
             assert np.array_equal(one.column(name), two.column(name)), name
 
 
-def test_onset_scan_friction_equal_with_the_rows_kernel_off(monkeypatch, rows_kernel):
+def test_onset_scan_friction_equal_with_the_rows_kernel_off(monkeypatch, panel_kernel):
     # scripts/onset_scan.py's voltages: single-position quadrature passes
     voltages = np.linspace(10.0, 60.0, 26)
     fast = [friction_and_diffusion(0.0, default_params(float(v))) for v in voltages]
@@ -561,15 +599,15 @@ def test_onset_scan_friction_equal_with_the_rows_kernel_off(monkeypatch, rows_ke
 
 @pytest.mark.skipif(not os.path.exists(langevin._CC), reason="no C compiler")
 def test_tables_use_the_rows_kernel(monkeypatch, p100):
-    # a broken build would otherwise pass every test on the NumPy rows
+    # a broken build would otherwise pass every test on the NumPy rule
     kernel = langevin._kernel()
     assert kernel is not None
     calls = []
 
     class Counting:
-        def nemclock_rows(self, *args):
+        def nemclock_panels(self, *args):
             calls.append(args[0])
-            return kernel.nemclock_rows(*args)
+            return kernel.nemclock_panels(*args)
 
     monkeypatch.setattr(langevin, "_kernel", Counting)
     build_coefficient_table(p100, [0.0, 0.5])
