@@ -4,7 +4,7 @@ The mechanical mode self-oscillates once the electronic back-action pumps
 energy in faster than it is dissipated, i.e. once the zero-frequency
 friction at the rest position turns negative.  This script scans gamma(x=0)
 over a voltage range, writes the scan to CSV, and refines the sign change
-by bisection.
+with Brent's method (``scipy.optimize.brentq``).
 
 Example:
     python scripts/onset_scan.py --v-min 10 --v-max 60 --points 26

@@ -313,10 +313,9 @@ def _splines(table: CoefficientTable):
     """Per-column cubic interpolants, and the drive: one vector-valued cubic
     over the three columns the stepper needs, so the hot loop pays a single
     interpolation per step.  All five columns share one spline solve."""
-    names = list(table.columns)  # transport.COLUMNS, the table's order
-    both = not_a_knot_spline(table.grid, np.column_stack(list(table.columns.values())))
-    columns = {name: Spline(both.x, both.c[..., j]) for j, name in enumerate(names)}
-    drive = [names.index(n) for n in ("friction", "diffusion", "excess_occupation")]
+    both = not_a_knot_spline(table.grid, table.values.T)
+    columns = {name: Spline(both.x, both.c[..., j]) for name, j in table.ROWS.items()}
+    drive = [table.ROWS[n] for n in ("friction", "diffusion", "excess_occupation")]
     return columns, Spline(both.x, both.c[..., drive])
 
 

@@ -165,8 +165,12 @@ def build_corpus(
     consumers, so they see every full-rate state whatever ``record_stride``
     is; the stride only thins the record.
     """
+    # the density bins are the table's nodes, all one width
+    steps = np.diff(table.grid)
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("build_corpus needs a table on a uniform grid")
     resolved = (policy or DetectionPolicy()).resolve(table)
-    half = (table.grid[1] - table.grid[0]) / 2.0
+    half = steps[0] / 2.0
     edges = np.append(table.grid - half, table.grid[-1] + half)
 
     factories = [

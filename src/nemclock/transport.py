@@ -4,7 +4,8 @@ Everything here treats the oscillator coordinate x as a frozen parameter: the
 dot level is shifted to ``dot_energy - force * x`` and the resulting
 single-level scattering problem is evaluated exactly.  The outputs — excess
 occupation, current, shot noise, friction and diffusion — feed the Langevin
-integrator through :class:`CoefficientTable`.
+integrator through :class:`CoefficientTable`, one row per coefficient of a
+single (5, nodes) array.
 
 Sign conventions: the charge-noise spectrum S_x(omega) obeys detailed balance
 S_x(-w) = exp(-betaw) S_x(w) at zero bias, which makes the zero-frequency
@@ -30,8 +31,9 @@ node order, bit for bit equal to ``kronrod`` over the NumPy rows of
 :func:`_integrand_rows`, which are its oracle and its fallback.  NumPy keeps
 the energy-only factors (:func:`_energy_factors`): the Fermi functions
 (``tanh``) and the complex divisions of the self-energies are NumPy's own
-SIMD code, which C does not reproduce portably.  The shifted-energy rows of
-a nonzero omega have no compiled form.  No step of either rule mixes one
+SIMD code, which C does not reproduce portably.  Every pass integrates the
+same six rows; a nonzero omega evaluates the last, S_x(omega), at E + omega,
+and that shifted row has no compiled form.  No step of either rule mixes one
 panel's values with another's, so a table's bits depend neither on how many
 panels share a sweep nor on a BLAS build.
 """
@@ -43,6 +45,7 @@ import json
 import types
 import warnings
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -199,13 +202,13 @@ def _inverse_square(base, fx):
     return re, im, 1.0 / (re * re + im * im)
 
 
-def _integrand_rows(energy, xs, omegas, params: SystemParams, force):
+def _integrand_rows(energy, xs, params: SystemParams, force, omega=0.0):
     """The transport integrand at the flat ``energy`` array for the positions
-    ``xs``: 5 + len(omegas) rows of len(xs) each, stacked into one
-    (rows * len(xs), len(energy)) array.
+    ``xs``: six rows of len(xs) each, stacked into one
+    (6 * len(xs), len(energy)) array.
 
     The rows are occupation, current, the thermal and partition shot noise,
-    the friction slope dS_x/domega at omega = 0, and S_x at each omega.
+    the friction slope dS_x/domega at omega = 0, and S_x(omega).
     Under :func:`~nemclock.quadrature.kronrod` these rows are the oracle of
     the compiled panel rule (see :func:`_panel_rule`) and its fallback.
     """
@@ -226,35 +229,32 @@ def _integrand_rows(energy, xs, omegas, params: SystemParams, force):
     tau = (kl * kr) * g2
     sigma_less = g2 * w_less
     dg2 = -2.0 * (den_re * dden.real + den_im * dden.imag) * g2**2
-    rows = [
+    if omega == 0.0:
+        # energy + 0 == energy, so S_x(0) reuses g2 and w_more
+        g2_w, more_w = g2, w_more
+    else:
+        (ks, kt, _, _, fs, ft), (base_w, _, _) = _energy_factors(energy + omega, params, leads)
+        g2_w, more_w = _inverse_square(base_w, fx)[2], ks * (1.0 - fs) + kt * (1.0 - ft)
+    return np.concatenate([
         g2 * (w_less / (2.0 * np.pi)),
         tau * (fwin / np.pi),
         tau * ((fl * el + fr * er) * (2.0 / np.pi)),
         tau * (1.0 - tau) * (fwin**2 * (2.0 / np.pi)),
         sigma_less * (dg2 * w_more + g2 * dw_more) * c4,
-    ]
-    for w in omegas:
-        if w == 0.0:
-            # energy + 0 == energy, so the row reuses g2 and w_more
-            rows.append(sigma_less * (g2 * w_more) * c4)
-            continue
-        (ks, kt, _, _, fs, ft), (base_s, _, _) = _energy_factors(energy + w, params, leads)
-        more_s = ks * (1.0 - fs) + kt * (1.0 - ft)
-        rows.append(sigma_less * (_inverse_square(base_s, fx)[2] * more_s) * c4)
-    return np.concatenate(rows, axis=0)
+        sigma_less * (g2_w * more_w) * c4,
+    ], axis=0)
 
 
-def _panel_rule(xs, omegas, params: SystemParams, force, kernel):
+def _panel_rule(xs, params: SystemParams, force, kernel, omega=0.0):
     """The quadrature's panel rule for the integrand rows at the positions
     ``xs``: ``kronrod`` of :func:`_integrand_rows`, or with ``kernel`` the
     same sums, bit for bit, in one ``nemclock_panels`` call per sweep.
 
-    The compiled rule serves only the omega = 0 rows (at most one omega, and
-    it 0); NumPy computes the energy-only factors it reads.
+    The compiled rule serves only omega = 0; NumPy computes the energy-only
+    factors it reads.
     """
     if kernel is None:
-        return kronrod(lambda energy: _integrand_rows(energy, xs, omegas, params, force))
-    n_rows = (5 + omegas.size) * xs.size
+        return kronrod(lambda energy: _integrand_rows(energy, xs, params, force, omega))
     fx = force * xs
     beta, c4 = params.inverse_temperature, force**2 / (2.0 * np.pi)
     leads = _both_leads(params)
@@ -267,31 +267,27 @@ def _panel_rule(xs, omegas, params: SystemParams, force, kernel):
             xs.size, lo.size, fx.ctypes.data, real.ctypes.data, cplx.ctypes.data,
             half.ctypes.data, beta, c4, out.ctypes.data,
         )
-        return out[0, :n_rows], out[1, :n_rows]
+        return out[0], out[1]
 
     return rule
 
 
-def _family_batch(positions, omegas, params: SystemParams, force=None):
+def _family_batch(positions, params: SystemParams, force=None, omega=0.0):
     """All transport integrals for a batch of positions in one adaptive pass.
 
-    Returns (occupation, current, shot_thermal, shot_partition, slope,
-    spectrum): ``slope`` is dS_x/domega at omega = 0 and spectrum has shape
-    (len(omegas), len(positions)).  Components share one panel subdivision,
-    so the integrator refines for the worst of them.  ``force`` overrides
-    ``params.force``.
+    Returns a (6, len(positions)) array whose rows are occupation, current,
+    thermal and partition shot noise, the slope dS_x/domega at omega = 0 and
+    S_x(omega).  Components share one panel subdivision, so the integrator
+    refines for the worst of them.  ``force`` overrides ``params.force``.
     """
     xs = np.asarray(positions, dtype=float)
-    omegas = np.asarray(omegas, dtype=float)
-    n_x, n_w = xs.size, omegas.size
     force = params.force if force is None else force
-    # the shifted-energy rows of omega != 0 have no compiled form
-    kernel = langevin._kernel() if n_w <= 1 and not np.any(omegas) else None
-    pad = float(np.max(np.abs(omegas))) if n_w else 0.0
-    lo, hi, seeds = _window(params, pad=pad)
+    # the shifted-energy row of omega != 0 has no compiled form
+    kernel = langevin._kernel() if omega == 0.0 else None
+    lo, hi, seeds = _window(params, pad=abs(omega))
     try:
         result = integrate(
-            _panel_rule(xs, omegas, params, force, kernel),
+            _panel_rule(xs, params, force, kernel, omega),
             lo, hi, rtol=RTOL, atol=ATOL, breakpoints=seeds,
         )
     except QuadratureError as exc:
@@ -301,15 +297,14 @@ def _family_batch(positions, omegas, params: SystemParams, force=None):
             achieved=exc.achieved,
             requested=exc.requested,
         ) from None
-    vals = result.value.reshape(5 + n_w, n_x)
-    return vals[0], vals[1], vals[2], vals[3], vals[4], vals[5:]
+    return result.value.reshape(6, xs.size)
 
 
 @functools.lru_cache(maxsize=128)
 def _baseline_occupation(params: SystemParams) -> float:
-    """Dot occupation with the electromechanical force removed."""
-    occ, *_ = _family_batch([0.0], [], params, force=0.0)
-    return float(occ[0])
+    """Dot occupation with the electromechanical force removed: the pass's
+    friction and spectrum rows carry F^2 and are 0 here."""
+    return float(_family_batch([0.0], params, force=0.0)[0, 0])
 
 
 def charge_noise_spectrum(position, omega, params: SystemParams):
@@ -327,8 +322,7 @@ def charge_noise_spectrum(position, omega, params: SystemParams):
             AdiabaticityWarning,
             stacklevel=2,
         )
-    *_, spec = _family_batch([position], [omega], params)
-    return float(spec[0, 0])
+    return float(_family_batch([position], params, omega=omega)[5, 0])
 
 
 def friction_and_diffusion(position, params: SystemParams):
@@ -339,11 +333,11 @@ def friction_and_diffusion(position, params: SystemParams):
     quadrature pass as S_x(0); the diffusion is S_x(0), floored at zero
     against quadrature round-off.
     """
-    _, _, _, _, slope, spec = _family_batch([position], [0.0], params)
-    gamma = slope[0] / params.oscillator_mass
+    slope, spec = _family_batch([position], params)[4:, 0]
+    gamma = slope / params.oscillator_mass
     if not np.isfinite(gamma):
         raise RuntimeError(f"non-finite friction estimate at x={position!r}")
-    return float(gamma), float(np.maximum(spec[0, 0], 0.0))
+    return float(gamma), float(np.maximum(spec, 0.0))
 
 
 @dataclass(frozen=True)
@@ -363,7 +357,7 @@ class GridSpec:
         return np.linspace(-self.x_max, self.x_max, self.nodes)
 
 
-# the tabulated coefficients, in archive order
+# the tabulated coefficients, in archive order and in a table's row order
 COLUMNS = ("excess_occupation", "current", "shot_noise", "friction", "diffusion")
 
 
@@ -371,38 +365,40 @@ COLUMNS = ("excess_occupation", "current", "shot_noise", "friction", "diffusion"
 class CoefficientTable:
     """Transport coefficients tabulated on a strictly increasing grid.
 
-    ``columns`` maps every name in :data:`COLUMNS` to one array of values at
-    the grid nodes.
+    ``values`` is one C-contiguous (len(COLUMNS), len(grid)) array: its row
+    ``ROWS[name]`` holds the coefficient ``name`` at the grid nodes, the rows
+    in :data:`COLUMNS` order.
     """
 
+    ROWS: ClassVar[dict] = {name: row for row, name in enumerate(COLUMNS)}
+
     grid: np.ndarray
-    columns: dict
+    values: np.ndarray
     params_hash: str
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be a strictly increasing 1-D array")
-        if sorted(self.columns) != sorted(COLUMNS):
-            raise ValueError(f"columns must be exactly {COLUMNS}")
-        cols = {name: np.asarray(self.columns[name], dtype=float) for name in COLUMNS}
-        if any(col.shape != grid.shape for col in cols.values()):
-            raise ValueError("every column must match the grid length")
+        values = np.ascontiguousarray(self.values, dtype=float)
+        shape = (len(COLUMNS), grid.size)
+        if values.shape != shape:
+            raise ValueError(f"values must have shape {shape}, a row per column")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "values", values)
 
     def column(self, name: str) -> np.ndarray:
-        """One coefficient across the grid, as an array."""
-        return self.columns[name]
+        """One coefficient across the grid, as a row of ``values``."""
+        return self.values[self.ROWS[name]]
 
     def save(self, path) -> None:
-        checksum = _table_checksum(self.grid, self.columns)
+        checksum = _table_checksum(self.grid, self.values)
         header = json.dumps(
             {"params_hash": self.params_hash, "checksum": checksum}
         )
         with open(path, "wb") as fh:
             np.savez(fh, header=np.frombuffer(header.encode(), dtype=np.uint8),
-                     grid=self.grid, **self.columns)
+                     grid=self.grid, **dict(zip(COLUMNS, self.values)))
 
     @classmethod
     def load(cls, path, *, expected_hash: str | None = None) -> "CoefficientTable":
@@ -410,7 +406,7 @@ class CoefficientTable:
             with np.load(path) as data:
                 header = json.loads(bytes(data["header"]).decode())
                 grid = data["grid"]
-                cols = {name: data[name] for name in COLUMNS}
+                values = np.stack([data[name] for name in COLUMNS])
         except FileNotFoundError:
             raise
         except Exception as exc:
@@ -419,21 +415,22 @@ class CoefficientTable:
             raise ValueError(
                 f"coefficient cache {path} is corrupt ({exc})"
             ) from exc
-        if _table_checksum(grid, cols) != header["checksum"]:
+        if _table_checksum(grid, values) != header["checksum"]:
             raise ValueError(f"coefficient cache {path} is corrupt (checksum)")
         if expected_hash is not None and header["params_hash"] != expected_hash:
             raise ValueError(
                 f"coefficient cache {path} was built for different parameters"
             )
-        return cls(grid=grid, columns=cols, params_hash=header["params_hash"])
+        return cls(grid=grid, values=values, params_hash=header["params_hash"])
 
 
-def _table_checksum(grid, cols: dict) -> str:
+def _table_checksum(grid, values) -> str:
+    """SHA-256 of the grid, then of each column's name and row by name."""
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(grid).tobytes())
-    for name in sorted(cols):
+    for name, row in sorted(CoefficientTable.ROWS.items()):
         digest.update(name.encode())
-        digest.update(np.ascontiguousarray(cols[name]).tobytes())
+        digest.update(values[row].tobytes())
     return digest.hexdigest()
 
 
@@ -487,21 +484,20 @@ def build_coefficient_table(
     if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be a strictly increasing 1-D array")
 
-    cols = {name: np.empty_like(grid) for name in COLUMNS}
+    values = np.empty((len(COLUMNS), grid.size))
     baseline = _baseline_occupation(params)
 
     for lo, hi in _spans(grid, params):
-        o, c, th, pa, slope, spec = _family_batch(grid[lo:hi], [0.0], params)
-        cols["excess_occupation"][lo:hi] = o - baseline
-        cols["current"][lo:hi] = c
-        cols["shot_noise"][lo:hi] = th + pa
-        cols["friction"][lo:hi] = slope / params.oscillator_mass
-        cols["diffusion"][lo:hi] = np.maximum(spec[0], 0.0)
+        occ, cur, thermal, partition, slope, spec = _family_batch(grid[lo:hi], params)
+        # the rows in COLUMNS order
+        values[:, lo:hi] = (
+            occ - baseline, cur, thermal + partition,
+            slope / params.oscillator_mass, np.maximum(spec, 0.0),
+        )
 
-    stacked = np.stack([cols[name] for name in COLUMNS])
-    if not np.all(np.isfinite(stacked)):
-        bad = grid[~np.all(np.isfinite(stacked), axis=0)]
-        raise RuntimeError(f"non-finite table column at x={bad!r}")
+    finite = np.all(np.isfinite(values), axis=0)
+    if not np.all(finite):
+        raise RuntimeError(f"non-finite table column at x={grid[~finite]!r}")
     return CoefficientTable(
-        grid=grid, columns=cols, params_hash=table_fingerprint(params, grid)
+        grid=grid, values=values, params_hash=table_fingerprint(params, grid)
     )

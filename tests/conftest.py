@@ -104,14 +104,9 @@ def make_synthetic_table(
             return np.array([float(spec(x)) for x in grid])
         return np.full(grid.size, float(spec))
 
-    columns = {
-        "excess_occupation": col(excess),
-        "current": col(current),
-        "shot_noise": col(shot),
-        "friction": col(friction),
-        "diffusion": col(diffusion),
-    }
-    return CoefficientTable(grid=grid, columns=columns, params_hash=tag)
+    # the rows in COLUMNS order
+    values = [col(excess), col(current), col(shot), col(friction), col(diffusion)]
+    return CoefficientTable(grid=grid, values=values, params_hash=tag)
 
 
 @pytest.fixture(scope="session")

@@ -226,6 +226,16 @@ def test_build_corpus_fields(tick_table, params100):
     assert len(corpus.ticks) == corpus.record.positions.shape[0]
 
 
+def test_build_corpus_refuses_a_non_uniform_grid(params100):
+    # the density divides every node's count by one bin width, so on nodes
+    # denser at the centre it would no longer integrate to 1
+    sinh_grid = 12.0 * np.sinh(np.linspace(-2.0, 2.0, 25)) / np.sinh(2.0)
+    table = make_synthetic_table(sinh_grid, friction=0.5, diffusion=1.0, tag="sinh")
+    sim = _short_sim(seed=11, ensemble=2, duration=80.0)
+    with pytest.raises(ValueError, match="uniform grid"):
+        build_corpus(table, params100, sim)
+
+
 def test_build_corpus_current_stride_slices_full_series(tick_table, params100):
     sim = _short_sim(seed=11, ensemble=2, duration=80.0)
     fine = build_corpus(tick_table, params100, sim, current_stride=1)

@@ -6,6 +6,8 @@ refinement (scipy.integrate.quad with hand-placed breakpoints and widened
 integration windows) and are stated here to their converged digits.
 """
 import dataclasses
+import hashlib
+import json
 import math
 import os
 import warnings
@@ -204,7 +206,7 @@ def test_shot_noise_frozen_value_and_split(p50):
     total = _at(p50, 0.0, "shot_noise")
     assert total == pytest.approx(SHOT_V50_X0, rel=1e-9)
     # the column is the thermal plus the partition piece of one quadrature pass
-    _, _, thermal, partition, *_ = transport._family_batch([0.0], [0.0], p50)
+    _, _, thermal, partition, *_ = transport._family_batch([0.0], p50)
     assert thermal[0] >= 0.0 and partition[0] >= 0.0
     assert thermal[0] + partition[0] == pytest.approx(total, rel=1e-12)
 
@@ -382,6 +384,8 @@ def small_table(p100):
 
 def test_table_grid_and_columns(small_table):
     assert small_table.grid[0] == -5.0 and small_table.grid[-1] == 5.0
+    assert small_table.values.shape == (len(transport.COLUMNS), small_table.grid.size)
+    assert small_table.values.flags.c_contiguous
     assert np.all(np.diff(small_table.grid) > 0)
     for name in ("friction", "diffusion", "excess_occupation", "current",
                  "shot_noise"):
@@ -393,13 +397,16 @@ def test_table_grid_and_columns(small_table):
 
 
 def test_table_rejects_bad_columns(small_table):
-    grid = small_table.grid
-    columns = dict(small_table.columns)
-    with pytest.raises(ValueError, match="grid length"):
-        CoefficientTable(grid=grid[:-1], columns=columns, params_hash="x")
-    del columns["current"]
-    with pytest.raises(ValueError, match="columns must be exactly"):
-        CoefficientTable(grid=grid, columns=columns, params_hash="x")
+    # values must be one row per column in COLUMNS order, one value per node
+    grid, values = small_table.grid, small_table.values
+    for bad_grid, bad_values in [
+        (grid[:-1], values),  # a row longer than the grid
+        (grid, values[1:]),  # a column missing
+        (grid, values.T),  # transposed: a column per coefficient
+        (grid, values[0]),  # one flat row
+    ]:
+        with pytest.raises(ValueError, match="values must have shape"):
+            CoefficientTable(grid=bad_grid, values=bad_values, params_hash="x")
 
 
 def test_table_matches_pointwise_evaluation(small_table, p100):
@@ -434,6 +441,21 @@ def test_table_round_trip(tmp_path, small_table, p100):
             loaded.column(name), small_table.column(name)
         )
     assert loaded.params_hash == small_table.params_hash
+
+
+def test_saved_table_members_and_checksum(tmp_path, small_table):
+    # the archive layout of every cache, from before the columnar table too
+    path = tmp_path / "coeffs.npz"
+    small_table.save(path)
+    with np.load(path) as data:
+        assert data.files == ["header", "grid", *transport.COLUMNS]
+        header = json.loads(bytes(data["header"]).decode())
+        digest = hashlib.sha256(data["grid"].tobytes())
+        for name in sorted(transport.COLUMNS):
+            digest.update(name.encode())
+            digest.update(data[name].tobytes())
+            assert np.array_equal(data[name], small_table.column(name))
+    assert header["checksum"] == digest.hexdigest()
 
 
 def test_table_load_rejects_other_parameters(tmp_path, small_table):
@@ -485,14 +507,14 @@ def panel_kernel():
     return kernel
 
 
-def _both_rules(kernel, lo, hi, xs, omegas, params, force):
+def _both_rules(kernel, lo, hi, xs, params, force):
     """(kron, err) of the compiled panel rule and of ``kronrod`` over the
     NumPy integrand rows, its oracle."""
-    xs, omegas = np.asarray(xs, dtype=float), np.asarray(omegas, dtype=float)
+    xs = np.asarray(xs, dtype=float)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    fast = transport._panel_rule(xs, omegas, params, force, kernel)(lo, hi)
+    fast = transport._panel_rule(xs, params, force, kernel)(lo, hi)
     reference = kronrod(
-        lambda energy: transport._integrand_rows(energy, xs, omegas, params, force)
+        lambda energy: transport._integrand_rows(energy, xs, params, force)
     )(lo, hi)
     return fast, reference
 
@@ -513,12 +535,11 @@ def test_panel_kernel_matches_numpy_rule(panel_kernel, voltage):
     edges = np.sort(rng.uniform(lo, hi, 34))
     for panels in ((edges[:-1], edges[1:]), ([lo], [hi]), (edges[3:5], edges[4:6])):
         for xs in batches:
-            for omegas in ([], [0.0]):
-                for force in (params.force, 0.0):
-                    fast, reference = _both_rules(panel_kernel, *panels, xs, omegas, params, force)
-                    assert fast[0].shape == ((5 + len(omegas)) * len(xs), len(panels[0]))
-                    for mine, theirs in zip(fast, reference):
-                        assert _same(mine, theirs), (len(xs), omegas, force)
+            for force in (params.force, 0.0):
+                fast, reference = _both_rules(panel_kernel, *panels, xs, params, force)
+                assert fast[0].shape == (6 * len(xs), len(panels[0]))
+                for mine, theirs in zip(fast, reference):
+                    assert _same(mine, theirs), (len(xs), force)
 
 
 def test_panel_kernel_matches_numpy_rule_at_non_finite_energies(panel_kernel, p100):
@@ -526,7 +547,7 @@ def test_panel_kernel_matches_numpy_rule_at_non_finite_energies(panel_kernel, p1
     lo = [1e300, -1.7e308, 1e308, -np.inf, 0.0, np.nan, -5e-324, -np.inf]
     hi = [1.7e308, -1e300, np.inf, 0.0, np.inf, 1.0, 5e-324, np.inf]
     with np.errstate(all="ignore"):
-        fast, reference = _both_rules(panel_kernel, lo, hi, [-3.0, 0.0, 2.5], [0.0], p100, p100.force)
+        fast, reference = _both_rules(panel_kernel, lo, hi, [-3.0, 0.0, 2.5], p100, p100.force)
     assert not np.all(np.isfinite(reference[0]))
     for mine, theirs in zip(fast, reference):
         assert _same(mine, theirs)
@@ -540,9 +561,7 @@ def test_panel_rules_do_not_depend_on_the_batch(panel_kernel, p100, compiled):
     edges = np.sort(rng.uniform(lo, hi, 42))
     lo, hi = edges[:-1], edges[1:]
     xs = rng.uniform(-30.0, 30.0, 11)
-    rule = transport._panel_rule(
-        xs, np.array([0.0]), p100, p100.force, panel_kernel if compiled else None
-    )
+    rule = transport._panel_rule(xs, p100, p100.force, panel_kernel if compiled else None)
     kron, err = rule(lo, hi)
     for i in range(lo.size):
         one_kron, one_err = rule(lo[i:i + 1], hi[i:i + 1])
@@ -553,6 +572,29 @@ def test_panel_rules_do_not_depend_on_the_batch(panel_kernel, p100, compiled):
     part_kron, part_err = rule(lo[part], hi[part])
     assert np.array_equal(part_kron, kron[:, part])
     assert np.array_equal(part_err, err[:, part])
+
+
+def test_force_free_rules_have_zero_friction_and_spectrum_rows(panel_kernel, p100):
+    # the baseline pass: both rows carry F^2 / 2 pi, so they vanish exactly
+    lo, hi, _ = transport._window(p100)
+    edges = np.linspace(lo, hi, 9)
+    xs = [-3.0, 0.0, 2.5]
+    for kron, err in _both_rules(panel_kernel, edges[:-1], edges[1:], xs, p100, 0.0):
+        assert not np.any(kron.reshape(6, len(xs), -1)[4:])
+        assert not np.any(err.reshape(6, len(xs), -1)[4:])
+
+
+@pytest.mark.parametrize("omega", [0.01, -1.0, 2.0])
+def test_spectrum_row_alone_depends_on_omega(p100, omega):
+    lo, hi, _ = transport._window(p100, pad=abs(omega))
+    edges = np.linspace(lo, hi, 9)
+    xs = np.array([-3.0, 0.0, 2.5])
+    at_zero = transport._panel_rule(xs, p100, p100.force, None)(edges[:-1], edges[1:])
+    shifted = transport._panel_rule(xs, p100, p100.force, None, omega)(edges[:-1], edges[1:])
+    five = slice(0, 5 * xs.size)
+    for zero, other in zip(at_zero, shifted):
+        assert np.array_equal(zero[five], other[five])
+        assert not np.array_equal(zero[five.stop:], other[five.stop:])
 
 
 def _tables(voltage):
