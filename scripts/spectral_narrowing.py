@@ -6,7 +6,8 @@ peak of the power spectrum three ways:
 
   - half-maximum width of the plain (rectangular-lag) spectrum,
   - half-maximum width of the Hann-windowed spectrum,
-  - the damped-cosine lag-domain fit (``linewidth_fit``).
+  - the damped-cosine lag-domain fit (``linewidth_fit``; NaN when its width
+    or frequency ends on a bound of the fit's box).
 
 The first two are floored at the lag-truncation kernel width ~pi/tau_max;
 the script prints each width next to that floor so a pinned value is
@@ -79,9 +80,10 @@ def measure(voltage, *, burn, periods, ensemble, seed, lag_periods, threads):
             width = float("nan")
         row[f"peak_{name}"] = loc
         row[f"fwhm_{name}"] = width
-    fit_fwhm, fit_loc = linewidth_fit(curve, row["peak_none"])
-    row["fit_fwhm"] = fit_fwhm
-    row["fit_peak"] = fit_loc
+    try:
+        row["fit_fwhm"], row["fit_peak"] = linewidth_fit(curve, row["peak_none"])
+    except ValueError:
+        row["fit_fwhm"] = row["fit_peak"] = float("nan")
     return row
 
 

@@ -13,9 +13,9 @@ toymodel    sample one of the reduced toy processes
 
 Configs are strict, versioned JSON: unknown keys are errors at every level,
 and every value given must be of the kind its key declares.
-``record_stride`` only thins the stored record, whose ``positions`` and
-``velocities`` in ensemble.npz hold one row per member.  With them
-``simulate`` stores a provenance record: every field of the system,
+``record_stride`` only thins the stored record: ensemble.npz holds its
+``positions``, one row per member, and the config gives its times.  With
+them ``simulate`` stores a provenance record: every field of the system,
 simulation and detection records the config builds, the grid section, and
 the hash of the coefficient table.  ``ticks`` and ``analyze`` build the same
 record from their config and refuse the first field that differs (exit 2,
@@ -390,14 +390,11 @@ def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     """Integrate the ensemble, detecting ticks and histogramming positions on
     every full-rate state; stores ensemble.npz."""
     corpus = build_corpus(table, params, sim, policy=_policy(cfg), threads=threads)
-    rec = corpus.record
     provenance = {**_provenance(cfg, params, sim), "params_hash": table.params_hash}
     with open(out / "ensemble.npz", "wb") as fh:
         np.savez(
             fh,
-            times=rec.times,
-            positions=rec.positions,
-            velocities=rec.velocities,
+            positions=corpus.record.positions,
             provenance=np.frombuffer(json.dumps(provenance).encode(), dtype=np.uint8),
             tick_times=np.concatenate([ts.tick_times for ts in corpus.ticks]),
             tick_counts=np.array([len(ts) for ts in corpus.ticks], dtype=np.int64),
@@ -445,7 +442,7 @@ def _load_corpus(cfg, params, sim: SimConfig, out: Path) -> Corpus:
         ticks=tuple(TickSeries(t, policy) for t in members),
         position_density=d["position_density"],
         position_count=int(d["position_count"][0]),
-        record=Trajectory(d["times"], d["positions"], d["velocities"]),
+        record=Trajectory(sim.record_times(), d["positions"]),
     )
 
 
@@ -473,7 +470,8 @@ def stage_ticks(corpus: Corpus, out: Path):
 
 def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     """Clock statistics from the stored ensemble; writes the report set and
-    returns the report.json payload."""
+    returns the report.json payload.  The spectrum is only plotted: it is
+    ``power_spectrum`` of autocorrelation.csv and ``shot_noise_floor``."""
     params, table = corpus.params, corpus.table
     tick_series = corpus.ticks
     a = cfg["analysis"]
@@ -508,11 +506,6 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     density = corpus.position_density
     floor = float(np.trapezoid(density * table.column("shot_noise"), table.grid))
     spectrum = clockstats.power_spectrum(curve, floor)
-    _write_csv(
-        out / "spectrum.csv",
-        ["omega", "power"],
-        [spectrum.frequencies, spectrum.values],
-    )
     window = tuple(float(v) * w0 for v in a["spectrum_window"])
     peak_loc = peak_height = peak_width = line_fwhm = line_loc = None
     with contextlib.suppress(ValueError):
@@ -558,6 +551,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
         "spectrum_fwhm": peak_width,
         "linewidth_fit": {"fwhm": line_fwhm, "location": line_loc},
         "tick_count": int(sum(len(ts) for ts in tick_series)),
+        "shot_noise_floor": floor,
     }
     _write_json(out / "report.json", report)
 

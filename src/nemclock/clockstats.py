@@ -289,8 +289,8 @@ def linewidth_fit(curve: CorrelationCurve, omega_seed: float) -> tuple[float, fl
     amplitude wander far slower than the window span), that wander replaces
     the coherence decay as the fitted envelope and the result tracks the
     window choice rather than the line; cross-check against the width of
-    :func:`power_spectrum` and treat values near the parameter bounds as a
-    failed fit.
+    :func:`power_spectrum`.  A width or frequency that ends on a bound of
+    the fit's box is no measurement, and raises ``ValueError``.
 
     Returns ``(fwhm, omega)`` of the fitted line.
     """
@@ -311,14 +311,12 @@ def linewidth_fit(curve: CorrelationCurve, omega_seed: float) -> tuple[float, fl
     )
 
     step = omegas[1] - omegas[0]
-    _, _, g_fit, w_fit = _damped_cosine_fit(
-        tau,
-        y,
-        np.array([a0, b0, g0, w0]),
-        np.array([-np.inf, -np.inf, gammas[0] / 10.0, w0 - 3.0 * step]),
-        np.array([np.inf, np.inf, gammas[-1] * 10.0, w0 + 3.0 * step]),
-    )
-    return float(g_fit), float(w_fit)
+    lower = np.array([-np.inf, -np.inf, gammas[0] / 10.0, w0 - 3.0 * step])
+    upper = np.array([np.inf, np.inf, gammas[-1] * 10.0, w0 + 3.0 * step])
+    fit = _damped_cosine_fit(tau, y, np.array([a0, b0, g0, w0]), lower, upper)
+    if np.any((fit[2:] <= lower[2:]) | (fit[2:] >= upper[2:])):
+        raise ValueError("the fitted width or frequency sits on a bound of its box")
+    return float(fit[2]), float(fit[3])
 
 
 def _damped_cosine_terms(p, tau, y):

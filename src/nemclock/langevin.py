@@ -121,15 +121,19 @@ class SimConfig:
     def recorded_samples(self) -> int:
         return (self.total_steps - self.burn_steps) // self.record_stride + 1
 
+    def record_times(self) -> np.ndarray:
+        return np.arange(self.recorded_samples) * (self.time_step * self.record_stride)
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """The recorded ensemble: ``times`` (n,) restart at zero after the
-    burn-in; ``positions`` and ``velocities`` (members, n) hold a row per member."""
+    burn-in; ``positions`` and ``velocities`` (members, n) hold a row per
+    member, and a record read back from disk has ``velocities`` None."""
 
     times: np.ndarray
     positions: np.ndarray
-    velocities: np.ndarray
+    velocities: np.ndarray | None = None
 
     @property
     def sample_spacing(self) -> float:
@@ -547,5 +551,4 @@ def run_ensemble(
     for later in consumers[1:]:
         for head, extra in zip(merged, later):
             head.absorb(extra)
-    times = np.arange(sim.recorded_samples) * (sim.time_step * sim.record_stride)
-    return Trajectory(times, positions, velocities), tuple(merged[2:])
+    return Trajectory(sim.record_times(), positions, velocities), tuple(merged[2:])

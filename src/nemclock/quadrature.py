@@ -122,7 +122,8 @@ def integrate(
         Optional interior points (band edges, chemical potentials) used to
         seed the initial panel layout.
     max_panels:
-        Refinement stops with :class:`QuadratureError` once exceeded.
+        Past it the estimate stands if each component's summed error meets
+        its ``tol``; otherwise :class:`QuadratureError` is raised.
 
     Notes
     -----
@@ -150,18 +151,16 @@ def integrate(
         tol = np.atleast_1d(scale)[:, None] / (2.0 * lo.size)
         bad = (np.atleast_2d(err) > tol).any(axis=0)
         if not bad.any():
-            return QuadResult(
-                value=total,
-                error=err.sum(axis=-1),
-                panels=lo.size,
-                evaluations=evaluations,
-            )
+            break
         if lo.size + bad.sum() > max_panels:
+            error, need = np.atleast_1d(err.sum(axis=-1)), np.atleast_1d(scale)
+            if (error <= need).all():
+                break
+            with np.errstate(divide="ignore", invalid="ignore"):
+                row = int(np.nanargmax(error / need))
             raise QuadratureError(
-                f"needed more than {max_panels} panels over "
-                f"[{lower}, {upper}]",
-                achieved=float(np.max(np.atleast_2d(err).sum(axis=-1))),
-                requested=float(np.max(scale)),
+                f"needed more than {max_panels} panels over [{lower}, {upper}]",
+                achieved=float(error[row]), requested=float(need[row]),
             )
         mid = 0.5 * (lo[bad] + hi[bad])
         new_lo = np.concatenate([lo[bad], mid])
@@ -173,3 +172,4 @@ def integrate(
         hi = np.concatenate([hi[keep], new_hi])
         kron = np.concatenate([kron[..., keep], new_kron], axis=-1)
         err = np.concatenate([err[..., keep], new_err], axis=-1)
+    return QuadResult(total, err.sum(axis=-1), lo.size, evaluations)

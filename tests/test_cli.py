@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nemclock import cli, pipeline, transport
+from nemclock import cli, clockstats, pipeline, transport
 from nemclock.cli import ConfigError, build_params, load_config, stage_coeffs
 from nemclock.params import default_params, fingerprint
 from nemclock.transport import friction_and_diffusion
@@ -331,7 +331,6 @@ EXPECTED_FILES = {
     "ticks.json",
     "wtd_fit.json",
     "autocorrelation.csv",
-    "spectrum.csv",
     "allan.csv",
     "info.json",
     "report.json",
@@ -364,8 +363,14 @@ def test_run_produces_complete_artifact_set(tmp_path, pipeline_config, capsys):
 
     names = {p.name for p in out.iterdir()}
     assert EXPECTED_FILES <= names
-    # member 0's record is in ensemble.npz and the waits are ticks.csv's gaps
-    assert not {"trajectory.csv", "wtd.csv"} & names
+    # member 0's record is in ensemble.npz, the waits are ticks.csv's gaps and
+    # the spectrum is autocorrelation.csv's transform
+    assert not {"trajectory.csv", "wtd.csv", "spectrum.csv"} & names
+    with np.load(out / "ensemble.npz") as data:
+        assert set(data.files) == {
+            "positions", "provenance", "tick_times", "tick_counts",
+            "position_density", "position_count",
+        }
 
     report = json.loads((out / "report.json").read_text())
     assert report["mean_wait"] > 0
@@ -430,8 +435,48 @@ def test_staged_commands_match_run(tmp_path, pipeline_config, capsys):
     assert cli.main(["ticks", *base]) == 0
     assert "detected" in capsys.readouterr().out
     assert cli.main(["analyze", *base]) == 0
-    for name in ("ensemble.npz", "ticks.csv", "report.json", "spectrum.csv"):
+    for name in ("ensemble.npz", "ticks.csv", "report.json", "autocorrelation.csv"):
         assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+def test_spectrum_rebuilds_from_autocorrelation_and_floor(
+    tmp_path, pipeline_config, monkeypatch
+):
+    spectra, transform = [], clockstats.power_spectrum
+
+    def recorded(*args):
+        spectra.append(transform(*args))
+        return spectra[-1]
+
+    monkeypatch.setattr(clockstats, "power_spectrum", recorded)
+    out = tmp_path / "out"
+    assert _run(_write(tmp_path / "cfg.json", pipeline_config), out) == 0
+    lags, values = np.loadtxt(out / "autocorrelation.csv", delimiter=",", skiprows=1, unpack=True)
+    floor = json.loads((out / "report.json").read_text())["shot_noise_floor"]
+    rebuilt = transform(clockstats.CorrelationCurve(lags, values), floor)
+    (held,) = spectra
+    assert held.floor == floor
+    np.testing.assert_array_equal(rebuilt.frequencies, held.frequencies)
+    np.testing.assert_array_equal(rebuilt.values, held.values)
+
+
+def test_ensemble_with_times_and_velocities_analyzes_the_same(tmp_path, pipeline_config):
+    # an ensemble.npz from before the record dropped its times and velocities
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert _run(cfg_path, new) == 0
+    old.mkdir()
+    (old / "coeffs.npz").write_bytes((new / "coeffs.npz").read_bytes())
+    with np.load(new / "ensemble.npz") as data:
+        arrays = dict(data)
+    sim = cli.build_sim(load_config(cfg_path))
+    np.savez(old / "ensemble.npz", times=sim.record_times(),
+             velocities=-arrays["positions"], **arrays)
+    assert cli.main(["analyze", "--config", str(cfg_path), "--out", str(old)]) == 0
+    written = {p.name for p in old.iterdir()}
+    assert written == {p.name for p in new.iterdir()} - {"manifest.json"}
+    for name in sorted(written - {"ensemble.npz"}):
+        assert (old / name).read_bytes() == (new / name).read_bytes(), name
 
 
 def test_results_do_not_depend_on_record_stride(tmp_path, pipeline_config):
@@ -588,7 +633,9 @@ def test_ensemble_without_streamed_evidence_is_stage_failure(
     assert _run(cfg_path, out) == 0
     # the five arrays an ensemble.npz held before ticks were stored with it
     with np.load(out / "ensemble.npz") as data:
-        arrays = {name: data[name] for name in ("times", "positions", "velocities")}
+        positions = data["positions"]
+    times = cli.build_sim(load_config(cfg_path)).record_times()
+    arrays = dict(times=times, positions=positions, velocities=np.zeros_like(positions))
     seed = np.array([pipeline_config["simulation"]["seed"]], dtype=np.int64)
     stride = np.array([pipeline_config["simulation"]["record_stride"]], dtype=np.int64)
     np.savez(out / "ensemble.npz", **arrays, seed=seed, record_stride=stride)

@@ -374,7 +374,8 @@ def _cost_resolution(residual, x):
 )
 def test_linewidth_fit_equals_nested_scan(make_curve, omega_seed, monkeypatch):
     # the start is the nested scan's exactly; the refinement is held to
-    # scipy's least_squares, which stops at its ftol = 1e-8, by tolerance
+    # scipy's least_squares, which stops at its ftol = 1e-8, by tolerance;
+    # a refinement that ends on a bound is compared too, and then refused
     curve = make_curve()
     chosen, fit, residual = _nested_scan_linewidth_fit(curve, omega_seed)
     starts, results = [], []
@@ -390,22 +391,43 @@ def test_linewidth_fit_equals_nested_scan(make_curve, omega_seed, monkeypatch):
 
     monkeypatch.setattr(clockstats, "_profile_scan", recorded_scan)
     monkeypatch.setattr(clockstats, "_damped_cosine_fit", recorded_refine)
-    fwhm, omega = linewidth_fit(curve, omega_seed)
+    try:
+        reported = linewidth_fit(curve, omega_seed)
+    except ValueError as exc:
+        assert "bound" in str(exc)
+        reported = None
     assert starts == [chosen]
-    assert (fwhm, omega) == tuple(results[0][2:])
+    fwhm, omega = results[0][2:]
+    on_bound = make_curve is _undamped_curve
+    assert reported == (None if on_bound else (fwhm, omega))
     assert fwhm == pytest.approx(fit.x[2], rel=1e-5)
     assert omega == pytest.approx(fit.x[3], rel=1e-9)
     cost = 0.5 * residual(results[0]) @ residual(results[0])
     assert cost <= fit.cost * (1 + 1e-9) + _cost_resolution(residual, fit.x)
 
 
-def test_linewidth_fit_stops_on_the_width_bound():
+def test_damped_cosine_fit_holds_the_width_bound():
     # a bound the descent pushes against holds its parameter exactly, and
-    # the other three are fitted without it
+    # the other three are fitted without it: linewidth_fit's window and
+    # width floor, from a start at the line
     curve = _undamped_curve()
-    fwhm, omega = linewidth_fit(curve, 2.0)
-    assert fwhm == 0.2 / curve.lags[-1] / 10.0  # the lowest scan width / 10
-    assert omega == pytest.approx(2.0, abs=1e-4)
+    window = slice(int(0.15 * curve.values.size), int(0.55 * curve.values.size))
+    floor = 0.2 / curve.lags[-1] / 10.0  # the lowest scan width / 10
+    fit = clockstats._damped_cosine_fit(
+        curve.lags[window], curve.values[window],
+        np.array([0.5, 0.0, 10.0 * floor, 2.0]),
+        np.array([-np.inf, -np.inf, floor, 1.999]),
+        np.array([np.inf, np.inf, 1.0, 2.001]),
+    )
+    assert fit[2] == floor
+    assert fit[3] == pytest.approx(2.0, abs=1e-4)
+
+
+def test_linewidth_fit_stops_on_the_width_bound():
+    # this curve's refinement ends on the width floor too (see the nested
+    # scan test), and a box edge is no width
+    with pytest.raises(ValueError, match="bound of its box"):
+        linewidth_fit(_undamped_curve(), 2.0)
 
 
 def test_linewidth_fit_from_singular_start(monkeypatch):

@@ -65,6 +65,17 @@ def test_recording_grid(ou_table, params100):
     np.testing.assert_allclose(np.diff(traj.times), 7 * sim.time_step)
 
 
+def test_record_times_equal_the_run_record_times(ou_table, params100):
+    # ensemble.npz stores no times: a record read back takes the config's
+    sim = _sim(4, burn=2, stride=7)
+    record = run_ensemble(ou_table, params100, sim)[0]
+    np.testing.assert_array_equal(sim.record_times(), record.times)
+    np.testing.assert_array_equal(
+        sim.record_times(), np.arange(record.times.size) * (sim.time_step * 7)
+    )
+    assert langevin.Trajectory(sim.record_times(), record.positions).velocities is None
+
+
 def test_determinism_same_seed(ou_table, params100):
     sim = _sim(5, seed=123)
     a = run_ensemble(ou_table, params100, sim)[0]

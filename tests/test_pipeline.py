@@ -26,7 +26,7 @@ from nemclock.readout import (
     current_level_maximum,
     detect_ticks,
 )
-from nemclock.transport import friction_and_diffusion
+from nemclock.transport import build_coefficient_table, friction_and_diffusion
 
 from conftest import THREADS, make_synthetic_table
 
@@ -70,10 +70,19 @@ def test_default_grid_at_strong_bias():
     assert math.isfinite(grid.x_max) and grid.x_max > 0.0
 
 
-@pytest.mark.xfail(raises=QuadratureError, strict=True,
-                   reason="the probe span x = -395 ... -385.1 runs out of panels (ROADMAP item 7)")
 def test_default_grid_beyond_v200():
-    grid = default_grid(default_params(300.0))
+    # the probe span x = -395 ... -385.1 spends its panel budget with every
+    # row's summed error inside its tolerance, and its estimate stands
+    params = default_params(300.0)
+    grid = default_grid(params)
+    assert math.isfinite(grid.x_max) and grid.x_max > 0.0
+    assert np.isfinite(build_coefficient_table(params, grid).values).all()
+
+
+@pytest.mark.xfail(raises=QuadratureError, strict=True,
+                   reason="the probe span x = -595 ... -585.1 runs out of panels (ROADMAP item 7)")
+def test_default_grid_at_v500():
+    grid = default_grid(default_params(500.0))
     assert math.isfinite(grid.x_max) and grid.x_max > 0.0
 
 

@@ -91,6 +91,38 @@ def test_panel_budget_exhaustion_raises():
         )
 
 
+def _panel_errors(heights, error_rates):
+    """A panel rule for constants of the given heights whose every panel
+    reports an error of its width times the given rate, so that splitting
+    never meets the per-panel bar and the summed error stays fixed."""
+    heights, error_rates = np.asarray(heights)[:, None], np.asarray(error_rates)[:, None]
+
+    def rule(lo, hi):
+        width = (hi - lo)[None, :]
+        return heights * width, error_rates * width
+
+    return rule
+
+
+def test_spent_budget_returns_an_estimate_whose_summed_error_meets_tolerance():
+    # each panel misses tol/(2 n) while the sum, 0.75 tol, meets tol
+    rule = _panel_errors([1000.0, 1.0], [0.75e-8 * 1000.0, 0.75e-8])
+    res = integrate(rule, 0.0, 1.0, rtol=1e-8, max_panels=64)
+    assert res.value == pytest.approx([1000.0, 1.0], rel=1e-14)
+    assert res.error == pytest.approx([0.75e-5, 0.75e-8], rel=1e-12)
+    assert 32 < res.panels <= 64
+
+
+def test_spent_budget_names_the_component_furthest_from_its_tolerance():
+    # the first component has the larger error and the larger tolerance; the
+    # second misses its own tolerance by 2x, and is the one reported
+    rule = _panel_errors([1000.0, 1.0], [0.75e-8 * 1000.0, 2e-8])
+    with pytest.raises(QuadratureError) as info:
+        integrate(rule, 0.0, 1.0, rtol=1e-8, max_panels=64)
+    assert info.value.achieved == pytest.approx(2e-8, rel=1e-12)
+    assert info.value.requested == pytest.approx(1e-8, rel=1e-12)
+
+
 def test_reversed_bounds_rejected():
     with pytest.raises(ValueError):
         integrate(kronrod(np.sin), 1.0, -1.0)
