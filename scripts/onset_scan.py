@@ -4,7 +4,7 @@ The mechanical mode self-oscillates once the electronic back-action pumps
 energy in faster than it is dissipated, i.e. once the zero-frequency
 friction at the rest position turns negative.  This script scans gamma(x=0)
 over a voltage range, writes the scan to CSV, and refines the sign change
-with Brent's method (``scipy.optimize.brentq``).
+with Brent's method (``nemclock.toymodels.brentq``, a port of scipy's).
 
 Example:
     python scripts/onset_scan.py --v-min 10 --v-max 60 --points 26
@@ -18,9 +18,9 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from nemclock.params import AdiabaticityWarning, default_params
+from nemclock.toymodels import brentq
 from nemclock.transport import friction_and_diffusion
 
 
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
         print("no sign change inside the scanned range")
         return 1
     lo, hi = float(voltages[flips[0]]), float(voltages[flips[0] + 1])
-    v_star = brentq(gamma_at_rest, lo, hi, xtol=1e-3)
+    v_star = brentq(gamma_at_rest, lo, hi)
     print(f"threshold: gamma(x=0) changes sign at V = {v_star:.3f}")
     return 0
 

@@ -6,9 +6,9 @@ clock.  The package computes the position-dependent transport coefficients,
 integrates the resulting stochastic dynamics, extracts ticks, and quantifies
 how good a timepiece the device makes.
 
-``import nemclock`` loads NumPy and no scipy, and neither does any module
-but :mod:`~nemclock.toymodels`, which imports ``scipy.signal`` in the one
-call that needs it.  The names of the analysis modules
+``import nemclock`` loads NumPy and no scipy, and neither does any of its
+modules or commands: scipy is a test dependency, the oracle of the native
+ports.  The names of the analysis modules
 :mod:`~nemclock.clockstats` and :mod:`~nemclock.tickinfo` are imported on
 first access, so the table and ensemble path does not pay for loading them
 and ``numpy.fft``.

@@ -27,9 +27,9 @@ The recorded ensemble is one :class:`Trajectory` with a row per member.
 The per-step loop and the spline evaluation run in a small C kernel,
 ``_stepper.c``, compiled on first use with ``/usr/bin/cc -O2
 -ffp-contract=off`` and loaded through ctypes, which releases the GIL, so
-threads advance blocks in parallel.  The same shared object holds the
-transport integrand's Gauss-Kronrod panel rule, which
-:mod:`~nemclock.transport` reaches through :func:`_kernel`.  The kernel reproduces the NumPy loop
+threads advance blocks in parallel.  The same shared object holds the AR(1)
+recursion of :mod:`~nemclock.toymodels`' exact Ornstein-Uhlenbeck paths,
+which it reaches through :func:`_kernel`.  The kernel reproduces the NumPy loop
 (:func:`_steps_numpy`) and the NumPy evaluation (:func:`_evaluate_numpy`)
 bit for bit: same interval rule and power sum, same operation order, no
 fused multiply-adds.  The NumPy code is the test oracle and the fallback,
@@ -358,8 +358,8 @@ def _load_kernel():
     kernel.nemclock_steps.restype = long
     kernel.nemclock_eval.argtypes = [long, long, ptr, long, long, ptr, long, ptr, long, ptr]
     kernel.nemclock_eval.restype = None
-    kernel.nemclock_panels.argtypes = [long, long, ptr, ptr, ptr, ptr, double, double, ptr]
-    kernel.nemclock_panels.restype = None
+    kernel.nemclock_ar1.argtypes = [long, ptr, double, double, double, ptr]
+    kernel.nemclock_ar1.restype = None
     return kernel
 
 
@@ -368,13 +368,13 @@ _kernel_cache: list = []
 
 
 def _kernel():
-    """The compiled step loop and spline evaluation, or None when they
-    cannot be built or loaded.
+    """The compiled step loop, spline evaluation and AR(1) recursion, or
+    None when they cannot be built or loaded.
 
     A failure is reported once per process by a RuntimeWarning; every block
     then runs the NumPy loop, every spline the NumPy evaluation and every
-    transport quadrature the NumPy panel rule, with the same results at
-    about 20x, 10x and 3x the cost.
+    toy AR(1) path the Python loop, with the same results at about 20x, 10x
+    and 100x the cost.
     """
     with _kernel_lock:
         if not _kernel_cache:
@@ -384,7 +384,7 @@ def _kernel():
                 warnings.warn(
                     f"compiled kernel unavailable ({exc}); falling back to the "
                     "NumPy step loop (about 20x slower), spline evaluation and "
-                    "transport panel rule",
+                    "toy AR(1) loop",
                     RuntimeWarning,
                     stacklevel=2,
                 )

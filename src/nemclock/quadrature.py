@@ -13,8 +13,8 @@ the embedded Gauss estimate, as arrays of shape ``(panels,)`` or
 panel's 15 (and 7) weighted node values in node order, one multiply and one
 add per node, and only then scales by the panel's half width.  So a panel's
 estimate depends on its own node values alone: not on the other panels of
-the sweep and not on a BLAS build.  The compiled transport rule follows the
-same order and is held ``==`` to it.
+the sweep and not on a BLAS build.  Transport tables take no quadrature:
+only S_x at omega != 0 and the tests' oracle of the pole sums use it.
 """
 from __future__ import annotations
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import langevin
 from .langevin import _stream, column_interpolant
 from .params import SystemParams
 from .transport import CoefficientTable
@@ -317,6 +318,30 @@ def _simulate_telegraph(p: TelegraphParams, times, rng):
     return series
 
 
+def _ar1_loop(noise, rho, scale, start):
+    """The AR(1) recursion y[k] = rho * y[k-1] + scale * noise[k], with
+    rho * y[-1] = start, one step at a time: the oracle and the fallback of
+    the compiled ``nemclock_ar1``.  Each step rounds as
+    ``scipy.signal.lfilter([scale], [1, -rho], noise, zi=[start])`` does."""
+    out = np.empty(len(noise))
+    state = start
+    for k, kick in enumerate(np.asarray(noise, dtype=float).tolist()):
+        out[k] = state = state + scale * kick
+        state = rho * state
+    return out
+
+
+def _ar1(noise, rho, scale, start):
+    """:func:`_ar1_loop` in the compiled kernel, bit for bit."""
+    kernel = langevin._kernel()
+    if kernel is None:
+        return _ar1_loop(noise, rho, scale, start)
+    noise = np.ascontiguousarray(noise, dtype=float)
+    out = np.empty(noise.size)
+    kernel.nemclock_ar1(noise.size, noise.ctypes.data, rho, scale, start, out.ctypes.data)
+    return out
+
+
 def _exact_ou_path(cycle: ReducedCycle, first: float, time_step: float, noise) -> np.ndarray:
     """Amplitude path from the exact conditional law of the linear SDE.
 
@@ -324,12 +349,9 @@ def _exact_ou_path(cycle: ReducedCycle, first: float, time_step: float, noise) -
     density, so the sampled path is distributed correctly at any step size
     (no Euler discretisation bias); one standard normal is consumed per step.
     """
-    from scipy.signal import lfilter
-
     rho = math.exp(-cycle.amplitude_damping * time_step)
     scale = math.sqrt(cycle.amplitude_variance * (1.0 - rho * rho))
-    start = rho * (first - cycle.amplitude)
-    deviations, _ = lfilter([scale], [1.0, -rho], noise, zi=[start])
+    deviations = _ar1(noise, rho, scale, rho * (first - cycle.amplitude))
     return np.concatenate([[first], cycle.amplitude + deviations])
 
 

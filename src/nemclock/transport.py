@@ -11,37 +11,52 @@ Sign conventions: the charge-noise spectrum S_x(omega) obeys detailed balance
 S_x(-w) = exp(-betaw) S_x(w) at zero bias, which makes the zero-frequency
 slope (the friction) positive in equilibrium.
 
-The friction needs only that slope.  With S_x(w) = F^2/2pi int sigma<(E)
-g2(E+w) w_more(E+w) dE, where g2 = 1/|D|^2 is the resonant factor and
-w_more the lead emptiness weight, it is exact under the integral:
+Six energy integrals make the coefficients (:func:`_integrand_rows` writes
+their integrands): occupation, current, thermal and partition shot noise,
+the friction slope dS_x/domega at omega = 0 and S_x(omega).  Each lead's
+self-energy is g_l / Q_l with Q_l = E - c_l + i W_l and g_l = Gamma_l W_l / 2,
+so D(E) Q_L Q_R is the monic cubic
 
-    dS_x/dw (0) = F^2/2pi int sigma<(E) d/dE[g2(E) w_more(E)] dE,
+    N(E) = (E - eps + F x) Q_L Q_R - g_L Q_R - g_R Q_L,
 
-and every factor has a closed-form derivative (Lorentzian rates, Fermi
-functions, the Lorentzian self-energies inside D), so the slope is one more
-row of the same quadrature pass that yields occupation, current, shot noise
-and S_x(0).
+whose roots r_k lie below the real axis.  With g2 = 1/|D|^2 and the lead
+rates k_l, the three rationals every row is built from are
 
-A quadrature pass hands :func:`~nemclock.quadrature.integrate` a panel rule
-(see :func:`_panel_rule`): for a batch of panels, each row's Kronrod
-estimate and |Kronrod - Gauss|.  Its compiled form, ``nemclock_panels`` of
-the kernel that :mod:`~nemclock.langevin` loads, forms D = base + F x and
-|D|^2 = re^2 + im^2, evaluates the six rows and sums their node values in
-node order, bit for bit equal to ``kronrod`` over the NumPy rows of
-:func:`_integrand_rows`, which are its oracle and its fallback.  NumPy keeps
-the energy-only factors (:func:`_energy_factors`): the Fermi functions
-(``tanh``) and the complex divisions of the self-energies are NumPy's own
-SIMD code, which C does not reproduce portably.  Every pass integrates the
-same six rows; a nonzero omega evaluates the last, S_x(omega), at E + omega,
-and that shifted row has no compiled form.  No step of either rule mixes one
-panel's values with another's, so a table's bits depend neither on how many
-panels share a sweep nor on a BLAS build.
+    A_L = g2 k_L = Gamma_L W_L^2 |Q_R|^2 / |N|^2,   A_R likewise,
+    tau = g2 k_L k_R = Gamma_L Gamma_R W_L^2 W_R^2 / |N|^2,
+
+each a sum of simple poles at r_k and their mirror images.  At omega = 0
+:func:`_pole_rows` integrates every row in closed form, vectorised over the
+positions.  Products of Fermi functions become terms linear in f_L, f_R,
+f_L' and f_R': f(1 - f) = -f'/beta and f_L (1 - f_R) + f_R (1 - f_L) =
+(f_L - f_R) coth(beta V / 2).  The friction, F^2/2pi int sigma< d(sigma>)/dE
+with sigma< + sigma> = A_L + A_R = A, integrates by parts to F^2/2pi int
+sigma< A' dE.  A real rational R with poles r_k of order j and Laurent
+coefficients a_kj, decaying at least as E^-2, then integrates against a
+Fermi function (Ozaki, PRB 75, 035123 (2007)) as
+
+    int R f_mu dE = sum_kj 2 Re[a_kj s^(j-1) psi^(j-1)(z_k) / (j-1)!]
+                    + pi sum_k Im a_k1,   z_k = 1/2 + s (r_k - mu),
+
+with s = i beta / 2pi, and an f' factor takes one more derivative of psi.
+The f_L - f_R terms use the divided difference of psi between the two
+chemical potentials, which a Taylor series carries through zero bias.  The
+tests hold every stored column of the V = 5 ... 300 tables to 1e-9 of its
+largest value against a quadrature oracle; where two poles come so close
+that the sums lose accuracy, :func:`_pole_rows` raises and names the
+position.
+
+S_x at omega != 0, an integrand with poles at E and E + omega, stays on
+adaptive quadrature: :func:`~nemclock.quadrature.integrate` over
+``kronrod`` of :func:`_integrand_rows`.  The same NumPy rule is the tests'
+oracle of the pole sums.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
 import json
+import math
 import types
 import warnings
 from dataclasses import dataclass, fields
@@ -49,9 +64,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import langevin
 from .params import AdiabaticityWarning, LeadSpec, SystemParams, fingerprint
-from .quadrature import QuadratureError, integrate, kronrod, panel_nodes
+from .quadrature import QuadratureError, integrate, kronrod
 
 __all__ = [
     "COLUMNS",
@@ -66,9 +80,22 @@ __all__ = [
     "build_coefficient_table",
 ]
 
-RTOL = 1e-8          # relative quadrature tolerance
+RTOL = 1e-8          # relative quadrature tolerance of S_x at omega != 0
 ATOL = 1e-14         # absolute floor so identically-zero integrands converge
-CHUNK = 64           # most grid positions per quadrature pass of a table build
+# the closest two poles may come, as a share of the larger one's distance
+# from the real axis: the triple-pole friction sum loses about 2e-16/share^4
+POLE_SEPARATION = 0.05
+NEAR_BIAS = 0.01     # |z_L - z_R| below which psi's divided difference is a series
+# B_2, B_4, ..., B_20, and the coefficients of 1/w^2k (k = 1 ... 10) in the
+# asymptotic series of psi^(n) for n = 0 ... 6: B_2k / 2k for psi itself,
+# B_2k (2k + n - 1)! / (2k)! for its derivatives
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510, 43867 / 798, -174611 / 330)
+_SERIES = [[b / (2 * k) for k, b in enumerate(_BERNOULLI, 1)]] + [
+    [b * math.factorial(2 * k + n - 1) / math.factorial(2 * k)
+     for k, b in enumerate(_BERNOULLI, 1)]
+    for n in range(1, 7)
+]
 
 
 def fermi_dirac(energy, chemical_potential, inverse_temperature):
@@ -177,46 +204,32 @@ def _both_leads(params: SystemParams):
     })
 
 
-def _energy_factors(energy, params: SystemParams, leads):
-    """The energy-only factors of the transport integrand at the flat
-    ``energy`` array, packed as the compiled panel rule reads them;
-    ``leads`` is ``_both_leads(params)``.
-
-    Returns ``real``, shape (6, n): the leads' rates kl, kr, their slopes
-    dkl, dkr and their Fermi functions fl, fr; and ``cplx``, shape (3, n):
-    base = E - eps - chi_L - chi_R, and the self-energy slopes dchi_L and
-    dchi_R.
-    """
-    real = np.empty((3, 2, energy.size))
-    cplx = np.empty((3, energy.size), dtype=complex)
-    real[0], real[1], chi, cplx[1:] = _lead_factors(energy, leads)
-    real[2] = fermi_dirac(energy, leads.chemical_potential, params.inverse_temperature)
-    cplx[0] = np.asarray(energy, dtype=complex) - params.dot_energy - chi[0] - chi[1]
-    return real.reshape(6, energy.size), cplx
-
-
-def _inverse_square(base, fx):
-    """The parts of D = base + force x as NumPy's complex add forms them,
-    and g2 = 1/|D|^2 with |D|^2 = re^2 + im^2, for every (x, E) pair."""
-    re, im = base.real + fx[:, None], base.imag + 0.0
-    return re, im, 1.0 / (re * re + im * im)
-
-
 def _integrand_rows(energy, xs, params: SystemParams, force, omega=0.0):
     """The transport integrand at the flat ``energy`` array for the positions
     ``xs``: six rows of len(xs) each, stacked into one
     (6 * len(xs), len(energy)) array.
 
     The rows are occupation, current, the thermal and partition shot noise,
-    the friction slope dS_x/domega at omega = 0, and S_x(omega).
-    Under :func:`~nemclock.quadrature.kronrod` these rows are the oracle of
-    the compiled panel rule (see :func:`_panel_rule`) and its fallback.
+    the friction slope dS_x/domega at omega = 0, and S_x(omega).  Under
+    :func:`~nemclock.quadrature.kronrod` they are the quadrature of S_x at
+    omega != 0 and the tests' oracle of :func:`_pole_rows`.
     """
     beta = params.inverse_temperature
     c4 = force**2 / (2.0 * np.pi)
     fx = force * xs
     leads = _both_leads(params)
-    (kl, kr, dkl, dkr, fl, fr), (base, dchi_l, dchi_r) = _energy_factors(energy, params, leads)
+
+    def factors(e):
+        # the leads' rates, rate slopes, Fermi functions and self-energy
+        # slopes; the parts of D = E - eps - chi_L - chi_R + F x and
+        # g2 = 1/|D|^2 for every (x, E) pair
+        rate, slope, chi, dchi = _lead_factors(e, leads)
+        fermi = fermi_dirac(e, leads.chemical_potential, beta)
+        base = np.asarray(e, dtype=complex) - params.dot_energy - chi[0] - chi[1]
+        re, im = base.real + fx[:, None], base.imag + 0.0
+        return (*rate, *slope, *fermi, *dchi), (re, im, 1.0 / (re * re + im * im))
+
+    (kl, kr, dkl, dkr, fl, fr, dchi_l, dchi_r), (den_re, den_im, g2) = factors(energy)
     el, er = 1.0 - fl, 1.0 - fr
     w_less = kl * fl + kr * fr
     w_more = kl * el + kr * er
@@ -225,7 +238,6 @@ def _integrand_rows(energy, xs, params: SystemParams, force, omega=0.0):
     # -2 Re(conj(D) D') |D|^-4 with D' = 1 - chi_L' - chi_R'
     dw_more = dkl * el + dkr * er + beta * (kl * fl * el + kr * fr * er)
     dden = 1.0 - dchi_l - dchi_r
-    den_re, den_im, g2 = _inverse_square(base, fx)
     tau = (kl * kr) * g2
     sigma_less = g2 * w_less
     dg2 = -2.0 * (den_re * dden.real + den_im * dden.imag) * g2**2
@@ -233,8 +245,8 @@ def _integrand_rows(energy, xs, params: SystemParams, force, omega=0.0):
         # energy + 0 == energy, so S_x(0) reuses g2 and w_more
         g2_w, more_w = g2, w_more
     else:
-        (ks, kt, _, _, fs, ft), (base_w, _, _) = _energy_factors(energy + omega, params, leads)
-        g2_w, more_w = _inverse_square(base_w, fx)[2], ks * (1.0 - fs) + kt * (1.0 - ft)
+        (ks, kt, _, _, fs, ft, _, _), (_, _, g2_w) = factors(energy + omega)
+        more_w = ks * (1.0 - fs) + kt * (1.0 - ft)
     return np.concatenate([
         g2 * (w_less / (2.0 * np.pi)),
         tau * (fwin / np.pi),
@@ -245,49 +257,181 @@ def _integrand_rows(energy, xs, params: SystemParams, force, omega=0.0):
     ], axis=0)
 
 
-def _panel_rule(xs, params: SystemParams, force, kernel, omega=0.0):
-    """The quadrature's panel rule for the integrand rows at the positions
-    ``xs``: ``kronrod`` of :func:`_integrand_rows`, or with ``kernel`` the
-    same sums, bit for bit, in one ``nemclock_panels`` call per sweep.
+def _polygammas(z, top):
+    """psi^(n)(z) for n = 0 ... top, stacked on a new first axis, for complex
+    ``z`` with Re z > 0.
 
-    The compiled rule serves only omega = 0; NumPy computes the energy-only
-    factors it reads.
+    Ten steps of the recurrence psi^(n)(z) = psi^(n)(z + 1) - (-1)^n n! /
+    z^(n+1) carry every z to Re z > 10, where ten terms of the asymptotic
+    series (A&S 6.3.18 and 6.4.11) hold psi^(n) to about 1e-15 relative for
+    n <= 6.  Every element takes the same steps, so its bits do not depend
+    on the rest of the batch.
     """
-    if kernel is None:
-        return kronrod(lambda energy: _integrand_rows(energy, xs, params, force, omega))
-    fx = force * xs
-    beta, c4 = params.inverse_temperature, force**2 / (2.0 * np.pi)
-    leads = _both_leads(params)
+    z = np.asarray(z, dtype=complex)
+    shift = 10
+    out = np.zeros((top + 1, *z.shape), dtype=complex)
+    for m in range(shift):
+        inv = 1.0 / (z + m)
+        power = inv
+        for n in range(top + 1):
+            out[n] -= (-1) ** n * math.factorial(n) * power
+            power = power * inv
+    inv = 1.0 / (z + shift)
+    inv2 = inv * inv
+    for n in range(top + 1):
+        series = 0.0
+        for term in reversed(_SERIES[n]):
+            series = series * inv2 + term
+        if n == 0:
+            out[0] += np.log(z + shift) - 0.5 * inv - series * inv2
+        else:
+            lead = math.factorial(n - 1) + 0.5 * math.factorial(n) * inv + series * inv2
+            out[n] += (-1) ** (n + 1) * lead * inv**n
+    return out
 
-    def rule(lo, hi):
-        energy, half = panel_nodes(lo, hi)
-        real, cplx = _energy_factors(energy, params, leads)
-        out = np.empty((2, 6 * xs.size, lo.size))
-        kernel.nemclock_panels(
-            xs.size, lo.size, fx.ctypes.data, real.ctypes.data, cplx.ctypes.data,
-            half.ctypes.data, beta, c4, out.ctypes.data,
+
+def _poles(params: SystemParams, fx):
+    """The roots of N(E) (see the module docstring) for each level shift
+    ``fx`` = F x, shape (3, len(fx)): Cardano's formula, then two Newton
+    steps on the factored cubic."""
+    pl = params.left.band_center - 1j * params.left.bandwidth
+    pr = params.right.band_center - 1j * params.right.bandwidth
+    gl = 0.5 * params.left.peak_rate * params.left.bandwidth
+    gr = 0.5 * params.right.peak_rate * params.right.bandwidth
+    e0 = params.dot_energy - fx
+    # N = E^3 + b E^2 + c E + d, and its depressed form t^3 + p t + q
+    b = -(e0 + pl + pr)
+    c = e0 * (pl + pr) + pl * pr - gl - gr
+    d = gl * pr + gr * pl - e0 * pl * pr
+    p = c - b * b / 3.0
+    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
+    root = np.sqrt(0.25 * q * q + p**3 / 27.0)
+    # the larger of -q/2 +- root, whose cube root does not cancel
+    u = np.where(np.abs(root - 0.5 * q) >= np.abs(root + 0.5 * q), root - 0.5 * q, -root - 0.5 * q)
+    cube = np.exp(2j * np.pi / 3.0 * np.arange(3))[:, None] * u ** (1.0 / 3.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = cube - p / (3.0 * cube) - b / 3.0
+        for _ in range(2):
+            ql, qr, de = e - pl, e - pr, e - e0
+            e = e - (de * ql * qr - gl * qr - gr * ql) / (ql * qr + de * (ql + qr) - gl - gr)
+    return e
+
+
+def _pole_rows(xs, params: SystemParams, force):
+    """The six transport integrals at omega = 0 for the positions ``xs`` as
+    sums over the poles of N, shape (6, len(xs)); see the module docstring.
+
+    Raises RuntimeError, naming the positions, where two poles are closer
+    than :data:`POLE_SEPARATION` of their distance from the real axis, or
+    where a pole or a row is not finite.
+    """
+    left, right = params.left, params.right
+    beta = params.inverse_temperature
+    r = _poles(params, force * xs)
+    gap = r[:, None] - r[None, :]  # r_k - r_l
+    mirror = r[:, None] - r.conj()[None, :]  # r_k - conj(r_l)
+    one, two = [0, 0, 1], [1, 2, 2]
+    with np.errstate(invalid="ignore"):
+        share = np.abs(gap[one, two]) / np.maximum(-r.imag[one], -r.imag[two])
+    held = (share >= POLE_SEPARATION).all(axis=0) & (r.imag < 0.0).all(axis=0)
+    if not held.all():
+        raise RuntimeError(
+            f"transport pole sums cannot hold their accuracy at x={xs[~held]!r}: "
+            f"two poles are closer than {POLE_SEPARATION} of their distance "
+            "from the real axis"
         )
-        return out[0], out[1]
+    # NumPy's reductions over complex axes round differently with the batch
+    # size, so every sum and product over poles below is spelled out
+    nxt, far = [1, 2, 0], [2, 0, 1]
+    ahead, behind = gap[[0, 1, 2], nxt], gap[[0, 1, 2], far]  # r_k - r_k+1, r_k - r_k+2
+    # residues at r_k of A_L, A_R and tau: numerator / (N'(r_k) conj-N(r_k))
+    alpha = np.array([
+        left.peak_rate * left.bandwidth**2 * ((r - right.band_center) ** 2 + right.bandwidth**2),
+        right.peak_rate * right.bandwidth**2 * ((r - left.band_center) ** 2 + left.bandwidth**2),
+        np.full(r.shape, left.peak_rate * right.peak_rate * (left.bandwidth * right.bandwidth) ** 2),
+    ]) / (ahead * behind * mirror[:, 0] * mirror[:, 1] * mirror[:, 2])
+    # the constant and linear Taylor terms at r_k of the other five poles
+    c0 = alpha[:, nxt] / ahead + alpha[:, far] / behind
+    c1 = alpha[:, nxt] / ahead**2 + alpha[:, far] / behind**2
+    for l in range(3):
+        c0 = c0 + alpha[:, l:l + 1].conj() / mirror[:, l]
+        c1 = c1 + alpha[:, l:l + 1].conj() / mirror[:, l] ** 2
+    c1 = -c1
+    (al, ar, at), (c0l, c0r, c0t), (c1l, c1r, _) = alpha, c0, c1
+    a, c1a = al + ar, c1l + c1r
 
-    return rule
+    s = 0.5j * beta / np.pi
+    mu = np.array([left.chemical_potential, right.chemical_potential])
+    psi = _polygammas(0.5 + s * (r - mu[:, None, None]), 2)  # (order, lead, pole, x)
+    bias = left.chemical_potential - right.chemical_potential
+    h, u = -s * bias, 0.5 * beta * bias  # z_L - z_R, and beta V / 2
+    qcoth = u / math.tanh(u) if u else 1.0
+    # (psi^(n)(z_L) - psi^(n)(z_R)) / h for n = 0, 1, a Taylor series about
+    # the midpoint at small bias
+    if abs(h) >= NEAR_BIAS:
+        divided = (psi[:2, 0] - psi[:2, 1]) / h
+    else:
+        mid = _polygammas(0.5 + s * (r - 0.5 * (mu[0] + mu[1])), 6)
+        divided = mid[1:3] + h * h / 24.0 * mid[3:5] + h**4 / 1920.0 * mid[5:7]
+
+    def pole_sum(parts, values):
+        # sum_kj 2 Re[a_kj s^(j-1) / (j-1)! values[j-1]_k]
+        total = sum((a_j * (s**n / math.factorial(n)) * values[n]).real
+                    for n, a_j in enumerate(parts))
+        return 2.0 * (total[0] + total[1] + total[2])
+
+    def filled(parts, lead):  # int R f_lead dE
+        im = parts[0].imag
+        return pole_sum(parts, psi[:, lead]) + np.pi * (im[0] + im[1] + im[2])
+
+    def edge(parts, lead):  # int R f_lead' dE
+        return pole_sum(parts, s * psi[1:, lead])
+
+    # every ``parts`` list below holds a rational's Laurent coefficients
+    # [a_k1, a_k2, a_k3] at r_k, multiplied out from A_L, A_R, tau = alpha/t
+    # + c0 + c1 t + ... (t = E - r_k) and A' = -alpha/t^2 + c1 + ...
+    c4 = force**2 / (2.0 * np.pi)
+    # (f_L - f_R)^2 = (f_L - f_R) coth(u) + (f_L' + f_R') / beta: a second
+    # divided difference, exactly 0 at zero bias
+    partition = pole_sum(
+        [at - 2.0 * at * c0t, -at * at],
+        (0.5j / np.pi) * (psi[1:, 0] + psi[1:, 1] - 2.0 * qcoth * divided),
+    )
+    rows = np.array([
+        (filled([al], 0) + filled([ar], 1)) / (2.0 * np.pi),
+        pole_sum([at], h * divided) / np.pi,
+        (edge([at], 0) + edge([at], 1)) * (-2.0 / (np.pi * beta)),
+        partition * (2.0 / np.pi),
+        # F^2/2pi int sigma< A' dE, with sigma< = A_L f_L + A_R f_R
+        c4 * (filled([al * c1a - c1l * a, -c0l * a, -al * a], 0)
+              + filled([ar * c1a - c1r * a, -c0r * a, -ar * a], 1)),
+        # F^2/2pi int sigma< sigma> dE
+        c4 * (pole_sum([al * c0r + c0l * ar, al * ar], (-1j * qcoth / np.pi) * divided)
+              - (edge([2.0 * al * c0l, al * al], 0) + edge([2.0 * ar * c0r, ar * ar], 1)) / beta),
+    ])
+    finite = np.isfinite(rows).all(axis=0)
+    if not finite.all():
+        raise RuntimeError(f"non-finite transport pole sums at x={xs[~finite]!r}")
+    return rows
 
 
 def _family_batch(positions, params: SystemParams, force=None, omega=0.0):
-    """All transport integrals for a batch of positions in one adaptive pass.
+    """All transport integrals for a batch of positions.
 
     Returns a (6, len(positions)) array whose rows are occupation, current,
     thermal and partition shot noise, the slope dS_x/domega at omega = 0 and
-    S_x(omega).  Components share one panel subdivision, so the integrator
-    refines for the worst of them.  ``force`` overrides ``params.force``.
+    S_x(omega).  At omega = 0 they are the pole sums of :func:`_pole_rows`;
+    otherwise one adaptive quadrature pass, whose components share one panel
+    subdivision.  ``force`` overrides ``params.force``.
     """
     xs = np.asarray(positions, dtype=float)
     force = params.force if force is None else force
-    # the shifted-energy row of omega != 0 has no compiled form
-    kernel = langevin._kernel() if omega == 0.0 else None
+    if omega == 0.0:
+        return _pole_rows(xs, params, force)
     lo, hi, seeds = _window(params, pad=abs(omega))
     try:
         result = integrate(
-            _panel_rule(xs, params, force, kernel, omega),
+            kronrod(lambda energy: _integrand_rows(energy, xs, params, force, omega)),
             lo, hi, rtol=RTOL, atol=ATOL, breakpoints=seeds,
         )
     except QuadratureError as exc:
@@ -302,7 +446,7 @@ def _family_batch(positions, params: SystemParams, force=None, omega=0.0):
 
 @functools.lru_cache(maxsize=128)
 def _baseline_occupation(params: SystemParams) -> float:
-    """Dot occupation with the electromechanical force removed: the pass's
+    """Dot occupation with the electromechanical force removed: the
     friction and spectrum rows carry F^2 and are 0 here."""
     return float(_family_batch([0.0], params, force=0.0)[0, 0])
 
@@ -328,16 +472,12 @@ def charge_noise_spectrum(position, omega, params: SystemParams):
 def friction_and_diffusion(position, params: SystemParams):
     """(gamma_x, D_x): zero-frequency slope and value of S_x.
 
-    The friction is gamma_x = m^-1 dS_x/domega at omega = 0, integrated
-    exactly as F^2/2pi int sigma<(E) d/dE[g2(E) w_more(E)] dE in the same
-    quadrature pass as S_x(0); the diffusion is S_x(0), floored at zero
-    against quadrature round-off.
+    The friction is gamma_x = m^-1 dS_x/domega at omega = 0, the exact
+    F^2/2pi int sigma<(E) d/dE[g2(E) w_more(E)] dE, summed over the poles
+    with S_x(0); the diffusion is S_x(0), floored at zero against round-off.
     """
     slope, spec = _family_batch([position], params)[4:, 0]
-    gamma = slope / params.oscillator_mass
-    if not np.isfinite(gamma):
-        raise RuntimeError(f"non-finite friction estimate at x={position!r}")
-    return float(gamma), float(np.maximum(spec, 0.0))
+    return float(slope / params.oscillator_mass), float(np.maximum(spec, 0.0))
 
 
 @dataclass(frozen=True)
@@ -435,30 +575,16 @@ def _table_checksum(grid, values) -> str:
 
 
 def table_fingerprint(params: SystemParams, grid: np.ndarray) -> str:
+    """Cache key of a table: the parameters, the grid and the transport
+    method, so that a table computed another way reads as stale."""
     grid = np.ascontiguousarray(grid, dtype=float)
     return fingerprint(
         params,
-        extra={"rtol": RTOL, "grid_sha": hashlib.sha256(grid.tobytes()).hexdigest()},
+        extra={
+            "transport": "pole sums",
+            "grid_sha": hashlib.sha256(grid.tobytes()).hexdigest(),
+        },
     )
-
-
-def _spans(grid: np.ndarray, params: SystemParams) -> list:
-    """Contiguous (lo, hi) index spans that tile ``grid``, one quadrature pass
-    each.
-
-    All positions of a span share one panel set, which has to resolve every
-    shifted resonance at -F x, so a span holds at most :data:`CHUNK`
-    positions whose level shifts lie within the narrowest lead bandwidth:
-    |F| (x_last - x_first) <= min(W_L, W_R).
-    """
-    width = min(params.left.bandwidth, params.right.bandwidth)
-    reach = width / abs(params.force) if params.force else np.inf
-    spans, lo = [], 0
-    while lo < grid.size:
-        fits = int(np.searchsorted(grid, grid[lo] + reach, side="right"))
-        spans.append((lo, min(lo + CHUNK, fits)))
-        lo = spans[-1][1]
-    return spans
 
 
 def build_coefficient_table(
@@ -470,12 +596,9 @@ def build_coefficient_table(
     """Tabulate every transport coefficient over a position grid.
 
     ``grid_spec`` is a :class:`GridSpec` or an explicit strictly increasing
-    array of positions.  Work is split into contiguous spans sized by the
-    level shift they cover (see :func:`_spans`), computed one after another
-    on the calling thread.  ``threads`` has no effect: each span is an
-    adaptive quadrature whose panel sums run in the compiled kernel,
-    which ctypes calls without the GIL, but whose other steps are many small
-    numpy operations that hold it, so a pool only adds contention.
+    array of positions.  The whole grid is one vectorised NumPy pass of
+    pole sums (see :func:`_pole_rows`) on the calling thread; ``threads``
+    has no effect.
     """
     if isinstance(grid_spec, GridSpec):
         grid = grid_spec.positions()
@@ -484,20 +607,12 @@ def build_coefficient_table(
     if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be a strictly increasing 1-D array")
 
-    values = np.empty((len(COLUMNS), grid.size))
-    baseline = _baseline_occupation(params)
-
-    for lo, hi in _spans(grid, params):
-        occ, cur, thermal, partition, slope, spec = _family_batch(grid[lo:hi], params)
-        # the rows in COLUMNS order
-        values[:, lo:hi] = (
-            occ - baseline, cur, thermal + partition,
-            slope / params.oscillator_mass, np.maximum(spec, 0.0),
-        )
-
-    finite = np.all(np.isfinite(values), axis=0)
-    if not np.all(finite):
-        raise RuntimeError(f"non-finite table column at x={grid[~finite]!r}")
+    occ, cur, thermal, partition, slope, spec = _family_batch(grid, params)
+    # the rows in COLUMNS order
+    values = np.array([
+        occ - _baseline_occupation(params), cur, thermal + partition,
+        slope / params.oscillator_mass, np.maximum(spec, 0.0),
+    ])
     return CoefficientTable(
         grid=grid, values=values, params_hash=table_fingerprint(params, grid)
     )

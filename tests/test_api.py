@@ -71,14 +71,19 @@ def test_traced_benchmark_runs_after_hooks_change_shape(tmp_path):
 
 def test_cli_needs_no_scipy(tmp_path):
     # each CLI stage is a fresh process, so what `import nemclock.cli` loads
-    # is paid on every command: no scipy (only `toymodel` imports
-    # scipy.signal, when it runs); and a whole `run` imports no module, so
-    # no timed call pays an import
+    # is paid on every command: no scipy; a whole `run` imports no module, so
+    # no timed call pays an import; and a `toymodel` run imports no scipy
     config = {
         "version": 1,
         "system": {"voltage": 5.0},
         "grid": {"nodes": 41},
         "simulation": {"duration": 660.0, "ensemble_size": 4, "record_stride": 2, "seed": 9},
+        "toymodel": {
+            "type": "offset", "duration": 20.0, "time_step": 0.01, "seed": 3,
+            "offset": 0.3, "baseline": 1.0,
+            "cycle": {"amplitude": 4.0, "amplitude_damping": 0.5,
+                      "amplitude_diffusion": 0.2, "phase_diffusion": 0.01},
+        },
     }
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps(config))
@@ -91,6 +96,8 @@ def test_cli_needs_no_scipy(tmp_path):
         f"assert 'ks_statistic' in json.loads(open({str(out / 'wtd_fit.json')!r}).read())\n"
         f"assert json.loads(open({str(out / 'report.json')!r}).read())['linewidth_fit']['fwhm']\n"
         "print(sorted(set(sys.modules) - before))\n"
+        f"assert cli.main(['toymodel', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -98,8 +105,8 @@ def test_cli_needs_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "[]"
-    assert proc.stdout.splitlines()[-1] == "[]"
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert lines == ["[]", "[]", "[]"]
 
 
 def test_tables_and_ensembles_need_no_scipy():

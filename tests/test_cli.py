@@ -1,4 +1,5 @@
 """Command-line pipeline: config validation, artifacts, determinism, caching."""
+import hashlib
 import json
 import math
 import os
@@ -693,6 +694,25 @@ def test_coefficient_cache_notes(tmp_path, pipeline_config):
     (out / "coeffs.npz").write_bytes(b"not an archive")
     _, note = stage_coeffs(cfg6, build_params(cfg6), out)
     assert note == "rebuilt (corrupt)"
+
+
+def test_quadrature_table_cache_is_stale(tmp_path, pipeline_config):
+    # a table saved under the key of the quadrature tables, whose occupation
+    # column was off by up to 2.7e-5, is rebuilt, not reused
+    cfg = load_config(_write(tmp_path / "cfg.json", pipeline_config))
+    params = build_params(cfg)
+    out = tmp_path / "out"
+    out.mkdir()
+    table, _ = stage_coeffs(cfg, params, out)
+    old_key = fingerprint(params, extra={
+        "rtol": 1e-8, "grid_sha": hashlib.sha256(table.grid.tobytes()).hexdigest(),
+    })
+    transport.CoefficientTable(table.grid, table.values, old_key).save(out / "coeffs.npz")
+    rebuilt, note = stage_coeffs(cfg, params, out)
+    assert note == "rebuilt (stale)"
+    assert rebuilt.params_hash == table.params_hash != old_key
+    _, note = stage_coeffs(cfg, params, out)
+    assert note == "hit"
 
 
 # -------------------------------------------------------------------- sweep --

@@ -10,7 +10,6 @@ from nemclock import langevin
 from nemclock.clockstats import allan_variance
 from nemclock.langevin import SimConfig
 from nemclock.params import default_params
-from nemclock.quadrature import QuadratureError
 from nemclock.pipeline import (
     HistogramAccumulator,
     SeriesAccumulator,
@@ -71,19 +70,19 @@ def test_default_grid_at_strong_bias():
 
 
 def test_default_grid_beyond_v200():
-    # the probe span x = -395 ... -385.1 spends its panel budget with every
-    # row's summed error inside its tolerance, and its estimate stands
     params = default_params(300.0)
     grid = default_grid(params)
     assert math.isfinite(grid.x_max) and grid.x_max > 0.0
     assert np.isfinite(build_coefficient_table(params, grid).values).all()
 
 
-@pytest.mark.xfail(raises=QuadratureError, strict=True,
-                   reason="the probe span x = -595 ... -585.1 runs out of panels (ROADMAP item 7)")
 def test_default_grid_at_v500():
-    grid = default_grid(default_params(500.0))
+    # its probe grid reaches x = -595, where the level is a resonance of
+    # half-width 2.8e-3 at E = 297.7
+    params = default_params(500.0)
+    grid = default_grid(params)
     assert math.isfinite(grid.x_max) and grid.x_max > 0.0
+    assert np.isfinite(build_coefficient_table(params, grid).values).all()
 
 
 # ---------------------------------------------------------------- consumers --
