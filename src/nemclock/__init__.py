@@ -8,9 +8,10 @@ how good a timepiece the device makes.
 
 ``import nemclock`` loads NumPy and no scipy, and neither does any of its
 modules or commands: scipy is a test dependency, the oracle of the native
-ports.  The names of the analysis modules
-:mod:`~nemclock.clockstats` and :mod:`~nemclock.tickinfo` are imported on
-first access, so the table and ensemble path does not pay for loading them
+ports.  Nor do they load :mod:`~nemclock.quadrature`, which integrates
+only the tests' oracle of the transport pole sums.  The names of the
+analysis modules :mod:`~nemclock.clockstats` and :mod:`~nemclock.tickinfo`
+are imported on first access, so the table and ensemble path does not pay for loading them
 and ``numpy.fft``.
 """
 import importlib
@@ -22,18 +23,13 @@ from .params import (
     default_params,
     fingerprint,
 )
-from .quadrature import QuadratureError, QuadResult, integrate, kronrod
 from .transport import (
     CoefficientTable,
     GridSpec,
     build_coefficient_table,
-    charge_noise_spectrum,
     fermi_dirac,
     friction_and_diffusion,
-    lead_self_energy,
-    spectral_density,
     table_fingerprint,
-    transmission,
 )
 from .langevin import (
     ExcursionError,
@@ -108,20 +104,12 @@ __all__ = [
     "SystemParams",
     "default_params",
     "fingerprint",
-    "QuadratureError",
-    "QuadResult",
-    "integrate",
-    "kronrod",
     "CoefficientTable",
     "GridSpec",
     "build_coefficient_table",
-    "charge_noise_spectrum",
     "fermi_dirac",
     "friction_and_diffusion",
-    "lead_self_energy",
-    "spectral_density",
     "table_fingerprint",
-    "transmission",
     "ExcursionError",
     "SimConfig",
     "Trajectory",

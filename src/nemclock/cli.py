@@ -22,9 +22,8 @@ record from their config and refuse the first field that differs (exit 2,
 "re-run simulate"), then load coeffs.npz by the stored hash; they build no
 grid and no table, so a refusal leaves coeffs.npz as it was.
 ``--threads`` sets the stepper's worker threads; coefficient tables are
-built on the calling thread, because their quadrature is, outside the
-compiled panel rule, many small numpy operations that hold the GIL, so
-more threads only contend for it.
+built on the calling thread, each one NumPy pass of pole sums over its
+whole grid.
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no
 timestamps; a rerun with the same config and seed is bit-identical no matter
@@ -45,7 +44,7 @@ import numpy as np
 
 from . import clockstats, tickinfo, toymodels
 from .langevin import SimConfig, Trajectory
-from .params import LeadSpec, SystemParams, fingerprint
+from .params import LeadSpec, SystemParams, default_params, fingerprint
 from .pipeline import (
     Corpus,
     build_corpus,
@@ -122,14 +121,16 @@ _LEAD_KEYS = dict(
     peak_rate=(..., _POSITIVE),
     chemical_potential=(..., _NUMBER),
 )
+# the voltage shorthand's defaults are the reference device's
+_REFERENCE = default_params()
 _SYSTEM_KEYS = dict(
     voltage=(None, _NUMBER),
-    coupling=(0.5, _NUMBER),
-    inverse_temperature=(0.1, _POSITIVE),
-    dot_energy=(0.0, _NUMBER),
-    band_center=(2.5, _NUMBER),
-    bandwidth=(5.0, _POSITIVE),
-    peak_rate=(10.0, _POSITIVE),
+    coupling=(_REFERENCE.coupling, _NUMBER),
+    inverse_temperature=(_REFERENCE.inverse_temperature, _POSITIVE),
+    dot_energy=(_REFERENCE.dot_energy, _NUMBER),
+    band_center=(_REFERENCE.left.band_center, _NUMBER),
+    bandwidth=(_REFERENCE.left.bandwidth, _POSITIVE),
+    peak_rate=(_REFERENCE.left.peak_rate, _POSITIVE),
     left=(None, _LEAD_KEYS),
     right=(None, _LEAD_KEYS),
 )
@@ -630,7 +631,8 @@ def _information_block(a, tick_series, pooled_waits) -> dict:
     return out
 
 
-def _write_manifest(out: Path, cfg, sim: SimConfig, params, cache_note, extra=None):
+def _write_manifest(out: Path, cfg, sim: SimConfig, parameter_fingerprint, cache_note,
+                    extra=None):
     artifacts = {}
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
@@ -638,7 +640,7 @@ def _write_manifest(out: Path, cfg, sim: SimConfig, params, cache_note, extra=No
     payload = {
         "config": {k: v for k, v in cfg.items() if k not in ("sweep", "toymodel")},
         "seed": sim.seed,
-        "parameter_fingerprint": fingerprint(params),
+        "parameter_fingerprint": parameter_fingerprint,
         "coefficient_cache": cache_note,
         "artifacts": artifacts,
     }
@@ -741,7 +743,7 @@ def _run_pipeline(cfg, out: Path, params, sim, threads: int):
         stage_ticks(corpus, out)
     with _stage("analyze"):
         report = stage_analyze(cfg, corpus, out)
-    _write_manifest(out, cfg, sim, params, note)
+    _write_manifest(out, cfg, sim, fingerprint(params), note)
     return report
 
 
@@ -756,7 +758,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, out, params, sim = _prepare(args)
+    cfg, out, _, sim = _prepare(args)
     if cfg["sweep"] is None:
         raise ConfigError("sweep subcommand needs a sweep section")
     if cfg["system"]["left"] is not None:
@@ -764,7 +766,7 @@ def cmd_sweep(args) -> int:
             "sweep sets system.voltage, which explicit leads cannot take; "
             "describe the device by the voltage shorthand"
         )
-    rows = []
+    rows, fingerprints = [], {}
     for voltage in cfg["sweep"]["voltages"]:
         sub_cfg = json.loads(json.dumps(cfg))
         sub_cfg["system"]["voltage"] = float(voltage)
@@ -773,6 +775,7 @@ def cmd_sweep(args) -> int:
         sub_out = out / f"V={voltage:g}"
         sub_out.mkdir(parents=True, exist_ok=True)
         report = _run_pipeline(sub_cfg, sub_out, sub_params, sim, args.threads)
+        fingerprints[sub_out.name] = fingerprint(sub_params)
         rows.append(
             (
                 float(voltage),
@@ -788,7 +791,8 @@ def cmd_sweep(args) -> int:
         ["voltage", "mean_wait", "accuracy", "resolution", "entropy_per_tick"],
         list(zip(*rows)),
     )
-    _write_manifest(out, cfg, sim, params, "per-voltage", extra={"kind": "sweep"})
+    # each V=<v> directory's device, as its own manifest names it
+    _write_manifest(out, cfg, sim, fingerprints, "per-voltage", extra={"kind": "sweep"})
     return 0
 
 

@@ -1,9 +1,10 @@
 """Vectorised adaptive panel integration on a Gauss-Kronrod 15(7) rule.
 
-The transport module evaluates families of energy integrals that share one
-integration window (one integrand value per oscillator position), so the
-integrator works on vector-valued panel estimates and refines a panel when
-*any* component of the family still misses its error budget.
+This is the tests' oracle of the transport pole sums: no package module
+imports it.  The oracle integrates families of energy integrals that share
+one integration window (one integrand value per oscillator position), so
+the integrator works on vector-valued panel estimates and refines a panel
+when *any* component of the family still misses its error budget.
 
 :func:`integrate` takes a panel rule: ``rule(lo, hi)`` returns, for a batch
 of panels, each component's Kronrod estimate and its distance |K - G| from
@@ -13,8 +14,7 @@ the embedded Gauss estimate, as arrays of shape ``(panels,)`` or
 panel's 15 (and 7) weighted node values in node order, one multiply and one
 add per node, and only then scales by the panel's half width.  So a panel's
 estimate depends on its own node values alone: not on the other panels of
-the sweep and not on a BLAS build.  Transport tables take no quadrature:
-only S_x at omega != 0 and the tests' oracle of the pole sums use it.
+the sweep and not on a BLAS build.
 """
 from __future__ import annotations
 

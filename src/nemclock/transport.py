@@ -46,10 +46,11 @@ largest value against a quadrature oracle; where two poles come so close
 that the sums lose accuracy, :func:`_pole_rows` raises and names the
 position.
 
-S_x at omega != 0, an integrand with poles at E and E + omega, stays on
-adaptive quadrature: :func:`~nemclock.quadrature.integrate` over
-``kronrod`` of :func:`_integrand_rows`.  The same NumPy rule is the tests'
-oracle of the pole sums.
+The coefficients need S_x only at omega = 0: the oscillator is slow, so the
+friction and the diffusion are its slope and its value there.
+:func:`_integrand_rows`, :func:`_window` and the lead factors they use are
+the tests' oracle of the pole sums, integrated there by
+:mod:`~nemclock.quadrature`; no package code path integrates them.
 """
 from __future__ import annotations
 
@@ -58,30 +59,23 @@ import hashlib
 import json
 import math
 import types
-import warnings
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
-from .params import AdiabaticityWarning, LeadSpec, SystemParams, fingerprint
-from .quadrature import QuadratureError, integrate, kronrod
+from .params import LeadSpec, SystemParams, fingerprint
 
 __all__ = [
     "COLUMNS",
     "GridSpec",
     "CoefficientTable",
     "fermi_dirac",
-    "spectral_density",
-    "lead_self_energy",
-    "transmission",
-    "charge_noise_spectrum",
     "friction_and_diffusion",
     "build_coefficient_table",
+    "table_fingerprint",
 ]
 
-RTOL = 1e-8          # relative quadrature tolerance of S_x at omega != 0
-ATOL = 1e-14         # absolute floor so identically-zero integrands converge
 # the closest two poles may come, as a share of the larger one's distance
 # from the real axis: the triple-pole friction sum loses about 2e-16/share^4
 POLE_SEPARATION = 0.05
@@ -128,46 +122,6 @@ def _lead_factors(energy, lead: LeadSpec):
     )
 
 
-def spectral_density(energy, lead: LeadSpec):
-    """Lorentzian tunnelling rate of one lead band."""
-    return _lead_factors(energy, lead)[0]
-
-
-def lead_self_energy(energy, lead: LeadSpec):
-    """Retarded self-energy of a Lorentzian band, in closed form.
-
-    Its imaginary part equals -spectral_density/2 identically, which is the
-    regression handle for the principal-value (real) part.
-    """
-    return _lead_factors(energy, lead)[2]
-
-
-def _resonance_denominator(energy, params: SystemParams):
-    """E - eps - chi_L - chi_R, before the position shift is added."""
-    return (
-        np.asarray(energy, dtype=complex)
-        - params.dot_energy
-        - lead_self_energy(energy, params.left)
-        - lead_self_energy(energy, params.right)
-    )
-
-
-def transmission(energy, position, params: SystemParams):
-    """Landauer transmission of the shifted resonant level, in [0, 1]."""
-    kl = spectral_density(energy, params.left)
-    kr = spectral_density(energy, params.right)
-    den = np.abs(_resonance_denominator(energy, params) + params.force * position) ** 2
-    tau = kl * kr / den
-    over = np.max(tau) if np.ndim(tau) else tau
-    if over > 1.0 + 1e-12:
-        warnings.warn(
-            f"transmission exceeded unity by {over - 1.0:.3e}; clipping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return np.clip(tau, 0.0, 1.0)
-
-
 def _window(params: SystemParams, pad: float = 0.0):
     """Integration window and panel seeds covering bands and bias edges."""
     anchors = [
@@ -210,9 +164,10 @@ def _integrand_rows(energy, xs, params: SystemParams, force, omega=0.0):
     (6 * len(xs), len(energy)) array.
 
     The rows are occupation, current, the thermal and partition shot noise,
-    the friction slope dS_x/domega at omega = 0, and S_x(omega).  Under
-    :func:`~nemclock.quadrature.kronrod` they are the quadrature of S_x at
-    omega != 0 and the tests' oracle of :func:`_pole_rows`.
+    the friction slope dS_x/domega at omega = 0, and S_x(omega).  Only the
+    tests integrate them, under :func:`~nemclock.quadrature.kronrod`: at
+    omega = 0 as the oracle of :func:`_pole_rows`, and at omega != 0 as the
+    spectrum whose slope the friction row must match.
     """
     beta = params.inverse_temperature
     c4 = force**2 / (2.0 * np.pi)
@@ -415,58 +370,11 @@ def _pole_rows(xs, params: SystemParams, force):
     return rows
 
 
-def _family_batch(positions, params: SystemParams, force=None, omega=0.0):
-    """All transport integrals for a batch of positions.
-
-    Returns a (6, len(positions)) array whose rows are occupation, current,
-    thermal and partition shot noise, the slope dS_x/domega at omega = 0 and
-    S_x(omega).  At omega = 0 they are the pole sums of :func:`_pole_rows`;
-    otherwise one adaptive quadrature pass, whose components share one panel
-    subdivision.  ``force`` overrides ``params.force``.
-    """
-    xs = np.asarray(positions, dtype=float)
-    force = params.force if force is None else force
-    if omega == 0.0:
-        return _pole_rows(xs, params, force)
-    lo, hi, seeds = _window(params, pad=abs(omega))
-    try:
-        result = integrate(
-            kronrod(lambda energy: _integrand_rows(energy, xs, params, force, omega)),
-            lo, hi, rtol=RTOL, atol=ATOL, breakpoints=seeds,
-        )
-    except QuadratureError as exc:
-        raise QuadratureError(
-            f"transport quadrature failed for positions {xs!r}: {exc} "
-            f"(achieved {exc.achieved:.3e}, requested {exc.requested:.3e})",
-            achieved=exc.achieved,
-            requested=exc.requested,
-        ) from None
-    return result.value.reshape(6, xs.size)
-
-
 @functools.lru_cache(maxsize=128)
 def _baseline_occupation(params: SystemParams) -> float:
     """Dot occupation with the electromechanical force removed: the
     friction and spectrum rows carry F^2 and are 0 here."""
-    return float(_family_batch([0.0], params, force=0.0)[0, 0])
-
-
-def charge_noise_spectrum(position, omega, params: SystemParams):
-    """Force-noise spectrum S_x(omega) of the occupation fluctuations.
-
-    Valid as a slow-variable input only for |omega| well below the
-    tunnelling rate; a warning marks evaluations outside that regime.
-    """
-    rate = min(params.left.peak_rate, params.right.peak_rate)
-    if abs(omega) > rate / 3.0:
-        warnings.warn(
-            f"spectrum requested at |omega|={abs(omega):.3g}, comparable to "
-            f"the tunnelling rate {rate:.3g}; slow-variable treatment is "
-            "unreliable there",
-            AdiabaticityWarning,
-            stacklevel=2,
-        )
-    return float(_family_batch([position], params, omega=omega)[5, 0])
+    return float(_pole_rows(np.zeros(1), params, 0.0)[0, 0])
 
 
 def friction_and_diffusion(position, params: SystemParams):
@@ -476,7 +384,7 @@ def friction_and_diffusion(position, params: SystemParams):
     F^2/2pi int sigma<(E) d/dE[g2(E) w_more(E)] dE, summed over the poles
     with S_x(0); the diffusion is S_x(0), floored at zero against round-off.
     """
-    slope, spec = _family_batch([position], params)[4:, 0]
+    slope, spec = _pole_rows(np.array([position], dtype=float), params, params.force)[4:, 0]
     return float(slope / params.oscillator_mass), float(np.maximum(spec, 0.0))
 
 
@@ -607,7 +515,7 @@ def build_coefficient_table(
     if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be a strictly increasing 1-D array")
 
-    occ, cur, thermal, partition, slope, spec = _family_batch(grid, params)
+    occ, cur, thermal, partition, slope, spec = _pole_rows(grid, params, params.force)
     # the rows in COLUMNS order
     values = np.array([
         occ - _baseline_occupation(params), cur, thermal + partition,

@@ -1,5 +1,7 @@
 """The public surface other code relies on: every exported name resolves,
-and every hook the traced benchmark patches exists."""
+every hook the traced benchmark patches exists, and no module imports what
+it does not use."""
+import ast
 import importlib
 import json
 import os
@@ -22,6 +24,46 @@ def test_every_exported_name_resolves():
     for module in modules:
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
+    # and every package-level name is exported by the module it comes from
+    tree = ast.parse(Path(nemclock.__file__).read_text())
+    source = {
+        alias.name: node.module
+        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    source.update(nemclock._LAZY_MODULE)
+    for name in nemclock.__all__:
+        if name != "__version__":
+            module = importlib.import_module(f"nemclock.{source.get(name)}")
+            assert name in module.__all__, f"{module.__name__}.__all__ lacks {name}"
+
+
+def _bound_names(node):
+    """The names a module-level import statement binds."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if node.module == "__future__":
+        return []
+    return [alias.asname or alias.name for alias in node.names]
+
+
+def test_no_unused_module_imports():
+    # pyflakes' F401 for the package modules, where a line without # noqa
+    # imports a name its module never reads
+    for path in sorted((ROOT / "src" / "nemclock").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            unused = [name for name in _bound_names(node) if name not in used]
+            assert not unused, f"{path.name}:{node.lineno} imports unused {unused}"
 
 
 def test_benchmark_trace_hooks_exist():
@@ -72,7 +114,8 @@ def test_traced_benchmark_runs_after_hooks_change_shape(tmp_path):
 def test_cli_needs_no_scipy(tmp_path):
     # each CLI stage is a fresh process, so what `import nemclock.cli` loads
     # is paid on every command: no scipy; a whole `run` imports no module, so
-    # no timed call pays an import; and a `toymodel` run imports no scipy
+    # no timed call pays an import, and has not loaded the quadrature; and a
+    # `toymodel` run imports no scipy
     config = {
         "version": 1,
         "system": {"voltage": 5.0},
@@ -96,6 +139,7 @@ def test_cli_needs_no_scipy(tmp_path):
         f"assert 'ks_statistic' in json.loads(open({str(out / 'wtd_fit.json')!r}).read())\n"
         f"assert json.loads(open({str(out / 'report.json')!r}).read())['linewidth_fit']['fwhm']\n"
         "print(sorted(set(sys.modules) - before))\n"
+        "print(sorted(m for m in sys.modules if m == 'nemclock.quadrature'))\n"
         f"assert cli.main(['toymodel', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
@@ -106,12 +150,13 @@ def test_cli_needs_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line.startswith("[")]
-    assert lines == ["[]", "[]", "[]"]
+    assert lines == ["[]", "[]", "[]", "[]"]
 
 
 def test_tables_and_ensembles_need_no_scipy():
-    # the table and ensemble path imports no scipy, and its first calls
-    # import nothing new, so no timed call pays an import
+    # the table and ensemble path imports no scipy and not the quadrature,
+    # the pole sums' test oracle, and its first calls import nothing new, so
+    # no timed call pays an import
     code = (
         "import math, sys\n"
         "import nemclock\n"
@@ -126,6 +171,7 @@ def test_tables_and_ensembles_need_no_scipy():
         "assert corpus.currents.shape == (2, 201)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "print(sorted(set(sys.modules) - before))\n"
+        "print(sorted(m for m in sys.modules if m == 'nemclock.quadrature'))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -133,4 +179,4 @@ def test_tables_and_ensembles_need_no_scipy():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]

@@ -230,6 +230,13 @@ def test_explicit_leads_match_voltage_shorthand(tmp_path):
     assert fingerprint(explicit) == fingerprint(shorthand)
 
 
+@pytest.mark.parametrize("voltage", [5.0, 50.0, 100.0])
+def test_voltage_shorthand_is_the_reference_device(tmp_path, voltage):
+    # the shorthand's defaults are default_params' device, field for field
+    path = _write(tmp_path / "v.json", {"version": 1, "system": {"voltage": voltage}})
+    assert build_params(load_config(path)) == default_params(voltage)
+
+
 def test_config_read_failures(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.json")
@@ -736,6 +743,14 @@ def test_sweep_runs_each_voltage(tmp_path, pipeline_config):
     assert [row.split(",")[0] for row in lines[1:]] == ["5.0", "6.5"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["kind"] == "sweep"
+    # the device of each voltage's directory, not the config's own voltage
+    runs = {
+        label: json.loads((out / label / "manifest.json").read_text())["parameter_fingerprint"]
+        for label in ("V=5", "V=6.5")
+    }
+    assert manifest["parameter_fingerprint"] == runs
+    assert runs["V=5"] == fingerprint(default_params(5.0))
+    assert runs["V=6.5"] == fingerprint(default_params(6.5))
 
     # sweep without a sweep section is a configuration error
     bare = _write(tmp_path / "bare.json", _base_config())

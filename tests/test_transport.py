@@ -13,26 +13,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nemclock import langevin, pipeline, transport
 from nemclock.params import AdiabaticityWarning, LeadSpec, SystemParams, default_params
 from nemclock.quadrature import integrate, kronrod
 from nemclock.transport import (
     COLUMNS,
-    RTOL,
     CoefficientTable,
     GridSpec,
     build_coefficient_table,
-    charge_noise_spectrum,
     fermi_dirac,
     friction_and_diffusion,
-    lead_self_energy,
-    spectral_density,
     table_fingerprint,
-    transmission,
-    _resonance_denominator,
 )
 
 # Independent refinement oracle values (converged against window size and
@@ -43,6 +35,24 @@ SHOT_V50_X0 = 2.682489074845226
 NOISE_V100_X0_W0 = 0.014980196655622773
 NOISE_V100_X0_W1 = 0.014279521725778491
 OCCUPATION_V100_X1 = 0.4883000  # converged to the printed digits
+
+
+# S_x at omega != 0, which only the tests need: adaptive quadrature of the
+# integrand rows over the window padded by |omega|, seeded at the window's
+# breakpoints, to the relative tolerance RTOL with the absolute floor ATOL
+RTOL = 1e-8
+ATOL = 1e-14
+
+
+def _spectrum(x, omega, params):
+    """S_x(omega) at position ``x``, the last of the six integrand rows."""
+    xs = np.array([x], dtype=float)
+    lo, hi, seeds = transport._window(params, pad=abs(omega))
+    result = integrate(
+        kronrod(lambda energy: transport._integrand_rows(energy, xs, params, params.force, omega)),
+        lo, hi, rtol=RTOL, atol=ATOL, breakpoints=seeds,
+    )
+    return float(result.value.reshape(6, 1)[5, 0])
 
 
 @pytest.fixture(scope="module")
@@ -76,21 +86,20 @@ def test_fermi_dirac_extreme_arguments_do_not_overflow():
 
 def test_spectral_density_peak_value_and_shape(p100):
     # at the band center the density equals the peak rate
-    assert spectral_density(2.5, p100.left) == pytest.approx(10.0, rel=1e-14)
+    assert transport._lead_factors(2.5, p100.left)[0] == pytest.approx(10.0, rel=1e-14)
     # at the opposite band center, one bandwidth pattern: G*d^2/(25+25)
-    assert spectral_density(-2.5, p100.left) == pytest.approx(
+    assert transport._lead_factors(-2.5, p100.left)[0] == pytest.approx(
         10.0 * 25.0 / (25.0 + 25.0), rel=1e-14
     )
     # device anchor: each lead contributes 8 at E=0
-    assert spectral_density(0.0, p100.left) == pytest.approx(8.0, rel=1e-14)
-    assert spectral_density(0.0, p100.right) == pytest.approx(8.0, rel=1e-14)
+    assert transport._lead_factors(0.0, p100.left)[0] == pytest.approx(8.0, rel=1e-14)
+    assert transport._lead_factors(0.0, p100.right)[0] == pytest.approx(8.0, rel=1e-14)
 
 
 def test_self_energy_imaginary_part_is_half_density(p100):
     E = np.linspace(-40.0, 40.0, 401)
     for lead in (p100.left, p100.right):
-        chi = lead_self_energy(E, lead)
-        kappa = spectral_density(E, lead)
+        kappa, _, chi, _ = transport._lead_factors(E, lead)
         np.testing.assert_allclose(chi.imag, -0.5 * kappa, rtol=1e-13)
         # real part: dispersive Lorentzian wing
         expected_re = (
@@ -99,28 +108,15 @@ def test_self_energy_imaginary_part_is_half_density(p100):
         np.testing.assert_allclose(chi.real, expected_re, rtol=1e-12)
 
 
-def test_transmission_is_unity_on_resonance_symmetric_point(p100):
-    assert transmission(0.0, 0.0, p100) == pytest.approx(1.0, abs=1e-12)
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    energy=st.floats(min_value=-60, max_value=60, allow_nan=False),
-    position=st.floats(min_value=-40, max_value=40, allow_nan=False),
-)
-def test_transmission_bounded(energy, position):
-    t = transmission(energy, position, default_params(100.0))
-    assert 0.0 <= t <= 1.0 + 1e-12
-
-
 def test_sum_rule_spectral_weight(p100):
     # integral of |response|^2 * (total level width) / 2pi equals one
     x = 0.9
 
     def integrand(E):
-        den = _resonance_denominator(E, p100) + p100.force * x
-        dos = spectral_density(E, p100.left) + spectral_density(E, p100.right)
-        return dos / (np.abs(den) ** 2 * 2.0 * np.pi)
+        kl, _, chi_l, _ = transport._lead_factors(E, p100.left)
+        kr, _, chi_r, _ = transport._lead_factors(E, p100.right)
+        den = np.asarray(E, dtype=complex) - p100.dot_energy - chi_l - chi_r + p100.force * x
+        return (kl + kr) / (np.abs(den) ** 2 * 2.0 * np.pi)
 
     res = integrate(
         kronrod(integrand),
@@ -204,8 +200,8 @@ def test_table_build_repeats_no_adiabaticity_warning():
 def test_shot_noise_frozen_value_and_split(p50):
     total = _at(p50, 0.0, "shot_noise")
     assert total == pytest.approx(SHOT_V50_X0, rel=1e-9)
-    # the column is the thermal plus the partition piece of one quadrature pass
-    _, _, thermal, partition, *_ = transport._family_batch([0.0], p50)
+    # the column is the thermal plus the partition piece of one pole-sum pass
+    _, _, thermal, partition, *_ = transport._pole_rows(np.zeros(1), p50, p50.force)
     assert thermal[0] >= 0.0 and partition[0] >= 0.0
     assert thermal[0] + partition[0] == pytest.approx(total, rel=1e-12)
 
@@ -216,17 +212,8 @@ def test_shot_noise_positive_across_positions(p100):
 
 
 def test_charge_noise_frozen_values(p100):
-    assert charge_noise_spectrum(0.0, 0.0, p100) == pytest.approx(
-        NOISE_V100_X0_W0, rel=1e-9
-    )
-    assert charge_noise_spectrum(0.0, 1.0, p100) == pytest.approx(
-        NOISE_V100_X0_W1, rel=1e-9
-    )
-
-
-def test_charge_noise_warns_outside_slow_regime(p100):
-    with pytest.warns(AdiabaticityWarning):
-        charge_noise_spectrum(0.0, 4.0, p100)
+    # omega = 0 is the diffusion, pinned with the friction below
+    assert _spectrum(0.0, 1.0, p100) == pytest.approx(NOISE_V100_X0_W1, rel=1e-9)
 
 
 def test_detailed_balance_at_equilibrium():
@@ -235,8 +222,8 @@ def test_detailed_balance_at_equilibrium():
         p0 = default_params(0.0)
     beta = p0.inverse_temperature
     for omega in (0.5, 1.0, 2.0):
-        s_plus = charge_noise_spectrum(0.0, omega, p0)
-        s_minus = charge_noise_spectrum(0.0, -omega, p0)
+        s_plus = _spectrum(0.0, omega, p0)
+        s_minus = _spectrum(0.0, -omega, p0)
         assert s_minus == pytest.approx(
             math.exp(-beta * omega) * s_plus, rel=1e-9
         )
@@ -286,14 +273,15 @@ def test_friction_matches_spectrum_slope(voltage, x):
     h = 0.01
 
     def central(k):
-        upper = charge_noise_spectrum(x, k, params)
-        lower = charge_noise_spectrum(x, -k, params)
+        upper = _spectrum(x, k, params)
+        lower = _spectrum(x, -k, params)
         return (upper - lower) / (2.0 * k), max(upper, lower), (upper + lower) / 2.0
 
     coarse, s_coarse, even_coarse = central(h)
     fine, s_fine, even_fine = central(h / 2)
     richardson = (4.0 * fine - coarse) / 3.0
-    slope = friction_and_diffusion(x, params)[0] * params.oscillator_mass
+    gamma, diffusion = friction_and_diffusion(x, params)
+    slope = gamma * params.oscillator_mass
     # Each S value carries a quadrature error of at most RTOL * S, so a
     # central difference at step k is off by at most RTOL * S_max / k and the
     # Richardson combination by (4/3) RTOL S_max / (h/2) + (1/3) RTOL S_max / h
@@ -302,32 +290,13 @@ def test_friction_matches_spectrum_slope(voltage, x):
     s_max = max(s_coarse, s_fine)
     bound = 3.0 * RTOL * s_max / h + RTOL * abs(slope)
     assert abs(slope - richardson) <= bound
-    # The omega = 0 row reuses the integrand's unshifted factors; the even
-    # part (S(k) + S(-k))/2 = S(0) + O(k^2) comes from the shifted-energy
-    # path.  Its Richardson limit met S(0) within 1.6e-10 relative at these
-    # six points (the largest at V = 100, x = 22; 1.5e-12 at x = 0), while
-    # the even part at k = h/2 alone is off by up to 6e-6.
+    # The diffusion is the pole sum of S(0); the even part
+    # (S(k) + S(-k))/2 = S(0) + O(k^2) comes from the shifted-energy
+    # quadrature.  Its Richardson limit met S(0) within 1.6e-10 relative at
+    # these six points (the largest at V = 100, x = 22; 1.5e-12 at x = 0),
+    # while the even part at k = h/2 alone is off by up to 6e-6.
     limit = (4.0 * even_fine - even_coarse) / 3.0
-    assert charge_noise_spectrum(x, 0.0, params) == pytest.approx(limit, rel=1e-9)
-
-
-def test_one_quadrature_pass(monkeypatch, p100):
-    # the omega = 0 coefficients are pole sums: tables, the cold baseline and
-    # friction_and_diffusion make no quadrature pass; S_x at omega != 0 makes one
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(transport, "integrate", counting)
-    transport._baseline_occupation.cache_clear()
-    build_coefficient_table(p100, GridSpec(x_max=5.0, nodes=21))
-    friction_and_diffusion(0.0, p100)
-    charge_noise_spectrum(0.0, 0.0, p100)
-    assert calls == []
-    charge_noise_spectrum(0.0, 0.5, p100)
-    assert calls == [1]
+    assert diffusion == pytest.approx(limit, rel=1e-9)
 
 
 def test_diffusion_positive_on_coarse_scan(p100):
@@ -503,7 +472,7 @@ ROW_CASES = {
 def test_pole_sums_match_the_quadrature_oracle(case):
     params = ROW_CASES[case]
     xs = np.array([-8.0, 0.0, 5.0])
-    rows = transport._family_batch(xs, params)
+    rows = transport._pole_rows(xs, params, params.force)
     want = _oracle(xs, params)
     assert np.max(np.abs(rows[0] - want[0])) <= 2e-15
     for got, row in zip(rows[1:], want[1:]):
@@ -513,12 +482,12 @@ def test_pole_sums_match_the_quadrature_oracle(case):
 def test_rows_through_zero_bias():
     xs = np.array([-3.0, 0.0, 1.7])
     params = {v: _quiet(default_params, v) for v in (0.0, 1e-6, 0.1, 0.6, 0.7)}
-    zero = transport._family_batch(xs, params[0.0])
+    zero = transport._pole_rows(xs, params[0.0], params[0.0].force)
     assert not np.any(zero[1]) and not np.any(zero[3])
     # 0.6 and 0.7 straddle NEAR_BIAS, where the divided difference of psi
     # switches from its series to the plain difference
     for v in (1e-6, 0.1, 0.6, 0.7):
-        rows = transport._family_batch(xs, params[v])
+        rows = transport._pole_rows(xs, params[v], params[v].force)
         want = _oracle(xs, params[v])
         scale = np.max(np.abs(want), axis=1)
         for i in (0, 2, 4, 5):
@@ -528,9 +497,10 @@ def test_rows_through_zero_bias():
         # the partition noise is O(V^2), held against the thermal noise
         assert np.max(np.abs(rows[3] - want[3])) <= 1e-12 * scale[2], v
     # continuous through zero: linear current, quadratic partition noise
-    small = transport._family_batch(xs, params[1e-6])
+    small = transport._pole_rows(xs, params[1e-6], params[1e-6].force)
     assert np.max(np.abs(small[[0, 2, 4, 5]] - zero[[0, 2, 4, 5]])) <= 1e-6
-    tiny = transport._family_batch(xs, _quiet(default_params, 1e-3))
+    p_tiny = _quiet(default_params, 1e-3)
+    tiny = transport._pole_rows(xs, p_tiny, p_tiny.force)
     np.testing.assert_allclose(small[1] / 1e-6, tiny[1] / 1e-3, rtol=1e-6)
     assert np.all(small[3] >= 0.0) and np.all(small[3] <= 1e-10 * small[2])
 
@@ -548,7 +518,7 @@ def test_pole_sums_refuse_nearly_coincident_poles():
         build_coefficient_table(params, [-0.3, 0.001, 0.3])
     # poles 0.057 of their depth apart are still held to the bar
     xs = np.array([-0.3, 0.01, 0.3])
-    rows, want = transport._family_batch(xs, params), _oracle(xs, params)
+    rows, want = transport._pole_rows(xs, params, params.force), _oracle(xs, params)
     for got, row in zip(rows, want):
         assert np.max(np.abs(got - row)) <= 1e-9 * np.max(np.abs(row))
 
@@ -582,17 +552,17 @@ def test_pole_sums_do_not_depend_on_the_batch(p100):
     # a position's rows have the same bits alone or anywhere in a batch
     rng = np.random.default_rng(11)
     xs = rng.uniform(-60.0, 60.0, 37)
-    rows = transport._family_batch(xs, p100)
+    rows = transport._pole_rows(xs, p100, p100.force)
     for i in range(xs.size):
-        assert np.array_equal(transport._family_batch(xs[i:i + 1], p100)[:, 0], rows[:, i])
+        assert np.array_equal(transport._pole_rows(xs[i:i + 1], p100, p100.force)[:, 0], rows[:, i])
     part = rng.permutation(xs.size)[:12]
-    assert np.array_equal(transport._family_batch(xs[part], p100), rows[:, part])
+    assert np.array_equal(transport._pole_rows(xs[part], p100, p100.force), rows[:, part])
 
 
 @pytest.mark.parametrize("shifted", [False, True])
 def test_panel_rules_do_not_depend_on_the_batch(p100, shifted):
-    # the NumPy panel rule at omega = 0 (the oracle) and at omega = 1 (the
-    # spectrum's quadrature): a panel's (kron, err) has the same bits alone
+    # the NumPy panel rule at omega = 0 (the pole sums' oracle) and at
+    # omega = 1 (the spectrum's): a panel's (kron, err) has the same bits alone
     # or anywhere in a batch
     rng = np.random.default_rng(11)
     lo, hi, _ = transport._window(p100, pad=1.0)
@@ -616,7 +586,7 @@ def test_force_free_rules_have_zero_friction_and_spectrum_rows(p100):
     # the baseline: both rows carry F^2 / 2 pi, so they vanish exactly, in
     # the pole sums and in the NumPy panel rule
     xs = np.array([-3.0, 0.0, 2.5])
-    assert not np.any(transport._family_batch(xs, p100, force=0.0)[4:])
+    assert not np.any(transport._pole_rows(xs, p100, 0.0)[4:])
     lo, hi, _ = transport._window(p100)
     edges = np.linspace(lo, hi, 9)
     rule = kronrod(lambda energy: transport._integrand_rows(energy, xs, p100, 0.0))
