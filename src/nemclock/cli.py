@@ -2,12 +2,12 @@
 
 Subcommands
 -----------
-coeffs      build (or reuse) the coefficient table for a config
+coeffs      build the coefficient table for a config and save it
 simulate    integrate the ensemble and store it with its ticks and position
             density, both taken from every full-rate state
 ticks       write the tick series stored by ``simulate``
 analyze     estimate clock statistics from stored artifacts
-run         all of the above, plus a manifest of every artifact
+run         all of the above, plus a manifest of the files it wrote
 sweep       repeat ``run`` across a list of voltages
 toymodel    sample one of the reduced toy processes
 
@@ -54,12 +54,7 @@ from .pipeline import (
 )
 from .readout import DetectionPolicy, TickSeries, transduce
 from .svgplot import line_plot
-from .transport import (
-    CoefficientTable,
-    GridSpec,
-    build_coefficient_table,
-    table_fingerprint,
-)
+from .transport import CoefficientTable, GridSpec, build_coefficient_table
 
 __all__ = ["main", "ConfigError", "StageFailure", "load_config"]
 
@@ -336,28 +331,16 @@ def _sha256(path: Path) -> str:
 # ----------------------------------------------------------------- stages --
 
 
-def stage_coeffs(cfg, params, out: Path):
-    """Build or reuse the coefficient table; returns (table, cache_note)."""
+def stage_coeffs(cfg, params, out: Path) -> CoefficientTable:
+    """Build the config's coefficient table and save it as coeffs.npz."""
     g = cfg["grid"]
     if g["x_max"] is None:
         grid_spec = default_grid(params, nodes=g["nodes"])
     else:
         grid_spec = GridSpec(x_max=float(g["x_max"]), nodes=g["nodes"])
-    cache = out / "coeffs.npz"
-    note = "built"
-    if cache.exists():
-        expected = table_fingerprint(params, grid_spec.positions())
-        try:
-            cached = CoefficientTable.load(cache)
-        except Exception:
-            note = "rebuilt (corrupt)"
-        else:
-            if cached.params_hash == expected:
-                return cached, "hit"
-            note = "rebuilt (stale)"
     table = build_coefficient_table(params, grid_spec)
-    table.save(cache)
-    return table, note
+    table.save(out / "coeffs.npz")
+    return table
 
 
 def _policy(cfg) -> DetectionPolicy:
@@ -469,10 +452,11 @@ def stage_ticks(corpus: Corpus, out: Path):
     return corpus.ticks
 
 
-def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
+def stage_analyze(cfg, corpus: Corpus, out: Path) -> tuple[dict, list[str]]:
     """Clock statistics from the stored ensemble; writes the report set and
-    returns the report.json payload.  The spectrum is only plotted: it is
-    ``power_spectrum`` of autocorrelation.csv and ``shot_noise_floor``."""
+    returns the report.json payload and the names of the plots it drew.  The
+    spectrum is only plotted: it is ``power_spectrum`` of autocorrelation.csv
+    and ``shot_noise_floor``."""
     params, table = corpus.params, corpus.table
     tick_series = corpus.ticks
     a = cfg["analysis"]
@@ -556,27 +540,25 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
     }
     _write_json(out / "report.json", report)
 
+    plots = {}
     if a["make_plots"]:
-        line_plot(
-            out / "spectrum.svg",
-            [("power", spectrum.frequencies[1:], spectrum.values[1:])],
+        plots["spectrum.svg"] = dict(
+            curves=[("power", spectrum.frequencies[1:], spectrum.values[1:])],
             title="current power spectrum",
             x_label="angular frequency",
             y_label="power",
             log_y=bool(np.all(spectrum.values[1:] > 0)),
         )
-        line_plot(
-            out / "autocorrelation.svg",
-            [("C", curve.lags, curve.values)],
+        plots["autocorrelation.svg"] = dict(
+            curves=[("C", curve.lags, curve.values)],
             title="current autocorrelation",
             x_label="lag",
             y_label="C",
         )
         if allan:
             keep = val > 0
-            line_plot(
-                out / "allan.svg",
-                [
+            plots["allan.svg"] = dict(
+                curves=[
                     ("measured", T[keep], val[keep]),
                     ("renewal", T, renewal),
                 ],
@@ -588,14 +570,15 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> dict:
             )
         if waits.size >= 2:
             hist = tickinfo.Histogram.from_samples(waits)
-            line_plot(
-                out / "wtd.svg",
-                [("waits", hist.midpoints, hist.masses / hist.bin_width)],
+            plots["wtd.svg"] = dict(
+                curves=[("waits", hist.midpoints, hist.masses / hist.bin_width)],
                 title="waiting-time distribution",
                 x_label="wait",
                 y_label="density",
             )
-    return report
+    for name, plot in plots.items():
+        line_plot(out / name, **plot)
+    return report, list(plots)
 
 
 def _information_block(a, tick_series, pooled_waits) -> dict:
@@ -631,18 +614,15 @@ def _information_block(a, tick_series, pooled_waits) -> dict:
     return out
 
 
-def _write_manifest(out: Path, cfg, sim: SimConfig, parameter_fingerprint, cache_note,
+def _write_manifest(out: Path, names, cfg, sim: SimConfig, parameter_fingerprint,
                     extra=None):
-    artifacts = {}
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            artifacts[str(path.relative_to(out))] = _sha256(path)
+    """manifest.json: the config, seed and device, and the SHA-256 of each of
+    ``names``, the files under ``out`` that the command wrote."""
     payload = {
         "config": {k: v for k, v in cfg.items() if k not in ("sweep", "toymodel")},
         "seed": sim.seed,
         "parameter_fingerprint": parameter_fingerprint,
-        "coefficient_cache": cache_note,
-        "artifacts": artifacts,
+        "artifacts": {name: _sha256(out / name) for name in names},
     }
     if extra:
         payload.update(extra)
@@ -698,15 +678,15 @@ def _prepare(args):
 def cmd_coeffs(args) -> int:
     cfg, out, params, sim = _prepare(args)
     with _stage("coeffs"):
-        table, note = stage_coeffs(cfg, params, out)
-    print(f"coefficient table: {table.grid.size} nodes, cache {note}")
+        table = stage_coeffs(cfg, params, out)
+    print(f"coefficient table: {table.grid.size} nodes")
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg, out, params, sim = _prepare(args)
     with _stage("coeffs"):
-        table, _ = stage_coeffs(cfg, params, out)
+        table = stage_coeffs(cfg, params, out)
     with _stage("simulate"):
         corpus = stage_simulate(cfg, params, table, sim, out, args.threads)
     print("simulated {} members, {} samples each".format(*corpus.record.positions.shape))
@@ -726,7 +706,7 @@ def cmd_analyze(args) -> int:
     with _stage("analyze"):
         corpus = _load_corpus(cfg, params, sim, out)
         stage_ticks(corpus, out)
-        report = stage_analyze(cfg, corpus, out)
+        report, _ = stage_analyze(cfg, corpus, out)
     print(
         f"accuracy {report['accuracy']:.4g}, resolution {report['resolution']:.4g}, "
         f"entropy/tick {report['entropy_per_tick']:.4g}"
@@ -734,22 +714,30 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+# the files every run writes, besides the plots stage_analyze names
+_RUN_FILES = ("coeffs.npz", "ensemble.npz", "ticks.csv", "ticks.json", "wtd_fit.json",
+              "autocorrelation.csv", "allan.csv", "info.json", "report.json")
+
+
 def _run_pipeline(cfg, out: Path, params, sim, threads: int):
+    """Every stage into ``out`` and its manifest; returns the report and the
+    names of the files written."""
     with _stage("coeffs"):
-        table, note = stage_coeffs(cfg, params, out)
+        table = stage_coeffs(cfg, params, out)
     with _stage("simulate"):
         corpus = stage_simulate(cfg, params, table, sim, out, threads)
     with _stage("ticks"):
         stage_ticks(corpus, out)
     with _stage("analyze"):
-        report = stage_analyze(cfg, corpus, out)
-    _write_manifest(out, cfg, sim, fingerprint(params), note)
-    return report
+        report, plots = stage_analyze(cfg, corpus, out)
+    written = [*_RUN_FILES, *plots]
+    _write_manifest(out, written, cfg, sim, fingerprint(params))
+    return report, written
 
 
 def cmd_run(args) -> int:
     cfg, out, params, sim = _prepare(args)
-    report = _run_pipeline(cfg, out, params, sim, args.threads)
+    report, _ = _run_pipeline(cfg, out, params, sim, args.threads)
     print(
         f"run complete: accuracy {report['accuracy']:.4g}, "
         f"resolution {report['resolution']:.4g}"
@@ -766,7 +754,7 @@ def cmd_sweep(args) -> int:
             "sweep sets system.voltage, which explicit leads cannot take; "
             "describe the device by the voltage shorthand"
         )
-    rows, fingerprints = [], {}
+    rows, fingerprints, written = [], {}, ["summary.csv"]
     for voltage in cfg["sweep"]["voltages"]:
         sub_cfg = json.loads(json.dumps(cfg))
         sub_cfg["system"]["voltage"] = float(voltage)
@@ -774,8 +762,9 @@ def cmd_sweep(args) -> int:
         sub_params = build_params(sub_cfg)
         sub_out = out / f"V={voltage:g}"
         sub_out.mkdir(parents=True, exist_ok=True)
-        report = _run_pipeline(sub_cfg, sub_out, sub_params, sim, args.threads)
+        report, names = _run_pipeline(sub_cfg, sub_out, sub_params, sim, args.threads)
         fingerprints[sub_out.name] = fingerprint(sub_params)
+        written += [f"{sub_out.name}/{name}" for name in names]
         rows.append(
             (
                 float(voltage),
@@ -792,7 +781,7 @@ def cmd_sweep(args) -> int:
         list(zip(*rows)),
     )
     # each V=<v> directory's device, as its own manifest names it
-    _write_manifest(out, cfg, sim, fingerprints, "per-voltage", extra={"kind": "sweep"})
+    _write_manifest(out, written, cfg, sim, fingerprints, extra={"kind": "sweep"})
     return 0
 
 

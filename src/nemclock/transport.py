@@ -449,7 +449,7 @@ class CoefficientTable:
                      grid=self.grid, **dict(zip(COLUMNS, self.values)))
 
     @classmethod
-    def load(cls, path, *, expected_hash: str | None = None) -> "CoefficientTable":
+    def load(cls, path, *, expected_hash: str) -> "CoefficientTable":
         try:
             with np.load(path) as data:
                 header = json.loads(bytes(data["header"]).decode())
@@ -458,16 +458,16 @@ class CoefficientTable:
         except FileNotFoundError:
             raise
         except Exception as exc:
-            # any unreadable archive counts as corruption, so cache users can
-            # rebuild instead of crashing
+            # any unreadable archive counts as corruption, so the CLI's
+            # hand-off answers it with exit 2 instead of crashing
             raise ValueError(
-                f"coefficient cache {path} is corrupt ({exc})"
+                f"coefficient table {path} is corrupt ({exc})"
             ) from exc
         if _table_checksum(grid, values) != header["checksum"]:
-            raise ValueError(f"coefficient cache {path} is corrupt (checksum)")
-        if expected_hash is not None and header["params_hash"] != expected_hash:
+            raise ValueError(f"coefficient table {path} is corrupt (checksum)")
+        if header["params_hash"] != expected_hash:
             raise ValueError(
-                f"coefficient cache {path} was built for different parameters"
+                f"coefficient table {path} was built for different parameters"
             )
         return cls(grid=grid, values=values, params_hash=header["params_hash"])
 
@@ -483,8 +483,8 @@ def _table_checksum(grid, values) -> str:
 
 
 def table_fingerprint(params: SystemParams, grid: np.ndarray) -> str:
-    """Cache key of a table: the parameters, the grid and the transport
-    method, so that a table computed another way reads as stale."""
+    """Identity of a table: the parameters, the grid and the transport
+    method, which the CLI's hand-off checks against the one an ensemble names."""
     grid = np.ascontiguousarray(grid, dtype=float)
     return fingerprint(
         params,

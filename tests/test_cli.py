@@ -1,4 +1,4 @@
-"""Command-line pipeline: config validation, artifacts, determinism, caching."""
+"""Command-line pipeline: config validation, artifacts, determinism, reruns."""
 import hashlib
 import json
 import math
@@ -405,7 +405,7 @@ def test_run_produces_complete_artifact_set(tmp_path, pipeline_config, capsys):
     assert len(allan_rows) > 10
 
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["coefficient_cache"] == "built"
+    assert set(manifest) == {"config", "seed", "parameter_fingerprint", "artifacts"}
     assert manifest["seed"] == 9
     assert set(manifest["artifacts"]) == names - {"manifest.json"}
     assert manifest["config"]["system"]["voltage"] == 5.0
@@ -421,13 +421,10 @@ def test_run_is_bit_identical_across_threads(tmp_path, pipeline_config):
     for path in sorted(serial.iterdir()):
         assert (threaded / path.name).read_bytes() == path.read_bytes(), path.name
 
-    # a rerun in place reuses the table and rewrites everything else verbatim
+    # a rerun in place rewrites every file verbatim, the manifest included
     assert _run(cfg_path, serial, threads=2) == 0
-    manifest = json.loads((serial / "manifest.json").read_text())
-    assert manifest["coefficient_cache"] == "hit"
+    assert {p.name for p in serial.iterdir()} == {p.name for p in threaded.iterdir()}
     for path in sorted(threaded.iterdir()):
-        if path.name == "manifest.json":
-            continue
         assert (serial / path.name).read_bytes() == path.read_bytes(), path.name
 
 
@@ -678,48 +675,64 @@ def test_seed_override_changes_artifacts(tmp_path, pipeline_config):
     assert json.loads((out / "manifest.json").read_text())["seed"] == 77
 
 
-# ------------------------------------------------------------------ caching --
+# ------------------------------------------------------------------ reruns --
 
 
-def test_coefficient_cache_notes(tmp_path, pipeline_config):
-    cfg = load_config(_write(tmp_path / "cfg.json", pipeline_config))
+def _hold_table(tmp_path, pipeline_config, out, held):
+    """Leave in ``out`` a coeffs.npz that is not the config's table."""
+    if held == "not-an-archive":
+        (out / "coeffs.npz").write_bytes(b"not an archive")
+        return
+    payload = json.loads(json.dumps(pipeline_config))
+    if held == "other-voltage":
+        payload["system"]["voltage"] = 6.0
+    cfg = load_config(_write(tmp_path / "held.json", payload))
     params = build_params(cfg)
-    out = tmp_path / "out"
-    out.mkdir()
-    _, note = stage_coeffs(cfg, params, out)
-    assert note == "built"
-    _, note = stage_coeffs(cfg, params, out)
-    assert note == "hit"
-
-    # same file, different operating point: the fingerprint protects the reuse
-    other = json.loads(json.dumps(pipeline_config))
-    other["system"]["voltage"] = 6.0
-    cfg6 = load_config(_write(tmp_path / "cfg6.json", other))
-    _, note = stage_coeffs(cfg6, build_params(cfg6), out)
-    assert note == "rebuilt (stale)"
-
-    (out / "coeffs.npz").write_bytes(b"not an archive")
-    _, note = stage_coeffs(cfg6, build_params(cfg6), out)
-    assert note == "rebuilt (corrupt)"
+    table = stage_coeffs(cfg, params, out)
+    if held == "quadrature-key":
+        # the key of the quadrature tables, whose occupation column was off
+        # by up to 2.7e-5
+        old_key = fingerprint(params, extra={
+            "rtol": 1e-8, "grid_sha": hashlib.sha256(table.grid.tobytes()).hexdigest(),
+        })
+        transport.CoefficientTable(table.grid, table.values, old_key).save(out / "coeffs.npz")
 
 
-def test_quadrature_table_cache_is_stale(tmp_path, pipeline_config):
-    # a table saved under the key of the quadrature tables, whose occupation
-    # column was off by up to 2.7e-5, is rebuilt, not reused
-    cfg = load_config(_write(tmp_path / "cfg.json", pipeline_config))
-    params = build_params(cfg)
-    out = tmp_path / "out"
-    out.mkdir()
-    table, _ = stage_coeffs(cfg, params, out)
-    old_key = fingerprint(params, extra={
-        "rtol": 1e-8, "grid_sha": hashlib.sha256(table.grid.tobytes()).hexdigest(),
-    })
-    transport.CoefficientTable(table.grid, table.values, old_key).save(out / "coeffs.npz")
-    rebuilt, note = stage_coeffs(cfg, params, out)
-    assert note == "rebuilt (stale)"
-    assert rebuilt.params_hash == table.params_hash != old_key
-    _, note = stage_coeffs(cfg, params, out)
-    assert note == "hit"
+@pytest.mark.parametrize("held", ["other-voltage", "not-an-archive", "quadrature-key"])
+def test_run_never_reads_the_coeffs_it_finds(tmp_path, pipeline_config, monkeypatch, held):
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    fresh, held_out = tmp_path / "fresh", tmp_path / "held"
+    assert _run(cfg_path, fresh) == 0
+    held_out.mkdir()
+    _hold_table(tmp_path, pipeline_config, held_out, held)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run must build its table, not load one")
+
+    monkeypatch.setattr(transport.CoefficientTable, "load", refuse)
+    assert _run(cfg_path, held_out) == 0
+    assert {p.name for p in held_out.iterdir()} == {p.name for p in fresh.iterdir()}
+    for path in sorted(fresh.iterdir()):
+        assert (held_out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("earlier", ["plots", "foreign-files"])
+def test_manifest_lists_only_what_the_run_wrote(tmp_path, pipeline_config, earlier):
+    # an earlier run's plots, or files nemclock never writes, stay out
+    payload = json.loads(json.dumps(pipeline_config))
+    payload["analysis"] = {"make_plots": False}
+    cfg_path = _write(tmp_path / "cfg.json", payload)
+    fresh, dirty = tmp_path / "fresh", tmp_path / "dirty"
+    assert _run(cfg_path, fresh) == 0
+    if earlier == "plots":
+        assert _run(_write(tmp_path / "plots.json", pipeline_config), dirty) == 0
+    else:
+        (dirty / "notes").mkdir(parents=True)
+        (dirty / "notes" / "manifest.json").write_text("{}")
+        (dirty / "notes.txt").write_text("kept, not listed")
+    assert _run(cfg_path, dirty) == 0
+    assert (dirty / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
+    assert {p.name for p in dirty.iterdir()} > {p.name for p in fresh.iterdir()}
 
 
 # -------------------------------------------------------------------- sweep --
@@ -755,6 +768,22 @@ def test_sweep_runs_each_voltage(tmp_path, pipeline_config):
     # sweep without a sweep section is a configuration error
     bare = _write(tmp_path / "bare.json", _base_config())
     assert cli.main(["sweep", "--config", str(bare), "--out", str(out)]) == 2
+
+
+def test_shrunk_sweep_lists_only_its_voltages(tmp_path, pipeline_config):
+    payload = json.loads(json.dumps(pipeline_config))
+    payload["simulation"]["duration"] = 90.0 * math.pi
+    payload["simulation"]["ensemble_size"] = 2
+    payload["sweep"] = {"voltages": [5.0, 6.5]}
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    both = _write(tmp_path / "both.json", payload)
+    assert cli.main(["sweep", "--config", str(both), "--out", str(out)]) == 0
+    payload["sweep"] = {"voltages": [5.0]}
+    one = _write(tmp_path / "one.json", payload)
+    for target in (out, fresh):
+        assert cli.main(["sweep", "--config", str(one), "--out", str(target)]) == 0
+    assert (out / "V=6.5" / "report.json").exists()
+    assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
 
 
 def test_sweep_refuses_explicit_leads(tmp_path, capsys):

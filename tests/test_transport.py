@@ -375,7 +375,7 @@ def test_table_round_trip(tmp_path, small_table, p100):
 
 
 def test_saved_table_members_and_checksum(tmp_path, small_table):
-    # the archive layout of every cache, from before the columnar table too
+    # the archive layout of every coeffs.npz, from before the columnar table too
     path = tmp_path / "coeffs.npz"
     small_table.save(path)
     with np.load(path) as data:
@@ -406,7 +406,7 @@ def test_table_load_rejects_corruption(tmp_path, small_table):
         CoefficientTable.load(path, expected_hash=small_table.params_hash)
     # a missing file is not corruption: callers distinguish the two
     with pytest.raises(FileNotFoundError):
-        CoefficientTable.load(tmp_path / "absent.npz")
+        CoefficientTable.load(tmp_path / "absent.npz", expected_hash=small_table.params_hash)
 
 
 def test_fingerprint_tracks_inputs(p100, p50):
