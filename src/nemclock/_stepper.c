@@ -1,11 +1,10 @@
-/* Kick-then-drift Langevin steps for one block of trajectories, the
-   evaluation of the cubic splines they step through, and the AR(1)
-   recursion of the toy models' exact Ornstein-Uhlenbeck paths.
+/* Kick-then-drift Langevin steps for one block of trajectories and the
+   evaluation of the cubic splines they step through.
 
    This is the compiled form of the NumPy step loop and spline evaluation in
-   langevin.py and of the Python AR(1) loop in toymodels.py, and must agree
-   with them bit for bit, so every floating-point operation below is the one
-   NumPy or Python performs, in the same order:
+   langevin.py, which alone loads it, and must agree with them bit for bit,
+   so every floating-point operation below is the one NumPy performs, in the
+   same order:
 
    - a spline is evaluated by the rule of scipy's PPoly, which the tests hold
      it to: the interval rule of find_interval (g[i] <= x < g[i+1], the last
@@ -132,19 +131,4 @@ long nemclock_steps(long block, long n,
             break;
     }
     return bad;
-}
-
-/* The AR(1) recursion out[k] = rho * out[k-1] + scale * noise[k] for
-   k < n, with rho * out[-1] = start.  Each step adds as
-   scipy.signal.lfilter([scale], [1, -rho], noise, zi=[start]) does: the
-   delay state plus scale * noise[k], then the state rho * out[k]. */
-void nemclock_ar1(long n, const double *noise, double rho, double scale,
-                  double start, double *out)
-{
-    double state = start;
-    for (long k = 0; k < n; k++) {
-        const double y = state + scale * noise[k];
-        out[k] = y;
-        state = rho * y;
-    }
 }

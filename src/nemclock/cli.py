@@ -392,7 +392,8 @@ def _load_corpus(cfg, params, sim: SimConfig, out: Path) -> Corpus:
     """The corpus ``simulate`` stored in ensemble.npz, refused (exit 2) at the
     first leaf of its provenance record that the config now sets otherwise,
     when coeffs.npz no longer holds the table it was simulated on, or when
-    there is no ensemble.npz at all."""
+    there is no ensemble.npz at all; a ValueError refuses arrays that
+    disagree with each other, the config or the table."""
     path = out / "ensemble.npz"
     if not path.is_file():
         raise ConfigError(f"{path} does not exist; run simulate first")
@@ -419,8 +420,22 @@ def _load_corpus(cfg, params, sim: SimConfig, out: Path) -> Corpus:
             f"coeffs.npz does not hold the table ensemble.npz was simulated on "
             f"({exc}); re-run simulate"
         ) from exc
+    counts, size = d["tick_counts"], sim.ensemble_size
+    if not (np.issubdtype(counts.dtype, np.integer) and counts.shape == (size,)
+            and np.all(counts >= 0) and counts.sum() == d["tick_times"].size):
+        raise ValueError(
+            f"ensemble.npz's tick_counts are not {size} counts of its "
+            f"{d['tick_times'].size} tick_times; re-run simulate"
+        )
+    for name, shape in (("positions", (size, sim.recorded_samples)),
+                        ("position_density", table.grid.shape)):
+        if d[name].shape != shape:
+            raise ValueError(
+                f"ensemble.npz holds {name} of shape {d[name].shape}, not "
+                f"{shape}; re-run simulate"
+            )
     policy = _policy(cfg).resolve(table)
-    members = np.split(d["tick_times"], np.cumsum(d["tick_counts"])[:-1])
+    members = np.split(d["tick_times"], np.cumsum(counts)[:-1])
     return Corpus(
         params=params, table=table, sim=sim, policy=policy,
         ticks=tuple(TickSeries(t, policy) for t in members),
@@ -768,7 +783,7 @@ def cmd_sweep(args) -> int:
         rows.append(
             (
                 float(voltage),
-                1.0 / report["resolution"],
+                report["mean_wait"],
                 report["accuracy"],
                 report["resolution"],
                 report["entropy_per_tick"],

@@ -27,9 +27,8 @@ The recorded ensemble is one :class:`Trajectory` with a row per member.
 The per-step loop and the spline evaluation run in a small C kernel,
 ``_stepper.c``, compiled on first use with ``/usr/bin/cc -O2
 -ffp-contract=off`` and loaded through ctypes, which releases the GIL, so
-threads advance blocks in parallel.  The same shared object holds the AR(1)
-recursion of :mod:`~nemclock.toymodels`' exact Ornstein-Uhlenbeck paths,
-which it reaches through :func:`_kernel`.  The kernel reproduces the NumPy loop
+threads advance blocks in parallel.  This module alone loads it and knows
+its calling convention.  The kernel reproduces the NumPy loop
 (:func:`_steps_numpy`) and the NumPy evaluation (:func:`_evaluate_numpy`)
 bit for bit: same interval rule and power sum, same operation order, no
 fused multiply-adds.  The NumPy code is the test oracle and the fallback,
@@ -51,15 +50,12 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.random  # noqa: F401  NumPy loads it lazily: not in a first ensemble call
 
 from .params import SystemParams
-
-if TYPE_CHECKING:  # transport imports this module for the compiled kernel
-    from .transport import CoefficientTable
+from .transport import CoefficientTable
 
 __all__ = [
     "SimConfig",
@@ -358,8 +354,6 @@ def _load_kernel():
     kernel.nemclock_steps.restype = long
     kernel.nemclock_eval.argtypes = [long, long, ptr, long, long, ptr, long, ptr, long, ptr]
     kernel.nemclock_eval.restype = None
-    kernel.nemclock_ar1.argtypes = [long, ptr, double, double, double, ptr]
-    kernel.nemclock_ar1.restype = None
     return kernel
 
 
@@ -368,13 +362,12 @@ _kernel_cache: list = []
 
 
 def _kernel():
-    """The compiled step loop, spline evaluation and AR(1) recursion, or
-    None when they cannot be built or loaded.
+    """The compiled step loop and spline evaluation, or None when they
+    cannot be built or loaded.
 
     A failure is reported once per process by a RuntimeWarning; every block
-    then runs the NumPy loop, every spline the NumPy evaluation and every
-    toy AR(1) path the Python loop, with the same results at about 20x, 10x
-    and 100x the cost.
+    then runs the NumPy loop and every spline the NumPy evaluation, with the
+    same results at about 20x and 10x the cost.
     """
     with _kernel_lock:
         if not _kernel_cache:
@@ -383,8 +376,7 @@ def _kernel():
             except (OSError, AttributeError) as exc:
                 warnings.warn(
                     f"compiled kernel unavailable ({exc}); falling back to the "
-                    "NumPy step loop (about 20x slower), spline evaluation and "
-                    "toy AR(1) loop",
+                    "NumPy step loop (about 20x slower) and spline evaluation",
                     RuntimeWarning,
                     stacklevel=2,
                 )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import langevin
 from .langevin import _stream, column_interpolant
 from .params import SystemParams
 from .transport import CoefficientTable
@@ -320,25 +319,13 @@ def _simulate_telegraph(p: TelegraphParams, times, rng):
 
 def _ar1_loop(noise, rho, scale, start):
     """The AR(1) recursion y[k] = rho * y[k-1] + scale * noise[k], with
-    rho * y[-1] = start, one step at a time: the oracle and the fallback of
-    the compiled ``nemclock_ar1``.  Each step rounds as
+    rho * y[-1] = start, one step at a time.  Each step rounds as
     ``scipy.signal.lfilter([scale], [1, -rho], noise, zi=[start])`` does."""
     out = np.empty(len(noise))
     state = start
     for k, kick in enumerate(np.asarray(noise, dtype=float).tolist()):
         out[k] = state = state + scale * kick
         state = rho * state
-    return out
-
-
-def _ar1(noise, rho, scale, start):
-    """:func:`_ar1_loop` in the compiled kernel, bit for bit."""
-    kernel = langevin._kernel()
-    if kernel is None:
-        return _ar1_loop(noise, rho, scale, start)
-    noise = np.ascontiguousarray(noise, dtype=float)
-    out = np.empty(noise.size)
-    kernel.nemclock_ar1(noise.size, noise.ctypes.data, rho, scale, start, out.ctypes.data)
     return out
 
 
@@ -351,7 +338,7 @@ def _exact_ou_path(cycle: ReducedCycle, first: float, time_step: float, noise) -
     """
     rho = math.exp(-cycle.amplitude_damping * time_step)
     scale = math.sqrt(cycle.amplitude_variance * (1.0 - rho * rho))
-    deviations = _ar1(noise, rho, scale, rho * (first - cycle.amplitude))
+    deviations = _ar1_loop(noise, rho, scale, rho * (first - cycle.amplitude))
     return np.concatenate([[first], cycle.amplitude + deviations])
 
 

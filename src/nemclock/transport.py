@@ -54,7 +54,6 @@ the tests' oracle of the pole sums, integrated there by
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -370,13 +369,6 @@ def _pole_rows(xs, params: SystemParams, force):
     return rows
 
 
-@functools.lru_cache(maxsize=128)
-def _baseline_occupation(params: SystemParams) -> float:
-    """Dot occupation with the electromechanical force removed: the
-    friction and spectrum rows carry F^2 and are 0 here."""
-    return float(_pole_rows(np.zeros(1), params, 0.0)[0, 0])
-
-
 def friction_and_diffusion(position, params: SystemParams):
     """(gamma_x, D_x): zero-frequency slope and value of S_x.
 
@@ -515,10 +507,13 @@ def build_coefficient_table(
     if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be a strictly increasing 1-D array")
 
-    occ, cur, thermal, partition, slope, spec = _pole_rows(grid, params, params.force)
+    # one pass over the grid and, last, the rest position x = 0, whose
+    # occupation is the baseline of the excess
+    rows = _pole_rows(np.append(grid, 0.0), params, params.force)
+    occ, cur, thermal, partition, slope, spec = rows[:, :-1]
     # the rows in COLUMNS order
     values = np.array([
-        occ - _baseline_occupation(params), cur, thermal + partition,
+        occ - rows[0, -1], cur, thermal + partition,
         slope / params.oscillator_mass, np.maximum(spec, 0.0),
     ])
     return CoefficientTable(

@@ -288,6 +288,25 @@ def test_main_numerical_failure_is_exit_3(tmp_path, capsys):
     assert "numerical failure" in err and "[simulate]" in err
 
 
+def test_duration_within_burn_in_is_exit_2(tmp_path, capsys):
+    payload = {**_base_config(), "simulation": {"burn_in": 10.0, "duration": 10.0}}
+    cfg_path = _write(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid simulation section: duration must exceed burn_in" in err
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_exit_3(tmp_path, capsys):
+    cfg_path = _write(tmp_path / "c.json", _base_config())
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    assert cli.main(["coeffs", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "i/o failure" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
 # -------------------------------------------------------------- csv writer --
 
 
@@ -652,6 +671,33 @@ def test_ensemble_without_streamed_evidence_is_stage_failure(
         assert f"[{command}]" in err and "re-run simulate" in err
 
 
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("tick_counts", lambda a: np.append(a[:-1], a[-1] - 5)),
+        ("tick_counts", lambda a: a[:-1]),
+        ("positions", lambda a: a[:, :100]),
+    ],
+    ids=["count-lowered", "count-dropped", "positions-cut"],
+)
+def test_ensemble_with_disagreeing_arrays_is_stage_failure(
+    tmp_path, pipeline_config, capsys, name, edit
+):
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    out = tmp_path / "out"
+    assert _run(cfg_path, out) == 0
+    with np.load(out / "ensemble.npz") as data:
+        arrays = dict(data)
+    arrays[name] = edit(arrays[name])
+    np.savez(out / "ensemble.npz", **arrays)
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    for command in ("ticks", "analyze"):
+        capsys.readouterr()
+        assert cli.main([command, *base]) == 3
+        err = capsys.readouterr().err
+        assert f"[{command}]" in err and name in err and "re-run simulate" in err
+
+
 def test_seed_override_changes_artifacts(tmp_path, pipeline_config):
     cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
     out = tmp_path / "out"
@@ -742,28 +788,34 @@ def test_sweep_runs_each_voltage(tmp_path, pipeline_config):
     payload = json.loads(json.dumps(pipeline_config))
     payload["simulation"]["duration"] = 90.0 * math.pi
     payload["simulation"]["ensemble_size"] = 2
-    payload["sweep"] = {"voltages": [5.0, 6.5]}
+    # at V = 8 the mean wait and 1 / resolution differ in the last digit
+    payload["sweep"] = {"voltages": [5.0, 8.0]}
     cfg_path = _write(tmp_path / "sweep.json", payload)
     out = tmp_path / "sweep_out"
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
 
-    for label in ("V=5", "V=6.5"):
+    for label in ("V=5", "V=8"):
         assert (out / label / "report.json").exists()
         assert (out / label / "manifest.json").exists()
     lines = (out / "summary.csv").read_text().splitlines()
     assert lines[0] == "voltage,mean_wait,accuracy,resolution,entropy_per_tick"
     assert len(lines) == 3
-    assert [row.split(",")[0] for row in lines[1:]] == ["5.0", "6.5"]
+    assert [row.split(",")[0] for row in lines[1:]] == ["5.0", "8.0"]
+    # every other column is its voltage's report.json value, to the last digit
+    header = lines[0].split(",")[1:]
+    for label, line in zip(("V=5", "V=8"), lines[1:]):
+        report = json.loads((out / label / "report.json").read_text())
+        assert line.split(",")[1:] == [repr(report[key]) for key in header], label
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["kind"] == "sweep"
     # the device of each voltage's directory, not the config's own voltage
     runs = {
         label: json.loads((out / label / "manifest.json").read_text())["parameter_fingerprint"]
-        for label in ("V=5", "V=6.5")
+        for label in ("V=5", "V=8")
     }
     assert manifest["parameter_fingerprint"] == runs
     assert runs["V=5"] == fingerprint(default_params(5.0))
-    assert runs["V=6.5"] == fingerprint(default_params(6.5))
+    assert runs["V=8"] == fingerprint(default_params(8.0))
 
     # sweep without a sweep section is a configuration error
     bare = _write(tmp_path / "bare.json", _base_config())

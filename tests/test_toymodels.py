@@ -297,21 +297,15 @@ def test_simulate_determinism():
         simulate_toy(spec, 1.0, 0.0, seed=0)
 
 
-@pytest.mark.parametrize("compiled", [True, False])
-def test_ar1_recursion_equals_lfilter(monkeypatch, compiled):
-    # the compiled recursion and its Python loop round as scipy's lfilter
+def test_ar1_recursion_equals_lfilter():
+    # the toy OU amplitude's recursion rounds as scipy's lfilter
     from scipy.signal import lfilter
 
-    if not compiled:
-        monkeypatch.setattr(toymodels.langevin, "_kernel", lambda: None)
-    elif toymodels.langevin._kernel() is None:
-        pytest.skip("compiled kernel unavailable")
     rng = np.random.default_rng(8)
     for n in (1, 2, 7, 4099):
         noise = rng.standard_normal((n, 2))[:, 0]  # a strided column
         for rho, scale, start in ((0.995, 0.31, -0.7), (math.exp(-0.05), 2.0, 0.0)):
             want, _ = lfilter([scale], [1.0, -rho], noise, zi=[start])
-            assert np.array_equal(toymodels._ar1(noise, rho, scale, start), want)
             assert np.array_equal(toymodels._ar1_loop(noise, rho, scale, start), want)
 
 
