@@ -11,7 +11,8 @@ phase diffusion).  From those it reports the derived figures of merit:
     nothing but phase diffusion degrades the clock)
 
 This is the theory-side companion to ``nemclock sweep``: everything here is
-deterministic quadrature, so it runs in minutes and has no sampling error.
+deterministic (pole-sum tables and a cycle average), so it has no sampling
+error, and the default three voltages take well under a second.
 
 Example:
     python scripts/reduced_cycle_scan.py --voltages 50 75 100

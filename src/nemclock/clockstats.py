@@ -132,11 +132,11 @@ def autocorrelation(ensemble, time_step: float, max_lag: int | None = None):
         raise ValueError(
             f"series of length {length} cannot support lag {max_lag}"
         )
-    centered = series - series.mean()
+    mean = series.mean()
     n_fft = next_fast_len(length + max_lag)
     raw = np.zeros(max_lag + 1)
-    for row in centered:
-        spec = fft.rfft(row, n_fft)
+    for row in series:
+        spec = fft.rfft(row - mean, n_fft)
         acf = fft.irfft(spec * np.conj(spec), n_fft)
         raw += acf[: max_lag + 1]
     counts = n_series * (length - np.arange(max_lag + 1))

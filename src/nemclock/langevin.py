@@ -20,8 +20,8 @@ to leading order.
 Randomness comes from one counter-based stream per member, keyed by
 (seed, member index), so ensembles are bit-identical under any worker
 layout.  Each stream is consumed in a fixed pattern: two draws for the
-initial condition, then one standard-normal block per integration chunk;
-the draws do not depend on where the chunks are cut.
+initial condition, then one standard normal per step, in step order; the
+draws do not depend on where the chunks are cut.
 The recorded ensemble is one :class:`Trajectory` with a row per member.
 
 The per-step loop and the spline evaluation run in a small C kernel,
@@ -33,9 +33,14 @@ its calling convention.  The kernel reproduces the NumPy loop
 bit for bit: same interval rule and power sum, same operation order, no
 fused multiply-adds.  The NumPy code is the test oracle and the fallback,
 taken after one RuntimeWarning when the kernel cannot be built or loaded.
-Noise draws, chunking and consumers (the record is two of them) stay in
-Python, so the stream layout and the consumer contract are the same on both
-paths.
+The kernel also draws each step's normals, from each member's own NumPy
+Philox bit generator through NumPy's ziggurat, so they are
+``Generator.standard_normal``'s bit for bit.  Its tables are recovered
+from NumPy and checked against 4096 Python draws at the first stepping
+call; if that fails, one RuntimeWarning, and the noise is drawn in Python
+as on the NumPy path.  The initial draws, chunking and consumers (the
+record is two of them) stay in Python, so the consumer contract is the
+same on both paths.
 """
 from __future__ import annotations
 
@@ -349,11 +354,17 @@ def _load_kernel():
             tmp.unlink(missing_ok=True)
     kernel = ctypes.CDLL(str(lib))
     long, ptr, double = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
-    kernel.nemclock_steps.argtypes = [long, long, ptr, ptr, ptr, ptr, ptr, ptr, long,
-                                      ptr, double, double, double, double, ptr]
+    kernel.nemclock_steps.argtypes = [long, long, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+                                      long, ptr, double, double, double, double, ptr]
     kernel.nemclock_steps.restype = long
     kernel.nemclock_eval.argtypes = [long, long, ptr, long, long, ptr, long, ptr, long, ptr]
     kernel.nemclock_eval.restype = None
+    kernel.nemclock_ziggurat.argtypes = [ptr]
+    kernel.nemclock_ziggurat.restype = None
+    kernel.nemclock_scripted.argtypes = [ptr, ctypes.c_uint64, ptr]
+    kernel.nemclock_scripted.restype = double
+    kernel.nemclock_normals.argtypes = [ptr, ptr, long, ptr, ptr]
+    kernel.nemclock_normals.restype = None
     return kernel
 
 
@@ -384,6 +395,77 @@ def _kernel():
         return _kernel_cache[0]
 
 
+class _Ziggurat(ctypes.Structure):
+    """The kernel's ``ziggurat_t``: NumPy's ``random_standard_normal`` and
+    the layer tables of its fast path, recovered from it by
+    ``nemclock_ziggurat``."""
+
+    _fields_ = [
+        ("normal", ctypes.c_void_p),
+        ("ki", ctypes.c_uint64 * 256),
+        ("wi", ctypes.c_double * 256),
+    ]
+
+
+_NUMPY_NORMAL = "random_standard_normal"
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _bitgen(gen: np.random.Generator) -> int:
+    """Address of the ``bitgen_t`` under ``gen``; drawing through it
+    advances ``gen``."""
+    return _capsule_pointer(gen.bit_generator.capsule, b"BitGenerator")
+
+
+def _kernel_normals(kernel, zig: _Ziggurat, gen: np.random.Generator, n: int):
+    """``gen.standard_normal(n)`` drawn by the kernel, and how many words
+    it replayed into NumPy: (layer-0 tail, wedges)."""
+    out = np.empty(n)
+    replays = (ctypes.c_long * 2)()
+    kernel.nemclock_normals(ctypes.byref(zig), _bitgen(gen), n, out.ctypes.data, replays)
+    return out, tuple(replays)
+
+
+def _probe_ziggurat(kernel) -> _Ziggurat:
+    """Recover NumPy's ziggurat tables and check 4096 kernel draws against
+    ``Generator(Philox(key=[0, 0])).standard_normal``."""
+    numpy_normal = getattr(ctypes.CDLL(np.random._generator.__file__), _NUMPY_NORMAL)
+    zig = _Ziggurat(normal=ctypes.cast(numpy_normal, ctypes.c_void_p).value)
+    kernel.nemclock_ziggurat(ctypes.byref(zig))
+    drawn, _ = _kernel_normals(kernel, zig, _stream(0, 0), 4096)
+    if not np.array_equal(drawn, _stream(0, 0).standard_normal(4096)):
+        raise ValueError("its draws differ from Generator.standard_normal")
+    return zig
+
+
+_ziggurat_cache: list = []
+
+
+def _ziggurat(kernel):
+    """The kernel's draws from NumPy's streams, set up at the first stepping
+    call, or None when NumPy's normal cannot be found or the kernel's draws
+    fail the self-check.
+
+    A failure is reported once per process by a RuntimeWarning; the noise
+    is then drawn in Python, with the same results.
+    """
+    with _kernel_lock:
+        if not _ziggurat_cache:
+            try:
+                _ziggurat_cache.append(_probe_ziggurat(kernel))
+            except (OSError, AttributeError, ValueError) as exc:
+                warnings.warn(
+                    f"compiled noise draws unavailable ({exc}); drawing the "
+                    "noise in Python",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                _ziggurat_cache.append(None)
+        return _ziggurat_cache[0]
+
+
 def _steps_numpy(drive, x, v, noise, buf_x, buf_v, dt, w0, force, m):
     """Reference step loop: advance ``x``, ``v`` over ``noise.shape[1]``
     steps, recording the state before each step when ``buf_x`` is given.
@@ -408,14 +490,20 @@ def _steps_numpy(drive, x, v, noise, buf_x, buf_v, dt, w0, force, m):
     return x, v, None
 
 
-def _steps_compiled(kernel, drive, x, v, noise, buf_x, buf_v, dt, w0, force, m):
+def _steps_compiled(kernel, drive, x, v, noise, buf_x, buf_v, dt, w0, force, m,
+                    streams=None):
     """:func:`_steps_numpy` in C, bit for bit; ``x`` and ``v`` are updated
-    in place."""
+    in place.  With ``streams``, a ziggurat and each row's ``bitgen_t``
+    address, the kernel first fills row r of the contiguous ``noise`` with
+    draws from stream r."""
     noise = np.ascontiguousarray(noise, dtype=np.float64)
+    zig = bitgens = None
+    if streams is not None:
+        zig, bitgens = ctypes.byref(streams[0]), streams[1]
     fail_step = ctypes.c_long()
     bad = kernel.nemclock_steps(
-        x.shape[0], noise.shape[1],
-        x.ctypes.data, v.ctypes.data, noise.ctypes.data,
+        x.shape[0], noise.shape[1], x.ctypes.data, v.ctypes.data, noise.ctypes.data,
+        bitgens, zig,
         None if buf_x is None else buf_x.ctypes.data,
         None if buf_v is None else buf_v.ctypes.data,
         drive.x.ctypes.data, drive.x.size, drive.c.ctypes.data,
@@ -448,9 +536,11 @@ def _integrate_block(
     ``consumers`` receive every post-burn-in full-resolution state via
     ``feed(indices, t0, dt, xs, vs)`` with xs, vs of shape (block, n) and
     t0 the time past the burn-in, then the final state as a one-column feed;
-    ``noise_source(indices, start_step, n)`` overrides the per-trajectory
-    streams (used by step-halving tests to share one Brownian path).
-    Chunks restart where the burn-in ends, so no chunk straddles it.
+    xs and vs are views of buffers the next chunk overwrites, valid only
+    during the call.  ``noise_source(indices, start_step, n)`` overrides the
+    per-trajectory streams (used by step-halving tests to share one
+    Brownian path).  Chunks restart where the burn-in ends, so no chunk
+    straddles it.
     """
     indices = list(indices)
     dt = sim.time_step
@@ -459,31 +549,43 @@ def _integrate_block(
     force = params.force
     drive = _splines(table)[1]
     kernel = _kernel()
-    steps = _steps_numpy if kernel is None else functools.partial(_steps_compiled, kernel)
 
-    gens = None
+    total = sim.total_steps
+    burn = sim.burn_steps
+    rows = len(indices)
+    # the kernel's noise and the record: one buffer each, reused by every chunk
+    work = np.empty((3, rows * min(CHUNK_STEPS, total)))
+
+    gens = streams = None
     if noise_source is None:
         gens = [_stream(sim.seed, i) for i in indices]
         init = np.array([[g.standard_normal(), g.standard_normal()] for g in gens])
+        zig = None if kernel is None else _ziggurat(kernel)
+        if zig is not None:
+            streams = zig, (ctypes.c_void_p * rows)(*map(_bitgen, gens))
     else:
         init = _sourced(noise_source, indices, -1, 2)
+    steps = (
+        _steps_numpy if kernel is None
+        else functools.partial(_steps_compiled, kernel, streams=streams)
+    )
     sx = math.sqrt(1.0 / (params.inverse_temperature * m * w0**2))
     sv = math.sqrt(1.0 / (params.inverse_temperature * m))
     x = np.ascontiguousarray(init[:, 0] * sx, dtype=np.float64)
     v = np.ascontiguousarray(init[:, 1] * sv, dtype=np.float64)
 
-    total = sim.total_steps
-    burn = sim.burn_steps
     bounds = [*range(0, burn, CHUNK_STEPS), *range(burn, total, CHUNK_STEPS), total]
     for start, stop in zip(bounds, bounds[1:]):
         n = stop - start
-        if noise_source is None:
+        if streams is not None:
+            noise = work[0, : rows * n].reshape(rows, n)  # the kernel draws into it
+        elif gens is not None:
             noise = np.stack([g.standard_normal(n) for g in gens])
         else:
             noise = _sourced(noise_source, indices, start, n)
         buf_x = buf_v = None
         if start >= burn:
-            buf_x, buf_v = np.empty((len(indices), n)), np.empty((len(indices), n))
+            buf_x, buf_v = work[1:, : rows * n].reshape(2, rows, n)
         x, v, failure = steps(drive, x, v, noise, buf_x, buf_v, dt, w0, force, m)
         if failure is not None:
             k, bad = failure

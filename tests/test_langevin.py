@@ -1,6 +1,7 @@
 """Stochastic integrator: determinism, physics checks against closed forms
 on synthetic coefficient tables, step-size consistency, interpolation, and
 the compiled step loop against the NumPy reference loop."""
+import ctypes
 import math
 import os
 import subprocess
@@ -460,4 +461,118 @@ def test_compiled_kernel_is_in_use(monkeypatch, ou_table, params100):
         raise AssertionError("the NumPy step loop ran")
 
     monkeypatch.setattr(langevin, "_steps_numpy", forbidden)
+    run_ensemble(ou_table, params100, _sim(1, members=18), threads=2)
+
+
+# --------------------------------------------------- compiled noise draws --
+
+
+def _draws():
+    """The kernel and its ziggurat over NumPy's normal; a skip without the
+    kernel, and a failure when the kernel cannot draw."""
+    kernel = langevin._kernel()
+    if kernel is None:
+        pytest.skip("compiled stepper unavailable")
+    zig = langevin._ziggurat(kernel)
+    assert zig is not None
+    return kernel, zig
+
+
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+@pytest.mark.parametrize("key", [(0, 0), (2**64 - 1, 31), (7, 2**40)])
+def test_kernel_normals_equal_numpy_stream(key):
+    kernel, zig = _draws()
+    n = 1 << 20
+    drawn, (tail, wedges) = langevin._kernel_normals(kernel, zig, _philox(key), n)
+    assert np.array_equal(drawn, _philox(key).standard_normal(n))
+    # both rare branches were replayed into NumPy: layer 0's tail and the
+    # wedges of the other layers
+    assert tail > 0 and wedges > 0
+
+
+def test_ziggurat_boundaries_are_exact():
+    kernel, zig = _draws()
+
+    def scripted(layer, rabs):
+        calls = ctypes.c_long()
+        word = layer | rabs << 9
+        x = kernel.nemclock_scripted(ctypes.byref(zig), word, ctypes.byref(calls))
+        return x, calls.value
+
+    assert zig.ki[1] == 0
+    for layer in range(256):
+        ki, wi = zig.ki[layer], zig.wi[layer]
+        if ki > 0:
+            assert scripted(layer, ki - 1) == ((ki - 1) * wi, 1)
+        assert ki < 2**52 and scripted(layer, ki)[1] > 1
+
+
+def test_streams_continue_after_a_block(monkeypatch, rough_table, params100):
+    # 10000 steps over four chunks, three of them recorded
+    sim = _sim(45, burn=5, seed=13, members=3, stride=7)
+    _draws()
+    stream = langevin._stream
+    made = {}
+
+    def recorded(seed, index):
+        made[index] = stream(seed, index)
+        return made[index]
+
+    monkeypatch.setattr(langevin, "_stream", recorded)
+    _integrate_block(rough_table, params100, sim, [2, 7, 1])
+    assert sorted(made) == [1, 2, 7]
+    for index, gen in made.items():
+        reference = stream(sim.seed, index)
+        reference.standard_normal(2 + sim.total_steps)
+        assert np.array_equal(gen.standard_normal(9), reference.standard_normal(9))
+
+
+def _wrong_draws(kernel, zig, gen, n, draw=langevin._kernel_normals):
+    drawn, replays = draw(kernel, zig, gen, n)
+    return -drawn, replays
+
+
+@pytest.mark.parametrize(
+    "attribute, value, message",
+    [
+        ("_NUMPY_NORMAL", "random_no_such_normal", "random_no_such_normal"),
+        ("_kernel_normals", _wrong_draws, "differ from Generator.standard_normal"),
+    ],
+)
+def test_draw_failure_warns_once_and_draws_in_python(
+    monkeypatch, rough_table, params100, attribute, value, message
+):
+    _draws()
+    sim = _sim(30, burn=5, seed=3, members=3)
+    expected = _block(rough_table, params100, sim, [0, 4, 2])
+    monkeypatch.setattr(langevin, attribute, value)
+    monkeypatch.setattr(langevin, "_ziggurat_cache", [])
+    with pytest.warns(RuntimeWarning, match=message):
+        fallback = _block(rough_table, params100, sim, [0, 4, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = _block(rough_table, params100, sim, [0, 4, 2])
+    assert langevin._ziggurat_cache == [None]
+    _assert_identical(fallback, expected)
+    _assert_identical(again, expected)
+
+
+class _ScalarDrawsOnly(np.random.Generator):
+    def standard_normal(self, size=None, *args, **kwargs):
+        if size is not None:
+            raise AssertionError("a chunk's noise was drawn in Python")
+        return super().standard_normal(size, *args, **kwargs)
+
+
+def test_compiled_noise_draws_are_in_use(monkeypatch, ou_table, params100):
+    # a failed probe would otherwise pass every test at twice the cost
+    _draws()
+    stream = langevin._stream
+    monkeypatch.setattr(
+        langevin, "_stream",
+        lambda seed, index: _ScalarDrawsOnly(stream(seed, index).bit_generator),
+    )
     run_ensemble(ou_table, params100, _sim(1, members=18), threads=2)
