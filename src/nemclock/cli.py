@@ -21,8 +21,9 @@ the hash of the coefficient table.  ``ticks`` and ``analyze`` build the same
 record from their config and refuse the first field that differs (exit 2,
 "re-run simulate"), then load coeffs.npz by the stored hash; they build no
 grid and no table, so a refusal leaves coeffs.npz as it was.
-``--threads`` sets the stepper's worker threads; coefficient tables are
-built on the calling thread, each one NumPy pass of pole sums over its
+``--threads`` sets the stepper's worker threads and is taken only by the
+commands that run it (``simulate``, ``run``, ``sweep``); coefficient tables
+are built on the calling thread, each one NumPy pass of pole sums over its
 whole grid.
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no
@@ -679,7 +680,7 @@ def _check_record_resolves_spectrum(cfg, params, sim: SimConfig) -> None:
 
 
 def _prepare(args):
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:  # only the stepping commands take it
         raise ConfigError(f"--threads must be an integer >= 1, not {args.threads}")
     cfg = load_config(args.config)
     params = build_params(cfg)
@@ -855,6 +856,10 @@ def cmd_toymodel(args) -> int:
 # ------------------------------------------------------------------- main --
 
 
+# the commands that run the stepper, and so the only ones with --threads
+_STEPPING = ("simulate", "run", "sweep")
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nemclock",
@@ -874,7 +879,8 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--threads", type=int, default=1, help="stepper threads")
+        if name in _STEPPING:
+            p.add_argument("--threads", type=int, default=1, help="stepper threads")
         p.add_argument("--out", default="nemclock_out", help="output directory")
         p.set_defaults(handler=handler)
     return parser

@@ -33,14 +33,15 @@ its calling convention.  The kernel reproduces the NumPy loop
 bit for bit: same interval rule and power sum, same operation order, no
 fused multiply-adds.  The NumPy code is the test oracle and the fallback,
 taken after one RuntimeWarning when the kernel cannot be built or loaded.
-The kernel also draws each step's normals, from each member's own NumPy
-Philox bit generator through NumPy's ziggurat, so they are
+The kernel also draws each chunk's normals in place, from each member's
+own NumPy Philox bit generator through NumPy's ziggurat, so they are
 ``Generator.standard_normal``'s bit for bit.  Its tables are recovered
 from NumPy and checked against 4096 Python draws at the first stepping
-call; if that fails, one RuntimeWarning, and the noise is drawn in Python
-as on the NumPy path.  The initial draws, chunking and consumers (the
-record is two of them) stay in Python, so the consumer contract is the
-same on both paths.
+call; if that fails, one RuntimeWarning.  Every other draw (the two
+initial ones, and each chunk's on either fallback) comes from the block's
+one noise source, by default the same streams drawn in Python.  Chunking
+and consumers (the record is two of them) stay in Python, so the consumer
+contract is the same on both paths.
 """
 from __future__ import annotations
 
@@ -368,31 +369,36 @@ def _load_kernel():
     return kernel
 
 
-_kernel_lock = threading.Lock()
-_kernel_cache: list = []
+_compiled_lock = threading.Lock()
+_compiled: dict = {}
+
+
+def _compiled_part(part: str, build, fallback: str):
+    """``build()``, made once per process and cached under ``part``, or None
+    when it fails: one RuntimeWarning then names the reason and the
+    ``fallback`` every later call takes."""
+    with _compiled_lock:
+        if part not in _compiled:
+            try:
+                _compiled[part] = build()
+            except (OSError, AttributeError, ValueError) as exc:
+                warnings.warn(
+                    f"compiled {part} unavailable ({exc}); {fallback}",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                _compiled[part] = None
+        return _compiled[part]
 
 
 def _kernel():
     """The compiled step loop and spline evaluation, or None when they
-    cannot be built or loaded.
-
-    A failure is reported once per process by a RuntimeWarning; every block
-    then runs the NumPy loop and every spline the NumPy evaluation, with the
-    same results at about 20x and 10x the cost.
-    """
-    with _kernel_lock:
-        if not _kernel_cache:
-            try:
-                _kernel_cache.append(_load_kernel())
-            except (OSError, AttributeError) as exc:
-                warnings.warn(
-                    f"compiled kernel unavailable ({exc}); falling back to the "
-                    "NumPy step loop (about 20x slower) and spline evaluation",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                _kernel_cache.append(None)
-        return _kernel_cache[0]
+    cannot be built or loaded: the NumPy ones then give the same results at
+    about 20x and 10x the cost."""
+    return _compiled_part(
+        "kernel", _load_kernel,
+        "falling back to the NumPy step loop (about 20x slower) and spline evaluation",
+    )
 
 
 class _Ziggurat(ctypes.Structure):
@@ -440,30 +446,13 @@ def _probe_ziggurat(kernel) -> _Ziggurat:
     return zig
 
 
-_ziggurat_cache: list = []
-
-
 def _ziggurat(kernel):
-    """The kernel's draws from NumPy's streams, set up at the first stepping
-    call, or None when NumPy's normal cannot be found or the kernel's draws
-    fail the self-check.
-
-    A failure is reported once per process by a RuntimeWarning; the noise
-    is then drawn in Python, with the same results.
-    """
-    with _kernel_lock:
-        if not _ziggurat_cache:
-            try:
-                _ziggurat_cache.append(_probe_ziggurat(kernel))
-            except (OSError, AttributeError, ValueError) as exc:
-                warnings.warn(
-                    f"compiled noise draws unavailable ({exc}); drawing the "
-                    "noise in Python",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                _ziggurat_cache.append(None)
-        return _ziggurat_cache[0]
+    """The kernel's draws from NumPy's streams, probed at the first stepping
+    call, or None when NumPy's normal is missing or the draws fail the
+    self-check."""
+    return _compiled_part(
+        "noise draws", lambda: _probe_ziggurat(kernel), "drawing the noise in Python"
+    )
 
 
 def _steps_numpy(drive, x, v, noise, buf_x, buf_v, dt, w0, force, m):
@@ -491,15 +480,13 @@ def _steps_numpy(drive, x, v, noise, buf_x, buf_v, dt, w0, force, m):
 
 
 def _steps_compiled(kernel, drive, x, v, noise, buf_x, buf_v, dt, w0, force, m,
-                    streams=None):
+                    draws=None):
     """:func:`_steps_numpy` in C, bit for bit; ``x`` and ``v`` are updated
-    in place.  With ``streams``, a ziggurat and each row's ``bitgen_t``
+    in place.  With ``draws``, a ziggurat and each row's ``bitgen_t``
     address, the kernel first fills row r of the contiguous ``noise`` with
     draws from stream r."""
     noise = np.ascontiguousarray(noise, dtype=np.float64)
-    zig = bitgens = None
-    if streams is not None:
-        zig, bitgens = ctypes.byref(streams[0]), streams[1]
+    zig, bitgens = (None, None) if draws is None else (ctypes.byref(draws[0]), draws[1])
     fail_step = ctypes.c_long()
     bad = kernel.nemclock_steps(
         x.shape[0], noise.shape[1], x.ctypes.data, v.ctypes.data, noise.ctypes.data,
@@ -537,10 +524,11 @@ def _integrate_block(
     ``feed(indices, t0, dt, xs, vs)`` with xs, vs of shape (block, n) and
     t0 the time past the burn-in, then the final state as a one-column feed;
     xs and vs are views of buffers the next chunk overwrites, valid only
-    during the call.  ``noise_source(indices, start_step, n)`` overrides the
-    per-trajectory streams (used by step-halving tests to share one
-    Brownian path).  Chunks restart where the burn-in ends, so no chunk
-    straddles it.
+    during the call.  ``noise_source(indices, start_step, n)`` gives n
+    steps' normals, a row per index (start_step -1: the two initial ones);
+    by default each member's own stream, whose chunks the kernel draws in
+    place when it can.  Step-halving tests pass one to share a Brownian
+    path.  Chunks restart where the burn-in ends, so no chunk straddles it.
     """
     indices = list(indices)
     dt = sim.time_step
@@ -556,18 +544,17 @@ def _integrate_block(
     # the kernel's noise and the record: one buffer each, reused by every chunk
     work = np.empty((3, rows * min(CHUNK_STEPS, total)))
 
-    gens = streams = None
+    draws = None
     if noise_source is None:
         gens = [_stream(sim.seed, i) for i in indices]
-        init = np.array([[g.standard_normal(), g.standard_normal()] for g in gens])
+        noise_source = lambda _, start, n: np.stack([g.standard_normal(n) for g in gens])
         zig = None if kernel is None else _ziggurat(kernel)
         if zig is not None:
-            streams = zig, (ctypes.c_void_p * rows)(*map(_bitgen, gens))
-    else:
-        init = _sourced(noise_source, indices, -1, 2)
+            draws = zig, (ctypes.c_void_p * rows)(*map(_bitgen, gens))
+    init = _sourced(noise_source, indices, -1, 2)
     steps = (
         _steps_numpy if kernel is None
-        else functools.partial(_steps_compiled, kernel, streams=streams)
+        else functools.partial(_steps_compiled, kernel, draws=draws)
     )
     sx = math.sqrt(1.0 / (params.inverse_temperature * m * w0**2))
     sv = math.sqrt(1.0 / (params.inverse_temperature * m))
@@ -577,12 +564,10 @@ def _integrate_block(
     bounds = [*range(0, burn, CHUNK_STEPS), *range(burn, total, CHUNK_STEPS), total]
     for start, stop in zip(bounds, bounds[1:]):
         n = stop - start
-        if streams is not None:
-            noise = work[0, : rows * n].reshape(rows, n)  # the kernel draws into it
-        elif gens is not None:
-            noise = np.stack([g.standard_normal(n) for g in gens])
-        else:
+        if draws is None:
             noise = _sourced(noise_source, indices, start, n)
+        else:
+            noise = work[0, : rows * n].reshape(rows, n)  # the kernel draws into it
         buf_x = buf_v = None
         if start >= burn:
             buf_x, buf_v = work[1:, : rows * n].reshape(2, rows, n)

@@ -41,6 +41,15 @@ def _ticks(lo: float, hi: float, log: bool):
     return out
 
 
+def _axis_ticks(lo: float, hi: float, log: bool):
+    """(plotted coordinate, label) of each tick on the axis spanning
+    [lo, hi] in plotted coordinates, log10 of the value on a log axis."""
+    for value, label in _ticks(10.0**lo if log else lo, 10.0**hi if log else hi, log):
+        v = math.log10(value) if log else value
+        if lo - 1e-9 <= v <= hi + 1e-9:
+            yield v, label
+
+
 def line_plot(
     path,
     curves,
@@ -111,12 +120,7 @@ def line_plot(
         f'<rect x="{x0}" y="{y0}" width="{inner_w}" height="{inner_h}" '
         f'fill="none" stroke="#444" stroke-width="1"/>'
     )
-    for value, label in _ticks(
-        10.0**x_lo if log_x else x_lo, 10.0**x_hi if log_x else x_hi, log_x
-    ):
-        v = math.log10(value) if log_x else value
-        if v < x_lo - 1e-9 or v > x_hi + 1e-9:
-            continue
+    for v, label in _axis_ticks(x_lo, x_hi, log_x):
         parts.append(
             f'<line x1="{px(v):.2f}" y1="{y0 + inner_h}" x2="{px(v):.2f}" '
             f'y2="{y0 + inner_h + 5}" stroke="#444"/>'
@@ -125,12 +129,7 @@ def line_plot(
             f'<text x="{px(v):.2f}" y="{y0 + inner_h + 18}" '
             f'text-anchor="middle">{label}</text>'
         )
-    for value, label in _ticks(
-        10.0**y_lo if log_y else y_lo, 10.0**y_hi if log_y else y_hi, log_y
-    ):
-        v = math.log10(value) if log_y else value
-        if v < y_lo - 1e-9 or v > y_hi + 1e-9:
-            continue
+    for v, label in _axis_ticks(y_lo, y_hi, log_y):
         parts.append(
             f'<line x1="{x0 - 5}" y1="{py(v):.2f}" x2="{x0}" '
             f'y2="{py(v):.2f}" stroke="#444"/>'

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import fft  # loaded here, not inside the first timed transform
 
+from .langevin import _stream
+
 __all__ = [
     "Histogram",
     "n_fold_convolution",
@@ -243,7 +245,7 @@ def block_bootstrap_se(
     x = np.asarray(samples, dtype=float)
     if block < 1 or block > x.size:
         raise ValueError("block must be in [1, len(samples)]")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = _stream(seed, 0)
     n_blocks = int(math.ceil(x.size / block))
     starts_max = x.size - block + 1
     reps = np.empty(n_boot)

@@ -105,8 +105,8 @@ def test_current_spectrum_peak_and_width_ordering(corpus100, corpus50):
         loc_ok and width_ok,
         f"peak(V=50)={loc50:.5f} ({loc_err:.2%} from 2*w0); "
         f"fwhm V=100 {width100:.4e} vs V=50 {width50:.4e} at resolution "
-        f"{spec50.resolution:.2e} — both pinned at the lag-truncation floor, "
-        f"ordering unresolved at this ensemble size",
+        f"{spec50.resolution:.2e} — widths vary with the noise realization "
+        f"(1.2e-4 to 7.4e-4 at six other seed pairs; ordering held at 2 of 6)",
     )
 
 

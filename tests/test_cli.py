@@ -267,6 +267,25 @@ def test_threads_below_one_is_exit_2(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["coeffs", "ticks", "analyze", "toymodel"])
+def test_threads_is_refused_where_no_stepper_runs(tmp_path, capsys, command):
+    cfg_path = _write(tmp_path / "c.json", _base_config())
+    out = tmp_path / "out"
+    args = [command, "--config", str(cfg_path), "--out", str(out), "--threads", "2"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(args)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "run", "sweep"])
+def test_stepping_commands_take_threads(command):
+    args = cli._parser().parse_args([command, "--config", "c.json", "--threads", "3"])
+    assert args.threads == 3
+    assert cli._parser().parse_args([command, "--config", "c.json"]).threads == 1
+
+
 def test_main_numerical_failure_is_exit_3(tmp_path, capsys):
     # a grid far smaller than the dynamics guarantees an escape in `simulate`
     payload = {

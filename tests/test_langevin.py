@@ -422,9 +422,11 @@ def test_kernel_load_failure_warns_once_and_falls_back(
         raise OSError("simulated load failure")
 
     monkeypatch.setattr(langevin, "_load_kernel", broken)
-    monkeypatch.setattr(langevin, "_kernel_cache", [])
-    with pytest.warns(RuntimeWarning, match="simulated load failure"):
+    monkeypatch.setattr(langevin, "_compiled", {})
+    with pytest.warns(RuntimeWarning, match="simulated load failure") as warned:
         fallback = _block(ou_table, params100, sim, [0, 1, 2])
+    assert [w.category for w in warned] == [RuntimeWarning]
+    assert langevin._compiled == {"kernel": None}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         again = _block(ou_table, params100, sim, [0, 1, 2])
@@ -530,6 +532,16 @@ def test_streams_continue_after_a_block(monkeypatch, rough_table, params100):
         assert np.array_equal(gen.standard_normal(9), reference.standard_normal(9))
 
 
+def test_draw_probe_waits_for_the_first_stepping_call(monkeypatch, ou_table, params100):
+    # spline-only callers (tables, toy models) never pay for the probe
+    _draws()
+    monkeypatch.setattr(langevin, "_compiled", {})
+    column_interpolant(ou_table, "friction")(np.linspace(-5.0, 5.0, 11))
+    assert list(langevin._compiled) == ["kernel"]
+    run_ensemble(ou_table, params100, _sim(1, members=2))
+    assert langevin._compiled["noise draws"] is not None
+
+
 def _wrong_draws(kernel, zig, gen, n, draw=langevin._kernel_normals):
     drawn, replays = draw(kernel, zig, gen, n)
     return -drawn, replays
@@ -549,21 +561,28 @@ def test_draw_failure_warns_once_and_draws_in_python(
     sim = _sim(30, burn=5, seed=3, members=3)
     expected = _block(rough_table, params100, sim, [0, 4, 2])
     monkeypatch.setattr(langevin, attribute, value)
-    monkeypatch.setattr(langevin, "_ziggurat_cache", [])
-    with pytest.warns(RuntimeWarning, match=message):
+    monkeypatch.setattr(langevin, "_compiled", {})
+    with pytest.warns(RuntimeWarning, match=message) as warned:
         fallback = _block(rough_table, params100, sim, [0, 4, 2])
+    assert [w.category for w in warned] == [RuntimeWarning]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         again = _block(rough_table, params100, sim, [0, 4, 2])
-    assert langevin._ziggurat_cache == [None]
+    assert langevin._compiled["kernel"] is not None
+    assert langevin._compiled["noise draws"] is None
     _assert_identical(fallback, expected)
     _assert_identical(again, expected)
 
 
-class _ScalarDrawsOnly(np.random.Generator):
+class _InitialDrawsOnly(np.random.Generator):
+    """A stream that allows one Python draw: the two initial normals."""
+
+    drawn = False
+
     def standard_normal(self, size=None, *args, **kwargs):
-        if size is not None:
+        if self.drawn or size != 2:
             raise AssertionError("a chunk's noise was drawn in Python")
+        self.drawn = True
         return super().standard_normal(size, *args, **kwargs)
 
 
@@ -571,8 +590,12 @@ def test_compiled_noise_draws_are_in_use(monkeypatch, ou_table, params100):
     # a failed probe would otherwise pass every test at twice the cost
     _draws()
     stream = langevin._stream
-    monkeypatch.setattr(
-        langevin, "_stream",
-        lambda seed, index: _ScalarDrawsOnly(stream(seed, index).bit_generator),
-    )
+    made = []
+
+    def initial_draws_only(seed, index):
+        made.append(_InitialDrawsOnly(stream(seed, index).bit_generator))
+        return made[-1]
+
+    monkeypatch.setattr(langevin, "_stream", initial_draws_only)
     run_ensemble(ou_table, params100, _sim(1, members=18), threads=2)
+    assert len(made) == 18 and all(gen.drawn for gen in made)

@@ -114,6 +114,36 @@ def test_histogram_accumulator_matches_numpy():
         HistogramAccumulator(edges).density()
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        np.linspace(-2.0, 2.0, 9),
+        # build_corpus's bins: the nodes of a uniform grid, plus and minus half a step
+        np.append(np.linspace(-13.7, 13.7, 41) - 0.685, 13.7 + 0.685),
+    ],
+)
+def test_histogram_accumulator_counts_edges_as_numpy(edges):
+    # every edge, its neighbouring doubles, and points outside the grid
+    on_edges = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf)])
+    outside = np.array([edges[0] - 1.0, edges[-1] + 1.0, -np.inf, np.inf, -1e300, 1e300])
+    samples = np.concatenate([on_edges, outside, np.repeat(edges[-1], 3)])
+    samples = np.random.default_rng(4).permutation(samples)
+    acc = HistogramAccumulator(edges)
+    for i, chunk in enumerate(np.array_split(samples, 3)):
+        acc.feed([0], float(i), 0.1, chunk[None, :])
+    expected, _ = np.histogram(samples, bins=edges)
+    np.testing.assert_array_equal(acc.counts, expected)
+    assert acc.total == samples.size
+    # the rule itself: an interior edge opens its bin, the last edge closes
+    # the last bin, and nothing outside [edges[0], edges[-1]] is counted
+    single = HistogramAccumulator(edges)
+    single.feed([0], 0.0, 0.1, edges[None, :])
+    np.testing.assert_array_equal(single.counts, [1.0] * (edges.size - 2) + [2.0])
+    single.feed([0], 0.0, 0.1, outside[None, :])
+    assert single.counts.sum() == edges.size
+
+
 def test_series_accumulator_stride_alignment():
     out = np.full((10, 5), np.nan)
     acc = SeriesAccumulator(lambda x, v: x**2 - v, stride=3, out=out)

@@ -235,3 +235,17 @@ def test_bootstrap_determinism_and_validation():
         block_bootstrap_se(x, np.mean, block=0)
     with pytest.raises(ValueError, match="block"):
         block_bootstrap_se(x, np.mean, block=101)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4, 2**63 + 5])
+def test_bootstrap_draws_from_the_member_stream_rule(seed):
+    # the Philox key [seed, 0] this function built itself before it drew
+    # from langevin._stream(seed, 0): the same SE, bit for bit
+    x = np.random.default_rng(3).standard_normal(300).cumsum()
+    key = np.array([seed, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    reps = np.empty(50)
+    for i in range(50):
+        starts = rng.integers(0, x.size - 7 + 1, size=math.ceil(x.size / 7))
+        reps[i] = np.mean(x[(starts[:, None] + np.arange(7)).ravel()[: x.size]])
+    assert block_bootstrap_se(x, np.mean, block=7, n_boot=50, seed=seed) == reps.std(ddof=1)
