@@ -20,7 +20,9 @@ against the predicted phase-diffusion width from
 right scale — the peak carries the amplitude channel too, so treat the
 prediction as an order-of-magnitude anchor).
 
-Example (modest desk scale, ~2 min per voltage at 4 threads):
+Example (at the defaults, V = 100 on one thread of a 2-core machine takes
+about 1 s wall and 74 MB of peak resident memory, once the stepper kernel
+is compiled):
     python scripts/spectral_narrowing.py --voltages 50 100 --threads 4
 """
 from __future__ import annotations

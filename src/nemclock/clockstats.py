@@ -225,6 +225,96 @@ def spectrum_fwhm(spec: Spectrum, omega_window) -> float:
     return float(wr - wl)
 
 
+_SCREEN_MARGIN = 1e-8  # of y @ y; the screen's error is below 1e-12 of it
+_SCREEN_PHASE = 1e-10  # rad: the most a screen row's phase may stray
+_SCREEN_BLOCK_BYTES = 2**20  # per block of envelope rows
+
+
+def _cos_sin_rows(w, tau, out):
+    """``cos(w*tau)`` and ``sin(w*tau)`` into the rows of ``out``, with no
+    temporary row."""
+    np.multiply(w, tau, out=out[1])
+    np.cos(out[1], out=out[0])
+    np.sin(out[1], out=out[1])
+    return out
+
+
+def _screen(tau, y, gammas, omegas):
+    """Mask of the (gamma, omega) points that :func:`_profile_scan` must
+    score exactly: those that an approximate cost cannot rule out.
+
+    A point's profiled cost is ``y @ y - r @ inv(G) @ r``, with ``G`` the
+    Gram matrix of its envelope-weighted cos and sin rows and ``r`` their
+    products with ``y``.  Here ``r`` is an ``einsum`` of the
+    envelope-times-``y`` rows against each omega's cos and sin rows, each
+    rotated from the previous omega's by the grid's mean step; a row that
+    would stray from ``omega*tau`` by more than ``_SCREEN_PHASE`` is
+    computed afresh instead.  ``G``'s trace is the envelope's sum of
+    squares, and ``g11 - g22 + 2i g12`` is a geometric series in closed
+    form, exact on a uniform lag grid; a grid that strays from its line by
+    more than ``_SCREEN_PHASE`` in phase trusts no point.
+
+    A point is trusted when its cost is finite and ``G``'s smaller
+    eigenvalue is at least a quarter of its trace.  Those bounds keep its
+    cost within ``_SCREEN_MARGIN / 2`` of the exact one, in units of
+    ``y @ y``, so a point is kept when it is not trusted or its cost is
+    within ``_SCREEN_MARGIN`` of the least trusted cost.
+
+    Every reduction is a single-threaded ``einsum``, where a BLAS product
+    would start worker threads.  The envelope-times-``y`` rows are made a
+    block of gammas at a time, in one buffer of at most
+    ``_SCREEN_BLOCK_BYTES``, and each block meets every omega's rows, made
+    anew for it.  So the screen holds less than the one envelope row per
+    gamma that a point-by-point scan holds, at what is a ``run``'s memory
+    peak.
+    """
+    n = tau.size
+    spacing = (tau[-1] - tau[0]) / max(n - 1, 1)
+    drift = np.max(np.abs(tau - (tau[0] + spacing * np.arange(n))))
+    reach = np.max(np.abs(tau))
+
+    count = math.ceil(gammas.size * n * 8 / _SCREEN_BLOCK_BYTES)
+    bounds = [gammas.size * k // count for k in range(count + 1)]
+    block = np.empty((math.ceil(gammas.size / count), n))
+    trace = np.empty((gammas.size, 1))
+    proj = np.empty((omegas.size, gammas.size, 2))
+    step = (omegas[-1] - omegas[0]) / max(omegas.size - 1, 1)
+    turn, rot, cs = np.empty(n, complex), np.empty(n, complex), np.empty((2, n))
+    turn.real, turn.imag = _cos_sin_rows(step, tau, cs)
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = block[: hi - lo]
+        for row, g in zip(rows, gammas[lo:hi]):
+            np.exp(-0.5 * g * tau, out=row)
+        trace[lo:hi, 0] = np.einsum("ik,ik->i", rows, rows)
+        rows *= y
+        base, turns = math.nan, 0
+        for j, w in enumerate(omegas):
+            turns += 1
+            if abs(w - (base + turns * step)) * reach <= _SCREEN_PHASE:
+                rot *= turn
+                cs[0], cs[1] = rot.real, rot.imag
+            else:
+                rot.real, rot.imag = _cos_sin_rows(w, tau, cs)
+                base, turns = w, 0
+            np.einsum("ik,jk->ij", rows, cs, out=proj[j, lo:hi])
+    r = proj[..., 0].T + 1j * proj[..., 1].T
+
+    yy = np.einsum("k,k->", y, y)
+    s = 2j * omegas - gammas[:, None]
+    with np.errstate(all="ignore"):
+        # g11 - g22 + 2i g12: the sum of exp(s*tau) over a uniform grid
+        swing = np.exp(s * tau[0]) * np.expm1(n * spacing * s) / np.expm1(spacing * s)
+        fitted = 2.0 * (trace * np.abs(r) ** 2 - (np.conj(swing) * r * r).real)
+        costs = yy - fitted / (trace * trace - np.abs(swing) ** 2)
+        trusted = (
+            np.isfinite(costs)
+            & (np.abs(swing) <= 0.5 * trace)
+            & (drift * np.max(np.abs(s)) <= _SCREEN_PHASE)
+        )
+        floor = np.min(costs, where=trusted, initial=math.inf)
+        return ~trusted | (costs <= floor + _SCREEN_MARGIN * yy)
+
+
 def _profile_scan(tau, y, gammas, omegas):
     """``(gamma, omega, alpha, beta)`` of the grid point whose damped cosine
     ``exp(-gamma*tau/2) * (alpha*cos(omega*tau) + beta*sin(omega*tau))``
@@ -233,15 +323,24 @@ def _profile_scan(tau, y, gammas, omegas):
     Amplitude and phase enter linearly, so each point solves them exactly
     and scores its profiled residual.  The point kept is the first least
     cost in gamma-major order, the one a strict ``<`` scan over gamma, then
-    omega, keeps.  Each envelope is computed once and each cos/sin pair
-    once per omega, and only one pair is held at a time.
+    omega, keeps.  :func:`_screen` first rules out, for the whole grid at
+    once, every point whose approximate cost lies clearly above the least;
+    the rest, usually one point, are scored exactly, with the rows and
+    arithmetic of a point-by-point scan.  The point kept is that scan's bit
+    for bit: a point ruled out costs more than the winner, so it can
+    neither win nor tie.
     """
-    envs = [np.exp(-0.5 * g * tau) for g in gammas]
-    costs = np.full((gammas.size, omegas.size), math.inf)
+    kept = _screen(tau, y, gammas, omegas)
+    envs = {}
+    costs = np.full(kept.shape, math.inf)
     amps = np.zeros(costs.shape + (2,))
-    for j, w in enumerate(omegas):
+    for j in np.flatnonzero(kept.any(axis=0)):
+        w = omegas[j]
         cos_w, sin_w = np.cos(w * tau), np.sin(w * tau)
-        for i, env in enumerate(envs):
+        for i in np.flatnonzero(kept[:, j]):
+            if i not in envs:
+                envs[i] = np.exp(-0.5 * gammas[i] * tau)
+            env = envs[i]
             c = env * cos_w
             s = env * sin_w
             g11, g12, g22 = c @ c, c @ s, s @ s

@@ -1,6 +1,7 @@
 """Estimator correctness: correlation/spectrum pipelines on closed-form
 inputs, waiting-time fits on sampled laws, Allan variance identities."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,44 +291,56 @@ def test_linewidth_fit_reads_slow_core_of_two_timescale_envelope():
     assert fwhm == pytest.approx(2e-4, rel=0.01)
 
 
-def _nested_scan_linewidth_fit(curve, omega_seed):
-    """Oracle: the profile scan as one (gamma, omega) point at a time, each
-    computing its own envelope and trig rows, then scipy's ``least_squares``
-    (TRF) from that start in the same box.  Returns the chosen
-    ``(g0, w0, alpha, beta)``, scipy's result and the residual function."""
-    from scipy.optimize import least_squares
+def _nested_profile_scan(tau, y, gammas, omegas):
+    """Oracle for ``_profile_scan``: one (gamma, omega) point at a time in
+    gamma-major order, each computing its own envelope and trig rows, kept
+    by a strict ``<``.  Returns ``(gamma, omega, alpha, beta)``, or None when
+    no point has a finite cost."""
+    best, chosen = math.inf, None
+    for g in gammas:
+        for w in omegas:
+            env = np.exp(-0.5 * g * tau)
+            c = env * np.cos(w * tau)
+            s = env * np.sin(w * tau)
+            g11, g12, g22 = c @ c, c @ s, s @ s
+            r1, r2 = c @ y, s @ y
+            det = g11 * g22 - g12 * g12
+            if det <= 0.0:
+                continue
+            alpha = (g22 * r1 - g12 * r2) / det
+            beta = (g11 * r2 - g12 * r1) / det
+            resid = y - alpha * c - beta * s
+            cost = float(resid @ resid)
+            if cost < best:
+                best, chosen = cost, (g, w, alpha, beta)
+    return chosen
 
+
+def _fit_window_and_grid(curve, omega_seed):
+    """``linewidth_fit``'s lag window and its (gamma, omega) scan grid."""
     n = curve.values.size
     a, b = int(0.15 * n), int(0.55 * n)
     tau = curve.lags[a:b]
     y = curve.values[a:b]
     tau_max = float(curve.lags[-1])
     tau_span = float(tau[-1] - tau[0])
-
-    def profiled(gamma, omega):
-        env = np.exp(-0.5 * gamma * tau)
-        c = env * np.cos(omega * tau)
-        s = env * np.sin(omega * tau)
-        g11, g12, g22 = c @ c, c @ s, s @ s
-        r1, r2 = c @ y, s @ y
-        det = g11 * g22 - g12 * g12
-        if det <= 0.0:
-            return math.inf, 0.0, 0.0
-        alpha = (g22 * r1 - g12 * r2) / det
-        beta = (g11 * r2 - g12 * r1) / det
-        resid = y - alpha * c - beta * s
-        return float(resid @ resid), alpha, beta
-
     half_window = 10.0 * math.pi / tau_max
     omegas = omega_seed + np.linspace(-half_window, half_window, 33)
     gammas = np.geomspace(0.2 / tau_max, 60.0 / tau_span, 25)
-    best = (math.inf, gammas[0], omega_seed, 0.0, 0.0)
-    for g in gammas:
-        for w in omegas:
-            cost, alpha, beta = profiled(g, w)
-            if cost < best[0]:
-                best = (cost, g, w, alpha, beta)
-    _, g0, w0, a0, b0 = best
+    return tau, y, gammas, omegas
+
+
+def _nested_scan_linewidth_fit(curve, omega_seed):
+    """Oracle: the profile scan as :func:`_nested_profile_scan`, then
+    scipy's ``least_squares`` (TRF) from that start in the same box.
+    Returns the chosen ``(g0, w0, alpha, beta)``, scipy's result and the
+    residual function."""
+    from scipy.optimize import least_squares
+
+    tau, y, gammas, omegas = _fit_window_and_grid(curve, omega_seed)
+    g0, w0, a0, b0 = _nested_profile_scan(tau, y, gammas, omegas) or (
+        gammas[0], omega_seed, 0.0, 0.0
+    )
 
     def residual(p):
         al, be, g, w = p
@@ -404,6 +417,82 @@ def test_linewidth_fit_equals_nested_scan(make_curve, omega_seed, monkeypatch):
     assert omega == pytest.approx(fit.x[3], rel=1e-9)
     cost = 0.5 * residual(results[0]) @ residual(results[0])
     assert cost <= fit.cost * (1 + 1e-9) + _cost_resolution(residual, fit.x)
+
+
+_SCAN_TAU = np.arange(2000) * 0.1
+_SCAN_GAMMAS = np.geomspace(1e-3, 1.0, 7)
+_SCAN_OMEGAS = np.linspace(1.5, 2.5, 9)
+
+
+def _scan_input(case):
+    """``(tau, y, gammas, omegas)`` on which a screened scan can go wrong."""
+    rng = np.random.Generator(np.random.Philox(17))
+    line = np.exp(-0.01 * _SCAN_TAU) * np.cos(2.0 * _SCAN_TAU + 0.4)
+    y, omegas = line + 0.1 * rng.standard_normal(_SCAN_TAU.size), _SCAN_OMEGAS
+    if case == "zero":
+        y = np.zeros_like(_SCAN_TAU)
+    elif case == "nan":
+        y[500] = np.nan
+    elif case == "zero-omega":
+        # a slow non-oscillating part that the omega = 0 column would fit
+        y = np.exp(-0.005 * _SCAN_TAU) + 0.3 * line
+        omegas = np.linspace(-0.5, 0.5, 9)
+    elif case == "white-noise":
+        y = rng.standard_normal(_SCAN_TAU.size)
+    elif case == "repeated-omega":
+        # an exact tie, and a grid off the screen's uniform rotation
+        omegas = np.array([1.8, 1.9, 2.0, 2.0, 2.1])
+    return _SCAN_TAU, y, _SCAN_GAMMAS, omegas
+
+
+@pytest.mark.parametrize(
+    "case", ["zero", "nan", "zero-omega", "white-noise", "repeated-omega"]
+)
+def test_profile_scan_equals_nested_scan(case):
+    tau, y, gammas, omegas = _scan_input(case)
+    chosen = _nested_profile_scan(tau, y, gammas, omegas)
+    assert clockstats._profile_scan(tau, y, gammas, omegas) == chosen
+    if case == "zero":  # every cost ties at 0: the first point wins
+        assert chosen == (gammas[0], omegas[0], 0.0, 0.0)
+    elif case == "nan":
+        assert chosen is None
+    elif case == "zero-omega":  # det = 0 there, so the column is skipped
+        assert chosen[1] != 0.0
+
+
+@pytest.mark.parametrize("omega_line", [0.9, 1.3, 1.6, 2.0, 2.2, 2.4])
+def test_profile_scan_breaks_an_exact_tie_by_index(omega_line):
+    # on a grid symmetric about 0, (gamma, -omega) and (gamma, omega) give
+    # the same cos row, sin rows of opposite sign and so the same cost, bit
+    # for bit: the lower index wins, whichever of the two that is
+    tau, gammas = _SCAN_TAU, _SCAN_GAMMAS
+    rng = np.random.Generator(np.random.Philox(19))
+    y = np.exp(-0.01 * tau) * np.cos(omega_line * tau + 0.4)
+    y += 0.1 * rng.standard_normal(tau.size)
+    omegas = np.linspace(-2.5, 2.5, 21)
+    g, w, alpha, beta = _nested_profile_scan(tau, y, gammas, omegas)
+    assert w < 0.0
+    assert _nested_profile_scan(tau, y, gammas, -omegas) == (g, -w, alpha, -beta)
+    assert clockstats._profile_scan(tau, y, gammas, omegas) == (g, w, alpha, beta)
+    assert clockstats._profile_scan(tau, y, gammas, -omegas) == (g, -w, alpha, -beta)
+
+
+def test_screen_keeps_one_point_of_the_run_sized_fit():
+    kept = clockstats._screen(*_fit_window_and_grid(_run_sized_curve(), 1.9993))
+    assert np.count_nonzero(kept) == 1
+
+
+def test_linewidth_fit_memory_peak():
+    # the fit runs at a `run`'s memory peak: its largest block is one
+    # envelope row per width, about 1.5 MiB here
+    curve = _run_sized_curve()
+    tracemalloc.start()
+    try:
+        linewidth_fit(curve, 1.9993)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
 
 
 def test_damped_cosine_fit_holds_the_width_bound():
