@@ -9,7 +9,9 @@
    - a spline is evaluated by the rule of scipy's PPoly, which the tests hold
      it to: the interval rule of find_interval (g[i] <= x < g[i+1], the last
      interval at and above g[nx-1], the first below g[0], NaN for NaN) and
-     the power sum of evaluate_poly1;
+     the cubic of _evaluate_numpy, left to right,
+     0.0 + c[3] + c[2]*s + c[1]*(s*s) + c[0]*(s*s*s), whose leading 0.0 turns
+     a -0.0 into 0.0 as PPoly's sum does;
    - the velocity update groups its terms as the NumPy expression does;
    - it is compiled with -O2 -ffp-contract=off and without -ffast-math, so
      no product is fused into an add and no sum is reassociated.
@@ -164,17 +166,11 @@ static long find_interval(const double *g, long nx, double x, double scale)
     return i;
 }
 
-/* scipy's evaluate_poly1 power sum at offset s for one column, whose four
+/* The cubic at offset s, s2 = s*s and s3 = s2*s, of one column whose four
    coefficients sit stride apart from c, highest power first. */
-static inline double evaluate_poly1(const double *c, long stride, double s)
+static inline double cubic(const double *c, long stride, double s, double s2, double s3)
 {
-    double res = 0.0, z = 1.0;
-    for (int kp = 0; kp < 4; kp++) {
-        res = res + c[(3 - kp) * stride] * z;
-        if (kp < 3)
-            z *= s;
-    }
-    return res;
+    return 0.0 + c[3 * stride] + c[2 * stride] * s + c[stride] * s2 + c[0] * s3;
 }
 
 /* Evaluate a spline with coefficients c of shape (4, nx-1, k) at the
@@ -199,9 +195,10 @@ void nemclock_eval(long rows, long cols, const double *x,
             }
             const long i = find_interval(grid, nx, xv < lo ? lo : (xv > hi ? hi : xv),
                                          scale);
-            const double s = xv - grid[i];
+            const double s = xv - grid[i], s2 = s * s, s3 = s2 * s;
+            const double *ci = c + i * k;
             for (long j = 0; j < k; j++)
-                out[j] = evaluate_poly1(c + i * k + j, power_stride, s);
+                out[j] = cubic(ci + j, power_stride, s, s2, s3);
         }
     }
 }
@@ -248,15 +245,17 @@ long nemclock_steps(long block, long n,
                 buf_v[r * n + k] = vr;
             }
             const double xe = xr < lo ? lo : (xr > hi ? hi : xr);
-            double coeff[3] = {NAN, NAN, NAN};
+            double gam = NAN, dif = NAN, exc = NAN;
             if (xe == xe) {
                 const long i = find_interval(grid, nx, xe, scale);
-                const double s = xe - grid[i];
-                for (int j = 0; j < 3; j++)
-                    coeff[j] = evaluate_poly1(c + i * 3 + j, power_stride, s);
+                const double s = xe - grid[i], s2 = s * s, s3 = s2 * s;
+                const double *ci = c + 3 * i;
+                gam = cubic(ci, power_stride, s, s2, s3);
+                dif = cubic(ci + 1, power_stride, s, s2, s3);
+                exc = cubic(ci + 2, power_stride, s, s2, s3);
             }
-            vr = vr + ((-coeff[0]) * vr - w0sq * xr + fm * coeff[2]) * dt
-                 + sqrt(coeff[1] * dt) * noise[r * n + k] / m;
+            vr = vr + ((-gam) * vr - w0sq * xr + fm * exc) * dt
+                 + sqrt(dif * dt) * noise[r * n + k] / m;
             xr = xr + vr * dt;
             x[r] = xr;
             v[r] = vr;

@@ -394,10 +394,10 @@ def _compiled_part(part: str, build, fallback: str):
 def _kernel():
     """The compiled step loop and spline evaluation, or None when they
     cannot be built or loaded: the NumPy ones then give the same results at
-    about 20x and 10x the cost."""
+    about 200x and 17x the cost."""
     return _compiled_part(
         "kernel", _load_kernel,
-        "falling back to the NumPy step loop (about 20x slower) and spline evaluation",
+        "falling back to the NumPy step loop (about 200x slower) and spline evaluation",
     )
 
 

@@ -412,6 +412,40 @@ def test_excursion_error_matches_reference(monkeypatch, params100):
     assert fast[2] == 5
 
 
+def test_kernel_matches_reference_on_signed_zero_drive():
+    kernel = langevin._kernel()
+    if kernel is None:
+        pytest.skip("compiled stepper unavailable")
+    # a finite drive on a non-uniform grid with about a third of its
+    # coefficients -0.0, all of them in the friction from the node at 0 up
+    # and in the excess just above it
+    rng = np.random.default_rng(41)
+    grid = np.sort(np.concatenate([[-8.0, 0.0, 8.0], rng.uniform(-8.0, 8.0, 29)]))
+    mid = int(np.searchsorted(grid, 0.0))
+    c = rng.uniform(-0.02, 0.02, (4, grid.size - 1, 3))
+    c[3, :, 0] = rng.uniform(0.0, 0.05, grid.size - 1)
+    c[:3, :, 1] *= 1e-3
+    c[rng.random(c.shape) < 0.3] = -0.0
+    c[:, mid:, 0] = -0.0
+    c[:, mid, 2] = -0.0
+    c[3, :, 1] = 0.01  # the diffusion stays positive
+    drive = langevin.Spline(grid, c)
+    # members start on nodes; the last rests at 0 with v = -0.0 and noise
+    # -0.0, where only PPoly's leading 0.0 turns its velocity into +0.0
+    x = grid[[4, 9, mid, 22, 27, mid]]
+    v = np.array([0.5, -0.25, 0.0, 1.0, -0.5, -0.0])
+    noise = rng.standard_normal((x.size, 3000))
+    noise[-1] = -0.0
+    args = (0.01, 1.0, 0.3, 1.0)  # dt, w0, force, m
+    ref_buf, buf = np.empty((2, *noise.shape)), np.empty((2, *noise.shape))
+    ref = langevin._steps_numpy(drive, x, v, noise, *ref_buf, *args)
+    ours = langevin._steps_compiled(kernel, drive, x.copy(), v.copy(), noise, *buf, *args)
+    assert ref[2] is None and ours[2] is None
+    assert ref[0][-1] == ref[1][-1] == 0.0 and not np.signbit(ref[1][-1])
+    for one, two in zip((*ours[:2], buf), (*ref[:2], ref_buf)):
+        assert np.array_equal(one.view(np.uint64), two.view(np.uint64))
+
+
 def test_kernel_load_failure_warns_once_and_falls_back(
     monkeypatch, ou_table, params100
 ):
@@ -456,7 +490,7 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists(langevin._CC), reason="no C compiler")
 def test_compiled_kernel_is_in_use(monkeypatch, ou_table, params100):
-    # a broken build would otherwise pass every test at twenty times the cost
+    # a broken build would otherwise pass every test at 200 times the cost
     assert langevin._kernel() is not None
 
     def forbidden(*args):
@@ -464,6 +498,48 @@ def test_compiled_kernel_is_in_use(monkeypatch, ou_table, params100):
 
     monkeypatch.setattr(langevin, "_steps_numpy", forbidden)
     run_ensemble(ou_table, params100, _sim(1, members=18), threads=2)
+
+
+def _fma_available():
+    """Whether this CPU fuses multiply-adds and the compiler takes -mfma."""
+    if not np._core._multiarray_umath.__cpu_features__.get("FMA3"):
+        return False
+    proc = subprocess.run(
+        [langevin._CC, "-mfma", "-fsyntax-only", "-x", "c", "-"],
+        input="", capture_output=True, text=True,
+    )
+    return proc.returncode == 0
+
+
+@pytest.mark.skipif(not os.path.exists(langevin._CC), reason="no C compiler")
+def test_kernel_built_with_fma_still_matches_reference(
+    monkeypatch, tmp_path, rough_table, params100
+):
+    # the cubic's and the velocity update's a*b + c chains are what a
+    # compiler fuses first; only -ffp-contract=off keeps them apart, and a
+    # baseline x86-64 build has no FMA instruction to fuse them into
+    if not _fma_available():
+        pytest.skip("no FMA on this CPU or no -mfma in this compiler")
+    with monkeypatch.context() as mp:
+        mp.setattr(langevin, "_KERNEL_CACHE", tmp_path)
+        mp.setattr(langevin, "_CFLAGS", (*langevin._CFLAGS, "-mfma"))
+        fused = langevin._load_kernel()
+    assert len(list(tmp_path.glob("_stepper-*.so"))) == 1
+
+    drive = langevin._splines(rough_table)[1]
+    points = np.linspace(rough_table.grid[0] - 1.0, rough_table.grid[-1] + 1.0, 4001)
+    assert np.array_equal(
+        langevin._evaluate_compiled(fused, drive, points),
+        langevin._evaluate_numpy(drive, points),
+    )
+    # the whole block, the fused kernel's own noise draws included
+    monkeypatch.setattr(langevin, "_kernel", lambda: fused)
+    monkeypatch.setattr(langevin, "_compiled", {})
+    sim = _sim(20, burn=5, seed=23, members=3, stride=7)
+    fast, ref = _both_ways(
+        monkeypatch, lambda: _block(rough_table, params100, sim, [3, 1, 4])
+    )
+    _assert_identical(fast, ref)
 
 
 # --------------------------------------------------- compiled noise draws --

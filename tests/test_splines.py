@@ -1,14 +1,18 @@
 """Native cubic splines and their evaluation, held bit for bit to scipy's
 ``CubicSpline``, ``PPoly`` and LAPACK ``dgtsv``, the oracles they replace."""
+import itertools
+import os
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import solve_banded
 
 from conftest import THREADS
-from nemclock import langevin, pipeline
+from nemclock import langevin, pipeline, readout
 from nemclock.langevin import (
     Spline,
+    Trajectory,
     _dgtsv,
     _evaluate_compiled,
     _evaluate_numpy,
@@ -156,3 +160,53 @@ def test_spline_keeps_contiguous_doubles_of_matching_shape():
                  (np.arange(4.0), np.zeros((4, 3, 1, 1)))):
         with pytest.raises(ValueError, match="do not fit"):
             Spline(x, c)
+
+
+def _assert_bitwise(ours, reference):
+    """Equal bit for bit where the reference is a number, NaN where it is."""
+    nan = np.isnan(reference)
+    assert ours.shape == reference.shape
+    assert np.array_equal(np.isnan(ours), nan)
+    assert np.array_equal(ours[~nan].view(np.uint64), reference[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_compiled_evaluation_keeps_special_values(columns):
+    kernel = langevin._kernel()
+    if kernel is None:
+        pytest.skip("compiled kernel unavailable")
+    # one interval for every choice of the four coefficients from the pool,
+    # on a non-uniform grid; column j is column 0 shifted by 7j intervals
+    pool = (-0.0, np.inf, -np.inf, np.nan, 1.25, -0.75)
+    base = np.array(list(itertools.product(pool, repeat=4))).T
+    c = np.stack([np.roll(base, 7 * j, axis=1) for j in range(columns)], axis=-1)
+    rng = np.random.default_rng(29)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.25, 2.0, base.shape[1]))])
+    spline = Spline(x, c if columns > 1 else c[..., 0])
+    # every node (s = 0), every midpoint, below and above the grid, +-inf, NaN
+    points = np.concatenate([x, (x[:-1] + x[1:]) / 2,
+                             [x[0] - 1.5, x[-1] + 1.5, -np.inf, np.inf, np.nan]])
+    with np.errstate(invalid="ignore"):
+        reference = _evaluate_numpy(spline, points)
+    _assert_bitwise(_evaluate_compiled(kernel, spline, points), reference)
+    # the pool's first interval, at 7j in column j, is all -0.0: PPoly's
+    # leading 0.0 makes its node value +0.0
+    zeros = reference.reshape(points.size, columns)[7 * np.arange(columns), np.arange(columns)]
+    assert np.array_equal(zeros.view(np.uint64), np.zeros(columns, np.uint64))
+    assert np.isnan(reference).any() and np.isinf(reference).any()
+
+
+@pytest.mark.skipif(not os.path.exists(langevin._CC), reason="no C compiler")
+def test_compiled_evaluation_is_in_use(monkeypatch, ou_table):
+    # a broken nemclock_eval build would otherwise pass every oracle test at
+    # about 17 times the cost
+    assert langevin._kernel() is not None
+
+    def forbidden(*args):
+        raise AssertionError("the NumPy spline evaluation ran")
+
+    monkeypatch.setattr(langevin, "_evaluate_numpy", forbidden)
+    points = np.linspace(-12.0, 12.0, 41)
+    assert column_interpolant(ou_table, "current")(points).shape == (41,)
+    record = Trajectory(points, np.stack([points, points[::-1]]))
+    assert readout.transduce(record, ou_table).shape == (2, 41)
