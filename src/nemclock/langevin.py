@@ -336,7 +336,8 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _load_kernel():
-    """Compile ``_stepper.c`` on first use, cache it, and load it."""
+    """Compile ``_stepper.c`` on first use, cache it, and load it.  A fresh
+    build deletes the cached builds of other sources or flags."""
     source = _KERNEL_SOURCE.read_bytes()
     key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
     lib = _KERNEL_CACHE / f"_stepper-{key}.so"
@@ -353,6 +354,11 @@ def _load_kernel():
             os.replace(tmp, lib)
         finally:
             tmp.unlink(missing_ok=True)
+        # the builds of older sources or flags; a process that has one
+        # mapped keeps it, and other builders' ".*.tmp" files do not match
+        for old in _KERNEL_CACHE.glob("_stepper-*.so"):
+            if old != lib:
+                old.unlink(missing_ok=True)
     kernel = ctypes.CDLL(str(lib))
     long, ptr, double = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
     kernel.nemclock_steps.argtypes = [long, long, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,

@@ -1,10 +1,14 @@
 """Vectorised adaptive panel integration on a Gauss-Kronrod 15(7) rule.
 
-This is the tests' oracle of the transport pole sums: no package module
-imports it.  The oracle integrates families of energy integrals that share
-one integration window (one integrand value per oscillator position), so
-the integrator works on vector-valued panel estimates and refines a panel
-when *any* component of the family still misses its error budget.
+This is the integrator of the tests' oracle of the transport pole sums
+(``tests/oracle.py`` holds the integrands): no package module imports it.
+It stays in the package only because the benchmark's tracer,
+``perfbench/layers.py``, imports and wraps :func:`integrate`; once that
+layer is gone it joins the oracle in the tests.  The oracle integrates
+families of energy integrals that share one integration window (one
+integrand value per oscillator position), so the integrator works on
+vector-valued panel estimates and refines a panel when *any* component of
+the family still misses its error budget.
 
 :func:`integrate` takes a panel rule: ``rule(lo, hi)`` returns, for a batch
 of panels, each component's Kronrod estimate and its distance |K - G| from
@@ -136,11 +140,7 @@ def integrate(
     edges = [lower, upper]
     if breakpoints is not None:
         edges += [float(p) for p in breakpoints if lower < p < upper]
-    # np.unique's sort-and-compare steps, without its masked-array check,
-    # which imports numpy.ma
-    edges = np.asarray(edges, dtype=float)
-    edges.sort()
-    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    edges = np.unique(np.asarray(edges, dtype=float))
     lo, hi = edges[:-1].copy(), edges[1:].copy()
 
     kron, err = rule(lo, hi)

@@ -60,23 +60,17 @@ def params_eq():
 
 @pytest.fixture(scope="session")
 def table100(params100):
-    return build_coefficient_table(
-        params100, default_grid(params100, threads=THREADS), threads=THREADS
-    )
+    return build_coefficient_table(params100, default_grid(params100))
 
 
 @pytest.fixture(scope="session")
 def table50(params50):
-    return build_coefficient_table(
-        params50, default_grid(params50, threads=THREADS), threads=THREADS
-    )
+    return build_coefficient_table(params50, default_grid(params50))
 
 
 @pytest.fixture(scope="session")
 def table5(params5):
-    return build_coefficient_table(
-        params5, default_grid(params5, threads=THREADS), threads=THREADS
-    )
+    return build_coefficient_table(params5, default_grid(params5))
 
 
 def make_synthetic_table(
@@ -124,9 +118,7 @@ def ou_table():
 def _corpus(voltage: float):
     cfg = CORPUS_SETTINGS[voltage]
     params = default_params(voltage)
-    table = build_coefficient_table(
-        params, default_grid(params, threads=THREADS), threads=THREADS
-    )
+    table = build_coefficient_table(params, default_grid(params))
     sim = SimConfig(
         time_step=math.pi / 100.0,
         burn_in=cfg["burn"] * TWO_PI,

@@ -216,12 +216,8 @@ def test_interpolate_node_exactness(ou_table):
 
 
 def test_interpolation_converges_with_grid_refinement(params100):
-    coarse = build_coefficient_table(
-        params100, GridSpec(x_max=5.0, nodes=41), threads=THREADS
-    )
-    fine = build_coefficient_table(
-        params100, GridSpec(x_max=5.0, nodes=401), threads=THREADS
-    )
+    coarse = build_coefficient_table(params100, GridSpec(x_max=5.0, nodes=41))
+    fine = build_coefficient_table(params100, GridSpec(x_max=5.0, nodes=401))
     for name in ("friction", "diffusion", "excess_occupation", "current"):
         spline = column_interpolant(coarse, name)
         exact = fine.column(name)
@@ -540,6 +536,24 @@ def test_kernel_built_with_fma_still_matches_reference(
         monkeypatch, lambda: _block(rough_table, params100, sim, [3, 1, 4])
     )
     _assert_identical(fast, ref)
+
+
+@pytest.mark.skipif(not os.path.exists(langevin._CC), reason="no C compiler")
+def test_fresh_kernel_build_deletes_superseded_builds(monkeypatch, tmp_path):
+    # a build of older sources or flags goes once a fresh one is published;
+    # a concurrent builder's hidden temporary file stays, and a load that
+    # finds its build present deletes nothing
+    stale = tmp_path / "_stepper-0000000000000000.so"
+    pending = tmp_path / "._stepper-0000000000000000.so.1.tmp"
+    stale.write_bytes(b"stale")
+    pending.write_bytes(b"pending")
+    monkeypatch.setattr(langevin, "_KERNEL_CACHE", tmp_path)
+    langevin._load_kernel()
+    (built,) = tmp_path.glob("_stepper-*.so")
+    assert built != stale and pending.exists()
+    stale.write_bytes(b"stale")
+    langevin._load_kernel()
+    assert stale.exists()
 
 
 # --------------------------------------------------- compiled noise draws --

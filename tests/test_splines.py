@@ -8,7 +8,6 @@ import pytest
 from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import solve_banded
 
-from conftest import THREADS
 from nemclock import langevin, pipeline, readout
 from nemclock.langevin import (
     Spline,
@@ -40,7 +39,7 @@ def real_tables():
         mp.setattr(pipeline, "build_coefficient_table", keep)
         for voltage in (5.0, 50.0, 100.0):
             params = default_params(voltage)
-            keep(params, pipeline.default_grid(params), threads=THREADS)
+            keep(params, pipeline.default_grid(params))
     assert [t.grid.size for t in tables] == [801, 241, 801, 241, 801]
     return tables
 

@@ -7,14 +7,17 @@ integration windows) and are stated here to their converged digits.
 """
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nemclock import langevin, pipeline, transport
+from nemclock import cli, langevin, pipeline, transport
 from nemclock.params import AdiabaticityWarning, LeadSpec, SystemParams, default_params
 from nemclock.quadrature import integrate, kronrod
 from nemclock.transport import (
@@ -22,10 +25,10 @@ from nemclock.transport import (
     CoefficientTable,
     GridSpec,
     build_coefficient_table,
-    fermi_dirac,
     friction_and_diffusion,
     table_fingerprint,
 )
+from oracle import _integrand_rows, _lead_factors, _window, fermi_dirac
 
 # Independent refinement oracle values (converged against window size and
 # tolerance; see docstring above).
@@ -47,9 +50,9 @@ ATOL = 1e-14
 def _spectrum(x, omega, params):
     """S_x(omega) at position ``x``, the last of the six integrand rows."""
     xs = np.array([x], dtype=float)
-    lo, hi, seeds = transport._window(params, pad=abs(omega))
+    lo, hi, seeds = _window(params, pad=abs(omega))
     result = integrate(
-        kronrod(lambda energy: transport._integrand_rows(energy, xs, params, params.force, omega)),
+        kronrod(lambda energy: _integrand_rows(energy, xs, params, params.force, omega)),
         lo, hi, rtol=RTOL, atol=ATOL, breakpoints=seeds,
     )
     return float(result.value.reshape(6, 1)[5, 0])
@@ -86,20 +89,20 @@ def test_fermi_dirac_extreme_arguments_do_not_overflow():
 
 def test_spectral_density_peak_value_and_shape(p100):
     # at the band center the density equals the peak rate
-    assert transport._lead_factors(2.5, p100.left)[0] == pytest.approx(10.0, rel=1e-14)
+    assert _lead_factors(2.5, p100.left)[0] == pytest.approx(10.0, rel=1e-14)
     # at the opposite band center, one bandwidth pattern: G*d^2/(25+25)
-    assert transport._lead_factors(-2.5, p100.left)[0] == pytest.approx(
+    assert _lead_factors(-2.5, p100.left)[0] == pytest.approx(
         10.0 * 25.0 / (25.0 + 25.0), rel=1e-14
     )
     # device anchor: each lead contributes 8 at E=0
-    assert transport._lead_factors(0.0, p100.left)[0] == pytest.approx(8.0, rel=1e-14)
-    assert transport._lead_factors(0.0, p100.right)[0] == pytest.approx(8.0, rel=1e-14)
+    assert _lead_factors(0.0, p100.left)[0] == pytest.approx(8.0, rel=1e-14)
+    assert _lead_factors(0.0, p100.right)[0] == pytest.approx(8.0, rel=1e-14)
 
 
 def test_self_energy_imaginary_part_is_half_density(p100):
     E = np.linspace(-40.0, 40.0, 401)
     for lead in (p100.left, p100.right):
-        kappa, _, chi, _ = transport._lead_factors(E, lead)
+        kappa, _, chi, _ = _lead_factors(E, lead)
         np.testing.assert_allclose(chi.imag, -0.5 * kappa, rtol=1e-13)
         # real part: dispersive Lorentzian wing
         expected_re = (
@@ -113,8 +116,8 @@ def test_sum_rule_spectral_weight(p100):
     x = 0.9
 
     def integrand(E):
-        kl, _, chi_l, _ = transport._lead_factors(E, p100.left)
-        kr, _, chi_r, _ = transport._lead_factors(E, p100.right)
+        kl, _, chi_l, _ = _lead_factors(E, p100.left)
+        kr, _, chi_r, _ = _lead_factors(E, p100.right)
         den = np.asarray(E, dtype=complex) - p100.dot_energy - chi_l - chi_r + p100.force * x
         return (kl + kr) / (np.abs(den) ** 2 * 2.0 * np.pi)
 
@@ -429,11 +432,11 @@ def _oracle(xs, params, force=None, scale=np.ones(6), rtol=1e-13, atol=1e-15):
     """
     xs = np.asarray(xs, dtype=float)
     force = params.force if force is None else force
-    lo, hi, seeds = transport._window(params)
+    lo, hi, seeds = _window(params)
     tail = np.geomspace(1.0, 1e6, 60)
     per_row = np.repeat(scale, xs.size)[:, None]
     result = integrate(
-        kronrod(lambda energy: transport._integrand_rows(energy, xs, params, force) / per_row),
+        kronrod(lambda energy: _integrand_rows(energy, xs, params, force) / per_row),
         lo - 1e6, hi + 1e6, rtol=rtol, atol=atol,
         breakpoints=[*seeds, *(lo - tail), *(hi + tail), *(params.dot_energy - force * xs)],
         max_panels=200_000,
@@ -563,12 +566,12 @@ def test_panel_rules_do_not_depend_on_the_batch(p100, shifted):
     # omega = 1 (the spectrum's): a panel's (kron, err) has the same bits alone
     # or anywhere in a batch
     rng = np.random.default_rng(11)
-    lo, hi, _ = transport._window(p100, pad=1.0)
+    lo, hi, _ = _window(p100, pad=1.0)
     edges = np.sort(rng.uniform(lo, hi, 42))
     lo, hi = edges[:-1], edges[1:]
     xs = rng.uniform(-30.0, 30.0, 11)
     omega = 1.0 if shifted else 0.0
-    rule = kronrod(lambda energy: transport._integrand_rows(energy, xs, p100, p100.force, omega))
+    rule = kronrod(lambda energy: _integrand_rows(energy, xs, p100, p100.force, omega))
     kron, err = rule(lo, hi)
     for i in range(lo.size):
         one_kron, one_err = rule(lo[i:i + 1], hi[i:i + 1])
@@ -585,21 +588,21 @@ def test_force_free_rules_have_zero_friction_and_spectrum_rows(p100):
     # the pole sums and in the NumPy panel rule
     xs = np.array([-3.0, 0.0, 2.5])
     assert not np.any(transport._pole_rows(xs, p100, 0.0)[4:])
-    lo, hi, _ = transport._window(p100)
+    lo, hi, _ = _window(p100)
     edges = np.linspace(lo, hi, 9)
-    rule = kronrod(lambda energy: transport._integrand_rows(energy, xs, p100, 0.0))
+    rule = kronrod(lambda energy: _integrand_rows(energy, xs, p100, 0.0))
     for part in rule(edges[:-1], edges[1:]):
         assert not np.any(part.reshape(6, xs.size, -1)[4:])
 
 
 @pytest.mark.parametrize("omega", [0.01, -1.0, 2.0])
 def test_spectrum_row_alone_depends_on_omega(p100, omega):
-    lo, hi, _ = transport._window(p100, pad=abs(omega))
+    lo, hi, _ = _window(p100, pad=abs(omega))
     edges = np.linspace(lo, hi, 9)
     xs = np.array([-3.0, 0.0, 2.5])
 
     def rule(w):
-        rows = lambda energy: transport._integrand_rows(energy, xs, p100, p100.force, w)
+        rows = lambda energy: _integrand_rows(energy, xs, p100, p100.force, w)
         return kronrod(rows)(edges[:-1], edges[1:])
 
     five = slice(0, 5 * xs.size)
@@ -649,12 +652,15 @@ def test_tables_match_the_quadrature_oracle(voltage):
             assert np.max(np.abs(table.column(name)[picks] - row)) <= 1e-9 * top, name
 
 
-# the table path calls no compiled code: its tables are the same with the
-# compiled kernel unavailable
+# the tables and the onset scan's friction do not depend on the compiled
+# kernel: they are the same bits with it unavailable.  The pole sums are
+# NumPy alone, but at V = 50 and 100 the probe table's cycle search
+# (limit_cycle_amplitude) evaluates its splines through the kernel, or
+# through the NumPy evaluation when it is off
 
 
 @pytest.mark.parametrize("voltage", [5.0, 50.0, 100.0])
-def test_tables_equal_with_the_rows_kernel_off(monkeypatch, voltage):
+def test_tables_equal_with_the_kernel_off(monkeypatch, voltage):
     fast = _tables(voltage)
     assert len(fast) == (1 if voltage == 5.0 else 2)
     monkeypatch.setattr(langevin, "_kernel", lambda: None)
@@ -665,10 +671,64 @@ def test_tables_equal_with_the_rows_kernel_off(monkeypatch, voltage):
             assert np.array_equal(one.column(name), two.column(name)), name
 
 
-def test_onset_scan_friction_equal_with_the_rows_kernel_off(monkeypatch):
+def test_onset_scan_friction_equal_with_the_kernel_off(monkeypatch):
     # scripts/onset_scan.py's voltages: single-position pole sums
     voltages = np.linspace(10.0, 60.0, 26)
     fast = [friction_and_diffusion(0.0, default_params(float(v))) for v in voltages]
     monkeypatch.setattr(langevin, "_kernel", lambda: None)
     reference = [friction_and_diffusion(0.0, default_params(float(v))) for v in voltages]
     assert fast == reference
+
+
+# ----------------------------------------------------------- reachability --
+
+
+def _transport_functions():
+    """The code object of every def and lambda in transport.py, at any
+    depth; class bodies and comprehensions run at import or with the
+    function around them, so they are left out."""
+    path = transport.__file__
+    found, todo = [], [compile(Path(path).read_text(), path, "exec")]
+    while todo:
+        for const in todo.pop().co_consts:
+            if inspect.iscode(const):
+                todo.append(const)
+                if const.co_flags & inspect.CO_OPTIMIZED and (
+                    not const.co_name.startswith("<") or const.co_name == "<lambda>"
+                ):
+                    found.append(const)
+    return path, found
+
+
+def test_every_transport_function_runs_on_the_cli_path(tmp_path):
+    # a tiny `run` and then `analyze`, in-process under a profiler: every
+    # function transport.py defines must be entered, so code only the
+    # tests' oracle needs cannot sit in the production module
+    path, functions = _transport_functions()
+    assert len(functions) >= 10
+    config = {
+        "version": 1,
+        "system": {"voltage": 5.0},
+        "simulation": {"burn_in": 2.0 * math.pi, "duration": 40.0 * math.pi,
+                       "seed": 3, "ensemble_size": 2, "record_stride": 2},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    base = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == path:
+            entered.add((frame.f_code.co_name, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(["run", *base]), cli.main(["analyze", *base])]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0, 0]
+    missed = sorted(
+        f"{code.co_name} (line {code.co_firstlineno})" for code in functions
+        if (code.co_name, code.co_firstlineno) not in entered
+    )
+    assert not missed, f"never entered by run and analyze: {missed}"
