@@ -9,7 +9,6 @@ ticks       write the tick series stored by ``simulate``
 analyze     estimate clock statistics from stored artifacts
 run         all of the above, plus a manifest of the files it wrote
 sweep       repeat ``run`` across a list of voltages
-toymodel    sample one of the reduced toy processes
 
 Configs are strict, versioned JSON: unknown keys are errors at every level,
 and every value given must be of the kind its key declares.
@@ -43,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import clockstats, tickinfo, toymodels
+from . import clockstats, tickinfo
 from .langevin import SimConfig, Trajectory
 from .params import LeadSpec, SystemParams, default_params, fingerprint
 from .pipeline import (
@@ -154,24 +153,6 @@ _ANALYSIS_KEYS = dict(
     kl_orders=((2, 4, 8), _COUNTS),
     make_plots=(True, (lambda v: type(v) is bool, "true or false")),
 )
-_CYCLE_KEYS = dict(
-    amplitude=(..., _POSITIVE),
-    amplitude_damping=(..., _POSITIVE),
-    amplitude_diffusion=(..., _NONNEGATIVE),
-    phase_diffusion=(..., _NONNEGATIVE),
-)
-_TOY_KEYS = dict(
-    type=(..., (lambda v: type(v) is str, "a string")),
-    duration=(..., _POSITIVE),
-    time_step=(..., _POSITIVE),
-    seed=(0, _INTEGER),
-    frequency=(1.0, _NUMBER),
-    cycle=(None, _CYCLE_KEYS),
-    rates=(None, (lambda v: _list(v, _POSITIVE[0], 2), "two numbers > 0")),
-    levels=(None, (lambda v: _list(v, _number, 2), "two numbers")),
-    offset=(0.0, _NUMBER),
-    baseline=(0.0, _NUMBER),
-)
 _CONFIG_KEYS = dict(
     version=(..., _INTEGER),
     system=(..., _SYSTEM_KEYS),
@@ -181,7 +162,6 @@ _CONFIG_KEYS = dict(
     analysis=({}, _ANALYSIS_KEYS),
     sweep=(None, dict(voltages=(..., (lambda v: _list(v, _number) and len(v) > 0,
                                       "a non-empty list of numbers")))),
-    toymodel=(None, _TOY_KEYS),
 )
 
 
@@ -393,18 +373,17 @@ def _load_corpus(cfg, params, sim: SimConfig, out: Path) -> Corpus:
     """The corpus ``simulate`` stored in ensemble.npz, refused (exit 2) at the
     first leaf of its provenance record that the config now sets otherwise,
     when coeffs.npz no longer holds the table it was simulated on, or when
-    there is no ensemble.npz at all; a ValueError refuses arrays that
-    disagree with each other, the config or the table."""
+    there is no ensemble.npz at all; a ValueError refuses arrays that are
+    missing or disagree with each other, the config or the table."""
     path = out / "ensemble.npz"
     if not path.is_file():
         raise ConfigError(f"{path} does not exist; run simulate first")
     with np.load(path) as data:
         d = dict(data)
-    if "provenance" not in d:
-        raise ValueError(
-            "ensemble.npz holds no provenance record (an older nemclock wrote "
-            "it); re-run simulate"
-        )
+    missing = [name for name in ("provenance", "positions", "tick_times", "tick_counts",
+                                 "position_density", "position_count") if name not in d]
+    if missing:
+        raise ValueError(f"ensemble.npz holds no {', '.join(missing)}; re-run simulate")
     stored = json.loads(bytes(d["provenance"]).decode())
     params_hash = stored.pop("params_hash")
     held, asked = dict(_leaves(stored)), dict(_leaves(_provenance(cfg, params, sim)))
@@ -435,13 +414,19 @@ def _load_corpus(cfg, params, sim: SimConfig, out: Path) -> Corpus:
                 f"ensemble.npz holds {name} of shape {d[name].shape}, not "
                 f"{shape}; re-run simulate"
             )
+    fed = size * (sim.total_steps - sim.burn_steps + 1)  # every full-rate state
+    if d["position_count"].tolist() != [fed]:
+        raise ValueError(
+            f"ensemble.npz's position_count {d['position_count'].tolist()} is not "
+            f"the {fed} states simulated; re-run simulate"
+        )
     policy = _policy(cfg).resolve(table)
     members = np.split(d["tick_times"], np.cumsum(counts)[:-1])
     return Corpus(
         params=params, table=table, sim=sim, policy=policy,
         ticks=tuple(TickSeries(t, policy) for t in members),
         position_density=d["position_density"],
-        position_count=int(d["position_count"][0]),
+        position_count=fed,
         record=Trajectory(sim.record_times(), d["positions"]),
     )
 
@@ -635,7 +620,7 @@ def _write_manifest(out: Path, names, cfg, sim: SimConfig, parameter_fingerprint
     """manifest.json: the config, seed and device, and the SHA-256 of each of
     ``names``, the files under ``out`` that the command wrote."""
     payload = {
-        "config": {k: v for k, v in cfg.items() if k not in ("sweep", "toymodel")},
+        "config": {k: v for k, v in cfg.items() if k != "sweep"},
         "seed": sim.seed,
         "parameter_fingerprint": parameter_fingerprint,
         "artifacts": {name: _sha256(out / name) for name in names},
@@ -761,6 +746,10 @@ def cmd_run(args) -> int:
     return 0
 
 
+# the report.json values summary.csv holds for each voltage
+_SUMMARY_KEYS = ("mean_wait", "accuracy", "resolution", "entropy_per_tick")
+
+
 def cmd_sweep(args) -> int:
     cfg, out, _, sim = _prepare(args)
     if cfg["sweep"] is None:
@@ -781,75 +770,11 @@ def cmd_sweep(args) -> int:
         report, names = _run_pipeline(sub_cfg, sub_out, sub_params, sim, args.threads)
         fingerprints[sub_out.name] = fingerprint(sub_params)
         written += [f"{sub_out.name}/{name}" for name in names]
-        rows.append(
-            (
-                float(voltage),
-                report["mean_wait"],
-                report["accuracy"],
-                report["resolution"],
-                report["entropy_per_tick"],
-            )
-        )
+        rows.append((float(voltage), *(report[key] for key in _SUMMARY_KEYS)))
         print(f"V={voltage:g} done: accuracy {report['accuracy']:.4g}")
-    _write_csv(
-        out / "summary.csv",
-        ["voltage", "mean_wait", "accuracy", "resolution", "entropy_per_tick"],
-        list(zip(*rows)),
-    )
+    _write_csv(out / "summary.csv", ["voltage", *_SUMMARY_KEYS], list(zip(*rows)))
     # each V=<v> directory's device, as its own manifest names it
     _write_manifest(out, written, cfg, sim, fingerprints, extra={"kind": "sweep"})
-    return 0
-
-
-def cmd_toymodel(args) -> int:
-    cfg = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    toy = cfg["toymodel"]
-    if toy is None:
-        raise ConfigError("toymodel subcommand needs a toymodel section")
-    seed = toy["seed"] if args.seed is None else args.seed
-
-    def need_cycle():
-        if toy["cycle"] is None:
-            raise ConfigError(f"toymodel.type {toy['type']!r} needs a cycle section")
-        return toymodels.ReducedCycle(**toy["cycle"])
-
-    if round(toy["duration"] / toy["time_step"]) < 1:
-        raise ConfigError(
-            f"toymodel.duration {toy['duration']:g} is under half of "
-            f"toymodel.time_step {toy['time_step']:g}: no step to take"
-        )
-    kind = toy["type"]
-    with _stage("toymodel"):
-        if kind == "ou_amplitude":
-            spec = toymodels.OUAmplitude(need_cycle())
-        elif kind == "phase_diffusion":
-            spec = toymodels.PhaseDiffusion(need_cycle())
-        elif kind == "offset":
-            spec = toymodels.OffsetModelParams(
-                cycle=need_cycle(),
-                offset=float(toy["offset"]),
-                baseline=float(toy["baseline"]),
-            )
-        elif kind == "telegraph":
-            if toy["rates"] is None or toy["levels"] is None:
-                raise ConfigError("telegraph toymodel needs rates and levels")
-            spec = toymodels.TelegraphParams(
-                rates=tuple(float(r) for r in toy["rates"]),
-                levels=tuple(float(l) for l in toy["levels"]),
-            )
-        else:
-            raise ConfigError(f"unknown toymodel.type {kind!r}")
-        times, series = toymodels.simulate_toy(
-            spec,
-            float(toy["duration"]),
-            float(toy["time_step"]),
-            seed,
-            frequency=float(toy["frequency"]),
-        )
-        _write_csv(out / "toymodel.csv", ["time", "value"], [times, series])
-    print(f"toymodel {kind}: {times.size} samples")
     return 0
 
 
@@ -873,7 +798,6 @@ def _parser() -> argparse.ArgumentParser:
         "analyze": cmd_analyze,
         "run": cmd_run,
         "sweep": cmd_sweep,
-        "toymodel": cmd_toymodel,
     }
     for name, handler in handlers.items():
         p = sub.add_parser(name)

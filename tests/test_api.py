@@ -111,19 +111,12 @@ def test_traced_benchmark_runs_after_hooks_change_shape(tmp_path):
 def test_cli_needs_no_scipy(tmp_path):
     # each CLI stage is a fresh process, so what `import nemclock.cli` loads
     # is paid on every command: no scipy; a whole `run` imports no module, so
-    # no timed call pays an import, and has not loaded the quadrature; and a
-    # `toymodel` run imports no scipy
+    # no timed call pays an import, and has not loaded the quadrature
     config = {
         "version": 1,
         "system": {"voltage": 5.0},
         "grid": {"nodes": 41},
         "simulation": {"duration": 660.0, "ensemble_size": 4, "record_stride": 2, "seed": 9},
-        "toymodel": {
-            "type": "offset", "duration": 20.0, "time_step": 0.01, "seed": 3,
-            "offset": 0.3, "baseline": 1.0,
-            "cycle": {"amplitude": 4.0, "amplitude_damping": 0.5,
-                      "amplitude_diffusion": 0.2, "phase_diffusion": 0.01},
-        },
     }
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps(config))
@@ -137,8 +130,6 @@ def test_cli_needs_no_scipy(tmp_path):
         f"assert json.loads(open({str(out / 'report.json')!r}).read())['linewidth_fit']['fwhm']\n"
         "print(sorted(set(sys.modules) - before))\n"
         "print(sorted(m for m in sys.modules if m == 'nemclock.quadrature'))\n"
-        f"assert cli.main(['toymodel', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -147,7 +138,29 @@ def test_cli_needs_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line.startswith("[")]
-    assert lines == ["[]", "[]", "[]", "[]"]
+    assert lines == ["[]", "[]", "[]"]
+
+
+def test_toy_samplers_need_no_scipy():
+    # the offset model draws the exact OU amplitude path, whose AR(1) loop
+    # rounds as scipy's lfilter does, without loading scipy
+    code = (
+        "import sys\n"
+        "import nemclock as nc\n"
+        "cycle = nc.ReducedCycle(amplitude=4.0, amplitude_damping=0.5,\n"
+        "                        amplitude_diffusion=0.2, phase_diffusion=0.01)\n"
+        "_, x = nc.simulate_toy(nc.OffsetModelParams(cycle=cycle, offset=0.3, baseline=1.0),\n"
+        "                       20.0, 0.01, seed=3)\n"
+        "assert x.size == 2001\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
 
 
 def test_tables_and_ensembles_need_no_scipy():

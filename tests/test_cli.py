@@ -31,6 +31,10 @@ def _base_config(**system) -> dict:
     return {"version": 1, "system": {"voltage": 5.0, **system}}
 
 
+# one explicit lead, every key given
+_LEAD = dict(band_center=2.5, bandwidth=5.0, peak_rate=10.0, chemical_potential=2.5)
+
+
 @pytest.fixture(scope="module")
 def pipeline_config() -> dict:
     """Small but complete operating point: below threshold, coarse grid."""
@@ -61,7 +65,7 @@ def test_config_defaults_fill_in(tmp_path):
     assert cfg["detection"]["level"] is None
     assert cfg["detection"]["refractory"] == pytest.approx(0.25 * math.pi)
     assert cfg["analysis"]["kl_orders"] == (2, 4, 8)
-    assert cfg["sweep"] is None and cfg["toymodel"] is None
+    assert cfg["sweep"] is None and "toymodel" not in cfg
 
 
 @pytest.mark.parametrize(
@@ -73,17 +77,7 @@ def test_config_defaults_fill_in(tmp_path):
         (lambda c: c["system"].update(tunnel=3), "unknown keys in 'system'"),
         (lambda c: c.update(system=7), "section 'system' must be an object"),
         (lambda c: c["system"].pop("voltage"), "needs a voltage"),
-        (
-            lambda c: c["system"].update(
-                left=dict(
-                    band_center=2.5,
-                    bandwidth=5.0,
-                    peak_rate=10.0,
-                    chemical_potential=2.5,
-                )
-            ),
-            "need both",
-        ),
+        (lambda c: c["system"].update(left=_LEAD), "need both"),
         (lambda c: c.update(sweep={"voltages": []}), "non-empty"),
         (lambda c: c.update(sweep={"voltages": "56"}), "numbers, not '56'"),
         (lambda c: c.update(sweep={"voltages": 5}), "numbers, not 5"),
@@ -106,26 +100,10 @@ def test_config_defaults_fill_in(tmp_path):
         (lambda c: c.update(simulation={"seed": True}), "seed"),
         (lambda c: c.update(grid={"nodes": 41.7}), r"nodes .*41\.7"),
         (
-            lambda c: c.update(toymodel={"type": "telegraph", "duration": 1.0,
-                                         "time_step": 0.1, "seed": 1.5}),
-            r"toymodel.seed .*1\.5",
+            lambda c: c["system"].update(left=dict(_LEAD, bogus=2.0), right=_LEAD),
+            "unknown keys in 'system.left'",
         ),
-        (
-            lambda c: c.update(toymodel={"type": "telegraph", "duration": 1.0,
-                                         "time_step": 0.1, "seed": True}),
-            r"toymodel.seed .*True",
-        ),
-        (
-            lambda c: c.update(
-                toymodel={
-                    "type": "ou_amplitude",
-                    "duration": 1.0,
-                    "time_step": 0.1,
-                    "cycle": {"amplitude": 1.0, "bogus": 2.0},
-                }
-            ),
-            "unknown keys in 'toymodel.cycle'",
-        ),
+        (lambda c: c.update(toymodel={}), "unknown keys in 'config': toymodel"),
         (lambda c: c["system"].update(voltage=True), r"system\.voltage .*, not True"),
         (lambda c: c["system"].update(voltage=float("nan")), r"system\.voltage .*, not nan"),
         (lambda c: c["system"].update(coupling=True), r"system\.coupling .*, not True"),
@@ -138,27 +116,11 @@ def test_config_defaults_fill_in(tmp_path):
         (lambda c: c.update(detection={"level": True}), r"detection\.level .*, not True"),
         (lambda c: c.update(analysis={"make_plots": 0}), r"analysis\.make_plots .*, not 0"),
         (lambda c: c.update(version=True), r"version .*, not True"),
+        (lambda c: c.update(simulation={"duration": "10"}),
+         r"simulation\.duration .*, not '10'"),
         (
-            lambda c: c.update(toymodel={"type": "telegraph", "duration": "10",
-                                         "time_step": 0.1}),
-            r"toymodel\.duration .*, not '10'",
-        ),
-        (
-            lambda c: c.update(toymodel={"type": "telegraph", "duration": 1.0,
-                                         "time_step": 0.1, "frequency": True}),
-            r"toymodel\.frequency .*, not True",
-        ),
-        (
-            lambda c: c.update(
-                toymodel={
-                    "type": "offset",
-                    "duration": 1.0,
-                    "time_step": 0.1,
-                    "cycle": {"amplitude": True, "amplitude_damping": 0.5,
-                              "amplitude_diffusion": 0.2, "phase_diffusion": 0.01},
-                }
-            ),
-            r"toymodel\.cycle\.amplitude .*, not True",
+            lambda c: c["system"].update(left=dict(_LEAD, bandwidth=True), right=_LEAD),
+            r"system\.left\.bandwidth .*, not True",
         ),
     ],
 )
@@ -184,7 +146,7 @@ def test_declared_defaults_pass_their_kinds():
     # broke its own kind would reach the pipeline unchecked
     defaults = list(_declared_defaults(cli._CONFIG_KEYS))
     assert "simulation.time_step" in [key for key, _, _ in defaults]
-    assert "toymodel.seed" in [key for key, _, _ in defaults]
+    assert "detection.refractory" in [key for key, _, _ in defaults]
     assert [(key, value) for key, value, (test, _) in defaults if not test(value)] == []
 
 
@@ -206,10 +168,7 @@ def test_documented_configs_load(tmp_path, config):
 
 
 def test_config_voltage_and_leads_exclusive(tmp_path):
-    lead = dict(
-        band_center=2.5, bandwidth=5.0, peak_rate=10.0, chemical_potential=2.5
-    )
-    payload = _base_config(left=lead, right={**lead, "chemical_potential": -2.5})
+    payload = _base_config(left=_LEAD, right={**_LEAD, "chemical_potential": -2.5})
     with pytest.raises(ConfigError, match="not both"):
         load_config(_write(tmp_path / "both.json", payload))
 
@@ -267,7 +226,7 @@ def test_threads_below_one_is_exit_2(tmp_path, capsys, threads):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["coeffs", "ticks", "analyze", "toymodel"])
+@pytest.mark.parametrize("command", ["coeffs", "ticks", "analyze"])
 def test_threads_is_refused_where_no_stepper_runs(tmp_path, capsys, command):
     cfg_path = _write(tmp_path / "c.json", _base_config())
     out = tmp_path / "out"
@@ -277,6 +236,16 @@ def test_threads_is_refused_where_no_stepper_runs(tmp_path, capsys, command):
     assert info.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_toymodel_is_not_a_command(tmp_path, capsys):
+    # the toy samplers are library functions; no command writes their paths
+    cfg_path = _write(tmp_path / "c.json", _base_config())
+    with pytest.raises(SystemExit) as info:
+        cli.main(["toymodel", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "invalid choice: 'toymodel'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "run", "sweep"])
@@ -696,8 +665,11 @@ def test_ensemble_without_streamed_evidence_is_stage_failure(
         ("tick_counts", lambda a: np.append(a[:-1], a[-1] - 5)),
         ("tick_counts", lambda a: a[:-1]),
         ("positions", lambda a: a[:, :100]),
+        ("tick_times", lambda a: None),
+        ("position_count", lambda a: a[:0]),
     ],
-    ids=["count-lowered", "count-dropped", "positions-cut"],
+    ids=["count-lowered", "count-dropped", "positions-cut", "ticks-deleted",
+         "position-count-emptied"],
 )
 def test_ensemble_with_disagreeing_arrays_is_stage_failure(
     tmp_path, pipeline_config, capsys, name, edit
@@ -707,8 +679,8 @@ def test_ensemble_with_disagreeing_arrays_is_stage_failure(
     assert _run(cfg_path, out) == 0
     with np.load(out / "ensemble.npz") as data:
         arrays = dict(data)
-    arrays[name] = edit(arrays[name])
-    np.savez(out / "ensemble.npz", **arrays)
+    arrays[name] = edit(arrays[name])  # None deletes the array
+    np.savez(out / "ensemble.npz", **{k: a for k, a in arrays.items() if a is not None})
     base = ["--config", str(cfg_path), "--out", str(out)]
     for command in ("ticks", "analyze"):
         capsys.readouterr()
@@ -941,81 +913,38 @@ def test_lag_horizon_below_one_lag_fails_before_coeffs(
     assert not (out / "coeffs.npz").exists()
 
 
-# ----------------------------------------------------------------- toymodel --
+# --------------------------------------------------------------------- docs --
 
 
-def _toy_payload(**toy) -> dict:
-    cycle = {
-        "amplitude": 4.0,
-        "amplitude_damping": 0.5,
-        "amplitude_diffusion": 0.2,
-        "phase_diffusion": 0.01,
-    }
-    base = {
-        "type": "phase_diffusion",
-        "duration": 10.0,
-        "time_step": 0.01,
-        "seed": 3,
-        "frequency": 2.0,
-        "cycle": cycle,
-    }
-    base.update(toy)
-    return {"version": 1, "system": {"voltage": 5.0}, "toymodel": base}
+def _parser_commands() -> list[str]:
+    usage = cli._parser().format_usage()
+    return re.search(r"\{([\w,]+)\}", usage).group(1).split(",")
 
 
-def test_toymodel_command_round_trip(tmp_path):
-    cfg_path = _write(tmp_path / "toy.json", _toy_payload())
-    out = tmp_path / "toy_out"
-    args = ["toymodel", "--config", str(cfg_path), "--out", str(out)]
-    assert cli.main(args) == 0
-    lines = (out / "toymodel.csv").read_text().splitlines()
-    assert lines[0] == "time,value"
-    assert len(lines) == 1002  # header + duration/time_step + 1 samples
-    baseline = (out / "toymodel.csv").read_bytes()
-    assert cli.main(args) == 0
-    assert (out / "toymodel.csv").read_bytes() == baseline
-    assert cli.main([*args, "--seed", "4"]) == 0
-    assert (out / "toymodel.csv").read_bytes() != baseline
+def test_docstring_lists_the_parser_commands():
+    block = cli.__doc__.split("Subcommands\n-----------\n", 1)[1].split("\n\n", 1)[0]
+    listed = [line.split()[0] for line in block.splitlines() if not line[:1].isspace()]
+    assert listed == _parser_commands()
 
 
-@pytest.mark.parametrize(
-    "toy, message",
-    [
-        (dict(type="unknown"), "unknown toymodel.type"),
-        (dict(type="ou_amplitude", cycle=None), "needs a cycle"),
-        (dict(type="telegraph", cycle=None), "needs rates and levels"),
-        (dict(type="telegraph", rates=["a", 1], levels=[0.0, 1.0]),
-         "toymodel.rates must be two numbers > 0, not ['a', 1]"),
-        (dict(time_step=float("nan")), "toymodel.time_step must be a number > 0, not nan"),
-        (dict(duration=0.01, time_step=0.1),
-         "toymodel.duration 0.01 is under half of toymodel.time_step 0.1"),
-    ],
-)
-def test_toymodel_config_failures(tmp_path, capsys, toy, message):
-    cfg_path = _write(tmp_path / "toy.json", _toy_payload(**toy))
-    out = tmp_path / "toy_out"
-    code = cli.main(["toymodel", "--config", str(cfg_path), "--out", str(out)])
-    assert code == 2
-    assert message in capsys.readouterr().err
-
-
-def test_toymodel_missing_section(tmp_path, capsys):
-    cfg_path = _write(tmp_path / "toy.json", _base_config())
-    code = cli.main(["toymodel", "--config", str(cfg_path), "--out", str(tmp_path)])
-    assert code == 2
+def test_readme_names_only_parser_commands():
+    blocks = re.findall(r"```[^\n]*\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    named = re.findall(r"^(?:python -m )?nemclock (\S+)", "\n".join(blocks), re.M)
+    assert named, "README.md runs no nemclock command in a code block"
+    assert sorted(set(named) - set(_parser_commands())) == []
 
 
 # --------------------------------------------------------------- entrypoint --
 
 
 def test_module_entrypoint_smoke(tmp_path):
-    cfg_path = _write(tmp_path / "toy.json", _toy_payload(duration=1.0))
+    cfg_path = _write(tmp_path / "c.json", {**_base_config(), "grid": {"nodes": 41}})
     result = subprocess.run(
         [
             sys.executable,
             "-m",
             "nemclock",
-            "toymodel",
+            "coeffs",
             "--config",
             str(cfg_path),
             "--out",
@@ -1028,5 +957,5 @@ def test_module_entrypoint_smoke(tmp_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
     )
-    assert result.returncode == 0
-    assert "toymodel phase_diffusion" in result.stdout
+    assert result.returncode == 0, result.stderr
+    assert "coefficient table: 41 nodes" in result.stdout
