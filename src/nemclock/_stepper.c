@@ -1,10 +1,13 @@
-/* Kick-then-drift Langevin steps for one block of trajectories and the
-   evaluation of the cubic splines they step through.
+/* Kick-then-drift Langevin steps for one block of trajectories, the
+   evaluation of the cubic splines they step through, and the two streaming
+   counts made of every recorded state: the position histogram and the tick
+   crossings.
 
    This is the compiled form of the NumPy step loop and spline evaluation in
-   langevin.py, which alone loads it, and must agree with them bit for bit,
-   so every floating-point operation below is the one NumPy performs, in the
-   same order:
+   langevin.py, which alone loads it, and of the NumPy feeds of
+   pipeline.HistogramAccumulator and readout.TickAccumulator.  It must agree
+   with them bit for bit, so every floating-point operation below is the one
+   NumPy performs, in the same order:
 
    - a spline is evaluated by the rule of scipy's PPoly, which the tests hold
      it to: the interval rule of find_interval (g[i] <= x < g[i+1], the last
@@ -12,7 +15,8 @@
      the cubic of _evaluate_numpy, left to right,
      0.0 + c[3] + c[2]*s + c[1]*(s*s) + c[0]*(s*s*s), whose leading 0.0 turns
      a -0.0 into 0.0 as PPoly's sum does;
-   - the velocity update groups its terms as the NumPy expression does;
+   - the velocity update groups its terms as the NumPy expression does, and
+     a crossing time as the tick feed's does;
    - it is compiled with -O2 -ffp-contract=off and without -ffast-math, so
      no product is fused into an add and no sum is reassociated.
 
@@ -200,6 +204,107 @@ void nemclock_eval(long rows, long cols, const double *x,
             for (long j = 0; j < k; j++)
                 out[j] = cubic(ci + j, power_stride, s, s2, s3);
         }
+    }
+}
+
+/* Add to counts[b] the number of the rows x cols samples
+   x[r*row_stride + q*col_stride] that fall in bin b of the ne increasing
+   edges e, by np.histogram's rule: bin b is [e[b], e[b+1]), the last bin
+   also takes e[ne-1], and NaN and samples outside [e[0], e[ne-1]] are not
+   counted.  The bin is guessed from the mean edge spacing and walked to,
+   as in find_interval; the range test comes before any cast to long, and
+   with the upper edge counted apart neither walk can leave the edges. */
+void nemclock_bin_counts(long rows, long cols, const double *x,
+                         long row_stride, long col_stride,
+                         const double *e, long ne, double *counts)
+{
+    const double lo = e[0], hi = e[ne - 1];
+    const double scale = (double)(ne - 1) / (hi - lo);
+    for (long r = 0; r < rows; r++) {
+        for (long q = 0; q < cols; q++) {
+            const double xv = x[r * row_stride + q * col_stride];
+            if (!(xv >= lo && xv < hi)) {
+                if (xv == hi)
+                    counts[ne - 2] += 1.0;
+                continue;
+            }
+            /* >= 0, or NaN when hi - lo overflows */
+            const double guess = (xv - lo) * scale;
+            long b = guess < (double)(ne - 2) ? (long)guess : ne - 2;
+            while (xv < e[b])
+                b--;
+            while (xv >= e[b + 1])
+                b++;
+            counts[b] += 1.0;
+        }
+    }
+}
+
+/* The first q from q on, below n, whose sample x[q*stride] lies on the
+   other side of level than `above` says, or n; x >= level is above.  Four
+   samples are tested at a time, so the long runs between crossings cost
+   one branch per four. */
+static long next_change(const double *x, long stride, long q, long n, double level,
+                        int above)
+{
+    for (; q + 4 <= n; q += 4)
+        if ((x[q * stride] >= level) + (x[(q + 1) * stride] >= level)
+            + (x[(q + 2) * stride] >= level) + (x[(q + 3) * stride] >= level) != 4 * above)
+            break;
+    while (q < n && (x[q * stride] >= level) == above)
+        q++;
+    return q;
+}
+
+/* The crossings of level by the rows x n samples
+   x[r*row_stride + k*col_stride] that the refractory window keeps, as
+   TickAccumulator's NumPy feed finds and keeps them.
+
+   state   3 x rows: each row's last sample before this feed (read only
+           when it has one), the time of its first sample ever fed, and
+           its last kept tick (read only when it has one)
+   counts  2 x rows: each row's number of samples fed before, and in:
+           nonzero when the row has kept a tick; out: the number of
+           crossings kept by this call
+   out     the kept times, row after row, at most rows x n of them
+
+   A row with samples fed before starts its series with the last of them.
+   A change of side between series samples j and j+1 is timed as
+   origin + dt*(k + (level - x0)/(x1 - x0)), with k = max(seen - 1, 0) + j,
+   and kept when the row has no kept tick or it lies at least refractory
+   after the last one. */
+void nemclock_crossings(long rows, long n, const double *x,
+                        long row_stride, long col_stride,
+                        const double *state, long *counts,
+                        double level, double dt, double refractory, double *out)
+{
+    for (long r = 0; r < rows; r++) {
+        const double *xr = x + r * row_stride;
+        const long seen = counts[r];
+        const double origin = state[rows + r];
+        double *times = out;
+        double tick = state[2 * rows + r];
+        int has_last = counts[rows + r] != 0;
+        long kept = 0;
+        /* the change between sample q - 1 (the last one fed before, for
+           q = 0) and sample q lies between the row's samples k and k + 1,
+           k = seen - 1 + q, counted from its first feed */
+        const long first = seen == 0 && n > 0;
+        int above = (first ? xr[0] : state[r]) >= level;
+        for (long q = next_change(xr, col_stride, first, n, level, above); q < n;
+             q = next_change(xr, col_stride, q + 1, n, level, above)) {
+            const double x0 = q > 0 ? xr[(q - 1) * col_stride] : state[r];
+            const double x1 = xr[q * col_stride];
+            const double t = origin + dt * ((double)(seen - 1 + q) + (level - x0) / (x1 - x0));
+            if (!has_last || t - tick >= refractory) {
+                times[kept++] = t;
+                tick = t;
+                has_last = 1;
+            }
+            above = !above;
+        }
+        counts[rows + r] = kept;
+        out += kept;
     }
 }
 

@@ -40,8 +40,11 @@ from NumPy and checked against 4096 Python draws at the first stepping
 call; if that fails, one RuntimeWarning.  Every other draw (the two
 initial ones, and each chunk's on either fallback) comes from the block's
 one noise source, by default the same streams drawn in Python.  Chunking
-and consumers (the record is two of them) stay in Python, so the consumer
-contract is the same on both paths.
+and the consumer ``feed`` calls (the record is two consumers) stay in
+Python, so the consumer contract is the same on both paths; the position
+histogram and the tick detector count in the kernel too, through
+:func:`_bin_counts_compiled` and :func:`_crossings_compiled`, bit for bit
+their NumPy feeds, which are the oracle and the fallback.
 """
 from __future__ import annotations
 
@@ -226,21 +229,64 @@ def _evaluate_numpy(spline: Spline, t) -> np.ndarray:
     return 0.0 + c[3, i] + c[2, i] * s + c[1, i] * (s * s) + c[0, i] * (s * s * s)
 
 
+def _strided_rows(t: np.ndarray):
+    """The float64 array ``t`` as a (rows, cols) array, in place when ``t``
+    is 1- or 2-D, and the kernel's arguments for reading it: the shape, the
+    address and the strides in elements.  Keep the array while the kernel
+    reads it."""
+    rows = t.reshape(math.prod(t.shape[:-1]), t.shape[-1]) if t.ndim else t.reshape(1, 1)
+    if any(stride % 8 for stride in rows.strides):
+        rows = np.ascontiguousarray(rows)
+    return rows, (rows.shape[0], rows.shape[1], rows.ctypes.data,
+                  rows.strides[0] // 8, rows.strides[1] // 8)
+
+
 def _evaluate_compiled(kernel, spline: Spline, t) -> np.ndarray:
     """:func:`_evaluate_numpy` in C, bit for bit, written straight into the
     result; a 1- or 2-D ``t`` is read in place through its strides."""
     t = np.asarray(t, dtype=np.float64)
-    rows = t.reshape(math.prod(t.shape[:-1]), t.shape[-1]) if t.ndim else t.reshape(1, 1)
-    if any(stride % 8 for stride in rows.strides):
-        rows = np.ascontiguousarray(rows)
+    rows, points = _strided_rows(t)
     out = np.empty(t.shape + spline.c.shape[2:])
     kernel.nemclock_eval(
-        rows.shape[0], rows.shape[1], rows.ctypes.data,
-        rows.strides[0] // 8, rows.strides[1] // 8,
-        spline.x.ctypes.data, spline.x.size, spline.c.ctypes.data,
+        *points, spline.x.ctypes.data, spline.x.size, spline.c.ctypes.data,
         spline.c[0, 0].size, out.ctypes.data,
     )
     return out
+
+
+def _bin_counts_compiled(kernel, edges: np.ndarray, xs: np.ndarray, counts: np.ndarray):
+    """Add ``np.histogram(xs, bins=edges)[0]`` to the float64 ``counts`` in
+    C, bit for bit, for float64 ``xs`` of any shape and contiguous, finite,
+    increasing ``edges`` of one width."""
+    rows, samples = _strided_rows(xs)
+    kernel.nemclock_bin_counts(*samples, edges.ctypes.data, edges.size, counts.ctypes.data)
+
+
+def _crossings_compiled(kernel, xs: np.ndarray, state: list, level: float, dt: float,
+                        refractory: float):
+    """The refractory-kept crossings of ``level`` by the rows of the 2-D
+    float64 ``xs``, equal bit for bit to ``TickAccumulator``'s NumPy feed:
+    the kept times, row after row, and the number of them per row.
+
+    ``state[r]`` is row r's ``(origin, seen, prev, last)``: the time of its
+    first sample ever fed, the number of samples fed before, the last of
+    them (None when ``seen`` is 0) and its last kept tick (None for none).
+
+    The kernel writes them to a buffer made per call and filled from its
+    start, so a feed touches few of its pages: with one buffer kept for
+    each accumulator's lifetime, every corpus build after the second took
+    about 1200 more minor page faults, all in the stepper's and the current
+    series' buffers."""
+    xs, samples = _strided_rows(xs)
+    origin, seen, prev, last = zip(*state) if state else ((),) * 4
+    doubles = np.array([*(0.0 if p is None else p for p in prev), *origin,
+                        *(0.0 if t is None else t for t in last)], dtype=np.float64)
+    longs = np.array([*seen, *(t is not None for t in last)], dtype=ctypes.c_long)
+    out = np.empty(xs.size)
+    kernel.nemclock_crossings(*samples, doubles.ctypes.data, longs.ctypes.data,
+                              level, dt, refractory, out.ctypes.data)
+    counts = longs[len(state):]
+    return out[: counts.sum()].tolist(), counts.tolist()
 
 
 def _dgtsv(lower: list, diag: list, upper: list, b: np.ndarray) -> np.ndarray:
@@ -366,6 +412,11 @@ def _load_kernel():
     kernel.nemclock_steps.restype = long
     kernel.nemclock_eval.argtypes = [long, long, ptr, long, long, ptr, long, ptr, long, ptr]
     kernel.nemclock_eval.restype = None
+    kernel.nemclock_bin_counts.argtypes = [long, long, ptr, long, long, ptr, long, ptr]
+    kernel.nemclock_bin_counts.restype = None
+    kernel.nemclock_crossings.argtypes = [long, long, ptr, long, long, ptr, ptr,
+                                          double, double, double, ptr]
+    kernel.nemclock_crossings.restype = None
     kernel.nemclock_ziggurat.argtypes = [ptr]
     kernel.nemclock_ziggurat.restype = None
     kernel.nemclock_scripted.argtypes = [ptr, ctypes.c_uint64, ptr]
@@ -398,12 +449,13 @@ def _compiled_part(part: str, build, fallback: str):
 
 
 def _kernel():
-    """The compiled step loop and spline evaluation, or None when they
-    cannot be built or loaded: the NumPy ones then give the same results at
-    about 200x and 17x the cost."""
+    """The compiled step loop, spline evaluation and consumer counts, or
+    None when they cannot be built or loaded: the NumPy ones then give the
+    same results at about 200x, 17x and 3x the cost."""
     return _compiled_part(
         "kernel", _load_kernel,
-        "falling back to the NumPy step loop (about 200x slower) and spline evaluation",
+        "falling back to the NumPy step loop (about 200x slower), spline "
+        "evaluation and histogram and tick feeds",
     )
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import langevin
 from .langevin import (
     SeriesAccumulator,
     SimConfig,
@@ -45,17 +46,44 @@ SIGMA_MARGIN = 8.0
 
 
 class HistogramAccumulator:
-    """Streams post-burn-in positions into fixed-bin counts."""
+    """Streams post-burn-in positions into fixed-bin counts.
+
+    ``edges`` are at least two finite, increasing bin edges of one width
+    (to ``rtol=1e-9``), as :meth:`density` divides by that width.  Counts
+    follow ``np.histogram(xs, bins=edges)``: the compiled kernel makes them
+    when it loads, :meth:`_feed_numpy` is its oracle and fallback and also
+    takes any feed that is not float64.
+    """
 
     def __init__(self, edges):
-        self.edges = np.asarray(edges, dtype=float)
+        self.edges = np.ascontiguousarray(edges, dtype=float)
+        widths = np.diff(self.edges) if self.edges.ndim == 1 else np.empty(0)
+        if not (
+            widths.size
+            and np.isfinite(self.edges).all()
+            and widths[0] > 0
+            and np.allclose(widths, widths[0], rtol=1e-9, atol=0.0)
+        ):
+            raise ValueError(
+                "histogram edges must be at least two finite, increasing "
+                "values of one width"
+            )
         self.counts = np.zeros(self.edges.size - 1)
         self.total = 0
 
     def feed(self, indices, t0, dt, xs, vs=None):
+        xs = np.asarray(xs)
+        kernel = langevin._kernel()
+        if kernel is None or xs.dtype != np.float64:
+            self._feed_numpy(xs)
+        else:
+            langevin._bin_counts_compiled(kernel, self.edges, xs, self.counts)
+        self.total += xs.size
+
+    def _feed_numpy(self, xs):
+        """Reference feed: NumPy's histogram of the samples."""
         counts, _ = np.histogram(xs, bins=self.edges)
         self.counts += counts
-        self.total += xs.size
 
     def absorb(self, other: "HistogramAccumulator") -> None:
         self.counts += other.counts

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import langevin
 from .langevin import ExcursionError, Trajectory, column_interpolant
 from .transport import CoefficientTable
 
@@ -98,6 +99,10 @@ class TickAccumulator:
     and k + 1, counted from its first feed at ``origin``, is timed as
     ``origin + dt*(k + fraction)`` with integer k, so chunking cannot move it.
     Crossings are filtered greedily by the refractory window.
+
+    The compiled kernel finds and keeps a feed's crossings for every row at
+    once when it loads; :meth:`_feed_numpy` is its oracle and fallback, and
+    also takes any feed that is not a float64 block with a row per index.
     """
 
     def __init__(self, level: float, refractory: float):
@@ -108,6 +113,28 @@ class TickAccumulator:
 
     def feed(self, indices, t0, dt, xs, vs=None):
         xs = np.asarray(xs)
+        kernel = langevin._kernel()
+        if (kernel is None or xs.dtype != np.float64 or xs.ndim != 2
+                or xs.shape[0] < len(indices)):
+            return self._feed_numpy(indices, t0, dt, xs)
+        # (origin, seen, last position, last kept tick); a kept list is never empty
+        state = [(*self._prev.get(idx, (t0, 0, None)), self._ticks.get(idx, [None])[-1])
+                 for idx in indices]
+        kept, counts = langevin._crossings_compiled(
+            kernel, xs[: len(indices)], state, self.level, dt, self.refractory
+        )
+        n, start = xs.shape[1], 0
+        for idx, (origin, seen, *_), count, px in zip(
+            indices, state, counts, xs[: len(indices), -1].tolist()
+        ):
+            if count:
+                self._ticks.setdefault(idx, []).extend(kept[start : start + count])
+                start += count
+            self._prev[idx] = (origin, seen + n, px)
+
+    def _feed_numpy(self, indices, t0, dt, xs):
+        """Reference feed: the crossings of each row by NumPy, then the
+        refractory window in Python."""
         for row, idx in enumerate(indices):
             origin, seen, px = self._prev.get(idx, (t0, 0, None))
             series = xs[row] if px is None else np.concatenate([[px], xs[row]])

@@ -150,11 +150,22 @@ def test_declared_defaults_pass_their_kinds():
     assert [(key, value) for key, value, (test, _) in defaults if not test(value)] == []
 
 
+def _readme_config_id(block: str) -> str:
+    """A README config's test id from its section keys, so that editing
+    other blocks does not rename it; a block that is not JSON keeps a plain
+    id and fails its load."""
+    try:
+        keys = [key for key in json.loads(block) if key != "version"]
+    except (ValueError, TypeError):
+        keys = ["unparsed"]
+    return "README-" + "-".join(keys)
+
+
 def _documented_configs():
     blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert blocks, "README.md holds no json config block"
     return [
-        *[pytest.param(block, id=f"README-{i}") for i, block in enumerate(blocks, 1)],
+        *[pytest.param(block, id=_readme_config_id(block)) for block in blocks],
         pytest.param(ROOT / "perfbench" / "run-v100.json", id="perfbench-run-v100"),
     ]
 

@@ -4,8 +4,10 @@ the compiled step loop against the NumPy reference loop."""
 import ctypes
 import math
 import os
+import re
 import subprocess
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,6 +484,47 @@ def test_kernel_compiles_without_warnings(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_C_TYPES = {"double": ctypes.c_double, "long": ctypes.c_long, "uint64_t": ctypes.c_uint64}
+
+
+def _kernel_functions():
+    """(name, return type, [parameter ctypes]) of every function of the
+    kernel that is not static: a pointer parameter reads as c_void_p."""
+    source = langevin._KERNEL_SOURCE.read_text()
+    found = []
+    for ret, name, params in re.findall(
+        r"^(\w+)\s+(\w+)\(([^)]*)\)\s*\{", source, re.M
+    ):
+        if ret == "static":
+            continue
+        kinds = [
+            ctypes.c_void_p if "*" in p else _C_TYPES[p.split()[-2]]
+            for p in params.split(",")
+        ]
+        found.append((name, {"void": None, **_C_TYPES}[ret], kinds))
+    return found
+
+
+def test_every_kernel_function_is_declared():
+    # ctypes calls an undeclared function with ints for its doubles and an
+    # int result, without an error
+    kernel = langevin._kernel()
+    if kernel is None:
+        pytest.skip("compiled stepper unavailable")
+    functions = _kernel_functions()
+    assert len(functions) >= 7
+    for name, restype, argtypes in functions:
+        assert name.startswith("nemclock_"), name
+        fn = getattr(kernel, name)
+        assert fn.argtypes is not None, f"{name} has no argtypes"
+        assert list(fn.argtypes) == argtypes, name
+        assert fn.restype is restype, name
+    # README names the same functions where it says langevin declares them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("declares its C functions"):].split("\n\n")[0]
+    assert set(re.findall(r"`(nemclock_\w+)`", paragraph)) == {f[0] for f in functions}
 
 
 @pytest.mark.skipif(not os.path.exists(langevin._CC), reason="no C compiler")

@@ -21,6 +21,7 @@ from nemclock.pipeline import (
 )
 from nemclock.readout import (
     DetectionPolicy,
+    TickAccumulator,
     TickSeries,
     current_level_maximum,
     detect_ticks,
@@ -114,34 +115,119 @@ def test_histogram_accumulator_matches_numpy():
         HistogramAccumulator(edges).density()
 
 
+def _both_paths(monkeypatch):
+    """Yield twice: with the compiled kernel, then with it forced off."""
+    if langevin._kernel() is None:
+        pytest.skip("compiled kernel unavailable")
+    yield
+    with monkeypatch.context() as mp:
+        mp.setattr(langevin, "_kernel", lambda: None)
+        yield
+
+
 @pytest.mark.parametrize(
     "edges",
     [
         np.linspace(-2.0, 2.0, 9),
         # build_corpus's bins: the nodes of a uniform grid, plus and minus half a step
-        np.append(np.linspace(-13.7, 13.7, 41) - 0.685, 13.7 + 0.685),
+        np.append(np.linspace(-13.7, 13.7, 41) - 0.3425, 13.7 + 0.3425),
     ],
 )
-def test_histogram_accumulator_counts_edges_as_numpy(edges):
+def test_histogram_accumulator_counts_edges_as_numpy(monkeypatch, edges):
     # every edge, its neighbouring doubles, and points outside the grid
     on_edges = np.concatenate([edges, np.nextafter(edges, -np.inf),
                                np.nextafter(edges, np.inf)])
     outside = np.array([edges[0] - 1.0, edges[-1] + 1.0, -np.inf, np.inf, -1e300, 1e300])
     samples = np.concatenate([on_edges, outside, np.repeat(edges[-1], 3)])
     samples = np.random.default_rng(4).permutation(samples)
-    acc = HistogramAccumulator(edges)
-    for i, chunk in enumerate(np.array_split(samples, 3)):
-        acc.feed([0], float(i), 0.1, chunk[None, :])
     expected, _ = np.histogram(samples, bins=edges)
-    np.testing.assert_array_equal(acc.counts, expected)
-    assert acc.total == samples.size
-    # the rule itself: an interior edge opens its bin, the last edge closes
-    # the last bin, and nothing outside [edges[0], edges[-1]] is counted
-    single = HistogramAccumulator(edges)
-    single.feed([0], 0.0, 0.1, edges[None, :])
-    np.testing.assert_array_equal(single.counts, [1.0] * (edges.size - 2) + [2.0])
-    single.feed([0], 0.0, 0.1, outside[None, :])
-    assert single.counts.sum() == edges.size
+    for _ in _both_paths(monkeypatch):
+        acc = HistogramAccumulator(edges)
+        for i, chunk in enumerate(np.array_split(samples, 3)):
+            acc.feed([0], float(i), 0.1, chunk[None, :])
+        np.testing.assert_array_equal(acc.counts, expected)
+        assert acc.total == samples.size
+        # the rule itself: an interior edge opens its bin, the last edge
+        # closes the last bin, and nothing outside [edges[0], edges[-1]] is
+        # counted
+        single = HistogramAccumulator(edges)
+        single.feed([0], 0.0, 0.1, edges[None, :])
+        np.testing.assert_array_equal(single.counts, [1.0] * (edges.size - 2) + [2.0])
+        single.feed([0], 0.0, 0.1, outside[None, :])
+        assert single.counts.sum() == edges.size
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        pytest.param([0.0, 1.0, 3.0], id="two-widths"),
+        pytest.param(np.append(np.linspace(-13.7, 13.7, 41) - 0.685, 13.7 + 0.685),
+                     id="last-bin-wider"),
+        pytest.param([2.0, 1.0, 0.0], id="decreasing"),
+        pytest.param([1.0, 1.0, 1.0], id="zero-width"),
+        pytest.param([0.0], id="one-edge"),
+        pytest.param([], id="no-edge"),
+        pytest.param(0.5, id="scalar"),
+        pytest.param([0.0, 1.0, np.nan], id="nan"),
+        pytest.param([-np.inf, 0.0, np.inf], id="infinite"),
+        pytest.param([[0.0, 1.0], [2.0, 3.0]], id="2-d"),
+    ],
+)
+def test_histogram_accumulator_refuses_edges_it_cannot_serve(edges):
+    # density() divides every count by edges[1] - edges[0], and the compiled
+    # count walks from a guess at the mean edge spacing
+    with pytest.raises(ValueError, match="finite, increasing values of one width"):
+        HistogramAccumulator(edges)
+
+
+def _special_samples(edges):
+    """Every edge and the doubles next to it, signed zeros, NaN, +-inf,
+    +-1e300 and points beyond either end, shuffled."""
+    u = np.random.default_rng(8).random(200)
+    values = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300,
+         edges[0] - 1.0, edges[-1] + 1.0, edges[-1], edges[-1]],
+        edges[0] * (1.0 - u) + edges[-1] * u,
+    ])
+    return np.random.default_rng(9).permutation(values)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        np.linspace(-2.0, 2.0, 9),
+        np.append(np.linspace(-13.7, 13.7, 41) - 0.3425, 13.7 + 0.3425),
+        np.array([-1.0, 1.0]),
+        # one width whose sum overflows: the bin guess is NaN, the walk exact
+        np.array([-1e308, 0.0, 1e308]),
+    ],
+    ids=["nine", "corpus-rule", "one-bin", "span-overflows"],
+)
+def test_compiled_bin_counts_equal_numpy_bitwise(edges):
+    kernel = langevin._kernel()
+    if kernel is None:
+        pytest.skip("compiled kernel unavailable")
+    samples = _special_samples(edges)
+    block = np.resize(samples, (6, 2 * samples.size))
+    feeds = [
+        block[:, :samples.size],        # contiguous rows
+        block[:, 1::3],                 # strided columns
+        block.T[::2],                   # rows two apart in memory
+        block[:, -1][:, None],          # the one-column final feed
+        block[0],                       # one dimension
+        np.float64(edges[-1]),          # no dimension
+        block[:, :0],                   # empty
+    ]
+    compiled, reference = HistogramAccumulator(edges), HistogramAccumulator(edges)
+    for xs in feeds:
+        compiled.feed(range(6), 0.0, 0.1, xs)
+        reference._feed_numpy(xs)
+        reference.total += np.asarray(xs).size
+        assert np.array_equal(compiled.counts.view(np.uint64),
+                              reference.counts.view(np.uint64))
+    assert compiled.total == reference.total
+    assert 0 < compiled.counts.sum() < compiled.total
 
 
 def test_series_accumulator_stride_alignment():
@@ -354,6 +440,56 @@ def test_build_corpus_ticks_equal_batch_detection(tick_table, params100):
     for ticks, batch in zip(corpus.ticks, batches):
         assert len(ticks) > 100
         np.testing.assert_array_equal(ticks.tick_times, batch.tick_times)
+
+
+def test_build_corpus_never_reaches_the_numpy_feeds(monkeypatch, tick_table, params100):
+    # with the kernel loaded, both consumers count in C; a broken dispatch
+    # would otherwise pass every test at the NumPy feeds' cost
+    if langevin._kernel() is None:
+        pytest.skip("compiled kernel unavailable")
+
+    def forbidden(*args):
+        raise AssertionError("a NumPy consumer feed ran")
+
+    monkeypatch.setattr(HistogramAccumulator, "_feed_numpy", forbidden)
+    monkeypatch.setattr(TickAccumulator, "_feed_numpy", forbidden)
+    sim = _short_sim(seed=11, ensemble=18, duration=205.0)
+    corpus = build_corpus(tick_table, params100, sim, threads=THREADS)
+    assert sum(len(t) for t in corpus.ticks) > 100
+    assert corpus.position_count == 18 * (sim.total_steps - sim.burn_steps + 1)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_build_corpus_with_the_kernel_off_equals_the_compiled_run(
+    monkeypatch, tick_table, params100
+):
+    # chunks of 4096 steps restart at the burn-in, so ticks and the
+    # refractory window straddle several chunk seams
+    sim = _short_sim(seed=13, ensemble=3, burn_in=60.15, duration=560.0, record_stride=3)
+    if langevin._kernel() is None:
+        pytest.skip("compiled kernel unavailable")
+    compiled = build_corpus(tick_table, params100, sim, current_stride=2)
+
+    def broken():
+        raise OSError("kernel forced off")
+
+    monkeypatch.setattr(langevin, "_load_kernel", broken)
+    monkeypatch.setattr(langevin, "_compiled", {})
+    with pytest.warns(RuntimeWarning, match="kernel forced off"):
+        fallback = build_corpus(tick_table, params100, sim, current_stride=2)
+    assert langevin._compiled == {"kernel": None}
+    assert sum(len(t) for t in compiled.ticks) > 50
+    for a, b in zip(compiled.ticks, fallback.ticks, strict=True):
+        assert np.array_equal(_bits(a.tick_times), _bits(b.tick_times))
+    for name in ("position_density", "currents"):
+        assert np.array_equal(_bits(getattr(compiled, name)), _bits(getattr(fallback, name)))
+    for name in ("positions", "velocities"):
+        assert np.array_equal(_bits(getattr(compiled.record, name)),
+                              _bits(getattr(fallback.record, name)))
+    assert compiled.position_count == fallback.position_count
 
 
 # ------------------------------------------------------------- aggregation --

@@ -7,6 +7,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from conftest import make_synthetic_table
+from nemclock import langevin
 from nemclock.langevin import ExcursionError, Trajectory
 from nemclock.readout import (
     DetectionPolicy,
@@ -177,6 +178,97 @@ def test_absorb_of_disjoint_blocks_equals_one_accumulator():
     for idx in range(5):
         assert whole.tick_times(idx).size >= 10
         np.testing.assert_array_equal(first.tick_times(idx), whole.tick_times(idx))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _at_level():
+    # samples exactly on the level, and the doubles next to it
+    below = np.nextafter(0.5, -np.inf)
+    row = np.array([0.0, 0.5, 0.5, 0.2, 0.5, 1.0, 0.5, below, 0.5, below, 1.0])
+    x = np.stack([row, row[::-1], -row])
+    return 0.5, 0.0, [([0, 1, 2], 0.0, 0.25, x[:, :4]), ([0, 1, 2], 1.0, 0.25, x[:, 4:])]
+
+
+def _non_finite():
+    # a NaN crossing time is kept when the row has no tick yet, and then
+    # every later one fails the refractory test against it
+    x = np.array([
+        [0.0, 1.0, np.nan, 1.0, 0.0, np.inf, 0.0, -np.inf, 1.0, 0.0, 1.0],
+        [np.nan, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+        [np.inf, -np.inf, np.inf, 0.0, np.nan, np.nan, 1.0, -np.inf, 0.0, 1e300, -1e300],
+    ])
+    return 0.5, 0.25, [([0, 1, 2], 0.0, 0.5, x[:, :5]), ([0, 1, 2], 2.5, 0.5, x[:, 5:])]
+
+
+def _refractory_across_seams():
+    # quick re-crossings a few samples after a chunk's last crossing, in the
+    # next chunk, fall inside the window; later ones do not
+    row = np.tile([0.4, 0.6, 0.4, 0.6, 0.4, 0.4, 0.4, 0.6, 0.6, 0.6], 8)
+    x = np.stack([row, np.roll(row, 3)])
+    seams = [0, 2, 9, 10, 33, 34, 61, x.shape[1]]
+    return 0.5, 0.35, [([7, 3], 0.1 * lo, 0.1, x[:, lo:hi])
+                       for lo, hi in zip(seams, seams[1:])]
+
+
+def _late_members_and_final_column():
+    # member 2 joins at the second feed with no previous sample, the rows
+    # come in another order, and the last feed is a one-column view
+    t, _ = _sine(periods=3, dt=0.05)
+    rows = np.stack([np.sin(t + phase) for phase in (0.2, 1.1, 2.9)])
+    final = rows[:, -1]
+    return 0.0, 0.3, [
+        ([0, 1], 0.0, 0.05, rows[:2, :150]),
+        ([2, 0, 1], 7.5, 0.05, rows[[2, 0, 1], 150:-1]),
+        ([2, 0, 1], 0.05 * (t.size - 1), 0.05, final[[2, 0, 1]][:, None]),
+    ]
+
+
+def _strided_views():
+    t, _ = _sine(periods=4, dt=0.02)
+    block = np.stack([np.cos(t + phase) for phase in (0.0, 0.4, 0.8, 1.2)])
+    return 0.3, 0.2, [
+        ([0, 1], 0.0, 0.04, block[::2, :400:2]),                  # strided rows and columns
+        ([0, 1], 8.0, 0.04, np.asfortranarray(block[::2, 400::2])),
+        ([5, 6, 7], 0.0, 0.02, np.asfortranarray(block[1:, :900])),  # rows one element apart
+    ]
+
+
+def _quantized_walk():
+    # a random walk on a lattice that holds the level, cut at random seams
+    rng = np.random.default_rng(17)
+    x = 0.25 * np.cumsum(rng.integers(-1, 2, (5, 3000)), axis=1)
+    seams = [0, *np.sort(rng.choice(np.arange(1, 3000), 40, replace=False)), 3000]
+    return 0.5, 0.3, [(range(5), 0.1 * lo, 0.1, x[:, lo:hi])
+                      for lo, hi in zip(seams, seams[1:])]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "case",
+    [_at_level, _non_finite, _refractory_across_seams, _late_members_and_final_column,
+     _strided_views, _quantized_walk],
+    ids=["at-level", "non-finite", "refractory-across-seams",
+         "late-members-final-column", "strided-views", "quantized-walk"],
+)
+def test_compiled_crossings_equal_numpy_bitwise(case):
+    if langevin._kernel() is None:
+        pytest.skip("compiled kernel unavailable")
+    level, refractory, feeds = case()
+    compiled = TickAccumulator(level=level, refractory=refractory)
+    reference = TickAccumulator(level=level, refractory=refractory)
+    for indices, t0, dt, xs in feeds:
+        compiled.feed(indices, t0, dt, xs)
+        reference._feed_numpy(indices, t0, dt, xs)
+    assert sum(map(len, reference._ticks.values())) > 0
+    assert compiled._ticks.keys() == reference._ticks.keys()
+    for idx, ticks in reference._ticks.items():
+        assert np.array_equal(_bits(compiled._ticks[idx]), _bits(ticks))
+    assert compiled._prev.keys() == reference._prev.keys()
+    for idx, state in reference._prev.items():
+        assert np.array_equal(_bits(compiled._prev[idx]), _bits(state))
 
 
 def test_empty_trajectory_yields_empty_series():
