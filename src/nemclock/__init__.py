@@ -48,6 +48,7 @@ _LAZY = {
     ),
     "tickinfo": (
         "Histogram",
+        "block_bootstrap_se",
         "kl_divergence",
         "mi_bias_bound",
         "n_fold_convolution",

@@ -90,11 +90,6 @@ def _number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _list(value, each, length=None) -> bool:
-    return (isinstance(value, (list, tuple)) and length in (None, len(value))
-            and all(map(each, value)))
-
-
 def _int_at_least(low: int):
     return (lambda v: type(v) is int and v >= low, f"an integer >= {low}")
 
@@ -106,28 +101,19 @@ _POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
 _NONNEGATIVE = (lambda v: _number(v) and v >= 0, "a number >= 0")
 _INTEGER = (lambda v: type(v) is int, "an integer")
 _COUNT = _int_at_least(1)
-_COUNTS = (lambda v: _list(v, _COUNT[0]), "a list of integers >= 1")
 
 # Each section maps a key to (default, kind); a default of ... marks the key
 # required, and a kind that is itself such a table marks a nested section.
-_LEAD_KEYS = dict(
-    band_center=(..., _NUMBER),
-    bandwidth=(..., _POSITIVE),
-    peak_rate=(..., _POSITIVE),
-    chemical_potential=(..., _NUMBER),
-)
 # the voltage shorthand's defaults are the reference device's
 _REFERENCE = default_params()
 _SYSTEM_KEYS = dict(
-    voltage=(None, _NUMBER),
+    voltage=(..., _NUMBER),
     coupling=(_REFERENCE.coupling, _NUMBER),
     inverse_temperature=(_REFERENCE.inverse_temperature, _POSITIVE),
     dot_energy=(_REFERENCE.dot_energy, _NUMBER),
     band_center=(_REFERENCE.left.band_center, _NUMBER),
     bandwidth=(_REFERENCE.left.bandwidth, _POSITIVE),
     peak_rate=(_REFERENCE.left.peak_rate, _POSITIVE),
-    left=(None, _LEAD_KEYS),
-    right=(None, _LEAD_KEYS),
 )
 _GRID_KEYS = dict(x_max=(None, _POSITIVE), nodes=(GridSpec.nodes, _int_at_least(4)))
 _SIM_KEYS = dict(
@@ -141,41 +127,33 @@ _SIM_KEYS = dict(
 _DETECTION_KEYS = dict(
     level=(None, _NUMBER), refractory=(DetectionPolicy.refractory, _NONNEGATIVE)
 )
-_ANALYSIS_KEYS = dict(
-    max_lag_periods=(100.0, _POSITIVE),
-    spectrum_window=(
-        (1.6, 2.4),
-        (lambda v: _list(v, _number, 2) and 0 < v[0] < v[1],
-         "two numbers 0 < low < high"),
-    ),
-    allan_per_decade=(20, _COUNT),
-    mi_separations=((1, 100), _COUNTS),
-    kl_orders=((2, 4, 8), _COUNTS),
-    make_plots=(True, (lambda v: type(v) is bool, "true or false")),
-)
 _CONFIG_KEYS = dict(
     version=(..., _INTEGER),
     system=(..., _SYSTEM_KEYS),
     grid=({}, _GRID_KEYS),
     simulation=({}, _SIM_KEYS),
     detection=({}, _DETECTION_KEYS),
-    analysis=({}, _ANALYSIS_KEYS),
-    sweep=(None, dict(voltages=(..., (lambda v: _list(v, _number) and len(v) > 0,
+    sweep=(None, dict(voltages=(..., (lambda v: isinstance(v, list) and len(v) > 0
+                                      and all(map(_number, v)),
                                       "a non-empty list of numbers")))),
 )
 
 
 def _take(mapping, section: str, table: dict) -> dict:
     """Checked copy of a config section, with its nested sections.  Unknown
-    keys are errors, missing keys take their defaults, and JSON null stands
+    keys are errors that echo every leaf they set, so a retired key is found
+    by its dotted name; missing keys take their defaults, and JSON null stands
     for a missing key only where the default is None.  Every value given is
     checked against its kind; the defaults are not."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"section {section!r} must be an object")
+    prefix = "" if section == "config" else f"{section}."
     unknown = sorted(set(mapping) - set(table))
     if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {', '.join(unknown)}")
-    prefix = "" if section == "config" else f"{section}."
+        given = [f"{name} = {value!r}" for key in unknown
+                 for name, value in _leaves(mapping[key], prefix + key)]
+        note = f" (given {'; '.join(given)})" if given else ""
+        raise ConfigError(f"unknown keys in {section!r}: {', '.join(unknown)}{note}")
     out = {}
     for key, (default, kind) in table.items():
         if key not in mapping and default is ...:
@@ -206,14 +184,6 @@ def load_config(path) -> dict:
             f"unsupported config version {cfg['version']!r}; "
             f"this build reads version {CONFIG_VERSION}"
         )
-    system = cfg["system"]
-    explicit = system["left"] is not None or system["right"] is not None
-    if explicit and not (system["left"] and system["right"]):
-        raise ConfigError("explicit leads need both system.left and system.right")
-    if explicit and system["voltage"] is not None:
-        raise ConfigError("give either system.voltage or explicit leads, not both")
-    if not explicit and system["voltage"] is None:
-        raise ConfigError("system needs a voltage (or explicit leads)")
     if cfg["sweep"] is not None:
         labels = [f"V={v:g}" for v in cfg["sweep"]["voltages"]]
         twice = sorted({label for label in labels if labels.count(label) > 1})
@@ -224,14 +194,6 @@ def load_config(path) -> dict:
 
 def build_params(cfg: dict) -> SystemParams:
     s = cfg["system"]
-    if s["left"] is not None:
-        return SystemParams(
-            left=LeadSpec(**s["left"]),
-            right=LeadSpec(**s["right"]),
-            inverse_temperature=s["inverse_temperature"],
-            coupling=s["coupling"],
-            dot_energy=s["dot_energy"],
-        )
     v = float(s["voltage"])
     return SystemParams(
         left=LeadSpec(
@@ -453,14 +415,23 @@ def stage_ticks(corpus: Corpus, out: Path):
     return corpus.ticks
 
 
-def stage_analyze(cfg, corpus: Corpus, out: Path) -> tuple[dict, list[str]]:
+# the analysis readings: the correlation horizon in oscillation periods, the
+# spectrum window in units of the oscillator frequency, Allan windows per
+# decade, and the wait separations and tick orders of info.json
+_MAX_LAG_PERIODS = 100.0
+_SPECTRUM_WINDOW = (1.6, 2.4)
+_ALLAN_PER_DECADE = 20
+_MI_SEPARATIONS = (1, 100)
+_KL_ORDERS = (2, 4, 8)
+
+
+def stage_analyze(corpus: Corpus, out: Path) -> tuple[dict, list[str]]:
     """Clock statistics from the stored ensemble; writes the report set and
     returns the report.json payload and the names of the plots it drew.  The
     spectrum is only plotted: it is ``power_spectrum`` of autocorrelation.csv
     and ``shot_noise_floor``."""
     params, table = corpus.params, corpus.table
     tick_series = corpus.ticks
-    a = cfg["analysis"]
     dt_rec = corpus.record.sample_spacing
     w0 = params.oscillator_frequency
 
@@ -483,7 +454,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> tuple[dict, list[str]]:
     _write_json(out / "wtd_fit.json", fit_payload)
 
     currents = transduce(corpus.record, table)
-    max_lag = _max_lag(cfg, params, corpus.sim)
+    max_lag = _max_lag(params, corpus.sim)
     curve = clockstats.autocorrelation(currents, dt_rec, max_lag=max_lag)
     _write_csv(
         out / "autocorrelation.csv", ["lag", "value"], [curve.lags, curve.values]
@@ -492,7 +463,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> tuple[dict, list[str]]:
     density = corpus.position_density
     floor = float(np.trapezoid(density * table.column("shot_noise"), table.grid))
     spectrum = clockstats.power_spectrum(curve, floor)
-    window = tuple(float(v) * w0 for v in a["spectrum_window"])
+    window = tuple(v * w0 for v in _SPECTRUM_WINDOW)
     peak_loc = peak_height = peak_width = line_fwhm = line_loc = None
     with contextlib.suppress(ValueError):
         peak_loc, peak_height = clockstats.spectrum_peak(spectrum, window)
@@ -510,7 +481,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> tuple[dict, list[str]]:
     try:
         span = min(float(ts.tick_times[-1]) for ts in usable)
         T_grid = clockstats.default_allan_grid(
-            mean_wait, span, per_decade=a["allan_per_decade"]
+            mean_wait, span, per_decade=_ALLAN_PER_DECADE
         )
         allan = ensemble_allan(usable, mean_wait, T_grid)
     except ValueError:
@@ -524,7 +495,7 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> tuple[dict, list[str]]:
         out / "allan.csv", ["window", "allan_variance", "renewal"], [T, val, renewal]
     )
 
-    info = _information_block(a, tick_series, waits)
+    info = _information_block(tick_series, waits)
     _write_json(out / "info.json", info)
 
     report = {
@@ -541,48 +512,48 @@ def stage_analyze(cfg, corpus: Corpus, out: Path) -> tuple[dict, list[str]]:
     }
     _write_json(out / "report.json", report)
 
-    plots = {}
-    if a["make_plots"]:
-        plots["spectrum.svg"] = dict(
+    plots = {
+        "spectrum.svg": dict(
             curves=[("power", spectrum.frequencies[1:], spectrum.values[1:])],
             title="current power spectrum",
             x_label="angular frequency",
             y_label="power",
             log_y=bool(np.all(spectrum.values[1:] > 0)),
-        )
-        plots["autocorrelation.svg"] = dict(
+        ),
+        "autocorrelation.svg": dict(
             curves=[("C", curve.lags, curve.values)],
             title="current autocorrelation",
             x_label="lag",
             y_label="C",
+        ),
+    }
+    if allan:
+        keep = val > 0
+        plots["allan.svg"] = dict(
+            curves=[
+                ("measured", T[keep], val[keep]),
+                ("renewal", T, renewal),
+            ],
+            title="Allan variance",
+            x_label="window",
+            y_label="sigma_y^2",
+            log_x=True,
+            log_y=True,
         )
-        if allan:
-            keep = val > 0
-            plots["allan.svg"] = dict(
-                curves=[
-                    ("measured", T[keep], val[keep]),
-                    ("renewal", T, renewal),
-                ],
-                title="Allan variance",
-                x_label="window",
-                y_label="sigma_y^2",
-                log_x=True,
-                log_y=True,
-            )
-        if waits.size >= 2:
-            hist = tickinfo.Histogram.from_samples(waits)
-            plots["wtd.svg"] = dict(
-                curves=[("waits", hist.midpoints, hist.masses / hist.bin_width)],
-                title="waiting-time distribution",
-                x_label="wait",
-                y_label="density",
-            )
+    if waits.size >= 2:
+        hist = tickinfo.Histogram.from_samples(waits)
+        plots["wtd.svg"] = dict(
+            curves=[("waits", hist.midpoints, hist.masses / hist.bin_width)],
+            title="waiting-time distribution",
+            x_label="wait",
+            y_label="density",
+        )
     for name, plot in plots.items():
         line_plot(out / name, **plot)
     return report, list(plots)
 
 
-def _information_block(a, tick_series, pooled_waits) -> dict:
+def _information_block(tick_series, pooled_waits) -> dict:
     """KL divergence of n-tick sums from the independent-gap prediction,
     and wait-wait mutual information, where the data suffice."""
     per_member = [
@@ -591,7 +562,7 @@ def _information_block(a, tick_series, pooled_waits) -> dict:
     out: dict = {"kl_orders": {}, "mutual_information": {}}
     if pooled_waits.size >= 200:
         base = tickinfo.Histogram.from_samples(pooled_waits)
-        for n in a["kl_orders"]:
+        for n in _KL_ORDERS:
             sums = [tickinfo.n_sum_samples(w, n) for w in per_member if w.size >= n]
             if not sums:
                 out["kl_orders"][str(n)] = None
@@ -603,7 +574,7 @@ def _information_block(a, tick_series, pooled_waits) -> dict:
             out["kl_orders"][str(n)] = tickinfo.kl_divergence(measured, predicted)
     else:
         out["kl_orders"] = None
-    for m in a["mi_separations"]:
+    for m in _MI_SEPARATIONS:
         values = [
             tickinfo.pairwise_mutual_information(w, m)
             for w in per_member
@@ -633,35 +604,36 @@ def _write_manifest(out: Path, names, cfg, sim: SimConfig, parameter_fingerprint
 # ------------------------------------------------------------ subcommands --
 
 
-def _max_lag(cfg, params, sim: SimConfig) -> int:
+def _max_lag(params, sim: SimConfig) -> int:
     """The last lag of the record that the current correlation reaches."""
     spacing = sim.time_step * sim.record_stride
-    horizon = cfg["analysis"]["max_lag_periods"] * 2.0 * math.pi
+    horizon = _MAX_LAG_PERIODS * 2.0 * math.pi
     return min(
         sim.recorded_samples // 2,
         int(round(horizon / (params.oscillator_frequency * spacing))),
     )
 
 
-def _check_record_resolves_spectrum(cfg, params, sim: SimConfig) -> None:
-    """The correlation horizon must reach a lag of the stored record, and the
-    record's Nyquist frequency must exceed the spectrum window."""
-    if _max_lag(cfg, params, sim) < 1:
+def _check_record_resolves_spectrum(params, sim: SimConfig) -> None:
+    """The record's Nyquist frequency must exceed the spectrum window, and
+    the record must hold a lag of the current correlation."""
+    top = _SPECTRUM_WINDOW[1] * params.oscillator_frequency
+    if math.pi / (sim.time_step * sim.record_stride) <= top:
+        largest = math.ceil(math.pi / (sim.time_step * top)) - 1
         raise ConfigError(
-            f"analysis.max_lag_periods {cfg['analysis']['max_lag_periods']:g} reaches "
-            f"no lag of the record ({sim.recorded_samples} samples) for a spectrum"
+            f"simulation.record_stride {sim.record_stride} puts the recorded Nyquist "
+            f"frequency pi/(time_step*record_stride) at or below the spectrum window "
+            f"top {top:g}; "
+            + (f"record_stride may be at most {largest}" if largest >= 1
+               else "no record_stride can: reduce simulation.time_step")
         )
-    top = cfg["analysis"]["spectrum_window"][1] * params.oscillator_frequency
-    if math.pi / (sim.time_step * sim.record_stride) > top:
-        return
-    largest = math.ceil(math.pi / (sim.time_step * top)) - 1
-    raise ConfigError(
-        f"simulation.record_stride {sim.record_stride} puts the recorded Nyquist "
-        f"frequency pi/(time_step*record_stride) at or below the spectrum window "
-        f"top {top:g}; "
-        + (f"record_stride may be at most {largest}" if largest >= 1
-           else "no record_stride can: reduce simulation.time_step")
-    )
+    # past that check the horizon spans over 480 record spacings, so only a
+    # record of one sample reaches no lag
+    if _max_lag(params, sim) < 1:
+        raise ConfigError(
+            f"the stored record holds {sim.recorded_samples} sample(s), too few for "
+            f"a lag of the current correlation; lengthen simulation.duration"
+        )
 
 
 def _prepare(args):
@@ -670,7 +642,7 @@ def _prepare(args):
     cfg = load_config(args.config)
     params = build_params(cfg)
     sim = build_sim(cfg, args.seed)
-    _check_record_resolves_spectrum(cfg, params, sim)
+    _check_record_resolves_spectrum(params, sim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out, params, sim
@@ -707,7 +679,7 @@ def cmd_analyze(args) -> int:
     with _stage("analyze"):
         corpus = _load_corpus(cfg, params, sim, out)
         stage_ticks(corpus, out)
-        report, _ = stage_analyze(cfg, corpus, out)
+        report, _ = stage_analyze(corpus, out)
     print(
         f"accuracy {report['accuracy']:.4g}, resolution {report['resolution']:.4g}, "
         f"entropy/tick {report['entropy_per_tick']:.4g}"
@@ -730,7 +702,7 @@ def _run_pipeline(cfg, out: Path, params, sim, threads: int):
     with _stage("ticks"):
         stage_ticks(corpus, out)
     with _stage("analyze"):
-        report, plots = stage_analyze(cfg, corpus, out)
+        report, plots = stage_analyze(corpus, out)
     written = [*_RUN_FILES, *plots]
     _write_manifest(out, written, cfg, sim, fingerprint(params))
     return report, written
@@ -754,11 +726,6 @@ def cmd_sweep(args) -> int:
     cfg, out, _, sim = _prepare(args)
     if cfg["sweep"] is None:
         raise ConfigError("sweep subcommand needs a sweep section")
-    if cfg["system"]["left"] is not None:
-        raise ConfigError(
-            "sweep sets system.voltage, which explicit leads cannot take; "
-            "describe the device by the voltage shorthand"
-        )
     rows, fingerprints, written = [], {}, ["summary.csv"]
     for voltage in cfg["sweep"]["voltages"]:
         sub_cfg = json.loads(json.dumps(cfg))

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 __all__ = [
     "AdiabaticityWarning",
@@ -114,14 +114,6 @@ class SystemParams:
             "bath (min(1/beta, V))": fast_thermal / slow,
             "tunnelling rate": rate / slow,
         }
-
-    def with_voltage(self, voltage: float) -> "SystemParams":
-        """Same device with the bias re-split symmetrically to ``voltage``."""
-        return replace(
-            self,
-            left=replace(self.left, chemical_potential=+0.5 * voltage),
-            right=replace(self.right, chemical_potential=-0.5 * voltage),
-        )
 
 
 def default_params(voltage: float = 100.0) -> SystemParams:

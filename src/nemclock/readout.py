@@ -54,7 +54,8 @@ class DetectionPolicy:
 
 @dataclass(frozen=True, eq=False)
 class TickSeries:
-    """One member's strictly increasing tick times, with their detection policy."""
+    """One member's finite, strictly increasing tick times, with their
+    detection policy."""
 
     tick_times: np.ndarray
     detection_policy: DetectionPolicy
@@ -62,6 +63,8 @@ class TickSeries:
     def __post_init__(self):
         times = np.asarray(self.tick_times, dtype=float)
         object.__setattr__(self, "tick_times", times)
+        if not np.all(np.isfinite(times)):
+            raise ValueError("tick times must be finite")
         if times.size > 1:
             gaps = np.diff(times)
             if not np.all(gaps > 0):
@@ -78,15 +81,22 @@ def current_level_maximum(table: CoefficientTable) -> float:
     return float(table.grid[int(np.argmax(table.column("current")))])
 
 
-def transduce(record: Trajectory, table: CoefficientTable) -> np.ndarray:
-    """Current series I(t_i) of every member, shape (members, n), on the
-    record's sampling grid; the first sample off the table grid raises."""
-    lo, hi = table.grid[0], table.grid[-1]
-    outside = np.argwhere((record.positions < lo) | (record.positions > hi))
+def _refuse_excursion(record: Trajectory, inside: np.ndarray) -> None:
+    """Raise ExcursionError at the first sample, in row order, where the
+    boolean array ``inside`` is false."""
+    outside = np.argwhere(~inside)
     if outside.size:
         row, col = outside[0]
         x = float(record.positions[row, col])
         raise ExcursionError(time=float(record.times[col]), position=x, index=int(row))
+
+
+def transduce(record: Trajectory, table: CoefficientTable) -> np.ndarray:
+    """Current series I(t_i) of every member, shape (members, n), on the
+    record's sampling grid; the first sample off the table grid, NaN and
+    +-inf included, raises."""
+    lo, hi = table.grid[0], table.grid[-1]
+    _refuse_excursion(record, (lo <= record.positions) & (record.positions <= hi))
     return np.asarray(column_interpolant(table, "current")(record.positions))
 
 
@@ -168,8 +178,10 @@ def detect_ticks(
     """Extract one tick series per member of the record, in row order.
 
     The crossing level defaults to the current-column argmax; ticks are
-    crossings in both directions, trimmed by the refractory window.
+    crossings in both directions, trimmed by the refractory window.  The
+    first non-finite sample raises, before any row is fed.
     """
+    _refuse_excursion(record, np.isfinite(record.positions))
     resolved = (policy or DetectionPolicy()).resolve(table)
     acc = TickAccumulator(level=resolved.level, refractory=resolved.refractory)
     rows = range(record.positions.shape[0])

@@ -31,7 +31,7 @@ def _base_config(**system) -> dict:
     return {"version": 1, "system": {"voltage": 5.0, **system}}
 
 
-# one explicit lead, every key given
+# one lead in the keys of the retired explicit-lead config
 _LEAD = dict(band_center=2.5, bandwidth=5.0, peak_rate=10.0, chemical_potential=2.5)
 
 
@@ -64,8 +64,7 @@ def test_config_defaults_fill_in(tmp_path):
     assert cfg["simulation"]["seed"] == 1
     assert cfg["detection"]["level"] is None
     assert cfg["detection"]["refractory"] == pytest.approx(0.25 * math.pi)
-    assert cfg["analysis"]["kl_orders"] == (2, 4, 8)
-    assert cfg["sweep"] is None and "toymodel" not in cfg
+    assert cfg["sweep"] is None and "toymodel" not in cfg and "analysis" not in cfg
 
 
 @pytest.mark.parametrize(
@@ -76,13 +75,14 @@ def test_config_defaults_fill_in(tmp_path):
         (lambda c: c.update(extra=1), "unknown keys in 'config'"),
         (lambda c: c["system"].update(tunnel=3), "unknown keys in 'system'"),
         (lambda c: c.update(system=7), "section 'system' must be an object"),
-        (lambda c: c["system"].pop("voltage"), "needs a voltage"),
-        (lambda c: c["system"].update(left=_LEAD), "need both"),
+        (lambda c: c["system"].pop("voltage"), "missing required key 'system'.voltage"),
+        (lambda c: c["system"].update(left=_LEAD), "unknown keys in 'system': left"),
         (lambda c: c.update(sweep={"voltages": []}), "non-empty"),
         (lambda c: c.update(sweep={"voltages": "56"}), "numbers, not '56'"),
         (lambda c: c.update(sweep={"voltages": 5}), "numbers, not 5"),
         (lambda c: c.update(sweep={"voltages": [5, 5.0]}), "V=5 twice"),
         (lambda c: c.update(sweep={"voltages": [100, 100.0000001]}), "V=100 twice"),
+        # the retired analysis section is refused, echoing each key it sets
         (lambda c: c.update(analysis={"max_lag_periods": -1}), "max_lag_periods"),
         (lambda c: c.update(analysis={"kl_orders": [0]}), r"kl_orders .*\[0\]"),
         (lambda c: c.update(analysis={"kl_orders": [2.5]}), r"kl_orders .*\[2.5\]"),
@@ -99,10 +99,6 @@ def test_config_defaults_fill_in(tmp_path):
         (lambda c: c.update(simulation={"record_stride": 2.0}), "record_stride"),
         (lambda c: c.update(simulation={"seed": True}), "seed"),
         (lambda c: c.update(grid={"nodes": 41.7}), r"nodes .*41\.7"),
-        (
-            lambda c: c["system"].update(left=dict(_LEAD, bogus=2.0), right=_LEAD),
-            "unknown keys in 'system.left'",
-        ),
         (lambda c: c.update(toymodel={}), "unknown keys in 'config': toymodel"),
         (lambda c: c["system"].update(voltage=True), r"system\.voltage .*, not True"),
         (lambda c: c["system"].update(voltage=float("nan")), r"system\.voltage .*, not nan"),
@@ -114,14 +110,11 @@ def test_config_defaults_fill_in(tmp_path):
         (lambda c: c.update(grid={"x_max": True}), r"grid\.x_max .*, not True"),
         (lambda c: c.update(grid={"nodes": 2}), r"grid\.nodes .*>= 4, not 2"),
         (lambda c: c.update(detection={"level": True}), r"detection\.level .*, not True"),
-        (lambda c: c.update(analysis={"make_plots": 0}), r"analysis\.make_plots .*, not 0"),
+        (lambda c: c.update(analysis={"make_plots": True}),
+         "unknown keys in 'config': analysis"),
         (lambda c: c.update(version=True), r"version .*, not True"),
         (lambda c: c.update(simulation={"duration": "10"}),
          r"simulation\.duration .*, not '10'"),
-        (
-            lambda c: c["system"].update(left=dict(_LEAD, bandwidth=True), right=_LEAD),
-            r"system\.left\.bandwidth .*, not True",
-        ),
     ],
 )
 def test_config_rejections(tmp_path, mangle, message):
@@ -129,6 +122,37 @@ def test_config_rejections(tmp_path, mangle, message):
     mangle(payload)
     with pytest.raises(ConfigError, match=message):
         load_config(_write(tmp_path / "bad.json", payload))
+
+
+# every leaf key of the retired explicit leads and analysis section, with a
+# value of the kind it once took
+_RETIRED = {
+    **{f"system.{side}.{key}": value
+       for side in ("left", "right") for key, value in _LEAD.items()},
+    "analysis.max_lag_periods": 100.0,
+    "analysis.spectrum_window": [1.6, 2.4],
+    "analysis.allan_per_decade": 20,
+    "analysis.mi_separations": [1, 100],
+    "analysis.kl_orders": [2, 4, 8],
+    "analysis.make_plots": True,
+}
+
+
+@pytest.mark.parametrize("key", _RETIRED)
+def test_retired_keys_are_refused(tmp_path, capsys, key):
+    # refused by name, not ignored, and before anything is written
+    *sections, leaf = key.split(".")
+    payload = _base_config()
+    section = payload
+    for name in sections:
+        section = section.setdefault(name, {})
+    section[leaf] = _RETIRED[key]
+    out = tmp_path / "out"
+    cfg_path = str(_write(tmp_path / "c.json", payload))
+    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    where = "'system': " + sections[1] if sections[0] == "system" else "'config': analysis"
+    assert f"unknown keys in {where}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _declared_defaults(table, prefix=""):
@@ -176,28 +200,6 @@ def test_documented_configs_load(tmp_path, config):
         (tmp_path / "doc.json").write_text(config)
         config = tmp_path / "doc.json"
     load_config(config)
-
-
-def test_config_voltage_and_leads_exclusive(tmp_path):
-    payload = _base_config(left=_LEAD, right={**_LEAD, "chemical_potential": -2.5})
-    with pytest.raises(ConfigError, match="not both"):
-        load_config(_write(tmp_path / "both.json", payload))
-
-
-def test_explicit_leads_match_voltage_shorthand(tmp_path):
-    lead = dict(band_center=2.5, bandwidth=5.0, peak_rate=10.0)
-    payload = {
-        "version": 1,
-        "system": {
-            "left": {**lead, "chemical_potential": 2.5},
-            "right": {**lead, "band_center": -2.5, "chemical_potential": -2.5},
-        },
-    }
-    explicit = build_params(load_config(_write(tmp_path / "leads.json", payload)))
-    shorthand = build_params(
-        load_config(_write(tmp_path / "v.json", _base_config()))
-    )
-    assert fingerprint(explicit) == fingerprint(shorthand)
 
 
 @pytest.mark.parametrize("voltage", [5.0, 50.0, 100.0])
@@ -766,9 +768,11 @@ def test_run_never_reads_the_coeffs_it_finds(tmp_path, pipeline_config, monkeypa
 
 @pytest.mark.parametrize("earlier", ["plots", "foreign-files"])
 def test_manifest_lists_only_what_the_run_wrote(tmp_path, pipeline_config, earlier):
-    # an earlier run's plots, or files nemclock never writes, stay out
+    # an earlier run's plots, or files nemclock never writes, stay out: the
+    # later run's 2 periods are too short for any Allan window, so it draws
+    # no allan.svg
     payload = json.loads(json.dumps(pipeline_config))
-    payload["analysis"] = {"make_plots": False}
+    payload["simulation"]["duration"] = 14.0 * math.pi
     cfg_path = _write(tmp_path / "cfg.json", payload)
     fresh, dirty = tmp_path / "fresh", tmp_path / "dirty"
     assert _run(cfg_path, fresh) == 0
@@ -779,6 +783,7 @@ def test_manifest_lists_only_what_the_run_wrote(tmp_path, pipeline_config, earli
         (dirty / "notes" / "manifest.json").write_text("{}")
         (dirty / "notes.txt").write_text("kept, not listed")
     assert _run(cfg_path, dirty) == 0
+    assert not (fresh / "allan.svg").exists()
     assert (dirty / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
     assert {p.name for p in dirty.iterdir()} > {p.name for p in fresh.iterdir()}
 
@@ -840,43 +845,30 @@ def test_shrunk_sweep_lists_only_its_voltages(tmp_path, pipeline_config):
     assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
 
 
-def test_sweep_refuses_explicit_leads(tmp_path, capsys):
-    lead = dict(band_center=2.5, bandwidth=5.0, peak_rate=10.0)
-    payload = {
-        "version": 1,
-        "system": {
-            "left": {**lead, "chemical_potential": 2.5},
-            "right": {**lead, "band_center": -2.5, "bandwidth": 2.0,
-                      "chemical_potential": -2.5},
-        },
-        "sweep": {"voltages": [5.0]},
-    }
-    cfg_path = _write(tmp_path / "sweep.json", payload)
-    out = tmp_path / "sweep_out"
-    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "explicit leads" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
-
-
-def _run_with_analysis(tmp_path, pipeline_config, **analysis):
+def _run_with_simulation(tmp_path, pipeline_config, **simulation):
     payload = json.loads(json.dumps(pipeline_config))
-    payload["analysis"] = analysis
+    payload["simulation"].update(simulation)
     out = tmp_path / "out"
     return _run(_write(tmp_path / "cfg.json", payload), out), out
 
 
 def test_kl_order_beyond_every_member_is_null(tmp_path, pipeline_config):
-    # no member has 5000 waits, so that order has no n-tick sums to compare
-    code, out = _run_with_analysis(tmp_path, pipeline_config, kl_orders=[2, 5000])
+    # 48 members of 3.5 periods pool over 200 waits, but none has 8, so that
+    # order has no n-tick sums to compare
+    code, out = _run_with_simulation(
+        tmp_path, pipeline_config, duration=17.0 * math.pi, ensemble_size=48
+    )
     assert code == 0
+    waits = [count - 1 for count in json.loads((out / "ticks.json").read_text())["counts"]]
+    assert max(waits) < 8 and sum(waits) >= 200
     kl = json.loads((out / "info.json").read_text())["kl_orders"]
-    assert kl["5000"] is None and kl["2"] >= 0
+    assert kl["8"] is None and kl["2"] >= 0
 
 
 def test_spectrum_window_without_three_bins_is_null(tmp_path, pipeline_config):
-    code, out = _run_with_analysis(
-        tmp_path, pipeline_config, spectrum_window=[1.99, 2.0]
-    )
+    # a 2-period record spaces the spectrum's bins 0.5 apart, so one falls in
+    # the window (1.6, 2.4)
+    code, out = _run_with_simulation(tmp_path, pipeline_config, duration=14.0 * math.pi)
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["spectrum_peak"] == {"location": None, "height": None}
@@ -893,8 +885,8 @@ def test_degenerate_waits_leave_the_fit_out(tmp_path, pipeline_config, monkeypat
         raise ValueError("degenerate (zero-variance) waiting times")
 
     monkeypatch.setattr(cli.clockstats, "fit_inverse_gaussian", degenerate)
-    code, out = _run_with_analysis(tmp_path, pipeline_config)
-    assert code == 0
+    out = tmp_path / "out"
+    assert _run(_write(tmp_path / "cfg.json", pipeline_config), out) == 0
     assert json.loads((out / "wtd_fit.json").read_text()) == {
         "note": "degenerate (zero-variance) waiting times"
     }
@@ -917,10 +909,13 @@ def test_too_few_waits_name_the_fit_check(tmp_path, pipeline_config):
 def test_lag_horizon_below_one_lag_fails_before_coeffs(
     tmp_path, pipeline_config, capsys
 ):
-    # 1e-3 periods is 0.1 record spacings at time_step pi/100, stride 2
-    code, out = _run_with_analysis(tmp_path, pipeline_config, max_lag_periods=1e-3)
+    # one step past the burn-in is one sample at stride 2: no lag at all
+    burn_in = pipeline_config["simulation"]["burn_in"]
+    code, out = _run_with_simulation(
+        tmp_path, pipeline_config, duration=burn_in + math.pi / 100.0
+    )
     assert code == 2
-    assert "analysis.max_lag_periods 0.001 reaches no lag" in capsys.readouterr().err
+    assert "record holds 1 sample(s), too few for a lag" in capsys.readouterr().err
     assert not (out / "coeffs.npz").exists()
 
 

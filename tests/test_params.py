@@ -37,19 +37,6 @@ def test_force_is_coupling_times_zero_point_scales():
     assert q.force == pytest.approx(p.coupling * 2.0)
 
 
-def test_with_voltage_resplits_symmetrically():
-    p = default_params(100.0)
-    q = p.with_voltage(50.0)
-    assert q.voltage == pytest.approx(50.0)
-    assert q.left.chemical_potential == pytest.approx(25.0)
-    assert q.right.chemical_potential == pytest.approx(-25.0)
-    # only the chemical potentials move
-    assert q.left.band_center == p.left.band_center
-    assert q.inverse_temperature == p.inverse_temperature
-    # the original is untouched
-    assert p.voltage == pytest.approx(100.0)
-
-
 def test_voltage_is_potential_difference():
     p = SystemParams(
         left=LeadSpec(band_center=1.0, bandwidth=2.0, peak_rate=3.0,

@@ -58,6 +58,9 @@ def test_tick_series_validation():
         TickSeries(tick_times=[0.0, 2.0, 1.0], detection_policy=policy)
     with pytest.raises(ValueError, match="refractory"):
         TickSeries(tick_times=[0.0, 0.2], detection_policy=policy)
+    for times in ([math.nan], [math.inf], [1.0, math.inf], [-math.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            TickSeries(tick_times=times, detection_policy=policy)
 
 
 # -------------------------------------------------------------- crossings --
@@ -157,6 +160,19 @@ def test_detect_ticks_gives_each_row_its_own_series():
         assert len(series) >= 10
         np.testing.assert_array_equal(series.tick_times, alone.tick_times)
     assert not np.array_equal(together[0].tick_times, together[1].tick_times)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_detect_ticks_refuses_a_non_finite_sample(bad):
+    # a record read back from outside the program: one damaged sample would
+    # time a crossing NaN and silence the rest of its member's ticks
+    t, x = _sine(periods=6)
+    damaged = x.copy()
+    damaged[100] = bad
+    record = Trajectory(times=t, positions=np.array([x, damaged]))
+    with pytest.raises(ExcursionError) as info:
+        detect_ticks(record, _noise_free_table(), DetectionPolicy(level=0.0))
+    assert (info.value.index, info.value.time) == (1, t[100])
 
 
 def test_absorb_of_disjoint_blocks_equals_one_accumulator():
@@ -325,3 +341,19 @@ def test_transduce_rejects_out_of_grid_positions():
     first = int(np.argmax(np.abs(x) > 1.0))
     assert info.value.time == t[first]
     assert info.value.position == x[first]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_transduce_rejects_non_finite_positions(bad):
+    # NaN fails every comparison, so "off the grid" is "not inside it"
+    table = make_synthetic_table(
+        np.linspace(-1.0, 1.0, 11), friction=0.0, diffusion=0.0, tag="narrow"
+    )
+    t = np.arange(4.0)
+    x = np.full(4, 0.5)
+    x[2] = bad
+    record = Trajectory(times=t, positions=np.array([np.zeros(4), x]))
+    with pytest.raises(ExcursionError) as info:
+        transduce(record, table)
+    assert (info.value.index, info.value.time) == (1, 2.0)
+    np.testing.assert_equal(info.value.position, bad)

@@ -167,7 +167,7 @@ def test_current_frozen_values(p100):
 
 def test_current_antisymmetric_under_bias_reversal(p100):
     for x in (0.0, 0.7):
-        assert _at(p100.with_voltage(-100.0), x, "current") == pytest.approx(
+        assert _at(default_params(-100.0), x, "current") == pytest.approx(
             -_at(p100, x, "current"), rel=1e-9
         )
 
