@@ -149,10 +149,14 @@ class ExcursionError(RuntimeError):
     """A member left the tabulated grid (or went non-finite)."""
 
     def __init__(self, time: float, position: float, index: int):
-        super().__init__(
-            f"member {index} left the coefficient grid at "
-            f"t={time:.6g}, x={position:.6g}; enlarge the table range"
-        )
+        if math.isfinite(position):
+            advice = (f"left the coefficient grid at t={time:.6g}, "
+                      f"x={position:.6g}; enlarge the table range")
+        else:
+            advice = (f"has x={position:.6g} at t={time:.6g}, not a finite "
+                      f"position: the record is damaged or the integration "
+                      f"diverged, and no table range can mend that")
+        super().__init__(f"member {index} {advice}")
         self.time = time
         self.position = position
         self.index = index

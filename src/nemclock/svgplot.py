@@ -50,6 +50,30 @@ def _axis_ticks(lo: float, hi: float, log: bool):
             yield v, label
 
 
+def _envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mask of the points an M4 envelope keeps (Jugel et al., *PVLDB* 7(10),
+    797, 2014).
+
+    The points split into runs of consecutive points whose pixel column
+    ``floor(x)`` is the same; each run keeps its first and last point and the
+    first of its lowest and of its highest ``y``.  So a one-sample spike
+    survives, and x may increase, decrease or zigzag.
+    """
+    keep = np.zeros(x.size, dtype=bool)
+    if x.size == 0:
+        return keep
+    column = np.floor(x)
+    starts = np.flatnonzero(np.concatenate([[True], column[1:] != column[:-1]]))
+    lengths = np.diff(np.append(starts, x.size))
+    keep[starts] = True
+    keep[starts + lengths - 1] = True
+    index = np.arange(x.size)
+    for extreme in (np.minimum, np.maximum):
+        hit = y == np.repeat(extreme.reduceat(y, starts), lengths)
+        keep[np.minimum.reduceat(np.where(hit, index, x.size), starts)] = True
+    return keep
+
+
 def line_plot(
     path,
     curves,
@@ -63,7 +87,9 @@ def line_plot(
     """Write a line plot of ``curves`` = [(label, x, y), ...] to ``path``.
 
     A point whose plotted x or y is not finite (a value <= 0 on a log axis,
-    say) is left out, and the axes span the points that remain.
+    say) is left out, and the axes span the points that remain.  Each curve
+    is drawn through its per-pixel-column envelope (``_envelope``), so a
+    20000-point curve costs a few thousand points and keeps every extreme.
     """
     if not curves:
         raise ValueError("need at least one curve")
@@ -151,7 +177,9 @@ def line_plot(
 
     for i, (label, _, _) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        xy = np.stack([px(xs[i]), py(ys[i])], axis=1)
+        x_px = px(xs[i])
+        keep = _envelope(x_px, ys[i])
+        xy = np.stack([x_px[keep], py(ys[i][keep])], axis=1)
         blocks = []
         for k in range(0, len(xy), _POINTS_CHUNK):
             block = xy[k : k + _POINTS_CHUNK]

@@ -97,8 +97,14 @@ class Histogram:
 
 
 def next_fast_len(target: int) -> int:
-    """Smallest 11-smooth length >= ``target``: an FFT size pocketfft
-    transforms fast, the value of ``scipy.fft.next_fast_len(target)``.
+    """Smallest 11-smooth length >= ``target``, the value of
+    ``scipy.fft.next_fast_len(target)``.
+
+    NumPy's real transforms have no radix-7 or radix-11 pass, so such a
+    length is not always the fastest for ``rfft``/``irfft`` (one row's pair:
+    2.0 ms at 60025 = 5**2 * 7**4, 1.5 ms at 61440, on a 2-core x86-64 VM).
+    It stays because ``n_fold_convolution``'s round-off, and through its
+    exact zeros the KL divergence, depend on the length.
 
     Each product of powers of 3, 5, 7 and 11 below the best length so far is
     doubled up to ``target``; the least of those is the answer.

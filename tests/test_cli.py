@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nemclock import cli, clockstats, pipeline, transport
+from nemclock import cli, clockstats, pipeline, svgplot, transport
 from nemclock.cli import ConfigError, build_params, load_config, stage_coeffs
 from nemclock.params import default_params, fingerprint
 from nemclock.transport import friction_and_diffusion
@@ -700,6 +700,42 @@ def test_ensemble_with_disagreeing_arrays_is_stage_failure(
         assert cli.main([command, *base]) == 3
         err = capsys.readouterr().err
         assert f"[{command}]" in err and name in err and "re-run simulate" in err
+
+
+def test_spectrum_svg_draws_its_tallest_bin(tmp_path, pipeline_config):
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    out = tmp_path / "out"
+    assert _run(cfg_path, out) == 0
+    lags, values = np.loadtxt(out / "autocorrelation.csv", delimiter=",", skiprows=1).T
+    floor = json.loads((out / "report.json").read_text())["shot_noise_floor"]
+    spectrum = clockstats.power_spectrum(clockstats.CorrelationCurve(lags, values), floor)
+    freqs, power = spectrum.frequencies[1:], spectrum.values[1:]
+    svg = (out / "spectrum.svg").read_text()
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
+    px, py = np.array([p.split(",") for p in points], dtype=float).T
+    assert px.size < freqs.size / 2  # the envelope thinned the curve
+    # the drawn point nearest the top sits at the tallest bin's frequency,
+    # read back from its pixel x to within a bin
+    m = svgplot._MARGIN
+    width = svgplot._WIDTH - m["left"] - m["right"]
+    top = freqs[0] + (px[np.argmin(py)] - m["left"]) / width * (freqs[-1] - freqs[0])
+    bin_width = freqs[1] - freqs[0]
+    assert abs(top - freqs[np.argmax(power)]) < 0.5 * bin_width
+
+
+def test_analyze_names_a_damaged_position_record(tmp_path, pipeline_config, capsys):
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    out = tmp_path / "out"
+    assert _run(cfg_path, out) == 0
+    with np.load(out / "ensemble.npz") as data:
+        arrays = dict(data)
+    arrays["positions"][1, 50] = np.nan
+    np.savez(out / "ensemble.npz", **arrays)
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "[analyze] member 1 has x=nan at t=" in err
+    assert "the record is damaged" in err and "enlarge" not in err
 
 
 def test_seed_override_changes_artifacts(tmp_path, pipeline_config):

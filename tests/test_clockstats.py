@@ -98,6 +98,34 @@ def test_autocorrelation_ou_input_matches_analytic():
     np.testing.assert_allclose(curve.values, expected, atol=0.06)
 
 
+@pytest.mark.parametrize(
+    "members, length, max_lag, n_fft",
+    [
+        (3, 16, 0, 16),
+        (3, 16, 15, 32),
+        (4, 7, 0, 7),
+        (4, 25, 24, 49),
+        (2, 11, 0, 11),
+        (2, 6, 5, 11),
+        (5, 44, 43, 88),
+    ],
+)
+def test_autocorrelation_equals_direct_lag_sums(members, length, max_lag, n_fft):
+    # FFT lengths 2^k, 7^k and 11*2^k, at the shortest and the longest lag
+    assert clockstats.next_fast_len(length + max_lag) == n_fft
+    rng = np.random.Generator(np.random.Philox(length))
+    series = rng.standard_normal((members, length)) + 3.0
+    curve = autocorrelation(series, time_step=0.25, max_lag=max_lag)
+    d = series - series.mean()
+    direct = np.array([
+        math.fsum(float(a @ b) for a, b in zip(d[:, : length - k], d[:, k:]))
+        / (members * (length - k))
+        for k in range(max_lag + 1)
+    ])
+    np.testing.assert_allclose(curve.values, direct, rtol=0, atol=1e-12 * direct[0])
+    np.testing.assert_array_equal(curve.lags, np.arange(max_lag + 1) * 0.25)
+
+
 def test_autocorrelation_max_lag_too_long():
     with pytest.raises(ValueError, match="cannot support"):
         autocorrelation(np.zeros((2, 100)), time_step=0.1, max_lag=100)
@@ -114,14 +142,15 @@ def _damped_cosine_curve(gamma=5e-3, omega=2.0, dt=0.2, n=20001, amp2=1.0):
 
 
 def _scipy_fft_autocorrelation(series, max_lag):
-    """The estimator's lag sums by scipy.fft, as the package computed them
-    before it moved to numpy.fft."""
+    """The estimator's lag sums by scipy.fft: each row's power spectrum,
+    summed in row order, then one inverse transform."""
     centered = series - series.mean()
     n_fft = sfft.next_fast_len(series.shape[1] + max_lag)
-    raw = np.zeros(max_lag + 1)
+    power = np.zeros(n_fft // 2 + 1)
     for row in centered:
         spec = sfft.rfft(row, n_fft)
-        raw += sfft.irfft(spec * np.conj(spec), n_fft)[: max_lag + 1]
+        power += spec.real**2 + spec.imag**2
+    raw = sfft.irfft(power, n_fft)[: max_lag + 1]
     return raw / (series.shape[0] * (series.shape[1] - np.arange(max_lag + 1)))
 
 

@@ -173,6 +173,9 @@ def test_detect_ticks_refuses_a_non_finite_sample(bad):
     with pytest.raises(ExcursionError) as info:
         detect_ticks(record, _noise_free_table(), DetectionPolicy(level=0.0))
     assert (info.value.index, info.value.time) == (1, t[100])
+    # a larger table cannot mend a damaged sample, so the advice names the record
+    assert "not a finite position: the record is damaged" in str(info.value)
+    assert "enlarge" not in str(info.value)
 
 
 def test_absorb_of_disjoint_blocks_equals_one_accumulator():
@@ -341,6 +344,10 @@ def test_transduce_rejects_out_of_grid_positions():
     first = int(np.argmax(np.abs(x) > 1.0))
     assert info.value.time == t[first]
     assert info.value.position == x[first]
+    assert str(info.value) == (
+        f"member 7 left the coefficient grid at t={t[first]:.6g}, "
+        f"x={x[first]:.6g}; enlarge the table range"
+    )
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -357,3 +364,7 @@ def test_transduce_rejects_non_finite_positions(bad):
         transduce(record, table)
     assert (info.value.index, info.value.time) == (1, 2.0)
     np.testing.assert_equal(info.value.position, bad)
+    assert str(info.value) == (
+        f"member 1 has x={bad:.6g} at t=2, not a finite position: the record "
+        f"is damaged or the integration diverged, and no table range can mend that"
+    )
