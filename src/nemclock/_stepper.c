@@ -1,7 +1,7 @@
 /* Kick-then-drift Langevin steps for one block of trajectories, the
-   evaluation of the cubic splines they step through, and the two streaming
-   counts made of every recorded state: the position histogram and the tick
-   crossings.
+   evaluation of the cubic splines they step through, the two streaming
+   counts made of every recorded state (the position histogram and the tick
+   crossings), and, at the end, the CSV text of the artifacts.
 
    This is the compiled form of the NumPy step loop and spline evaluation in
    langevin.py, which alone loads it, and of the NumPy feeds of
@@ -373,4 +373,274 @@ long nemclock_steps(long block, long n,
             break;
     }
     return bad;
+}
+
+/* ------------------------------------------------------------------------
+   CSV text: each double as CPython's repr(float) writes it, byte for byte,
+   and each int64 as str(int).
+
+   The digits are the shortest that read back to the same double and, of
+   those, the closest to it, found by Ryu (Adams, PLDI 2018, "Ryu: fast
+   float-to-string conversion").  The double is m2 * 2^e2 with its rounding
+   interval [4*m2 - 1 - mm_shift, 4*m2 + 2] / 4; the interval's ends and its
+   centre are scaled by a power of ten through one 64 x 125-bit product each,
+   and digits are removed while the ends stay apart.  The products use two
+   tables of 125-bit powers of five, which langevin.py computes exactly from
+   Python integers and passes in, 2 words a row, low word first:
+
+   pow5      326 rows: 5^i scaled by 2^(125 - bits(5^i)), truncated
+   pow5_inv  342 rows: floor(2^(bits(5^q) - 1 + 125) / 5^q) + 1
+
+   repr's layout: with the digits d1..dn and the value 0.d1..dn x 10^decpt,
+   fixed notation when -4 < decpt <= 16, an integral value ending in ".0",
+   and otherwise d1.d2..dn e<sign><at least two digits>; nan, inf, -inf and
+   -0.0 are written as such. */
+
+#define POW5_BITS 125
+
+__extension__ typedef unsigned __int128 u128;
+
+/* ceil(log2(5^e)) for 1 <= e <= 3528, and 1 for e = 0: the bit count of 5^e */
+static inline int32_t pow5_bits(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 1217359) >> 19) + 1;
+}
+
+/* floor(log10(2^e)) for 0 <= e <= 1650 */
+static inline uint32_t log10_pow2(int32_t e)
+{
+    return ((uint32_t)e * 78913) >> 18;
+}
+
+/* floor(log10(5^e)) for 0 <= e <= 2620 */
+static inline uint32_t log10_pow5(int32_t e)
+{
+    return ((uint32_t)e * 732923) >> 20;
+}
+
+/* whether 5^p divides v, for v > 0 */
+static inline int divisible_by_pow5(uint64_t v, uint32_t p)
+{
+    uint32_t count = 0;
+    while (count < p && v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+/* whether 2^p divides v, for p < 64 */
+static inline int divisible_by_pow2(uint64_t v, uint32_t p)
+{
+    return (v & (((uint64_t)1 << p) - 1)) == 0;
+}
+
+/* floor(m * mul / 2^j) for the 128-bit mul, j >= 64 */
+static inline uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    const u128 low = (u128)m * mul[0], high = (u128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+
+/* The shortest digits of the positive finite double with biased exponent
+   `biased` and fraction bits `fraction`, as an integer whose value times
+   10^*exp10 is closest to the double. */
+static uint64_t shortest_digits(uint64_t fraction, uint32_t biased, const uint64_t *pow5,
+                                const uint64_t *pow5_inv, int32_t *exp10)
+{
+    /* two more bits than the double's, for the interval's quarter steps */
+    const int32_t e2 = (biased == 0 ? 1 : (int32_t)biased) - 1023 - 52 - 2;
+    const uint64_t m2 = biased == 0 ? fraction : ((uint64_t)1 << 52) | fraction;
+    /* round-half-even reading: an even m2 owns both ends of its interval */
+    const int accept_ends = (m2 & 1) == 0;
+    /* the lower gap is half as wide at a power of two, except the lowest */
+    const uint32_t mm_shift = fraction != 0 || biased <= 1;
+    const uint64_t mv = 4 * m2;
+
+    uint64_t vr, vp, vm;
+    int32_t e10;
+    int vm_trailing_zeros = 0, vr_trailing_zeros = 0;
+    if (e2 >= 0) {
+        const uint32_t q = log10_pow2(e2) - (e2 > 3);
+        const int32_t j = -e2 + (int32_t)q + POW5_BITS + pow5_bits((int32_t)q) - 1;
+        const uint64_t *mul = pow5_inv + 2 * q;
+        e10 = (int32_t)q;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 21) {
+            /* at most one of mv, mv + 2 and the lower end is a multiple of 5 */
+            if (mv % 5 == 0)
+                vr_trailing_zeros = divisible_by_pow5(mv, q);
+            else if (accept_ends)
+                vm_trailing_zeros = divisible_by_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= divisible_by_pow5(mv + 2, q);
+        }
+    } else {
+        const uint32_t q = log10_pow5(-e2) - (-e2 > 1);
+        const int32_t i = -e2 - (int32_t)q;
+        const int32_t j = (int32_t)q - (pow5_bits(i) - POW5_BITS);
+        const uint64_t *mul = pow5 + 2 * i;
+        e10 = (int32_t)q + e2;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 1) {
+            /* mv has two trailing zero bits, mv + 2 one, and the lower end
+               one exactly when mm_shift is 1 */
+            vr_trailing_zeros = 1;
+            if (accept_ends)
+                vm_trailing_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_trailing_zeros = divisible_by_pow2(mv, q);
+        }
+    }
+
+    int32_t removed = 0;
+    uint32_t last_removed = 0;
+    uint64_t out;
+    if (vm_trailing_zeros || vr_trailing_zeros) {
+        /* the rare case: an end or the centre may be exact in decimal */
+        while (vp / 10 > vm / 10) {
+            vm_trailing_zeros &= vm % 10 == 0;
+            vr_trailing_zeros &= last_removed == 0;
+            last_removed = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        if (vm_trailing_zeros) {
+            while (vm % 10 == 0) {
+                vr_trailing_zeros &= last_removed == 0;
+                last_removed = (uint32_t)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+                removed++;
+            }
+        }
+        /* an exact ...50..0 rounds to even */
+        if (vr_trailing_zeros && last_removed == 5 && vr % 2 == 0)
+            last_removed = 4;
+        out = vr + ((vr == vm && (!accept_ends || !vm_trailing_zeros)) || last_removed >= 5);
+    } else {
+        int round_up = 0;
+        while (vp / 10 > vm / 10) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        out = vr + (vr == vm || round_up);
+    }
+    *exp10 = e10 + removed;
+    return out;
+}
+
+/* The decimal digits of v > 0 into d, most significant first; returns
+   their count. */
+static int decimal_digits(uint64_t v, char *d)
+{
+    char rev[20];
+    int n = 0;
+    do {
+        rev[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    for (int k = 0; k < n; k++)
+        d[k] = rev[n - 1 - k];
+    return n;
+}
+
+static char *put(char *p, const char *s, int n)
+{
+    memcpy(p, s, (size_t)n);
+    return p + n;
+}
+
+/* repr(x) at p, at most 24 bytes; returns the end. */
+static char *put_double(char *p, double x, const uint64_t *pow5, const uint64_t *pow5_inv)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const uint32_t biased = (uint32_t)(bits >> 52) & 0x7ff;
+    const uint64_t fraction = bits & (((uint64_t)1 << 52) - 1);
+    if (biased == 0x7ff && fraction != 0)
+        return put(p, "nan", 3);
+    if (bits >> 63)
+        *p++ = '-';
+    if (biased == 0x7ff)
+        return put(p, "inf", 3);
+    if (biased == 0 && fraction == 0)
+        return put(p, "0.0", 3);
+
+    int32_t exp10;
+    char d[20];
+    const int n = decimal_digits(shortest_digits(fraction, biased, pow5, pow5_inv, &exp10), d);
+    const int decpt = n + exp10;
+    if (decpt > -4 && decpt <= 16) {
+        if (decpt <= 0) {
+            p = put(p, "0.000", 2 - decpt);
+            return put(p, d, n);
+        }
+        if (decpt < n) {
+            p = put(p, d, decpt);
+            *p++ = '.';
+            return put(p, d + decpt, n - decpt);
+        }
+        p = put(p, d, n);
+        memset(p, '0', (size_t)(decpt - n));
+        p += decpt - n;
+        return put(p, ".0", 2);
+    }
+    *p++ = d[0];
+    if (n > 1) {
+        *p++ = '.';
+        p = put(p, d + 1, n - 1);
+    }
+    int e = decpt - 1;
+    *p++ = 'e';
+    *p++ = e < 0 ? '-' : '+';
+    if (e < 0)
+        e = -e;
+    if (e >= 100)
+        *p++ = (char)('0' + e / 100);
+    *p++ = (char)('0' + e / 10 % 10);
+    *p++ = (char)('0' + e % 10);
+    return p;
+}
+
+/* str(v) at p, at most 20 bytes; returns the end. */
+static char *put_long(char *p, int64_t v)
+{
+    if (v < 0)
+        *p++ = '-';
+    const uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    return p + decimal_digits(u, p);
+}
+
+/* Rows start..stop-1 of cols columns as CSV text at out: cells joined by
+   ',' and each row ended by '\n'.  Column k is data[k], read as double when
+   kinds[k] is 'd' and as int64 otherwise.  A cell takes at most 25 bytes
+   with its separator; returns the bytes written. */
+long nemclock_format_csv(long start, long stop, long cols, const void *const *data,
+                         const char *kinds, const uint64_t *pow5, const uint64_t *pow5_inv,
+                         char *out)
+{
+    char *p = out;
+    for (long r = start; r < stop; r++) {
+        for (long k = 0; k < cols; k++) {
+            if (kinds[k] == 'd')
+                p = put_double(p, ((const double *)data[k])[r], pow5, pow5_inv);
+            else
+                p = put_long(p, ((const int64_t *)data[k])[r]);
+            *p++ = k + 1 < cols ? ',' : '\n';
+        }
+    }
+    return (long)(p - out);
 }

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import clockstats, tickinfo
+from . import clockstats, langevin, tickinfo
 from .langevin import SimConfig, Trajectory
 from .params import LeadSpec, SystemParams, default_params, fingerprint
 from .pipeline import (
@@ -233,28 +233,44 @@ def build_sim(cfg: dict, seed_override=None) -> SimConfig:
 # -------------------------------------------------------------- artifacts --
 
 
-_CSV_CHUNK = 1024  # rows formatted per write, so no full-size value list
+_CSV_CHUNK = 1024  # rows formatted per write, so no full-size text
+
+
+def _repr_chunks(columns):
+    """The rows of ``columns`` as CSV text, each chunk one ``%r`` format over
+    the columns' ``.tolist()`` values: the oracle of ``langevin.csv_chunks``
+    and the path of a column it does not take."""
+    width, n_rows = len(columns), columns[0].shape[0]
+    row = ",".join(["%r"] * width) + "\n"
+    for start in range(0, n_rows, _CSV_CHUNK):
+        stop = min(start + _CSV_CHUNK, n_rows)
+        values = [None] * ((stop - start) * width)
+        for j, c in enumerate(columns):
+            values[j::width] = c[start:stop].tolist()
+        yield ((row * (stop - start)) % tuple(values)).encode()
 
 
 def _write_csv(path, header, columns) -> None:
-    """Write equal-length 1-D ``columns`` under ``header``: a float as
-    ``repr(float(v))``, the shortest text that reads back to the same
-    double, and an integer as ``str``.  Each chunk of rows is one ``%r``
-    format over the columns' ``.tolist()`` values."""
+    """Write equal-length 1-D ``columns`` under ``header``, one name per
+    column: a float as ``repr(float(v))``, the shortest text that reads
+    back to the same double, and an integer as ``str``.  The compiled
+    kernel writes float and integer columns; ``repr`` writes the same bytes
+    when it cannot, or when a column holds anything else."""
     columns = [np.asarray(c) for c in columns]
-    n_rows = columns[0].shape[0]
-    if any(c.shape != (n_rows,) for c in columns):
+    if not columns:
+        raise ValueError("a CSV needs at least one column")
+    if len(header) != len(columns):
+        raise ValueError(f"CSV header names {len(header)} columns, "
+                         f"but {len(columns)} are given")
+    if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
         raise ValueError("CSV columns must be 1-D and of equal length")
-    width = len(columns)
-    row = ",".join(["%r"] * width) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, n_rows)
-            values = [None] * ((stop - start) * width)
-            for j, c in enumerate(columns):
-                values[j::width] = c[start:stop].tolist()
-            fh.write((row * (stop - start)) % tuple(values))
+    chunks = langevin.csv_chunks(columns, _CSV_CHUNK)
+    if chunks is None:
+        chunks = _repr_chunks(columns)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _write_json(path, payload) -> None:

@@ -44,7 +44,9 @@ and the consumer ``feed`` calls (the record is two consumers) stay in
 Python, so the consumer contract is the same on both paths; the position
 histogram and the tick detector count in the kernel too, through
 :func:`_bin_counts_compiled` and :func:`_crossings_compiled`, bit for bit
-their NumPy feeds, which are the oracle and the fallback.
+their NumPy feeds, which are the oracle and the fallback.  The kernel also
+writes the CLI's CSV numbers (:func:`csv_chunks`), byte for byte as
+``repr`` does, which is the oracle and the fallback there.
 """
 from __future__ import annotations
 
@@ -427,6 +429,8 @@ def _load_kernel():
     kernel.nemclock_scripted.restype = double
     kernel.nemclock_normals.argtypes = [ptr, ptr, long, ptr, ptr]
     kernel.nemclock_normals.restype = None
+    kernel.nemclock_format_csv.argtypes = [long, long, long, ptr, ptr, ptr, ptr, ptr]
+    kernel.nemclock_format_csv.restype = long
     return kernel
 
 
@@ -453,13 +457,14 @@ def _compiled_part(part: str, build, fallback: str):
 
 
 def _kernel():
-    """The compiled step loop, spline evaluation and consumer counts, or
-    None when they cannot be built or loaded: the NumPy ones then give the
-    same results at about 200x, 17x and 3x the cost."""
+    """The compiled step loop, spline evaluation, consumer counts and CSV
+    formatter, or None when they cannot be built or loaded: the NumPy ones
+    and ``repr`` then give the same results at about 200x, 17x, 3x and 8x
+    the cost."""
     return _compiled_part(
         "kernel", _load_kernel,
         "falling back to the NumPy step loop (about 200x slower), spline "
-        "evaluation and histogram and tick feeds",
+        "evaluation, histogram and tick feeds, and repr for CSV numbers",
     )
 
 
@@ -515,6 +520,94 @@ def _ziggurat(kernel):
     return _compiled_part(
         "noise draws", lambda: _probe_ziggurat(kernel), "drawing the noise in Python"
     )
+
+
+# the kernel's CSV formatter: the most bytes a cell takes with its separator
+# (24 for a double's repr, 20 for an int64), and the bits and rows of its
+# two tables of powers of five
+_CSV_CELL_BYTES = 25
+_POW5_BITS, _POW5_ROWS, _POW5_INV_ROWS = 125, 326, 342
+# values whose repr the formatter must reproduce before it is used: the
+# extremes, the neighbours of both layout switches, 1e23 and 2^53 + 2
+_FORMAT_PROBE = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+                 1.7976931348623157e308, 0.1, -1.5, 1e-4, 9.999999999999999e-05, 1e16,
+                 9999999999999998.0, 9007199254740994.0, 5e-310, 1e23, 2.0**-1022)
+
+
+def _pow5_tables():
+    """The formatter's tables, exact from Python integers, as (rows, 2)
+    uint64 arrays, low word first: 5^i scaled to its top 125 bits, and
+    floor(2^(bits(5^q) - 1 + 125) / 5^q) + 1."""
+    def words(values):
+        return np.array([(v & 0xFFFFFFFFFFFFFFFF, v >> 64) for v in values], dtype=np.uint64)
+
+    def top_bits(p):
+        shift = p.bit_length() - _POW5_BITS
+        return p >> shift if shift >= 0 else p << -shift
+
+    return (
+        words(top_bits(5**i) for i in range(_POW5_ROWS)),
+        words((1 << (p.bit_length() - 1 + _POW5_BITS)) // p + 1
+              for p in (5**q for q in range(_POW5_INV_ROWS))),
+    )
+
+
+def _format_csv_compiled(kernel, tables, columns, kinds: str, rows_per_chunk: int):
+    """Yield the kernel's CSV text of the contiguous float64 and int64
+    ``columns``, typed by ``kinds`` ('d' or 'q' each), ``rows_per_chunk`` rows
+    at a time, each chunk a view of one buffer that the next one overwrites."""
+    pointers = (ctypes.c_void_p * len(columns))(*(c.ctypes.data for c in columns))
+    args = (len(columns), pointers, kinds.encode(), tables[0].ctypes.data,
+            tables[1].ctypes.data)
+    buf = np.empty(rows_per_chunk * len(columns) * _CSV_CELL_BYTES, dtype=np.uint8)
+    view = memoryview(buf)
+    n_rows = columns[0].shape[0]
+    for start in range(0, n_rows, rows_per_chunk):
+        stop = min(start + rows_per_chunk, n_rows)
+        yield view[:kernel.nemclock_format_csv(start, stop, *args, buf.ctypes.data)]
+
+
+def _probe_formatter(kernel):
+    """The formatter's tables, once the kernel has written ``_FORMAT_PROBE``
+    as ``repr`` does."""
+    tables = _pow5_tables()
+    probe = np.array(_FORMAT_PROBE)
+    text = bytes(next(_format_csv_compiled(kernel, tables, [probe], "d", probe.size)))
+    if text.decode() != "".join(f"{v!r}\n" for v in _FORMAT_PROBE):
+        raise ValueError("its text differs from repr")
+    return tables
+
+
+def _csv_kind(dtype: np.dtype):
+    """'d' for a real float dtype of at most 64 bits, 'q' for an integer
+    dtype that int64 holds, and None for any other (bool, object,
+    longdouble, uint64)."""
+    if dtype.kind == "f" and dtype.itemsize <= 8:
+        return "d"
+    if dtype.kind in "iu" and np.can_cast(dtype, np.int64):
+        return "q"
+    return None
+
+
+def csv_chunks(columns, rows_per_chunk: int):
+    """The rows of the equal-length 1-D ``columns`` as CSV text written by
+    the kernel, ``rows_per_chunk`` rows a chunk: cells joined by ',', each
+    row ended by a newline, a float as ``repr(float(v))`` and an integer as
+    ``str(v)``.  Each chunk is a view of one buffer that the next chunk
+    overwrites.  None when a column is neither a real float nor an integer
+    that int64 holds, or when the kernel or its formatter is unavailable,
+    which one RuntimeWarning reports: ``repr`` then writes the same text."""
+    kinds = [_csv_kind(c.dtype) for c in columns]
+    if None in kinds or (kernel := _kernel()) is None:
+        return None
+    tables = _compiled_part(
+        "CSV formatter", lambda: _probe_formatter(kernel), "writing CSV numbers with repr"
+    )
+    if tables is None:
+        return None
+    typed = [np.ascontiguousarray(c, dtype=np.float64 if k == "d" else np.int64)
+             for c, k in zip(columns, kinds)]
+    return _format_csv_compiled(kernel, tables, typed, "".join(kinds), rows_per_chunk)
 
 
 def _steps_numpy(drive, x, v, noise, buf_x, buf_v, dt, w0, force, m):

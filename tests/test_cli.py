@@ -6,10 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nemclock import cli, clockstats, pipeline, svgplot, transport
 from nemclock.cli import ConfigError, build_params, load_config, stage_coeffs
@@ -324,14 +327,55 @@ def _per_row_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _hard_doubles() -> np.ndarray:
+    """Doubles whose shortest digits or layout are easy to get wrong."""
+    powers = [2.0**k for k in range(-1074, 1024)]
+    # the boundary of the lowest interval, the asymmetric one at each power
+    # of two, and the largest subnormal and its neighbours
+    up = [math.nextafter(p, math.inf) for p in powers]
+    subnormals = np.arange(1, 4097, dtype=np.uint64).view(np.float64)
+    top_subnormals = (np.uint64(0x000FFFFFFFFFFFFF) - np.arange(64, dtype=np.uint64)).view(
+        np.float64
+    )
+    switches = []
+    for edge in (1e-4, 1e16):  # where repr's layout switches
+        below = above = edge
+        for _ in range(32):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            switches += [below, above]
+        switches.append(edge)
+    near_2_53 = [float(2**53 + i) for i in range(-64, 65)]
+    ties = [float(f"{d}5e{k}") for d in range(1, 100) for k in range(-330, 310, 3)]
+    pool = np.concatenate(
+        [powers, up, subnormals, top_subnormals, switches, near_2_53, ties]
+    )
+    return np.concatenate([pool, -pool])
+
+
+_SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1,
+            1e-4, 9999999999999998.0, 2.2250738585072014e-308, 1.7976931348623157e308,
+            float(2**53 + 1), 1e23, 0.3, 5e-310, 2.5, 1234.5]
+
+
+def _assert_both_writers_match(tmp_path, monkeypatch, header, columns):
+    """The file ``_write_csv`` writes is ``_per_row_csv``'s, byte for byte,
+    both from the compiled kernel and from the ``%r`` path it is held to."""
+    expected = _per_row_csv(header, zip(*columns)).encode()
+    cli._write_csv(tmp_path / "kernel.csv", header, columns)
+    with monkeypatch.context() as mp:
+        mp.setattr(cli.langevin, "csv_chunks", lambda columns, rows: None)
+        cli._write_csv(tmp_path / "repr.csv", header, columns)
+    assert (tmp_path / "kernel.csv").read_bytes() == expected
+    assert (tmp_path / "repr.csv").read_bytes() == expected
+
+
 @pytest.mark.parametrize(
     "n_rows", [0, 1, 17, cli._CSV_CHUNK, cli._CSV_CHUNK + 1, 3 * cli._CSV_CHUNK + 17]
 )
-def test_write_csv_matches_per_value_repr(tmp_path, n_rows):
+def test_write_csv_matches_per_value_repr(tmp_path, monkeypatch, n_rows):
     rng = np.random.Generator(np.random.Philox(2))
-    special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1]
     pool = np.concatenate(
-        [special, rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)]
+        [_SPECIAL, rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)]
     )
     values = np.resize(pool, n_rows)
     columns = [
@@ -339,15 +383,133 @@ def test_write_csv_matches_per_value_repr(tmp_path, n_rows):
         values,
         values[::-1],
     ]
-    header = ["member", "a", "b"]
-    cli._write_csv(tmp_path / "t.csv", header, columns)
-    expected = _per_row_csv(header, zip(*columns))
+    _assert_both_writers_match(tmp_path, monkeypatch, ["member", "a", "b"], columns)
+
+
+def test_write_csv_writes_hard_doubles_as_repr(tmp_path, monkeypatch):
+    values = _hard_doubles()
+    extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 10**18])
+    columns = [values, np.resize(extremes, values.size)]
+    _assert_both_writers_match(tmp_path, monkeypatch, ["x", "n"], columns)
+
+
+def _kernel_csv(columns) -> bytes:
+    """The kernel's text of ``columns``, or a skip when it is unavailable."""
+    chunks = cli.langevin.csv_chunks([np.asarray(c) for c in columns], cli._CSV_CHUNK)
+    if chunks is None:
+        pytest.skip("compiled kernel unavailable")
+    return b"".join(bytes(chunk) for chunk in chunks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_kernel_formats_any_bit_pattern_as_repr(words):
+    values = np.array(words, dtype=np.uint64).view(np.float64)
+    assert _kernel_csv([values]) == "".join(f"{v!r}\n" for v in values.tolist()).encode()
+
+
+def test_kernel_formats_random_bit_patterns_as_repr():
+    words = np.random.Generator(np.random.Philox(36)).integers(
+        0, 2**64, 200_000, dtype=np.uint64, endpoint=False
+    )
+    values = words.view(np.float64)
+    assert _kernel_csv([values]) == "".join(f"{v!r}\n" for v in values.tolist()).encode()
+
+
+def test_kernel_formats_every_real_and_integer_dtype():
+    # a narrower float is written as the double it widens to, as
+    # repr(float(v)) writes it
+    rng = np.random.Generator(np.random.Philox(4))
+    columns = [
+        rng.standard_normal(300).astype(np.float32),
+        (rng.standard_normal(300) * 1e4).astype(np.float16),
+        rng.integers(-(2**31), 2**31, 300).astype(np.int32),
+        rng.integers(0, 2**32, 300).astype(np.uint32),
+        rng.integers(0, 256, 300).astype(np.uint8),
+    ]
+    text = _kernel_csv(columns)
+    assert text.decode() == _per_row_csv(["a"], zip(*columns)).split("\n", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.array([True, False, True]),
+        np.array([0.1, None, 3], dtype=object),
+        np.array([2**64 - 1, 0, 7], dtype=np.uint64),
+    ],
+    ids=["bool", "object", "uint64"],
+)
+def test_write_csv_takes_repr_for_other_columns(tmp_path, column):
+    if cli.langevin._kernel() is None:
+        pytest.skip("compiled kernel unavailable")
+    floats = np.array([0.1, -0.0, 1e-5])
+    assert cli.langevin.csv_chunks([floats, column], cli._CSV_CHUNK) is None
+    cli._write_csv(tmp_path / "t.csv", ["x", "c"], [floats, column])
+    expected = _per_row_csv(["x", "c"], zip(floats, column.tolist()))
     assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+def _csv_bytes(path: Path, columns) -> bytes:
+    cli._write_csv(path, ["t", "a", "b"], columns)
+    return path.read_bytes()
+
+
+def _hard_columns():
+    values = _hard_doubles()
+    return [np.arange(values.size), values, values[::-1]]
+
+
+def test_write_csv_with_the_kernel_off_writes_the_same_bytes(tmp_path, monkeypatch):
+    if cli.langevin._kernel() is None:
+        pytest.skip("compiled kernel unavailable")
+    compiled = _csv_bytes(tmp_path / "k.csv", _hard_columns())
+
+    def broken():
+        raise OSError("kernel forced off")
+
+    monkeypatch.setattr(cli.langevin, "_load_kernel", broken)
+    monkeypatch.setattr(cli.langevin, "_compiled", {})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = _csv_bytes(tmp_path / "a.csv", _hard_columns())
+        second = _csv_bytes(tmp_path / "b.csv", _hard_columns())
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
+        "compiled kernel unavailable (kernel forced off); falling back to the NumPy "
+        "step loop (about 200x slower), spline evaluation, histogram and tick feeds, "
+        "and repr for CSV numbers"
+    ]
+    assert first == second == compiled
+
+
+def test_write_csv_with_a_wrong_formatter_table_writes_the_same_bytes(tmp_path, monkeypatch):
+    # the formatter checks its own text against repr before its first use
+    if cli.langevin._kernel() is None:
+        pytest.skip("compiled kernel unavailable")
+    compiled = _csv_bytes(tmp_path / "k.csv", _hard_columns())
+    pow5, pow5_inv = cli.langevin._pow5_tables()
+    monkeypatch.setattr(cli.langevin, "_pow5_tables", lambda: (pow5, pow5_inv[::-1].copy()))
+    monkeypatch.setattr(cli.langevin, "_compiled", {"kernel": cli.langevin._kernel()})
+    with pytest.warns(RuntimeWarning, match=r"CSV formatter unavailable \(its text differs"):
+        fallback = _csv_bytes(tmp_path / "f.csv", _hard_columns())
+    assert fallback == compiled
 
 
 def test_write_csv_refuses_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="equal length"):
         cli._write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+    with pytest.raises(ValueError, match="equal length"):
+        cli._write_csv(tmp_path / "t.csv", ["a"], [np.zeros((3, 2))])
+
+
+def test_write_csv_refuses_a_header_that_does_not_name_every_column(tmp_path):
+    with pytest.raises(ValueError, match="header names 3 columns, but 1 are given"):
+        cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], [np.arange(3.0)])
+    with pytest.raises(ValueError, match="header names 1 columns, but 2 are given"):
+        cli._write_csv(tmp_path / "t.csv", ["a"], [np.arange(3.0), np.arange(3.0)])
+    with pytest.raises(ValueError, match="at least one column"):
+        cli._write_csv(tmp_path / "t.csv", [], [])
+    assert not (tmp_path / "t.csv").exists()
 
 
 # ------------------------------------------------------------ full pipeline --
