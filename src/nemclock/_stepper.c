@@ -1,7 +1,8 @@
 /* Kick-then-drift Langevin steps for one block of trajectories, the
    evaluation of the cubic splines they step through, the two streaming
    counts made of every recorded state (the position histogram and the tick
-   crossings), and, at the end, the CSV text of the artifacts.
+   crossings), the transport pole sums their coefficients come from, and,
+   at the end, the CSV text of the artifacts.
 
    This is the compiled form of the NumPy step loop and spline evaluation in
    langevin.py, which alone loads it, and of the NumPy feeds of
@@ -18,7 +19,9 @@
    - the velocity update groups its terms as the NumPy expression does, and
      a crossing time as the tick feed's does;
    - it is compiled with -O2 -ffp-contract=off and without -ffast-math, so
-     no product is fused into an add and no sum is reassociated.
+     no product is fused into an add and no sum is reassociated, except by
+     an explicit fma() where NumPy fuses: in the pole sums, whose section
+     sets out the rules of transport._pole_rows.
 
    One call advances every row of the block over one noise chunk.  The
    noise is either the caller's or drawn here first, row by row, from each
@@ -26,6 +29,7 @@
    is inlined below with layer tables recovered from NumPy itself, and the
    rare rejected words are replayed into NumPy's own random_standard_normal,
    so the draws are Generator.standard_normal's bit for bit. */
+#include <complex.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -371,6 +375,430 @@ long nemclock_steps(long block, long n,
         }
         if (bad >= 0)
             break;
+    }
+    return bad;
+}
+
+/* ------------------------------------------------------------------------
+   Transport pole sums: transport._pole_rows, one position at a time.
+
+   The NumPy pass is the oracle, and every operation below is the one it
+   performs, in its order, as NumPy performs it on an x86-64 CPU with FMA
+   (transport checks the result against the NumPy pass before first use and
+   keeps to NumPy on a mismatch):
+
+   - a product of complex arrays, and **2, is fused: re = fma(ar, br,
+     -(ai*bi)), im = fma(ar, bi, ai*br), with a the left operand;
+   - **n for an integer n >= 3 is NumPy's nc_pow, with products that are not
+     fused: a*(a*a) for n = 3, square and multiply above;
+   - a quotient is Smith's algorithm as NumPy's complex divide loop has it;
+   - |z| is NumPy's vector rule, larger * sqrt(fma(t, t, 1)) with t the
+     smaller part over the larger;
+   - log, sqrt and a non-integer power are glibc's clog, csqrt and cpow;
+   - a real operand of a complex operation is x + 0i.
+
+   Every scalar that depends only on the operating point is computed in
+   Python by the NumPy pass's own expression and passed in pole_consts_t.
+
+   With GCC on x86-64 this section is compiled for FMA, whose fused
+   products the NumPy pass needs anyway, and called only on a CPU that has
+   it; fma() is a library call otherwise, which triples the cost.  The SLP
+   vectorizer is off here: for FMA it turns a pair of a*b + c and d*e - f
+   into one fused add/subtract instruction despite -ffp-contract=off. */
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define POLE_SUMS_FOR_FMA 1
+#pragma GCC push_options
+#pragma GCC target("fma")
+#pragma GCC optimize("fp-contract=off", "no-tree-slp-vectorize")
+#endif
+
+typedef struct {
+    double re, im;
+} cx;
+
+/* transport._pole_constants, field by field */
+typedef struct {
+    double force, dot_energy;
+    cx pl, pr;                 /* c_l - i W_l */
+    double gl, gr;             /* Gamma_l W_l / 2 */
+    cx pl_plus_pr, pl_times_pr, d_leads;  /* pl + pr, pl * pr, gl*pr + gr*pl */
+    cx unity[3];               /* exp(2 pi i j / 3) */
+    double kl, kr, kt;         /* the numerators of the residues of A_L, A_R, tau */
+    double lc, rc, lw2, rw2;   /* band centres and squared bandwidths */
+    cx s;                      /* i beta / 2 pi */
+    double mu[2], mu_mid;      /* chemical potentials and their mean */
+    cx s_pow[3];               /* s^n / n! */
+    double near;               /* nonzero: psi's divided difference is a series */
+    cx h, h2_24, h4_1920;      /* h = z_L - z_R, h*h/24, h**4/1920 */
+    double two_qcoth;
+    cx half_i_pi, minus_i_qcoth_pi;
+    double two_pi, pi, thermal, partition, c4, beta, separation;
+    double series[7][10];      /* transport._SERIES */
+} pole_consts_t;
+
+static inline cx cx_of(double x) { return (cx){x, 0.0}; }
+static inline cx cx_add(cx a, cx b) { return (cx){a.re + b.re, a.im + b.im}; }
+static inline cx cx_sub(cx a, cx b) { return (cx){a.re - b.re, a.im - b.im}; }
+static inline cx cx_neg(cx a) { return (cx){-a.re, -a.im}; }
+static inline cx cx_conj(cx a) { return (cx){a.re, -a.im}; }
+
+static inline cx cx_mul(cx a, cx b)
+{
+    return (cx){fma(a.re, b.re, -(a.im * b.im)), fma(a.re, b.im, a.im * b.re)};
+}
+
+/* NumPy's nc_prod, not fused */
+static inline cx cx_mul_plain(cx a, cx b)
+{
+    return (cx){a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+}
+
+/* A divisor b, ready for Smith's algorithm: which part is larger in size
+   (-1 when b is 0), and the ratio and scale, which depend on b alone. */
+typedef struct {
+    int real_larger;
+    double rat, scl;
+} divisor;
+
+static inline divisor divisor_of(cx b)
+{
+    const double br = fabs(b.re), bi = fabs(b.im);
+    if (br >= bi) {
+        if (br == 0 && bi == 0)
+            return (divisor){-1, 0.0, br};
+        const double rat = b.im / b.re;
+        return (divisor){1, rat, 1.0 / (b.re + b.im * rat)};
+    }
+    const double rat = b.re / b.im;
+    return (divisor){0, rat, 1.0 / (b.im + b.re * rat)};
+}
+
+static inline cx cx_div_by(cx a, divisor d)
+{
+    if (d.real_larger < 0)
+        return (cx){a.re / d.scl, a.im / d.scl};
+    if (d.real_larger)
+        return (cx){(a.re + a.im * d.rat) * d.scl, (a.im - a.re * d.rat) * d.scl};
+    return (cx){(a.re * d.rat + a.im) * d.scl, (a.im * d.rat - a.re) * d.scl};
+}
+
+static inline cx cx_div(cx a, cx b) { return cx_div_by(a, divisor_of(b)); }
+
+static double cx_abs(cx z)
+{
+    double re = fabs(z.re), im = fabs(z.im);
+    const int re_inf = re == INFINITY, im_inf = im == INFINITY;
+    if (re_inf)
+        im = INFINITY;
+    if (im_inf)
+        re = INFINITY;
+    const int re_nan = re != re, im_nan = im != im;
+    if (re_nan)
+        im = NAN;
+    if (im_nan)
+        re = NAN;
+    const double larger = re > im ? re : im, smaller = im < re ? im : re;
+    const double t = larger == 0.0 || smaller == INFINITY ? 0.0 : smaller / larger;
+    return sqrt(fma(t, t, 1.0)) * larger;
+}
+
+/* a**n for an integer n >= 3 */
+static cx cx_pow_int(cx a, long n)
+{
+    if (a.re == 0.0 && a.im == 0.0)
+        return cx_of(0.0);
+    if (n == 3)
+        return cx_mul_plain(a, cx_mul_plain(a, a));
+    cx out = cx_of(1.0), p = a;
+    for (long mask = 1;;) {
+        if (n & mask)
+            out = cx_mul_plain(out, p);
+        mask <<= 1;
+        if (n < mask)
+            break;
+        p = cx_mul_plain(p, p);
+    }
+    return out;
+}
+
+static inline cx cx_from(double complex z) { return (cx){creal(z), cimag(z)}; }
+static inline double complex cx_to(cx a) { return CMPLX(a.re, a.im); }
+
+/* a**(1/3) */
+static cx cx_cbrt(cx a)
+{
+    if (a.re == 0.0 && a.im == 0.0)
+        return cx_of(0.0);
+    return cx_from(cpow(cx_to(a), CMPLX(1.0 / 3.0, 0.0)));
+}
+
+/* psi^(n)(z) for n = 0 ... top into out: transport._polygammas */
+static void polygammas(cx z, int top, const double (*series)[10], cx *out)
+{
+    static const double signed_factorial[7] = {1.0, -1.0, 2.0, -6.0, 24.0, -120.0, 720.0};
+    for (int n = 0; n <= top; n++)
+        out[n] = cx_of(0.0);
+    for (int m = 0; m < 10; m++) {
+        const cx inv = cx_div(cx_of(1.0), cx_add(z, cx_of(m)));
+        cx power = inv;
+        for (int n = 0; n <= top; n++) {
+            out[n] = cx_sub(out[n], cx_mul(cx_of(signed_factorial[n]), power));
+            power = cx_mul(power, inv);
+        }
+    }
+    const cx inv = cx_div(cx_of(1.0), cx_add(z, cx_of(10.0)));
+    const cx inv2 = cx_mul(inv, inv);
+    for (int n = 0; n <= top; n++) {
+        cx sum = cx_of(0.0);
+        for (int t = 9; t >= 0; t--)
+            sum = cx_add(cx_mul(sum, inv2), cx_of(series[n][t]));
+        if (n == 0) {
+            const cx log = cx_from(clog(cx_to(cx_add(z, cx_of(10.0)))));
+            out[0] = cx_add(out[0], cx_sub(cx_sub(log, cx_mul(cx_of(0.5), inv)),
+                                           cx_mul(sum, inv2)));
+        } else {
+            const cx lead = cx_add(cx_add(cx_of(fabs(signed_factorial[n - 1])),
+                                          cx_mul(cx_of(0.5 * fabs(signed_factorial[n])), inv)),
+                                   cx_mul(sum, inv2));
+            const cx power = n == 1 ? inv : n == 2 ? cx_mul(inv, inv) : cx_pow_int(inv, n);
+            out[n] = cx_add(out[n], cx_mul(cx_mul(cx_of(n % 2 ? 1.0 : -1.0), lead), power));
+        }
+    }
+}
+
+/* The three roots of N at the level shift F x: transport._poles */
+static void poles(const pole_consts_t *k, double x, cx *e)
+{
+    const cx e0 = cx_of(k->dot_energy - k->force * x);
+    const cx b = cx_neg(cx_add(cx_add(e0, k->pl), k->pr));
+    const cx c = cx_sub(cx_sub(cx_add(cx_mul(e0, k->pl_plus_pr), k->pl_times_pr),
+                               cx_of(k->gl)), cx_of(k->gr));
+    const cx d = cx_sub(k->d_leads, cx_mul(cx_mul(e0, k->pl), k->pr));
+    const cx p = cx_sub(c, cx_div(cx_mul(b, b), cx_of(3.0)));
+    const cx q = cx_add(cx_sub(cx_div(cx_mul(cx_of(2.0), cx_pow_int(b, 3)), cx_of(27.0)),
+                               cx_div(cx_mul(b, c), cx_of(3.0))), d);
+    const cx root = cx_from(csqrt(cx_to(cx_add(cx_mul(cx_mul(cx_of(0.25), q), q),
+                                               cx_div(cx_pow_int(p, 3), cx_of(27.0))))));
+    const cx half_q = cx_mul(cx_of(0.5), q);
+    const cx up = cx_sub(root, half_q);
+    const cx u = cx_abs(up) >= cx_abs(cx_add(root, half_q)) ? up : cx_sub(cx_neg(root), half_q);
+    const cx third = cx_cbrt(u);
+    for (int j = 0; j < 3; j++) {
+        const cx cube = cx_mul(k->unity[j], third);
+        cx r = cx_sub(cx_sub(cube, cx_div(p, cx_mul(cx_of(3.0), cube))), cx_div(b, cx_of(3.0)));
+        for (int step = 0; step < 2; step++) {
+            const cx ql = cx_sub(r, k->pl), qr = cx_sub(r, k->pr), de = cx_sub(r, e0);
+            const cx num = cx_sub(cx_sub(cx_mul(cx_mul(de, ql), qr), cx_mul(cx_of(k->gl), qr)),
+                                  cx_mul(cx_of(k->gr), ql));
+            const cx den = cx_sub(cx_sub(cx_add(cx_mul(ql, qr), cx_mul(de, cx_add(ql, qr))),
+                                         cx_of(k->gl)), cx_of(k->gr));
+            r = cx_sub(r, cx_div(num, den));
+        }
+        e[j] = r;
+    }
+}
+
+/* sum_kn 2 Re[parts[n][k] s^n / n! values[n][k]] over n < orders: the
+   NumPy pass's pole_sum */
+static double pole_sum(const pole_consts_t *k, int orders, const cx (*parts)[3],
+                       const cx (*values)[3])
+{
+    double total[3];
+    for (int j = 0; j < 3; j++) {
+        total[j] = 0.0;
+        for (int n = 0; n < orders; n++) {
+            const cx a = cx_mul(parts[n][j], k->s_pow[n]);
+            total[j] = total[j] + fma(a.re, values[n][j].re, -(a.im * values[n][j].im));
+        }
+    }
+    return 2.0 * (total[0] + total[1] + total[2]);
+}
+
+/* int R f_lead dE for the rational with Laurent coefficients parts, and
+   psi^(n)(z_lead) in psi[n] */
+static double filled(const pole_consts_t *k, int orders, const cx (*parts)[3],
+                     const cx (*psi)[3])
+{
+    return pole_sum(k, orders, parts, psi)
+           + k->pi * (parts[0][0].im + parts[0][1].im + parts[0][2].im);
+}
+
+/* int R f_lead' dE */
+static double edge(const pole_consts_t *k, int orders, const cx (*parts)[3],
+                   const cx (*psi)[3])
+{
+    cx values[2][3];
+    for (int n = 0; n < orders; n++)
+        for (int j = 0; j < 3; j++)
+            values[n][j] = cx_mul(k->s, psi[n + 1][j]);
+    return pole_sum(k, orders, parts, (const cx (*)[3])values);
+}
+
+/* The six rows at position x into row[0], row[stride], ...; returns 1 when
+   two poles are closer than the separation or a pole is not below the
+   real axis, 2 when a row is not finite, and 0 otherwise. */
+static long pole_rows(const pole_consts_t *k, double x, double *row, long stride)
+{
+    cx r[3];
+    poles(k, x, r);
+    static const int one[3] = {0, 0, 1}, two[3] = {1, 2, 2};
+    for (int i = 0; i < 3; i++) {
+        const double a = -r[one[i]].im, b = -r[two[i]].im;
+        const double deeper = a != a || b != b ? NAN : (a >= b ? a : b);
+        if (!(cx_abs(cx_sub(r[one[i]], r[two[i]])) / deeper >= k->separation))
+            return 1;
+    }
+    for (int j = 0; j < 3; j++)
+        if (!(r[j].im < 0.0))
+            return 1;
+
+    /* [lead L, R, tau][pole] */
+    cx alpha[3][3], c0[3][3], c1[3][3], mirror[3][3], ahead[3], behind[3];
+    for (int j = 0; j < 3; j++) {
+        for (int l = 0; l < 3; l++)
+            mirror[j][l] = cx_sub(r[j], cx_conj(r[l]));
+        ahead[j] = cx_sub(r[j], r[(j + 1) % 3]);
+        behind[j] = cx_sub(r[j], r[(j + 2) % 3]);
+    }
+    for (int j = 0; j < 3; j++) {
+        const cx to_r = cx_sub(r[j], cx_of(k->rc)), to_l = cx_sub(r[j], cx_of(k->lc));
+        const divisor den = divisor_of(cx_mul(cx_mul(cx_mul(cx_mul(ahead[j], behind[j]),
+                                                            mirror[j][0]), mirror[j][1]),
+                                              mirror[j][2]));
+        alpha[0][j] = cx_div_by(cx_mul(cx_of(k->kl), cx_add(cx_mul(to_r, to_r), cx_of(k->rw2))),
+                                den);
+        alpha[1][j] = cx_div_by(cx_mul(cx_of(k->kr), cx_add(cx_mul(to_l, to_l), cx_of(k->lw2))),
+                                den);
+        alpha[2][j] = cx_div_by(cx_of(k->kt), den);
+    }
+    for (int j = 0; j < 3; j++) {
+        /* the divisors of the Taylor terms at r_j, each shared by the three
+           rationals */
+        const divisor d_ahead = divisor_of(ahead[j]), d_behind = divisor_of(behind[j]);
+        const divisor d_ahead2 = divisor_of(cx_mul(ahead[j], ahead[j]));
+        const divisor d_behind2 = divisor_of(cx_mul(behind[j], behind[j]));
+        divisor d_mirror[3], d_mirror2[3];
+        for (int l = 0; l < 3; l++) {
+            d_mirror[l] = divisor_of(mirror[j][l]);
+            d_mirror2[l] = divisor_of(cx_mul(mirror[j][l], mirror[j][l]));
+        }
+        for (int i = 0; i < 3; i++) {
+            const cx next = alpha[i][(j + 1) % 3], far = alpha[i][(j + 2) % 3];
+            cx s0 = cx_add(cx_div_by(next, d_ahead), cx_div_by(far, d_behind));
+            cx s1 = cx_add(cx_div_by(next, d_ahead2), cx_div_by(far, d_behind2));
+            for (int l = 0; l < 3; l++) {
+                s0 = cx_add(s0, cx_div_by(cx_conj(alpha[i][l]), d_mirror[l]));
+                s1 = cx_add(s1, cx_div_by(cx_conj(alpha[i][l]), d_mirror2[l]));
+            }
+            c0[i][j] = s0;
+            c1[i][j] = cx_neg(s1);
+        }
+    }
+    const cx *al = alpha[0], *ar = alpha[1], *at = alpha[2];
+
+    /* psi[lead][order][pole], and the divided difference [order][pole] */
+    cx psi[2][3][3], divided[2][3], out[7];
+    for (int lead = 0; lead < 2; lead++)
+        for (int j = 0; j < 3; j++) {
+            const cx z = cx_add(cx_of(0.5), cx_mul(k->s, cx_sub(r[j], cx_of(k->mu[lead]))));
+            polygammas(z, 2, k->series, out);
+            for (int n = 0; n < 3; n++)
+                psi[lead][n][j] = out[n];
+        }
+    for (int j = 0; j < 3; j++) {
+        if (k->near != 0.0) {
+            const cx z = cx_add(cx_of(0.5), cx_mul(k->s, cx_sub(r[j], cx_of(k->mu_mid))));
+            polygammas(z, 6, k->series, out);
+            for (int n = 0; n < 2; n++)
+                divided[n][j] = cx_add(cx_add(out[1 + n], cx_mul(k->h2_24, out[3 + n])),
+                                       cx_mul(k->h4_1920, out[5 + n]));
+        } else {
+            const divisor h = divisor_of(k->h);
+            for (int n = 0; n < 2; n++)
+                divided[n][j] = cx_div_by(cx_sub(psi[0][n][j], psi[1][n][j]), h);
+        }
+    }
+
+    cx parts[3][3], values[2][3];
+    double sums[2];
+    /* occupation: A_L and A_R */
+    memcpy(parts[0], al, sizeof parts[0]);
+    sums[0] = filled(k, 1, parts, psi[0]);
+    memcpy(parts[0], ar, sizeof parts[0]);
+    sums[1] = filled(k, 1, parts, psi[1]);
+    row[0] = (sums[0] + sums[1]) / k->two_pi;
+    /* current: tau */
+    memcpy(parts[0], at, sizeof parts[0]);
+    for (int j = 0; j < 3; j++)
+        values[0][j] = cx_mul(k->h, divided[0][j]);
+    row[stride] = pole_sum(k, 1, parts, (const cx (*)[3])values) / k->pi;
+    /* thermal noise */
+    row[2 * stride] = (edge(k, 1, parts, psi[0]) + edge(k, 1, parts, psi[1])) * k->thermal;
+    /* partition noise */
+    for (int j = 0; j < 3; j++) {
+        parts[0][j] = cx_sub(at[j], cx_mul(cx_mul(cx_of(2.0), at[j]), c0[2][j]));
+        parts[1][j] = cx_mul(cx_neg(at[j]), at[j]);
+        for (int n = 0; n < 2; n++)
+            values[n][j] = cx_mul(k->half_i_pi,
+                                  cx_sub(cx_add(psi[0][n + 1][j], psi[1][n + 1][j]),
+                                         cx_mul(cx_of(k->two_qcoth), divided[n][j])));
+    }
+    row[3 * stride] = pole_sum(k, 2, parts, (const cx (*)[3])values) * k->partition;
+    /* friction: sigma< A' */
+    for (int lead = 0; lead < 2; lead++) {
+        const cx *a_l = alpha[lead];
+        for (int j = 0; j < 3; j++) {
+            const cx a = cx_add(al[j], ar[j]), c1a = cx_add(c1[0][j], c1[1][j]);
+            parts[0][j] = cx_sub(cx_mul(a_l[j], c1a), cx_mul(c1[lead][j], a));
+            parts[1][j] = cx_mul(cx_neg(c0[lead][j]), a);
+            parts[2][j] = cx_mul(cx_neg(a_l[j]), a);
+        }
+        sums[lead] = filled(k, 3, parts, psi[lead]);
+    }
+    row[4 * stride] = k->c4 * (sums[0] + sums[1]);
+    /* S_x(0): sigma< sigma> */
+    for (int j = 0; j < 3; j++) {
+        parts[0][j] = cx_add(cx_mul(al[j], c0[1][j]), cx_mul(c0[0][j], ar[j]));
+        parts[1][j] = cx_mul(al[j], ar[j]);
+        for (int n = 0; n < 2; n++)
+            values[n][j] = cx_mul(k->minus_i_qcoth_pi, divided[n][j]);
+    }
+    const double mixed = pole_sum(k, 2, parts, (const cx (*)[3])values);
+    for (int lead = 0; lead < 2; lead++) {
+        const cx *a_l = alpha[lead];
+        for (int j = 0; j < 3; j++) {
+            parts[0][j] = cx_mul(cx_mul(cx_of(2.0), a_l[j]), c0[lead][j]);
+            parts[1][j] = cx_mul(a_l[j], a_l[j]);
+        }
+        sums[lead] = edge(k, 2, parts, psi[lead]);
+    }
+    row[5 * stride] = k->c4 * (mixed - (sums[0] + sums[1]) / k->beta);
+    for (int i = 0; i < 6; i++)
+        if (!isfinite(row[i * stride]))
+            return 2;
+    return 0;
+}
+
+#ifdef POLE_SUMS_FOR_FMA
+#pragma GCC pop_options
+#endif
+
+/* The six rows of transport._pole_rows at the n positions xs into rows,
+   shape (6, n), and each position's status into status (see pole_rows);
+   returns the number of positions whose status is not 0, or -1, with
+   nothing written, on a CPU without the FMA this section was built for. */
+long nemclock_pole_rows(long n, const double *xs, const pole_consts_t *k, double *rows,
+                        long *status)
+{
+#ifdef POLE_SUMS_FOR_FMA
+    if (!__builtin_cpu_supports("fma"))
+        return -1;
+#endif
+    long bad = 0;
+    for (long i = 0; i < n; i++) {
+        status[i] = pole_rows(k, xs[i], rows + i, n);
+        bad += status[i] != 0;
     }
     return bad;
 }

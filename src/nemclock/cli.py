@@ -22,8 +22,8 @@ record from their config and refuse the first field that differs (exit 2,
 grid and no table, so a refusal leaves coeffs.npz as it was.
 ``--threads`` sets the stepper's worker threads and is taken only by the
 commands that run it (``simulate``, ``run``, ``sweep``); coefficient tables
-are built on the calling thread, each one NumPy pass of pole sums over its
-whole grid.
+are built on the calling thread, each one pass of pole sums over its whole
+grid in the compiled kernel (or in NumPy, its oracle and fallback).
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures (tagged with the stage that failed).  Artifacts contain no
 timestamps; a rerun with the same config and seed is bit-identical no matter
@@ -255,7 +255,9 @@ def _write_csv(path, header, columns) -> None:
     column: a float as ``repr(float(v))``, the shortest text that reads
     back to the same double, and an integer as ``str``.  The compiled
     kernel writes float and integer columns; ``repr`` writes the same bytes
-    when it cannot, or when a column holds anything else."""
+    when it cannot, or when a column holds anything else.  A complex or
+    longdouble column, which neither writes as such, is refused with a
+    ValueError before the file is opened."""
     columns = [np.asarray(c) for c in columns]
     if not columns:
         raise ValueError("a CSV needs at least one column")
@@ -264,6 +266,10 @@ def _write_csv(path, header, columns) -> None:
                          f"but {len(columns)} are given")
     if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
         raise ValueError("CSV columns must be 1-D and of equal length")
+    for name, c in zip(header, columns):
+        if c.dtype.kind == "c" or (c.dtype.kind == "f" and c.dtype.itemsize > 8):
+            raise ValueError(f"CSV column {name!r} has dtype {c.dtype}, which is "
+                             "written neither as a double nor as an integer")
     chunks = langevin.csv_chunks(columns, _CSV_CHUNK)
     if chunks is None:
         chunks = _repr_chunks(columns)

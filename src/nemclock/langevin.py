@@ -46,7 +46,10 @@ histogram and the tick detector count in the kernel too, through
 :func:`_bin_counts_compiled` and :func:`_crossings_compiled`, bit for bit
 their NumPy feeds, which are the oracle and the fallback.  The kernel also
 writes the CLI's CSV numbers (:func:`csv_chunks`), byte for byte as
-``repr`` does, which is the oracle and the fallback there.
+``repr`` does, which is the oracle and the fallback there, and sums the
+transport poles (:func:`_pole_rows_compiled`), bit for bit as
+``transport._pole_rows`` does, which ``transport`` probes it against and
+falls back to.
 """
 from __future__ import annotations
 
@@ -431,6 +434,8 @@ def _load_kernel():
     kernel.nemclock_normals.restype = None
     kernel.nemclock_format_csv.argtypes = [long, long, long, ptr, ptr, ptr, ptr, ptr]
     kernel.nemclock_format_csv.restype = long
+    kernel.nemclock_pole_rows.argtypes = [long, ptr, ptr, ptr, ptr]
+    kernel.nemclock_pole_rows.restype = long
     return kernel
 
 
@@ -457,14 +462,16 @@ def _compiled_part(part: str, build, fallback: str):
 
 
 def _kernel():
-    """The compiled step loop, spline evaluation, consumer counts and CSV
-    formatter, or None when they cannot be built or loaded: the NumPy ones
-    and ``repr`` then give the same results at about 200x, 17x, 3x and 8x
-    the cost."""
+    """The compiled step loop, spline evaluation, consumer counts, CSV
+    formatter and transport pole sums, or None when they cannot be built or
+    loaded: the NumPy ones and ``repr`` then give the same results at about
+    200x, 17x, 3x, 8x and, for the pole sums, 2x the cost on an 802-node
+    table and 11x on a single position."""
     return _compiled_part(
         "kernel", _load_kernel,
         "falling back to the NumPy step loop (about 200x slower), spline "
-        "evaluation, histogram and tick feeds, and repr for CSV numbers",
+        "evaluation, histogram and tick feeds, transport pole sums, and repr "
+        "for CSV numbers",
     )
 
 
@@ -608,6 +615,22 @@ def csv_chunks(columns, rows_per_chunk: int):
     typed = [np.ascontiguousarray(c, dtype=np.float64 if k == "d" else np.int64)
              for c, k in zip(columns, kinds)]
     return _format_csv_compiled(kernel, tables, typed, "".join(kinds), rows_per_chunk)
+
+
+def _pole_rows_compiled(kernel, xs, constants: np.ndarray):
+    """The kernel's transport pole sums at the positions ``xs``: the six
+    rows, shape (6, len(xs)), for the doubles ``constants`` that
+    ``transport._pole_constants`` lays out, and each position's status, 1
+    where two poles are too close or one is not below the real axis, 2
+    where a row is not finite, 0 otherwise.  OSError on a CPU without the
+    FMA the kernel built them for."""
+    xs = np.ascontiguousarray(xs, dtype=float)
+    rows = np.empty((6, xs.size))
+    status = np.empty(xs.size, dtype=ctypes.c_long)
+    if kernel.nemclock_pole_rows(xs.size, xs.ctypes.data, constants.ctypes.data,
+                                 rows.ctypes.data, status.ctypes.data) < 0:
+        raise OSError("this CPU has no FMA")
+    return rows, status
 
 
 def _steps_numpy(drive, x, v, noise, buf_x, buf_v, dt, w0, force, m):

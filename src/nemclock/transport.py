@@ -25,12 +25,12 @@ rates k_l, the three rationals every row is built from are
     tau = g2 k_L k_R = Gamma_L Gamma_R W_L^2 W_R^2 / |N|^2,
 
 each a sum of simple poles at r_k and their mirror images.  At omega = 0
-:func:`_pole_rows` integrates every row in closed form, vectorised over the
-positions.  Products of Fermi functions become terms linear in f_L, f_R,
-f_L' and f_R': f(1 - f) = -f'/beta and f_L (1 - f_R) + f_R (1 - f_L) =
-(f_L - f_R) coth(beta V / 2).  The friction, F^2/2pi int sigma< d(sigma>)/dE
-with sigma< + sigma> = A_L + A_R = A, integrates by parts to F^2/2pi int
-sigma< A' dE.  A real rational R with poles r_k of order j and Laurent
+:func:`_pole_rows` integrates every row in closed form, in NumPy,
+vectorised over the positions.  Products of Fermi functions become terms
+linear in f_L, f_R, f_L' and f_R': f(1 - f) = -f'/beta and
+f_L (1 - f_R) + f_R (1 - f_L) = (f_L - f_R) coth(beta V / 2).  The
+friction, F^2/2pi int sigma< d(sigma>)/dE with sigma< + sigma> = A_L + A_R
+= A, integrates by parts to F^2/2pi int sigma< A' dE.  A real rational R with poles r_k of order j and Laurent
 coefficients a_kj, decaying at least as E^-2, then integrates against a
 Fermi function (Ozaki, PRB 75, 035123 (2007)) as
 
@@ -47,18 +47,27 @@ the sums lose accuracy, :func:`_pole_rows` raises and names the position.
 
 The coefficients need S_x only at omega = 0: the oscillator is slow, so the
 friction and the diffusion are its slope and its value there.
+
+Tables and points take the pole sums from the compiled kernel (``_stepper.c``,
+which :mod:`nemclock.langevin` loads), one position at a time, through
+:func:`_pole_sums`.  The kernel reproduces the NumPy pass bit for bit,
+NumPy's fused complex products included, so it is checked against that pass
+at fixed positions before its first use; where the check fails, or the
+kernel is unavailable, one RuntimeWarning says so and the NumPy pass, its
+test oracle, sums every later pass.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .params import SystemParams, fingerprint
+from .params import AdiabaticityWarning, SystemParams, default_params, fingerprint
 
 __all__ = [
     "COLUMNS",
@@ -83,6 +92,19 @@ _SERIES = [[b / (2 * k) for k, b in enumerate(_BERNOULLI, 1)]] + [
      for k, b in enumerate(_BERNOULLI, 1)]
     for n in range(1, 7)
 ]
+_SERIES_DOUBLES = [term for terms in _SERIES for term in terms]
+# the cube roots of unity, which turn Cardano's one cube root into three
+_UNITY = np.exp(2j * np.pi / 3.0 * np.arange(3))
+_CLOSE_POLES = (
+    "transport pole sums cannot hold their accuracy at x={!r}: two poles are "
+    f"closer than {POLE_SEPARATION} of their distance from the real axis"
+)
+_NON_FINITE = "non-finite transport pole sums at x={!r}"
+# the compiled pole sums must equal the NumPy pass at these positions, at a
+# bias that takes the plain divided difference of psi and one that takes
+# its Taylor series, before they are used
+_PROBE_VOLTAGES = (100.0, 1e-6)
+_PROBE_POSITIONS = (-40.0, -3.5, 0.0, 12.25, 60.0)
 
 
 def _polygammas(z, top):
@@ -118,14 +140,33 @@ def _polygammas(z, top):
     return out
 
 
-def _poles(params: SystemParams, fx):
-    """The roots of N(E) (see the module docstring) for each level shift
-    ``fx`` = F x, shape (3, len(fx)): Cardano's formula, then two Newton
-    steps on the factored cubic."""
+def _leads(params: SystemParams):
+    """Each lead's pole c_l - i W_l and weight g_l = Gamma_l W_l / 2:
+    (pl, pr, gl, gr)."""
     pl = params.left.band_center - 1j * params.left.bandwidth
     pr = params.right.band_center - 1j * params.right.bandwidth
     gl = 0.5 * params.left.peak_rate * params.left.bandwidth
     gr = 0.5 * params.right.peak_rate * params.right.bandwidth
+    return pl, pr, gl, gr
+
+
+def _bias(params: SystemParams):
+    """s = i beta / 2pi, h = z_L - z_R, u coth u with u = beta V / 2, and
+    whether |h| is not at least :data:`NEAR_BIAS`, where psi's divided
+    difference is a series."""
+    beta = params.inverse_temperature
+    s = 0.5j * beta / np.pi
+    bias = params.left.chemical_potential - params.right.chemical_potential
+    h, u = -s * bias, 0.5 * beta * bias
+    qcoth = u / math.tanh(u) if u else 1.0
+    return s, h, qcoth, not abs(h) >= NEAR_BIAS
+
+
+def _poles(params: SystemParams, fx):
+    """The roots of N(E) (see the module docstring) for each level shift
+    ``fx`` = F x, shape (3, len(fx)): Cardano's formula, then two Newton
+    steps on the factored cubic."""
+    pl, pr, gl, gr = _leads(params)
     e0 = params.dot_energy - fx
     # N = E^3 + b E^2 + c E + d, and its depressed form t^3 + p t + q
     b = -(e0 + pl + pr)
@@ -136,7 +177,7 @@ def _poles(params: SystemParams, fx):
     root = np.sqrt(0.25 * q * q + p**3 / 27.0)
     # the larger of -q/2 +- root, whose cube root does not cancel
     u = np.where(np.abs(root - 0.5 * q) >= np.abs(root + 0.5 * q), root - 0.5 * q, -root - 0.5 * q)
-    cube = np.exp(2j * np.pi / 3.0 * np.arange(3))[:, None] * u ** (1.0 / 3.0)
+    cube = _UNITY[:, None] * u ** (1.0 / 3.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = cube - p / (3.0 * cube) - b / 3.0
         for _ in range(2):
@@ -162,12 +203,7 @@ def _pole_rows(xs, params: SystemParams, force):
     with np.errstate(invalid="ignore"):
         share = np.abs(gap[one, two]) / np.maximum(-r.imag[one], -r.imag[two])
     held = (share >= POLE_SEPARATION).all(axis=0) & (r.imag < 0.0).all(axis=0)
-    if not held.all():
-        raise RuntimeError(
-            f"transport pole sums cannot hold their accuracy at x={xs[~held]!r}: "
-            f"two poles are closer than {POLE_SEPARATION} of their distance "
-            "from the real axis"
-        )
+    _refuse(xs, ~held, _CLOSE_POLES)
     # NumPy's reductions over complex axes round differently with the batch
     # size, so every sum and product over poles below is spelled out
     nxt, far = [1, 2, 0], [2, 0, 1]
@@ -188,15 +224,12 @@ def _pole_rows(xs, params: SystemParams, force):
     (al, ar, at), (c0l, c0r, c0t), (c1l, c1r, _) = alpha, c0, c1
     a, c1a = al + ar, c1l + c1r
 
-    s = 0.5j * beta / np.pi
+    s, h, qcoth, near = _bias(params)
     mu = np.array([left.chemical_potential, right.chemical_potential])
     psi = _polygammas(0.5 + s * (r - mu[:, None, None]), 2)  # (order, lead, pole, x)
-    bias = left.chemical_potential - right.chemical_potential
-    h, u = -s * bias, 0.5 * beta * bias  # z_L - z_R, and beta V / 2
-    qcoth = u / math.tanh(u) if u else 1.0
     # (psi^(n)(z_L) - psi^(n)(z_R)) / h for n = 0, 1, a Taylor series about
     # the midpoint at small bias
-    if abs(h) >= NEAR_BIAS:
+    if not near:
         divided = (psi[:2, 0] - psi[:2, 1]) / h
     else:
         mid = _polygammas(0.5 + s * (r - 0.5 * (mu[0] + mu[1])), 6)
@@ -237,9 +270,78 @@ def _pole_rows(xs, params: SystemParams, force):
         c4 * (pole_sum([al * c0r + c0l * ar, al * ar], (-1j * qcoth / np.pi) * divided)
               - (edge([2.0 * al * c0l, al * al], 0) + edge([2.0 * ar * c0r, ar * ar], 1)) / beta),
     ])
-    finite = np.isfinite(rows).all(axis=0)
-    if not finite.all():
-        raise RuntimeError(f"non-finite transport pole sums at x={xs[~finite]!r}")
+    _refuse(xs, ~np.isfinite(rows).all(axis=0), _NON_FINITE)
+    return rows
+
+
+def _refuse(xs, bad, message: str):
+    """Raise RuntimeError with ``message`` naming the positions ``xs[bad]``,
+    if there are any."""
+    if bad.any():
+        raise RuntimeError(message.format(xs[bad]))
+
+
+def _pole_constants(params: SystemParams, force):
+    """The kernel's ``pole_consts_t`` for ``params`` and ``force``: every
+    scalar of :func:`_pole_rows` that depends on the operating point alone,
+    by the pass's own expression, in float64 with each complex value split
+    into its real and imaginary parts."""
+    left, right = params.left, params.right
+    beta = params.inverse_temperature
+    pl, pr, gl, gr = _leads(params)
+    s, h, qcoth, near = _bias(params)
+    mu = np.array([left.chemical_potential, right.chemical_potential])
+    fields = [
+        force, params.dot_energy, pl, pr, gl, gr, pl + pr, pl * pr, gl * pr + gr * pl,
+        *_UNITY,
+        left.peak_rate * left.bandwidth**2, right.peak_rate * right.bandwidth**2,
+        left.peak_rate * right.peak_rate * (left.bandwidth * right.bandwidth) ** 2,
+        left.band_center, right.band_center, left.bandwidth**2, right.bandwidth**2,
+        s, *mu, 0.5 * (mu[0] + mu[1]), *(s**n / math.factorial(n) for n in range(3)),
+        float(near), h, h * h / 24.0, h**4 / 1920.0, 2.0 * qcoth,
+        0.5j / np.pi, -1j * qcoth / np.pi,
+        2.0 * np.pi, np.pi, -2.0 / (np.pi * beta), 2.0 / np.pi, force**2 / (2.0 * np.pi),
+        beta, POLE_SEPARATION,
+    ]
+    parts = [(v.real, v.imag) if isinstance(v, complex) else (v,) for v in fields]
+    return np.array([x for part in parts for x in part] + _SERIES_DOUBLES)
+
+
+def _probe_pole_sums(kernel):
+    """``kernel``, once its pole sums equal :func:`_pole_rows` bit for bit
+    at :data:`_PROBE_POSITIONS` and :data:`_PROBE_VOLTAGES`."""
+    from . import langevin  # at module level, a circular import
+
+    xs = np.array(_PROBE_POSITIONS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        probes = [default_params(v) for v in _PROBE_VOLTAGES]
+    for params in probes:
+        rows, status = langevin._pole_rows_compiled(
+            kernel, xs, _pole_constants(params, params.force)
+        )
+        want = _pole_rows(xs, params, params.force)
+        if status.any() or rows.tobytes() != want.tobytes():
+            raise ValueError("its rows differ from the NumPy pass")
+    return kernel
+
+
+def _pole_sums(xs, params: SystemParams, force):
+    """:func:`_pole_rows` at the float64 positions ``xs``, summed by the
+    compiled kernel, or by NumPy when the kernel is unavailable or failed
+    its probe: the same bits, and the same errors."""
+    from . import langevin  # at module level, a circular import
+
+    kernel = langevin._kernel()
+    if kernel is not None:
+        kernel = langevin._compiled_part(
+            "pole sums", lambda: _probe_pole_sums(kernel), "summing transport poles in NumPy"
+        )
+    if kernel is None:
+        return _pole_rows(xs, params, force)
+    rows, status = langevin._pole_rows_compiled(kernel, xs, _pole_constants(params, force))
+    _refuse(xs, status == 1, _CLOSE_POLES)
+    _refuse(xs, status == 2, _NON_FINITE)
     return rows
 
 
@@ -250,7 +352,7 @@ def friction_and_diffusion(position, params: SystemParams):
     F^2/2pi int sigma<(E) d/dE[g2(E) w_more(E)] dE, summed over the poles
     with S_x(0); the diffusion is S_x(0), floored at zero against round-off.
     """
-    slope, spec = _pole_rows(np.array([position], dtype=float), params, params.force)[4:, 0]
+    slope, spec = _pole_sums(np.array([position], dtype=float), params, params.force)[4:, 0]
     return float(slope / params.oscillator_mass), float(np.maximum(spec, 0.0))
 
 
@@ -370,9 +472,9 @@ def build_coefficient_table(
     """Tabulate every transport coefficient over a position grid.
 
     ``grid_spec`` is a :class:`GridSpec` or an explicit strictly increasing
-    array of positions.  The whole grid is one vectorised NumPy pass of
-    pole sums (see :func:`_pole_rows`) on the calling thread; ``threads``
-    has no effect.
+    array of positions.  The whole grid is one pass of pole sums (see
+    :func:`_pole_sums`) on the calling thread, in the compiled kernel or, as
+    its fallback, in NumPy; ``threads`` has no effect.
     """
     if isinstance(grid_spec, GridSpec):
         grid = grid_spec.positions()
@@ -383,7 +485,7 @@ def build_coefficient_table(
 
     # one pass over the grid and, last, the rest position x = 0, whose
     # occupation is the baseline of the excess
-    rows = _pole_rows(np.append(grid, 0.0), params, params.force)
+    rows = _pole_sums(np.append(grid, 0.0), params, params.force)
     occ, cur, thermal, partition, slope, spec = rows[:, :-1]
     # the rows in COLUMNS order
     values = np.array([

@@ -477,7 +477,7 @@ def test_write_csv_with_the_kernel_off_writes_the_same_bytes(tmp_path, monkeypat
     assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
         "compiled kernel unavailable (kernel forced off); falling back to the NumPy "
         "step loop (about 200x slower), spline evaluation, histogram and tick feeds, "
-        "and repr for CSV numbers"
+        "transport pole sums, and repr for CSV numbers"
     ]
     assert first == second == compiled
 
@@ -493,6 +493,25 @@ def test_write_csv_with_a_wrong_formatter_table_writes_the_same_bytes(tmp_path, 
     with pytest.warns(RuntimeWarning, match=r"CSV formatter unavailable \(its text differs"):
         fallback = _csv_bytes(tmp_path / "f.csv", _hard_columns())
     assert fallback == compiled
+
+
+@pytest.mark.parametrize("kernel", ["on", "off"])
+@pytest.mark.parametrize(
+    "column",
+    [np.array([0.1, 2.5], dtype=np.longdouble), np.array([1 + 2j, -0.5j])],
+    ids=["longdouble", "complex"],
+)
+def test_write_csv_refuses_longdouble_and_complex_columns(tmp_path, monkeypatch, kernel,
+                                                          column):
+    # repr would write np.longdouble('0.1') and (1+2j)
+    if kernel == "on" and cli.langevin._kernel() is None:
+        pytest.skip("compiled kernel unavailable")
+    if kernel == "off":
+        monkeypatch.setattr(cli.langevin, "_kernel", lambda: None)
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=f"CSV column 'c' has dtype {column.dtype},"):
+        cli._write_csv(path, ["x", "c"], [np.array([0.1, 0.2]), column])
+    assert not path.exists()
 
 
 def test_write_csv_refuses_ragged_columns(tmp_path):

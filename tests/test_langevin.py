@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import THREADS, make_synthetic_table
-from nemclock import langevin
+from nemclock import langevin, transport
 from nemclock.langevin import (
     CHUNK_STEPS,
     ExcursionError,
@@ -23,7 +23,7 @@ from nemclock.langevin import (
     run_ensemble,
     _integrate_block,
 )
-from nemclock.params import default_params
+from nemclock.params import AdiabaticityWarning, default_params
 from nemclock.transport import GridSpec, build_coefficient_table
 
 TWO_PI = 2.0 * math.pi
@@ -571,6 +571,18 @@ def test_kernel_built_with_fma_still_matches_reference(
         langevin._evaluate_compiled(fused, drive, points),
         langevin._evaluate_numpy(drive, points),
     )
+    # the pole sums' fused complex products must stay exactly NumPy's, and
+    # their Smith quotients and nc_pow products unfused, on both branches of
+    # psi's divided difference
+    xs = np.linspace(-60.0, 60.0, 241)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        for params in (params100, default_params(1e-6)):
+            rows, status = langevin._pole_rows_compiled(
+                fused, xs, transport._pole_constants(params, params.force)
+            )
+            assert not status.any()
+            assert np.array_equal(rows, transport._pole_rows(xs, params, params.force))
     # the whole block, the fused kernel's own noise draws included
     monkeypatch.setattr(langevin, "_kernel", lambda: fused)
     monkeypatch.setattr(langevin, "_compiled", {})

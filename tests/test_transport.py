@@ -653,10 +653,10 @@ def test_tables_match_the_quadrature_oracle(voltage):
 
 
 # the tables and the onset scan's friction do not depend on the compiled
-# kernel: they are the same bits with it unavailable.  The pole sums are
-# NumPy alone, but at V = 50 and 100 the probe table's cycle search
-# (limit_cycle_amplitude) evaluates its splines through the kernel, or
-# through the NumPy evaluation when it is off
+# kernel: they are the same bits with it unavailable.  The kernel sums the
+# poles, or the NumPy pass does when it is off, and at V = 50 and 100 the
+# probe table's cycle search (limit_cycle_amplitude) evaluates its splines
+# through the kernel, or through the NumPy evaluation
 
 
 @pytest.mark.parametrize("voltage", [5.0, 50.0, 100.0])
@@ -680,6 +680,148 @@ def test_onset_scan_friction_equal_with_the_kernel_off(monkeypatch):
     assert fast == reference
 
 
+# --------------------------------------------------- compiled pole sums --
+
+
+def _summing_kernel():
+    """The kernel once it has passed the pole-sum probe; a skip without the
+    kernel or on a CPU without FMA, whose NumPy does not fuse, and a
+    failure when the probe fails anyway."""
+    kernel = langevin._kernel()
+    if kernel is None:
+        pytest.skip("compiled kernel unavailable")
+    if not np._core._multiarray_umath.__cpu_features__.get("FMA3"):
+        pytest.skip("no FMA on this CPU")
+    probed = langevin._compiled_part(
+        "pole sums", lambda: transport._probe_pole_sums(kernel), "summing in NumPy"
+    )
+    assert probed is kernel
+    return kernel
+
+
+def _compiled_rows(xs, params, force=None):
+    force = params.force if force is None else force
+    rows, status = langevin._pole_rows_compiled(
+        _summing_kernel(), xs, transport._pole_constants(params, force)
+    )
+    assert not status.any()
+    return rows
+
+
+def _assert_same_rows(xs, params, force=None):
+    force = params.force if force is None else force
+    assert np.array_equal(
+        _compiled_rows(xs, params, force), transport._pole_rows(xs, params, force)
+    )
+
+
+@pytest.mark.parametrize("voltage", [5.0, 50.0, 100.0, 300.0])
+def test_compiled_pole_sums_equal_numpy_on_the_default_grids(voltage):
+    # the probe grid (V = 50 and up) and the main grid, each with x = 0
+    params = default_params(voltage)
+    for table in _tables(voltage):
+        _assert_same_rows(np.append(table.grid, 0.0), params)
+
+
+@pytest.mark.parametrize("voltage", [5.0, 42.3, 100.0])
+def test_compiled_pole_sums_equal_numpy_at_a_single_point(voltage):
+    params = default_params(voltage)
+    for x in (0.0, -17.25, 33.5):
+        _assert_same_rows(np.array([x]), params)
+
+
+@pytest.mark.parametrize("voltage", [0.0, 1e-6, 0.3, 0.7])
+def test_compiled_pole_sums_equal_numpy_through_zero_bias(voltage):
+    # below V = 0.63 psi's divided difference is its Taylor series
+    params = _quiet(default_params, voltage)
+    _assert_same_rows(np.linspace(-40.0, 40.0, 81), params)
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_compiled_pole_sums_equal_numpy_without_force(case):
+    params = ROW_CASES[case]
+    xs = np.linspace(-30.0, 30.0, 25)
+    _assert_same_rows(xs, params, 0.0)
+    _assert_same_rows(xs, params)
+    assert not np.any(_compiled_rows(xs, params, 0.0)[4:])
+
+
+def test_compiled_pole_sums_do_not_depend_on_the_batch(p100):
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-60.0, 60.0, 37)
+    rows = _compiled_rows(xs, p100)
+    for i in range(xs.size):
+        assert np.array_equal(_compiled_rows(xs[i:i + 1], p100)[:, 0], rows[:, i])
+    part = rng.permutation(xs.size)[:12]
+    assert np.array_equal(_compiled_rows(xs[part], p100), rows[:, part])
+
+
+def _refusal(rows, xs, params, force):
+    with pytest.raises(RuntimeError) as caught:
+        rows(xs, params, force)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("case", ["coincident poles", "infinite rows"])
+def test_compiled_pole_sums_refuse_as_numpy_does(case):
+    _summing_kernel()
+    if case == "coincident poles":
+        # the double pole of test_pole_sums_refuse_nearly_coincident_poles
+        lead = dict(band_center=0.0, bandwidth=12.0, peak_rate=3.0)
+        params = SystemParams(
+            left=LeadSpec(chemical_potential=5.0, **lead),
+            right=LeadSpec(chemical_potential=-5.0, **lead),
+            inverse_temperature=0.1, coupling=0.5,
+        )
+        xs, force, named = np.array([-0.3, 0.001, 0.0, 0.3]), params.force, "closer than"
+    else:
+        # F^2 / 2pi overflows, so the friction and spectrum rows do
+        params, named = default_params(100.0), "non-finite"
+        xs, force = np.array([0.0, 1e-170]), np.float64(1e160)
+    with np.errstate(over="ignore"):
+        numpy = _refusal(transport._pole_rows, xs, params, force)
+        assert named in numpy
+        assert _refusal(transport._pole_sums, xs, params, force) == numpy
+
+
+def test_pole_sum_probe_mismatch_warns_once_and_sums_in_numpy(monkeypatch):
+    _summing_kernel()
+    params = default_params(5.0)
+    grid = GridSpec(x_max=40.0, nodes=41)
+    expected = build_coefficient_table(params, grid)
+    point = friction_and_diffusion(3.0, params)
+    compiled = langevin._pole_rows_compiled
+
+    def wrong(kernel, xs, constants):
+        rows, status = compiled(kernel, xs, constants)
+        return np.nextafter(rows, np.inf), status
+
+    monkeypatch.setattr(langevin, "_pole_rows_compiled", wrong)
+    monkeypatch.setattr(langevin, "_compiled", {})
+    with pytest.warns(RuntimeWarning, match="rows differ from the NumPy pass") as warned:
+        fallback = build_coefficient_table(params, grid)
+    assert [w.category for w in warned] == [RuntimeWarning]
+    assert langevin._compiled["pole sums"] is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = build_coefficient_table(params, grid)
+        assert friction_and_diffusion(3.0, params) == point
+    for table in (fallback, again):
+        assert np.array_equal(table.values, expected.values)
+
+
+def test_compiled_pole_sums_are_in_use(monkeypatch, p100):
+    # a failing probe would otherwise pass every test at the NumPy pass's cost
+    _summing_kernel()
+
+    def forbidden(*args):
+        raise AssertionError("the NumPy pole sums ran")
+
+    monkeypatch.setattr(transport, "_pole_rows", forbidden)
+    build_coefficient_table(p100, GridSpec(x_max=30.0, nodes=31))
+    friction_and_diffusion(0.0, p100)
+
+
 # ----------------------------------------------------------- reachability --
 
 
@@ -700,10 +842,13 @@ def _transport_functions():
     return path, found
 
 
-def test_every_transport_function_runs_on_the_cli_path(tmp_path):
+def test_every_transport_function_runs_on_the_cli_path(tmp_path, monkeypatch):
     # a tiny `run` and then `analyze`, in-process under a profiler: every
     # function transport.py defines must be entered, so code only the
-    # tests' oracle needs cannot sit in the production module
+    # tests' oracle needs cannot sit in the production module.  The run
+    # starts as a fresh process does, before the compiled parts are made,
+    # so the pole-sum probe runs the NumPy pass
+    monkeypatch.setattr(langevin, "_compiled", {})
     path, functions = _transport_functions()
     assert len(functions) >= 10
     config = {
