@@ -17,6 +17,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import nemclock  # noqa: F401  # before NumPy, so the scan's BLAS runs on one thread
 import numpy as np
 
 from nemclock.params import AdiabaticityWarning, default_params

@@ -15,8 +15,33 @@ the analysis modules :mod:`~nemclock.clockstats` and
 :mod:`~nemclock.tickinfo`, listed in ``_LAZY``, are imported on first
 access, so the table and ensemble path does not pay for loading them and
 ``numpy.fft``.
+
+A nemclock process runs NumPy's BLAS on one thread.  Its only BLAS calls
+are the small products and one 4x4 solve of
+:func:`~nemclock.clockstats.linewidth_fit`, and OpenBLAS's pool of one
+thread per core spin-waits through the import and often through later
+calls, burning a second core for nothing.  So when nothing has loaded
+NumPy yet and the caller has set none of ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``, the package imports NumPy
+with ``OPENBLAS_NUM_THREADS=1`` and then removes the variable again:
+OpenBLAS reads it once, when the library loads, so ``os.environ`` and
+child processes see the caller's environment unchanged.  A caller who
+sets one of these variables, or imports NumPy first, keeps their own
+pool.  No artifact depends on the pool's size.
 """
 import importlib
+import os
+import sys
+
+if "numpy" not in sys.modules and not any(
+    name in os.environ
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        importlib.import_module("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import langevin, params, pipeline, readout, toymodels, transport
 from .params import *  # noqa: F403

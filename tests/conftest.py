@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import nemclock  # noqa: F401  # before NumPy, so the session's BLAS runs on one thread
 import numpy as np
 import pytest
 

@@ -10,6 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import nemclock
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -189,3 +192,43 @@ def test_tables_and_ensembles_need_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_lines(code, **blas_env):
+    """Run ``code`` in a fresh interpreter whose environment sets no BLAS
+    thread count but ``blas_env``, and return the lines it prints."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**env, **blas_env, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_import_runs_blas_on_one_thread():
+    # OpenBLAS starts a pool of one thread per core when NumPy loads; a
+    # nemclock process keeps one thread and the caller's environment, and a
+    # caller's own thread setting wins
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count the threads of a process")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas).lower():
+        pytest.skip(f"NumPy's BLAS is not OpenBLAS: {blas.get('name')}")
+    threads = "len(os.listdir('/proc/self/task'))"
+    code = f"import os\nimport nemclock\nprint({threads}, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    assert _fresh_lines(code) == ["1 None"]
+    # OpenBLAS caps its pool at the core count
+    cores = len(os.sched_getaffinity(0))
+    for name in _BLAS_THREAD_VARIABLES:
+        left = "2" if name == "OPENBLAS_NUM_THREADS" else "None"
+        assert _fresh_lines(code, **{name: "2"}) == [f"{min(2, cores)} {left}"], name
+
+    code = f"import os\nimport numpy\nprint({threads})\nimport nemclock\nprint({threads})\n"
+    before, after = map(int, _fresh_lines(code))
+    assert after == before
+    assert before > 1 or cores == 1

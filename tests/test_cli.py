@@ -629,6 +629,26 @@ def test_run_is_bit_identical_across_threads(tmp_path, pipeline_config):
         assert (serial / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+def test_run_does_not_depend_on_the_blas_pool(tmp_path, pipeline_config):
+    # the caller's OPENBLAS_NUM_THREADS, which outranks GOTO_NUM_THREADS and
+    # OMP_NUM_THREADS, sets the pool: one thread and two write the same bytes
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    one, two = tmp_path / "blas1", tmp_path / "blas2"
+    for count, out in (("1", one), ("2", two)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nemclock", "run",
+             "--config", str(cfg_path), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": count, "PYTHONPATH": os.pathsep.join(
+                filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in one.iterdir()} == {p.name for p in two.iterdir()}
+    assert (one / "manifest.json").is_file()
+    for path in sorted(one.iterdir()):
+        assert (two / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_staged_commands_match_run(tmp_path, pipeline_config, capsys):
     cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
     whole = tmp_path / "whole"
