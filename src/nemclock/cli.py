@@ -37,10 +37,12 @@ import hashlib
 import json
 import math
 import sys
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from . import clockstats, langevin, tickinfo
 from .langevin import SimConfig, Trajectory
@@ -285,11 +287,27 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _write_npz(path, arrays: dict) -> None:
+    """``np.savez(path, **arrays)``'s bytes for C-contiguous arrays of plain
+    dtypes, each written from its own buffer: ``np.savez`` copies a whole
+    array into one ``bytes`` before writing it."""
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, array in arrays.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                npy_format.write_array_header_1_0(
+                    fh, npy_format.header_data_from_array_1_0(array))
+                fh.write(memoryview(array).cast("B"))
+
+
+_HASH_BLOCK = 1 << 16  # bytes read per step, into one reused buffer
+
+
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    digest, block = hashlib.sha256(), bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -337,19 +355,19 @@ def _leaves(tree, prefix=""):
 
 def stage_simulate(cfg, params, table, sim: SimConfig, out: Path, threads: int):
     """Integrate the ensemble, detecting ticks and histogramming positions on
-    every full-rate state; stores ensemble.npz."""
-    corpus = build_corpus(table, params, sim, policy=_policy(cfg), threads=threads)
+    every full-rate state; stores ensemble.npz.  The record holds the
+    positions alone: no command reads velocities."""
+    corpus = build_corpus(table, params, sim, policy=_policy(cfg), threads=threads,
+                          velocities=False)
     provenance = {**_provenance(cfg, params, sim), "params_hash": table.params_hash}
-    with open(out / "ensemble.npz", "wb") as fh:
-        np.savez(
-            fh,
-            positions=corpus.record.positions,
-            provenance=np.frombuffer(json.dumps(provenance).encode(), dtype=np.uint8),
-            tick_times=np.concatenate([ts.tick_times for ts in corpus.ticks]),
-            tick_counts=np.array([len(ts) for ts in corpus.ticks], dtype=np.int64),
-            position_density=corpus.position_density,
-            position_count=np.array([corpus.position_count], dtype=np.int64),
-        )
+    _write_npz(out / "ensemble.npz", dict(
+        positions=corpus.record.positions,
+        provenance=np.frombuffer(json.dumps(provenance).encode(), dtype=np.uint8),
+        tick_times=np.concatenate([ts.tick_times for ts in corpus.ticks]),
+        tick_counts=np.array([len(ts) for ts in corpus.ticks], dtype=np.int64),
+        position_density=corpus.position_density,
+        position_count=np.array([corpus.position_count], dtype=np.int64),
+    ))
     return corpus
 
 
@@ -451,7 +469,9 @@ def stage_analyze(corpus: Corpus, out: Path) -> tuple[dict, list[str]]:
     """Clock statistics from the stored ensemble; writes the report set and
     returns the report.json payload and the names of the plots it drew.  The
     spectrum is only plotted: it is ``power_spectrum`` of autocorrelation.csv
-    and ``shot_noise_floor``."""
+    and ``shot_noise_floor``.  The current series is transduced into
+    ``corpus.record.positions``, which holds the currents afterwards, so the
+    stage holds no second record-sized array."""
     params, table = corpus.params, corpus.table
     tick_series = corpus.ticks
     dt_rec = corpus.record.sample_spacing
@@ -475,7 +495,7 @@ def stage_analyze(corpus: Corpus, out: Path) -> tuple[dict, list[str]]:
         }
     _write_json(out / "wtd_fit.json", fit_payload)
 
-    currents = transduce(corpus.record, table)
+    currents = transduce(corpus.record, table, out=corpus.record.positions)
     max_lag = _max_lag(params, corpus.sim)
     curve = clockstats.autocorrelation(currents, dt_rec, max_lag=max_lag)
     _write_csv(

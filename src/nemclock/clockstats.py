@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.median's NaN check imports it inside a call
 from numpy import fft
 
 from .params import SystemParams
@@ -132,18 +131,31 @@ def autocorrelation(ensemble, time_step: float, max_lag: int | None = None):
         raise ValueError(
             f"series of length {length} cannot support lag {max_lag}"
         )
-    mean = series.mean()
-    n_fft = next_fast_len(length + max_lag)
-    # The lag sums are linear in the power spectrum: sum the rows' spectra,
-    # one row at a time, and transform back once.
-    power = np.zeros(n_fft // 2 + 1)
-    for row in series:
-        spec = fft.rfft(row - mean, n_fft)
-        power += spec.real**2 + spec.imag**2
-    raw = fft.irfft(power, n_fft)[: max_lag + 1]
+    raw = _lag_sums(series, next_fast_len(length + max_lag), max_lag)
     counts = n_series * (length - np.arange(max_lag + 1))
     values = raw / counts
     return CorrelationCurve(lags=np.arange(max_lag + 1) * time_step, values=values)
+
+
+def _lag_sums(series: np.ndarray, n_fft: int, max_lag: int) -> np.ndarray:
+    """Lag sums 0..``max_lag`` of the rows less their pooled mean, all rows
+    added, from transforms of length ``n_fft``.  The sums are linear in the
+    power spectrum: the rows' spectra are summed one row at a time and
+    transformed back once.  Every row reuses one zero-padded row, one
+    spectrum and two squares; the inverse transform reads the spectrum
+    buffer and writes the row buffer, of which the result is a view."""
+    mean = series.mean()
+    padded = np.zeros(n_fft)
+    spec = np.empty(n_fft // 2 + 1, dtype=complex)
+    power, re2, im2 = np.zeros((3, n_fft // 2 + 1))
+    for row in series:
+        np.subtract(row, mean, out=padded[: row.size])
+        fft.rfft(padded, out=spec)
+        np.square(spec.real, out=re2)
+        np.square(spec.imag, out=im2)
+        power += np.add(re2, im2, out=re2)
+    spec.real, spec.imag = power, 0.0  # the complex cast irfft would make
+    return fft.irfft(spec, n_fft, out=padded)[: max_lag + 1]
 
 
 def power_spectrum(
@@ -201,6 +213,17 @@ def spectrum_peak(spec: Spectrum, omega_window) -> tuple[float, float]:
     return float(w[j]), float(s[j])
 
 
+def _median(x: np.ndarray) -> float:
+    """``float(np.median(x))`` of a non-empty 1-D float64 ``x``, bit for
+    bit: the same partition and mean, and NaN when the partition puts one
+    last; ``np.median`` imports ``numpy.ma`` for that check."""
+    half, odd = divmod(x.size, 2)
+    part = np.partition(x, ([half] if odd else [half - 1, half]) + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[half - 1 + odd : half + 1].mean())
+
+
 def spectrum_fwhm(spec: Spectrum, omega_window) -> float:
     """Full width at half maximum above the in-window base level.
 
@@ -214,7 +237,7 @@ def spectrum_fwhm(spec: Spectrum, omega_window) -> float:
     if j == 0 or j == s.size - 1:
         raise ValueError("spectral peak sits at the window edge")
     edge = max(3, s.size // 20)
-    base = min(float(np.median(s[:edge])), float(np.median(s[-edge:])))
+    base = min(_median(s[:edge]), _median(s[-edge:]))
     half = 0.5 * (s[j] + base)
     left = np.nonzero(s[: j + 1] < half)[0]
     right = np.nonzero(s[j:] < half)[0]

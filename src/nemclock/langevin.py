@@ -139,7 +139,8 @@ class SimConfig:
 class Trajectory:
     """The recorded ensemble: ``times`` (n,) restart at zero after the
     burn-in; ``positions`` and ``velocities`` (members, n) hold a row per
-    member, and a record read back from disk has ``velocities`` None."""
+    member.  ``velocities`` is None in a record read back from disk and in
+    one integrated without them (``run_ensemble(..., velocities=False)``)."""
 
     times: np.ndarray
     positions: np.ndarray
@@ -203,7 +204,9 @@ class Spline:
     Calling it evaluates as scipy's ``PPoly`` does: interval i holds
     x[i] <= t < x[i+1], the last interval also takes the upper end and
     everything above it, the first everything below the grid, and NaN gives
-    NaN.  The result has the shape of ``t`` (plus k).
+    NaN.  The result has the shape of ``t`` (plus k); ``out``, a writeable
+    C-contiguous float64 array of that shape, receives it, and for one
+    column it may be ``t`` itself, each value read before it is overwritten.
     """
 
     x: np.ndarray
@@ -218,16 +221,23 @@ class Spline:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "c", c)
 
-    def __call__(self, t):
+    def __call__(self, t, out=None):
+        t = np.asarray(t, dtype=np.float64)
+        shape = t.shape + self.c.shape[2:]
+        if out is not None and not (out.dtype == np.float64 and out.shape == shape
+                                    and out.flags.c_contiguous and out.flags.writeable):
+            raise ValueError(f"out must be a writeable C-contiguous float64 array "
+                             f"of shape {shape}")
         kernel = _kernel()
         if kernel is None:
-            return _evaluate_numpy(self, t)
-        return _evaluate_compiled(kernel, self, t)
+            return _evaluate_numpy(self, t, out)
+        return _evaluate_compiled(kernel, self, t, out)
 
 
-def _evaluate_numpy(spline: Spline, t) -> np.ndarray:
+def _evaluate_numpy(spline: Spline, t, out=None) -> np.ndarray:
     """Reference spline evaluation: the interval and the power sum of
-    scipy's ``PPoly``, operation for operation."""
+    scipy's ``PPoly``, operation for operation.  ``t`` is read in full
+    before ``out`` is written, so ``out`` may be ``t``."""
     t = np.asarray(t, dtype=np.float64)
     i = np.clip(np.searchsorted(spline.x, t, side="right") - 1, 0, spline.x.size - 2)
     s = t - spline.x[i]
@@ -235,7 +245,8 @@ def _evaluate_numpy(spline: Spline, t) -> np.ndarray:
         s = s[..., None]
     c = spline.c
     # PPoly's sum starts at 0.0, which turns a -0.0 coefficient into 0.0
-    return 0.0 + c[3, i] + c[2, i] * s + c[1, i] * (s * s) + c[0, i] * (s * s * s)
+    head = 0.0 + c[3, i] + c[2, i] * s + c[1, i] * (s * s)
+    return np.add(head, c[0, i] * (s * s * s), out=out)
 
 
 def _strided_rows(t: np.ndarray):
@@ -250,12 +261,15 @@ def _strided_rows(t: np.ndarray):
                   rows.strides[0] // 8, rows.strides[1] // 8)
 
 
-def _evaluate_compiled(kernel, spline: Spline, t) -> np.ndarray:
+def _evaluate_compiled(kernel, spline: Spline, t, out=None) -> np.ndarray:
     """:func:`_evaluate_numpy` in C, bit for bit, written straight into the
-    result; a 1- or 2-D ``t`` is read in place through its strides."""
+    result; a 1- or 2-D ``t`` is read in place through its strides.  The
+    kernel reads each point before it writes that point's values, so with
+    one column ``out`` may be ``t``."""
     t = np.asarray(t, dtype=np.float64)
     rows, points = _strided_rows(t)
-    out = np.empty(t.shape + spline.c.shape[2:])
+    if out is None:
+        out = np.empty(t.shape + spline.c.shape[2:])
     kernel.nemclock_eval(
         *points, spline.x.ctypes.data, spline.x.size, spline.c.ctypes.data,
         spline.c[0, 0].size, out.ctypes.data,
@@ -688,6 +702,12 @@ def _sourced(noise_source, indices, start, n):
     return noise
 
 
+def _work_size(rows: int, sim: SimConfig) -> int:
+    """The doubles of a block's stepper buffers: noise and the record's
+    positions and velocities, one chunk of ``rows`` members each."""
+    return 3 * rows * min(CHUNK_STEPS, sim.total_steps)
+
+
 def _integrate_block(
     table: CoefficientTable,
     params: SystemParams,
@@ -695,6 +715,7 @@ def _integrate_block(
     indices,
     consumers=(),
     noise_source=None,
+    work=None,
 ):
     """Advance a block of trajectories; returns the final (x, v) arrays.
 
@@ -707,6 +728,9 @@ def _integrate_block(
     by default each member's own stream, whose chunks the kernel draws in
     place when it can.  Step-halving tests pass one to share a Brownian
     path.  Chunks restart where the burn-in ends, so no chunk straddles it.
+    ``work`` is the kernel's noise and the record buffers, a float64 array
+    of at least :func:`_work_size` doubles that a worker reuses across its
+    blocks; made here when not given.
     """
     indices = list(indices)
     dt = sim.time_step
@@ -720,7 +744,8 @@ def _integrate_block(
     burn = sim.burn_steps
     rows = len(indices)
     # the kernel's noise and the record: one buffer each, reused by every chunk
-    work = np.empty((3, rows * min(CHUNK_STEPS, total)))
+    size = _work_size(rows, sim)
+    work = (np.empty(size) if work is None else work[:size]).reshape(3, -1)
 
     draws = None
     if noise_source is None:
@@ -773,39 +798,51 @@ def run_ensemble(
     *,
     consumer_factories=(),
     threads: int = 1,
+    velocities: bool = True,
 ):
     """Integrate an ensemble while consumers stream the full-rate states.
 
     Returns (record, consumers): the recorded :class:`Trajectory` with one
     row per member in index order, and one consumer per factory.  Members
     run in fixed blocks of ``BLOCK_SIZE`` indices, each with its own
-    instance of every factory and two :class:`SeriesAccumulator` s that
-    write its rows of the record; after the workers join, ``consumers[j]``
-    is factory j's first-block instance with the later blocks' instances
-    merged into it, in block order, by ``absorb``.  The partition does not
-    depend on ``threads``, so the results are identical for any worker count.
+    instance of every factory and a :class:`SeriesAccumulator` per record
+    array that writes its rows of it; after the workers join,
+    ``consumers[j]`` is factory j's first-block instance with the later
+    blocks' instances merged into it, in block order, by ``absorb``.  The
+    partition does not depend on ``threads``, so the results are identical
+    for any worker count.  Each worker reuses one set of stepper buffers
+    across its blocks.  With ``velocities`` false the record holds the
+    positions alone (``velocities`` None), which saves an array its size.
     """
     blocks = [
         range(start, min(start + BLOCK_SIZE, sim.ensemble_size))
         for start in range(0, sim.ensemble_size, BLOCK_SIZE)
     ]
     positions = np.empty((sim.ensemble_size, sim.recorded_samples))
-    velocities = np.empty_like(positions)
-    factories = [
-        lambda: SeriesAccumulator(lambda xs, vs: xs, sim.record_stride, positions),
-        lambda: SeriesAccumulator(lambda xs, vs: vs, sim.record_stride, velocities),
-        *consumer_factories,
-    ]
+    speeds = np.empty_like(positions) if velocities else None
+    factories = [lambda: SeriesAccumulator(lambda xs, vs: xs, sim.record_stride, positions)]
+    if velocities:
+        factories.append(
+            lambda: SeriesAccumulator(lambda xs, vs: vs, sim.record_stride, speeds))
+    recorders = len(factories)
+    factories += consumer_factories
     consumers = [[f() for f in factories] for _ in blocks]
-    work = functools.partial(_integrate_block, table, params, sim)
+    buffers = threading.local()
+
+    def advance(block, block_consumers):
+        if not hasattr(buffers, "work"):
+            buffers.work = np.empty(_work_size(len(blocks[0]), sim))
+        return _integrate_block(table, params, sim, block, block_consumers,
+                                work=buffers.work)
+
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, blocks, consumers))
+            list(pool.map(advance, blocks, consumers))
     else:
-        list(map(work, blocks, consumers))
+        list(map(advance, blocks, consumers))
 
     merged = consumers[0]
     for later in consumers[1:]:
         for head, extra in zip(merged, later):
             head.absorb(extra)
-    return Trajectory(sim.record_times(), positions, velocities), tuple(merged[2:])
+    return Trajectory(sim.record_times(), positions, speeds), tuple(merged[recorders:])

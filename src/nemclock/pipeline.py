@@ -184,6 +184,7 @@ def build_corpus(
     policy: DetectionPolicy | None = None,
     current_stride: int | None = None,
     threads: int = 1,
+    velocities: bool = True,
 ) -> Corpus:
     """Run one operating point and collect the recorded ensemble, ticks,
     the stationary position density on the table grid, and optionally
@@ -191,7 +192,8 @@ def build_corpus(
 
     Ticks, density and currents come from ``run_ensemble``'s merged
     consumers, so they see every full-rate state whatever ``record_stride``
-    is; the stride only thins the record.
+    is; the stride only thins the record.  ``velocities`` false records the
+    positions alone, as ``run_ensemble`` does with it.
     """
     # the density bins are the table's nodes, all one width
     steps = np.diff(table.grid)
@@ -217,7 +219,8 @@ def build_corpus(
         )
 
     record, (ticks, hist, *_) = run_ensemble(
-        table, params, sim, consumer_factories=factories, threads=threads
+        table, params, sim, consumer_factories=factories, threads=threads,
+        velocities=velocities,
     )
     members = range(sim.ensemble_size)
     return Corpus(

@@ -91,13 +91,18 @@ def _refuse_excursion(record: Trajectory, inside: np.ndarray) -> None:
         raise ExcursionError(time=float(record.times[col]), position=x, index=int(row))
 
 
-def transduce(record: Trajectory, table: CoefficientTable) -> np.ndarray:
+def transduce(record: Trajectory, table: CoefficientTable, out=None) -> np.ndarray:
     """Current series I(t_i) of every member, shape (members, n), on the
     record's sampling grid; the first sample off the table grid, NaN and
-    +-inf included, raises."""
+    +-inf included, raises, before anything is written.  ``out``, a
+    C-contiguous float64 array of that shape, receives the series; it may
+    be ``record.positions`` itself, which then holds the currents."""
     lo, hi = table.grid[0], table.grid[-1]
-    _refuse_excursion(record, (lo <= record.positions) & (record.positions <= hi))
-    return np.asarray(column_interpolant(table, "current")(record.positions))
+    x = np.asarray(record.positions)
+    # NaN makes min or max NaN, which fails both comparisons
+    if x.size and not (lo <= x.min() and x.max() <= hi):
+        _refuse_excursion(record, (lo <= x) & (x <= hi))
+    return np.asarray(column_interpolant(table, "current")(x, out=out))
 
 
 class TickAccumulator:

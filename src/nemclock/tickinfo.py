@@ -82,7 +82,7 @@ class Histogram:
                 raise ValueError("explicit edges do not cover the samples")
             counts, edges = np.histogram(x, bins=edges)
         else:
-            iqr = float(np.subtract(*np.percentile(x, [75, 25])))
+            iqr = _interquartile_range(x)
             if iqr == 0.0:
                 bins = max(1, int(math.ceil(math.sqrt(x.size))))
             else:
@@ -94,6 +94,28 @@ class Histogram:
             masses=counts / counts.sum(),
             total_count=int(x.size),
         )
+
+
+def _interquartile_range(x: np.ndarray) -> float:
+    """``float(np.subtract(*np.percentile(x, [75, 25])))`` of a non-empty
+    float64 ``x``, bit for bit: NumPy's linear virtual index (n - 1) * q,
+    the same partition and its ``_lerp``, and NaN when the partition puts
+    one last.  ``np.percentile`` imports ``numpy.ma`` inside the call."""
+    x = x.ravel()
+    last = x.size - 1
+    index = (last * 0.75, last * 0.25)
+    # each index's neighbours; one at the end (a single sample) takes it twice
+    below = [-1 if i >= last else math.floor(i) for i in index]
+    above = [-1 if k == -1 else k + 1 for k in below]
+    part = np.partition(x, sorted({0, -1, *below, *above}))
+    if np.isnan(part[-1]):
+        return float(part[-1] - part[-1])
+    upper, lower = (
+        b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+        for a, b, t in ((float(part[k]), float(part[m]), i - k)
+                        for i, k, m in zip(index, below, above))
+    )
+    return upper - lower
 
 
 def next_fast_len(target: int) -> int:

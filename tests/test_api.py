@@ -112,8 +112,9 @@ def test_traced_benchmark_runs_after_hooks_change_shape(tmp_path):
 
 def test_cli_needs_no_scipy(tmp_path):
     # each CLI stage is a fresh process, so what `import nemclock.cli` loads
-    # is paid on every command: no scipy; a whole `run` imports no module, so
-    # no timed call pays an import, and has not loaded the quadrature
+    # is paid on every command: no scipy and no numpy.ma; a whole `run`
+    # imports no module, so no timed call pays an import, and has not loaded
+    # the quadrature
     config = {
         "version": 1,
         "system": {"voltage": 5.0},
@@ -126,12 +127,14 @@ def test_cli_needs_no_scipy(tmp_path):
         "import json, sys\n"
         "from nemclock import cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
         "before = set(sys.modules)\n"
         f"assert cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
         f"assert 'ks_statistic' in json.loads(open({str(out / 'wtd_fit.json')!r}).read())\n"
         f"assert json.loads(open({str(out / 'report.json')!r}).read())['linewidth_fit']['fwhm']\n"
         "print(sorted(set(sys.modules) - before))\n"
         "print(sorted(m for m in sys.modules if m == 'nemclock.quadrature'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -140,7 +143,7 @@ def test_cli_needs_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line.startswith("[")]
-    assert lines == ["[]", "[]", "[]"]
+    assert lines == ["[]"] * 5
 
 
 def test_toy_samplers_need_no_scipy():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nemclock import cli, clockstats, pipeline, svgplot, transport
+from nemclock import cli, clockstats, langevin, pipeline, svgplot, tickinfo, transport
 from nemclock.cli import ConfigError, build_params, load_config, stage_coeffs
 from nemclock.params import default_params, fingerprint
 from nemclock.transport import friction_and_diffusion
@@ -663,6 +664,70 @@ def test_staged_commands_match_run(tmp_path, pipeline_config, capsys):
     assert cli.main(["analyze", *base]) == 0
     for name in ("ensemble.npz", "ticks.csv", "report.json", "autocorrelation.csv"):
         assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+def test_ensemble_npz_is_written_as_savez_writes_it(tmp_path, pipeline_config):
+    # each array goes from its own buffer into the zip member, byte for byte
+    # as np.savez writes it after copying the array into one bytes object
+    arrays = dict(
+        positions=np.random.default_rng(3).standard_normal((4, 1001)),
+        provenance=np.frombuffer(b'{"seed": 9}', dtype=np.uint8),
+        tick_times=np.empty(0),
+        tick_counts=np.zeros(4, dtype=np.int64),
+        position_density=np.linspace(0.0, 1.0, 41),
+        position_count=np.array([4004], dtype=np.int64),
+    )
+    cli._write_npz(tmp_path / "ours.npz", arrays)
+    np.savez(tmp_path / "savez.npz", **arrays)
+    assert (tmp_path / "ours.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
+    # the file simulate writes, and what analyze reads back from it
+    cfg_path = _write(tmp_path / "cfg.json", pipeline_config)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    with np.load(out / "ensemble.npz") as data:
+        stored = {name: data[name] for name in data.files}
+    np.savez(tmp_path / "again.npz", **stored)
+    assert (out / "ensemble.npz").read_bytes() == (tmp_path / "again.npz").read_bytes()
+    cfg = load_config(cfg_path)
+    corpus = cli._load_corpus(cfg, build_params(cfg), cli.build_sim(cfg), out)
+    assert np.array_equal(corpus.record.positions, stored["positions"])
+    assert np.array_equal(np.concatenate([ts.tick_times for ts in corpus.ticks]),
+                          stored["tick_times"])
+    assert np.array_equal(corpus.position_density, stored["position_density"])
+
+
+@pytest.mark.parametrize("size", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 200_000])
+def test_manifest_digest_is_the_sha256_of_the_file(tmp_path, size):
+    data = np.random.default_rng(size).bytes(size)
+    (tmp_path / "file").write_bytes(data)
+    assert cli._sha256(tmp_path / "file") == hashlib.sha256(data).hexdigest()
+
+
+def test_run_holds_one_record_and_a_few_transform_rows(tmp_path):
+    # a run keeps the position record alone (no velocities, no copy for
+    # ensemble.npz, currents transduced into it) plus scratch of a few rows
+    # of the current correlation's transform
+    if langevin._kernel() is None:
+        pytest.skip("the NumPy spline evaluation transduces through record-sized temporaries")
+    config = {
+        "version": 1,
+        "system": {"voltage": 5.0},
+        "grid": {"nodes": 41},
+        "simulation": {"duration": 2000.0, "ensemble_size": 16, "record_stride": 1},
+    }
+    cfg_path = _write(tmp_path / "cfg.json", config)
+    cfg = load_config(cfg_path)
+    params, sim = build_params(cfg), cli.build_sim(cfg)
+    record_bytes = 8 * sim.ensemble_size * sim.recorded_samples
+    row_bytes = 8 * tickinfo.next_fast_len(sim.recorded_samples + cli._max_lag(params, sim))
+    assert record_bytes > 10 * row_bytes
+    tracemalloc.start()
+    try:
+        assert _run(cfg_path, tmp_path / "out") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < record_bytes + 6 * row_bytes
 
 
 def test_spectrum_rebuilds_from_autocorrelation_and_floor(

@@ -174,6 +174,23 @@ def test_autocorrelation_and_spectrum_equal_scipy_fft():
         )
 
 
+def test_autocorrelation_scratch_is_a_few_transform_rows():
+    # every row reuses one padded row, one spectrum and two squares, and the
+    # inverse transform writes into the padded row: about 3.5 rows of
+    # n_fft doubles, whatever the member count
+    rng = np.random.Generator(np.random.Philox(5))
+    series = rng.standard_normal((8, 50001))
+    row_bytes = 8 * clockstats.next_fast_len(50001 + 20000)
+    autocorrelation(series, 0.1, max_lag=20000)  # NumPy's FFT caches its plans
+    tracemalloc.start()
+    try:
+        autocorrelation(series, 0.1, max_lag=20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * row_bytes
+
+
 def test_spectrum_of_zero_curve_is_flat_floor():
     curve = CorrelationCurve(lags=np.arange(100) * 0.1, values=np.zeros(100))
     spec = power_spectrum(curve, shot_noise_floor=2.5)
@@ -215,6 +232,23 @@ def test_spectrum_fwhm_of_lorentzian_line():
     hann = power_spectrum(curve, 0.0, lag_window="hann")
     width_hann = spectrum_fwhm(hann, (1.5, 2.5))
     assert width_hann == pytest.approx(2.0 * gamma, rel=0.5)
+
+
+@pytest.mark.parametrize("kind", ["normal", "ties", "signed zeros", "nan", "inf"])
+def test_median_equals_numpy_bit_for_bit(kind):
+    # spectrum_fwhm's base level, without np.median's import of numpy.ma
+    rng = np.random.default_rng(17)
+    for n in range(1, 201):
+        x = {"normal": lambda: rng.standard_normal(n),
+             "ties": lambda: rng.integers(0, 4, n).astype(float),
+             "signed zeros": lambda: rng.choice([0.0, -0.0, 1.0], n),
+             "nan": lambda: np.where(np.arange(n) == rng.integers(n), np.nan,
+                                     rng.standard_normal(n)),
+             "inf": lambda: rng.choice([-np.inf, -1.0, 2.0, np.inf], n)}[kind]()
+        with np.errstate(invalid="ignore"):
+            expected = float(np.median(x))
+            got = clockstats._median(x)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (n, x)
 
 
 def test_spectrum_fwhm_window_errors():

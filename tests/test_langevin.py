@@ -744,3 +744,37 @@ def test_compiled_noise_draws_are_in_use(monkeypatch, ou_table, params100):
     monkeypatch.setattr(langevin, "_stream", initial_draws_only)
     run_ensemble(ou_table, params100, _sim(1, members=18), threads=2)
     assert len(made) == 18 and all(gen.drawn for gen in made)
+
+
+
+def test_ensemble_without_velocities_records_the_same_positions(ou_table, params100):
+    sim = _sim(300, burn=40, seed=8, members=langevin.BLOCK_SIZE + 3, stride=7)
+    (times, positions, _), calls = _ensemble(ou_table, params100, sim)
+    record, (rec,) = run_ensemble(
+        ou_table, params100, sim, consumer_factories=[_Recorder], velocities=False
+    )
+    assert record.velocities is None
+    assert np.array_equal(record.times, times)
+    assert np.array_equal(record.positions, positions)
+    _assert_identical(rec.calls, calls)
+
+
+def test_each_worker_reuses_one_stepper_buffer(monkeypatch, ou_table, params100):
+    # a worker steps every block it takes in the one buffer it made first
+    sim = _sim(100, burn=10, seed=8, members=3 * langevin.BLOCK_SIZE, stride=7)
+    expected = run_ensemble(ou_table, params100, sim)[0]
+    buffers, integrate = [], langevin._integrate_block
+
+    def recorded(*args, work=None, **kwargs):
+        buffers.append(work)
+        return integrate(*args, work=work, **kwargs)
+
+    monkeypatch.setattr(langevin, "_integrate_block", recorded)
+    for threads in (1, 2):
+        buffers.clear()
+        record = run_ensemble(ou_table, params100, sim, threads=threads)[0]
+        assert np.array_equal(record.positions, expected.positions)
+        assert np.array_equal(record.velocities, expected.velocities)
+        assert len(buffers) == 3
+        assert {b.size for b in buffers} == {langevin._work_size(langevin.BLOCK_SIZE, sim)}
+        assert len({id(b) for b in buffers}) <= threads

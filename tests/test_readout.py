@@ -314,14 +314,18 @@ def test_no_crossings_when_signal_stays_below_level():
 # ------------------------------------------------------------ transduction --
 
 
-def test_transduce_interpolates_current_column():
-    table = make_synthetic_table(
+def _tanh_table():
+    return make_synthetic_table(
         np.linspace(-5.0, 5.0, 41),
         friction=0.0,
         diffusion=0.0,
         current=lambda x: 2.0 + math.tanh(x),
         tag="tanh",
     )
+
+
+def test_transduce_interpolates_current_column():
+    table = _tanh_table()
     t, x = _sine(periods=3, amplitude=2.0)
     (signal,) = transduce(_traj(t, x), table)
     reference = CubicSpline(table.grid, table.column("current"))(x)
@@ -368,3 +372,59 @@ def test_transduce_rejects_non_finite_positions(bad):
         f"member 1 has x={bad:.6g} at t=2, not a finite position: the record "
         f"is damaged or the integration diverged, and no table range can mend that"
     )
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_transduce_into_the_positions_equals_the_allocating_path(monkeypatch, compiled):
+    # the CLI transduces into the record's own positions; every value is
+    # read before it is overwritten, on the kernel and on its NumPy fallback
+    if compiled and langevin._kernel() is None:
+        pytest.skip("compiled kernel unavailable")
+    if not compiled:
+        monkeypatch.setattr(langevin, "_kernel", lambda: None)
+    table = _tanh_table()
+    t, x = _sine(periods=3, amplitude=2.0)
+    record = _traj(t, x, 0.5 * x[::-1], -x)
+    expected = transduce(record, table)
+    apart = np.empty_like(record.positions)
+    assert transduce(record, table, out=apart) is apart
+    positions = record.positions.copy()
+    assert transduce(Trajectory(t, positions), table, out=positions) is positions
+    for got in (apart, positions):
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_transduce_refuses_an_out_it_cannot_write():
+    table = _tanh_table()
+    t, x = _sine(periods=1)
+    record = _traj(t, x, x)
+    for out in (np.empty((2, t.size), dtype=np.float32), np.empty((2, t.size + 1)),
+                np.empty((t.size, 2)).T):
+        with pytest.raises(ValueError, match="out must be"):
+            transduce(record, table, out=out)
+    frozen = np.empty((2, t.size))
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="out must be"):
+        transduce(record, table, out=frozen)
+
+
+@pytest.mark.parametrize("bad", [3.0, -3.0, math.nan, math.inf, -math.inf])
+def test_transduce_in_place_refuses_as_the_allocating_path(bad):
+    # the min/max screen only decides whether to look for the sample: the
+    # error names the first bad one in row order, and nothing is written
+    table = make_synthetic_table(
+        np.linspace(-1.0, 1.0, 11), friction=0.0, diffusion=0.0, tag="narrow"
+    )
+    t = np.arange(6.0)
+    positions = np.array([np.full(6, 0.25), [0.5, 0.5, bad, 0.5, bad, 0.5],
+                          [bad, 0.5, 0.5, 0.5, 0.5, 0.5]])
+    errors = []
+    for out in (None, positions):
+        kept = positions.copy()
+        with pytest.raises(ExcursionError) as info:
+            transduce(Trajectory(times=t, positions=positions), table, out=out)
+        errors.append(str(info.value))
+        assert (info.value.index, info.value.time) == (1, 2.0)
+        np.testing.assert_equal(info.value.position, bad)
+        assert np.array_equal(positions, kept, equal_nan=True)
+    assert errors[0] == errors[1]

@@ -7,6 +7,7 @@ import pytest
 from scipy import fft as sfft
 from scipy import stats as sstats
 
+from nemclock import tickinfo
 from nemclock.tickinfo import (
     Histogram,
     block_bootstrap_se,
@@ -249,3 +250,20 @@ def test_bootstrap_draws_from_the_member_stream_rule(seed):
         starts = rng.integers(0, x.size - 7 + 1, size=math.ceil(x.size / 7))
         reps[i] = np.mean(x[(starts[:, None] + np.arange(7)).ravel()[: x.size]])
     assert block_bootstrap_se(x, np.mean, block=7, n_boot=50, seed=seed) == reps.std(ddof=1)
+
+
+@pytest.mark.parametrize("kind", ["normal", "ties", "signed zeros", "nan", "inf"])
+def test_interquartile_range_equals_numpy_bit_for_bit(kind):
+    # the Freedman-Diaconis width, without np.percentile's import of numpy.ma
+    rng = np.random.default_rng(19)
+    for n in range(1, 201):
+        x = {"normal": lambda: rng.exponential(1.0, n) * 1e-3 + math.pi,
+             "ties": lambda: rng.integers(0, 4, n).astype(float),
+             "signed zeros": lambda: rng.choice([0.0, -0.0, 1.0], n),
+             "nan": lambda: np.where(np.arange(n) == rng.integers(n), np.nan,
+                                     rng.standard_normal(n)),
+             "inf": lambda: rng.choice([-np.inf, -1.0, 2.0, np.inf], n)}[kind]()
+        with np.errstate(invalid="ignore"):
+            expected = float(np.subtract(*np.percentile(x, [75, 25])))
+            got = tickinfo._interquartile_range(x)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (n, x)
